@@ -129,7 +129,7 @@ def subjective_reduct(program: GroundProgram, world) -> GroundProgram:
 
 def expand_world_view(wv: WorldView) -> list[frozenset[Atom]]:
     """Answer sets of the view with machinery atoms projected away."""
-    internal = ("aux_", "naux_", K15_PREFIX)
+    internal = ("aux_", K15_PREFIX)
     out: list[frozenset[Atom]] = []
     seen: set[frozenset[Atom]] = set()
     for m in wv.answer_sets:

@@ -1,31 +1,31 @@
 """Ground answer-set engine.
 
 Interpretations are bitmasks over the program's atom universe sorted by
-printed form, and results come back in ascending bitmask order.  Two
-enumeration paths exist: the exhaustive one walks every interpretation
-and checks minimality against every proper subset (the definitional
-reading, kept as the reference), and the search path splits the atom
-graph into connected components and runs a small branch-and-propagate
-enumeration inside each.  Both return the same list.
+printed form, and results come back in ascending bitmask order.  One
+search computes them: the atom graph is split into connected components,
+and inside each a branch-and-propagate loop on an explicit stack
+enumerates the assignments that survive unit propagation and support
+checks; each one is kept if the minimality test accepts it.  The
+minimality test runs the same loop on the reduct's clauses and stops at
+the first model.
 
-Choice rules are expanded on entry: `{a}` becomes `a :- not a'.` and
-`a' :- not a.` where a' prefixes the atom name with `n`.  The generated
-complements never show up in returned interpretations, consequence
-sets, or projections.
+A choice rule `{a}` becomes `a :- not a'.` and `a' :- not a.` over a
+complement bit a' that has no atom: no program atom can collide with
+it, and it never shows up in returned interpretations, consequence sets,
+or projections.  It takes the position in the sort that the printed form
+of a with `n` prefixed to its name would take, after a program atom
+printed the same way, which fixes the order of per-component results.
+A complementary pair a / -a becomes the constraint `:- a, -a.`
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .grounder import GroundProgram
 from .syntax import Atom, ObjLiteral, Rule, SubjLiteral, print_atom
-
-# Universe bound for the exhaustive path; the automatic dispatch switches
-# to the search path well before that for speed.
-EXHAUSTIVE_LIMIT = 24
-_AUTO_EXHAUSTIVE = 12
 
 
 @dataclass(frozen=True)
@@ -33,16 +33,6 @@ class ConsequenceSets:
     cautious: frozenset[Atom]
     brave: frozenset[Atom]
     has_answer_set: bool
-
-
-def expand_choice(rule: Rule) -> tuple[Rule, Rule]:
-    """Split `{a}` into the complementary pair of normal rules."""
-    if not rule.is_choice:
-        raise ValueError("not a choice rule")
-    a = rule.head[0]
-    comp = Atom("n" + a.name, a.args, a.strong_neg)
-    return (Rule((a,), (ObjLiteral(comp, 1),)),
-            Rule((comp,), (ObjLiteral(a, 1),)))
 
 
 def gl_reduct(program: GroundProgram, candidate: frozenset[Atom]) -> GroundProgram:
@@ -76,14 +66,94 @@ def gl_reduct(program: GroundProgram, candidate: frozenset[Atom]) -> GroundProgr
 
 
 # ---------------------------------------------------------------------------
+# Search core
+
+
+def _propagate(clauses: list[tuple[int, int]],
+               supports: dict[int, list[tuple[int, int]]],
+               scope: int, true_m: int, false_m: int) -> tuple[int, int] | None:
+    """Close a partial assignment over `scope`; None on a conflict.
+
+    A clause (p, n) holds once an atom of p is true or an atom of n is
+    false; with one literal left open, that literal is set.  `supports`
+    maps an atom bit to the clauses of the rules with it in the head.
+    Such a rule stops supporting the atom once an atom of n is false or
+    an atom of p other than the atom itself is true, that is once its
+    body fails or another of its head atoms holds.  Each true atom of
+    an answer set has a rule whose body holds and whose head holds only
+    there, so an atom that no rule supports is set false.
+    """
+    while True:
+        changed = False
+        und = scope & ~(true_m | false_m)
+        for p_mask, n_mask in clauses:
+            if p_mask & true_m or n_mask & false_m:
+                continue
+            up = p_mask & und
+            un = n_mask & und
+            total = up | un
+            if total == 0:
+                return None
+            if (total & (total - 1)) == 0 and (up == 0 or un == 0):
+                if up:
+                    true_m |= up
+                else:
+                    false_m |= un
+                und = scope & ~(true_m | false_m)
+                changed = True
+        for b, rules in supports.items():
+            if b & false_m:
+                continue
+            for p_mask, n_mask in rules:
+                if not n_mask & false_m:
+                    held = p_mask & true_m
+                    if held == 0 or held == b:
+                        break
+            else:
+                if b & true_m:
+                    return None
+                false_m |= b
+                und = scope & ~(true_m | false_m)
+                changed = True
+        if not changed:
+            return true_m, false_m
+
+
+def _models(clauses: list[tuple[int, int]],
+            supports: dict[int, list[tuple[int, int]]], scope: int):
+    """Yield, as true-masks, every total assignment over `scope` that
+    `_propagate` leaves without conflict.  Branches on the lowest open
+    bit, false first."""
+    stack = [(0, 0)]
+    while stack:
+        state = _propagate(clauses, supports, scope, *stack.pop())
+        if state is None:
+            continue
+        true_m, false_m = state
+        und = scope & ~(true_m | false_m)
+        if und == 0:
+            yield true_m
+            continue
+        b = und & -und
+        stack.append((true_m | b, false_m))
+        stack.append((true_m, false_m | b))
+
+
+# ---------------------------------------------------------------------------
 # Indexed engine
+
+
+def _complement_key(a: Atom) -> str:
+    # The printed form of a with `n` prefixed to its name; the trailing
+    # NUL sorts it right after a program atom printed the same way.
+    printed = print_atom(a)
+    return ("-n" + printed[1:] if a.strong_neg else "n" + printed) + "\0"
 
 
 class _Engine:
     def __init__(self, program: GroundProgram):
         base: set[Atom] = set()
-        rules: list[Rule] = []
-        comps: list[Atom] = []
+        choices: set[Atom] = set()
         for r in program.rules:
             for lit in r.body:
                 if isinstance(lit, SubjLiteral):
@@ -91,26 +161,29 @@ class _Engine:
             base.update(r.head)
             base.update(lit.atom for lit in r.body)
             if r.is_choice:
-                lo, hi = expand_choice(r)
-                rules += [lo, hi]
-                comps.append(lo.body[0].atom)
-            else:
-                rules.append(r)
-        overlap = base & set(comps)
-        if overlap:
-            raise ValueError(f"complement atom collides with {print_atom(next(iter(overlap)))}")
+                choices.add(r.head[0])
 
-        atoms = sorted(base | set(comps), key=print_atom)
-        self.atoms = atoms
-        self.n = len(atoms)
-        self.bit = {a: 1 << i for i, a in enumerate(atoms)}
-        self.full = (1 << self.n) - 1
+        # Per-component results, and so the order world views are
+        # emitted in, follow the bit order, complement bits included.
+        keyed = [(print_atom(a), False, a) for a in base]
+        keyed += [(_complement_key(a), True, a) for a in choices]
+        keyed.sort(key=itemgetter(0))
+        self.n = len(keyed)
+        self.bit: dict[Atom, int] = {}
+        complement: dict[Atom, int] = {}
+        for i, (_, is_complement, a) in enumerate(keyed):
+            (complement if is_complement else self.bit)[a] = 1 << i
+        self.atoms = [a for _, is_complement, a in keyed if not is_complement]
         self.base_mask = 0
-        for a in base:
-            self.base_mask |= self.bit[a]
+        for b in self.bit.values():
+            self.base_mask |= b
 
         self.rules: list[tuple[int, int, int, int]] = []
-        for r in rules:
+        for r in program.rules:
+            if r.is_choice:
+                a, na = self.bit[r.head[0]], complement[r.head[0]]
+                self.rules += [(a, 0, na, 0), (na, 0, a, 0)]
+                continue
             head = pos = neg = negneg = 0
             for a in r.head:
                 head |= self.bit[a]
@@ -124,67 +197,18 @@ class _Engine:
                     negneg |= b
             self.rules.append((head, pos, neg, negneg))
 
-        # Consistency applies to program atoms only; the generated
-        # complements are plain encoding devices even when the choice
-        # atom carries explicit negation.
-        self.pairs: list[int] = []
-        for a in atoms:
-            if a.strong_neg and a in base:
-                twin = Atom(a.name, a.args, False)
-                if twin in base:
-                    self.pairs.append(self.bit[a] | self.bit[twin])
-
         # `:- .` mentions no atom, so the component machinery never sees
         # it; flag it here and let the search entry points bail out.
         self.falsum = any(head | pos | neg | negneg == 0
                           for head, pos, neg, negneg in self.rules)
+        # a and -a never hold together: `:- a, -a.`
+        for a in self.atoms:
+            if a.strong_neg:
+                twin = self.bit.get(Atom(a.name, a.args, False))
+                if twin:
+                    self.rules.append((0, self.bit[a] | twin, 0, 0))
 
-    # -- basic checks on full interpretations
-
-    def is_model(self, m: int) -> bool:
-        for head, pos, neg, negneg in self.rules:
-            if pos & m == pos and neg & m == 0 and negneg & m == negneg and not head & m:
-                return False
-        return True
-
-    def consistent(self, m: int) -> bool:
-        return all(pair & m != pair for pair in self.pairs)
-
-    def reduct_masks(self, m: int) -> list[tuple[int, int]]:
-        return [(head, pos) for head, pos, neg, negneg in self.rules
-                if neg & m == 0 and negneg & m == negneg]
-
-    # -- exhaustive path: subset-enumeration minimality
-
-    @staticmethod
-    def _models_positive(s: int, red: list[tuple[int, int]]) -> bool:
-        for head, pos in red:
-            if pos & s == pos and not head & s:
-                return False
-        return True
-
-    def stable_brute(self, m: int) -> bool:
-        if not self.is_model(m):
-            return False
-        if m == 0:
-            return True
-        red = self.reduct_masks(m)
-        s = (m - 1) & m
-        while True:
-            if self._models_positive(s, red):
-                return False
-            if s == 0:
-                return True
-            s = (s - 1) & m
-
-    def exhaustive_masks(self) -> list[int]:
-        return [m for m in range(1 << self.n)
-                if self.consistent(m) and self.stable_brute(m)]
-
-    # -- search path: component split, branch and propagate
-
-    def stable_search(self, m: int, rules: list[tuple[int, int, int, int]] | None = None) -> bool:
-        rules = self.rules if rules is None else rules
+    def stable_search(self, m: int, rules: list[tuple[int, int, int, int]]) -> bool:
         red = []
         for head, pos, neg, negneg in rules:
             if pos & m == pos and neg & m == 0 and negneg & m == negneg and not head & m:
@@ -204,7 +228,7 @@ class _Engine:
                         changed = True
             return least == m
         clauses = live + [(0, m)]  # the last clause rules out m itself
-        return not _sat(clauses, m)
+        return next(_models(clauses, {}, m), None) is None
 
     def component_split(self) -> list[tuple[int, list[tuple[int, int, int, int]]]]:
         parent = list(range(self.n))
@@ -233,8 +257,6 @@ class _Engine:
 
         for head, pos, neg, negneg in self.rules:
             union_mask(head | pos | neg | negneg)
-        for pair in self.pairs:
-            union_mask(pair)
 
         groups: dict[int, int] = {}
         for i in range(self.n):
@@ -248,98 +270,21 @@ class _Engine:
         return out
 
     def component_masks(self, mask: int, local_rules: list[tuple[int, int, int, int]]) -> list[int]:
-        bits = []
+        clauses = [(head | neg, pos | negneg) for head, pos, neg, negneg in local_rules]
+        supports: dict[int, list[tuple[int, int]]] = {}
         rest = mask
         while rest:
             b = rest & -rest
-            bits.append(b)
+            supports[b] = []
             rest &= rest - 1
-        pairs = [p for p in self.pairs if p & mask]
-        if len(bits) <= _AUTO_EXHAUSTIVE:
-            found = []
-            for combo in range(1 << len(bits)):
-                m = 0
-                for i, b in enumerate(bits):
-                    if combo >> i & 1:
-                        m |= b
-                if all(p & m != p for p in pairs) and self.stable_search(m, local_rules):
-                    found.append(m)
-            return sorted(found)
-        return self._component_search(bits, local_rules, pairs)
-
-    def _component_search(self, bits: list[int],
-                          local_rules: list[tuple[int, int, int, int]],
-                          pairs: list[int]) -> list[int]:
-        full = 0
-        for b in bits:
-            full |= b
-        clauses = [(head | neg, pos | negneg) for head, pos, neg, negneg in local_rules]
-        supports: dict[int, list[int]] = {b: [] for b in bits}
-        for i, (head, pos, neg, negneg) in enumerate(local_rules):
-            rest = head & full
+        for clause, rule in zip(clauses, local_rules):
+            rest = rule[0]
             while rest:
                 b = rest & -rest
-                supports[b].append(i)
+                supports[b].append(clause)
                 rest &= rest - 1
-        found: list[int] = []
-
-        def propagate(true_m: int, false_m: int) -> tuple[int, int] | None:
-            while True:
-                changed = False
-                und = full & ~(true_m | false_m)
-                for p_mask, n_mask in clauses:
-                    if p_mask & true_m or n_mask & false_m:
-                        continue
-                    up = p_mask & und
-                    un = n_mask & und
-                    total = up | un
-                    if total == 0:
-                        return None
-                    if (total & (total - 1)) == 0 and (up == 0 or un == 0):
-                        if up:
-                            true_m |= up
-                        else:
-                            false_m |= un
-                        und = full & ~(true_m | false_m)
-                        changed = True
-                for b in bits:
-                    if b & false_m:
-                        continue
-                    alive = False
-                    for i in supports[b]:
-                        head, pos, neg, negneg = local_rules[i]
-                        if (pos | negneg) & false_m or neg & true_m:
-                            continue
-                        alive = True
-                        break
-                    if not alive:
-                        if b & true_m:
-                            return None
-                        false_m |= b
-                        und = full & ~(true_m | false_m)
-                        changed = True
-                for p in pairs:
-                    if p & true_m == p:
-                        return None
-                if not changed:
-                    return true_m, false_m
-
-        def walk(true_m: int, false_m: int) -> None:
-            state = propagate(true_m, false_m)
-            if state is None:
-                return
-            true_m, false_m = state
-            und = full & ~(true_m | false_m)
-            if und == 0:
-                if self.stable_search(true_m, local_rules):
-                    found.append(true_m)
-                return
-            b = und & -und
-            walk(true_m, false_m | b)
-            walk(true_m | b, false_m)
-
-        walk(0, 0)
-        return sorted(found)
+        return sorted(m for m in _models(clauses, supports, mask)
+                      if self.stable_search(m, local_rules))
 
     def search_masks(self) -> list[int]:
         if self.falsum:
@@ -353,64 +298,21 @@ class _Engine:
         return partial
 
     def to_interpretation(self, m: int) -> frozenset[Atom]:
-        m &= self.base_mask
         return frozenset(a for a in self.atoms if self.bit[a] & m)
-
-
-def _sat(clauses: list[tuple[int, int]], variables: int) -> bool:
-    """Satisfiability of (positives, negated) mask clauses over `variables`."""
-
-    def walk(true_m: int, false_m: int) -> bool:
-        while True:
-            changed = False
-            und = variables & ~(true_m | false_m)
-            for p_mask, n_mask in clauses:
-                if p_mask & true_m or n_mask & false_m:
-                    continue
-                up = p_mask & und
-                un = n_mask & und
-                total = up | un
-                if total == 0:
-                    return False
-                if (total & (total - 1)) == 0 and (up == 0 or un == 0):
-                    if up:
-                        true_m |= up
-                    else:
-                        false_m |= un
-                    und = variables & ~(true_m | false_m)
-                    changed = True
-            if not changed:
-                break
-        und = variables & ~(true_m | false_m)
-        if und == 0:
-            return True
-        b = und & -und
-        return walk(true_m, false_m | b) or walk(true_m | b, false_m)
-
-    return walk(0, 0)
 
 
 # ---------------------------------------------------------------------------
 # Public operations
 
 
-def answer_sets(program: GroundProgram, method: str = "auto") -> list[frozenset[Atom]]:
+def answer_sets(program: GroundProgram) -> list[frozenset[Atom]]:
     """All answer sets, in ascending order of the universe bitmask.
 
-    Interpretations containing a complementary pair a / -a are
-    discarded after the stability check.
+    Interpretations containing a complementary pair a / -a are not
+    answer sets.
     """
     eng = _Engine(program)
-    if method == "auto":
-        method = "exhaustive" if eng.n <= _AUTO_EXHAUSTIVE else "search"
-    if method == "exhaustive":
-        if eng.n > EXHAUSTIVE_LIMIT:
-            raise ValueError(f"exhaustive path limited to {EXHAUSTIVE_LIMIT} atoms, got {eng.n}")
-        masks = eng.exhaustive_masks()
-    elif method == "search":
-        masks = eng.search_masks()
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    masks = eng.search_masks()
     masks.sort(key=lambda m: m & eng.base_mask)
     return [eng.to_interpretation(m) for m in masks]
 

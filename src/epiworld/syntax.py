@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 # Atom names a user program may not introduce; the translation owns them.
-RESERVED_PREFIXES = ("aux_", "naux_", "k15aux_")
+RESERVED_PREFIXES = ("aux_", "k15aux_")
 
 
 class SourceError(Exception):

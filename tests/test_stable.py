@@ -1,6 +1,8 @@
-"""Answer-set engine: reducts, enumeration paths, consequences."""
+"""Answer-set engine: reducts, enumeration, consequences."""
 
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -8,10 +10,8 @@ from brute import brute_answer_sets, brute_consequences
 from corpus import random_ground_rules
 from epiworld.grounder import GroundProgram, ground_program
 from epiworld.stable import (
-    EXHAUSTIVE_LIMIT,
     answer_sets,
     consequences,
-    expand_choice,
     gl_reduct,
     project,
     projected_answer_sets,
@@ -27,28 +27,15 @@ def names(models):
     return [sorted(map(print_atom, m)) for m in models]
 
 
+def bitmask_order(models):
+    """Interpretations in the engine's order: ascending bitmask over the
+    atoms sorted by printed form."""
+    rank = {a: i for i, a in enumerate(sorted(frozenset().union(*models), key=print_atom))}
+    return sorted(models, key=lambda m: sum(1 << rank[a] for a in m))
+
+
 # ---------------------------------------------------------------------------
-# Choice expansion and reducts
-
-
-def test_expand_choice_emits_complementary_pair():
-    (choice,) = ground("{aux_p}.").rules
-    low, high = expand_choice(choice)
-    aux, naux = Atom("aux_p"), Atom("naux_p")
-    assert low == Rule((aux,), (ObjLiteral(naux, 1),))
-    assert high == Rule((naux,), (ObjLiteral(aux, 1),))
-
-
-def test_expand_choice_keeps_arguments():
-    (choice,) = ground("{aux_p(a,1)}.").rules
-    low, _ = expand_choice(choice)
-    assert print_atom(low.head[0]) == "aux_p(a,1)"
-    assert print_atom(low.body[0].atom) == "naux_p(a,1)"
-
-
-def test_expand_choice_rejects_ordinary_rules():
-    with pytest.raises(ValueError, match="not a choice rule"):
-        expand_choice(Rule((Atom("p"),), ()))
+# Choice rules and reducts
 
 
 def test_choice_program_has_both_answers():
@@ -133,17 +120,24 @@ def test_answer_sets_are_ordered_by_universe_bitmask():
     assert got == [["a"], ["b"], ["c"]]
 
 
-def test_exhaustive_path_rejects_oversized_universes():
-    src = " ".join("{aux_p%d}." % i for i in range(13))
-    with pytest.raises(ValueError, match=f"limited to {EXHAUSTIVE_LIMIT}"):
-        answer_sets(ground(src), method="exhaustive")
-    with pytest.raises(ValueError, match="unknown method"):
-        answer_sets(ground("p."), method="guess")
+def test_choice_complements_do_not_collide_with_program_atoms():
+    for src in ("{aux_p}. naux_p.", "{a}. na."):
+        g = ground(src)
+        assert answer_sets(g) == bitmask_order(brute_answer_sets(g.rules))
 
 
-def test_complement_atom_name_collision_is_an_error():
-    with pytest.raises(ValueError, match="collides"):
-        answer_sets(ground("{aux_p}. naux_p."))
+def test_long_component_needs_no_recursion():
+    src = " ".join(f"a{i}, b{i}. a{i} :- b{i}. b{i} :- a{i}. c :- a{i}." for i in range(200))
+    g = ground(src)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        models = answer_sets(g)
+        c = consequences(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(models) == 1 and len(models[0]) == 401
+    assert c.has_answer_set and c.cautious == c.brave == models[0]
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +194,11 @@ def test_projected_answer_sets_on_empty_program():
 
 
 def test_both_paths_agree_on_a_large_random_corpus():
+    # The two paths are the engine and the subset walk in tests/brute.py.
     rng = random.Random(2024)
     for _ in range(1000):
-        g = GroundProgram(tuple(random_ground_rules(rng)))
-        exhaustive = answer_sets(g, method="exhaustive")
-        search = answer_sets(g, method="search")
-        assert exhaustive == search
+        rules = random_ground_rules(rng)
+        assert answer_sets(GroundProgram(tuple(rules))) == bitmask_order(brute_answer_sets(rules))
 
 
 def test_search_path_handles_one_large_component():
@@ -213,10 +206,9 @@ def test_search_path_handles_one_large_component():
     lines += [f"p{i} :- p{i - 2}, not p{i - 1}." for i in range(2, 14)]
     g = ground(" ".join(lines))
     assert len(g.atoms) == 14
-    exhaustive = answer_sets(g, method="exhaustive")
-    assert exhaustive == answer_sets(g, method="search")
-    assert exhaustive == answer_sets(g, method="auto")
-    assert len(exhaustive) >= 1
+    got = answer_sets(g)
+    assert got == bitmask_order(brute_answer_sets(g.rules))
+    assert len(got) >= 1
 
 
 def test_engine_matches_brute_force_and_definitional_properties():
