@@ -14,8 +14,8 @@ from .grounder import (GroundingError, GroundProgram, SafetyError,
                        simplify)
 from .optimize import (KSets, add_consistency_constraints, collect_ksets,
                        wfm_propagate)
-from .stable import (ConsequenceSets, answer_sets, consequences, gl_reduct,
-                     project, projected_answer_sets)
+from .stable import (ConsequenceSets, Engine, answer_sets, consequences,
+                     gl_reduct, project, projected_answer_sets)
 from .syntax import (Atom, Const, KAtom, LexError, Num, ObjLiteral, ParseError,
                      Program, Rule, SourceError, SubjLiteral, Var, parse_text,
                      print_atom, print_program, print_rule, print_subjective)
@@ -23,7 +23,7 @@ from .syntax import (Atom, Const, KAtom, LexError, Num, ObjLiteral, ParseError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom", "Const", "ConsequenceSets", "GroundProgram", "GroundingError",
+    "Atom", "Const", "ConsequenceSets", "Engine", "GroundProgram", "GroundingError",
     "KAtom", "KSets", "LexError", "Num", "ObjLiteral", "ParseError", "Program",
     "Rule", "SafetyError", "SolveStats", "SourceError", "SubjLiteral",
     "TranslationError", "Var", "WorldView", "add_consistency_constraints",

@@ -12,7 +12,7 @@ definition directly: try all 2^k valuations of the k subjective atoms,
 reduce, and keep the fixpoints.  `solve` is the production path: it
 translates subjective literals to auxiliary atoms with choice rules,
 reads candidate valuations off the answer sets of that guess program,
-and confirms each candidate with one cautious/brave consequence check.
+and confirms each with a cautious/brave check on one shared `Engine`.
 
 The `k15` mode reduces the alternative semantics to the default one by
 strengthening each `&k{l}` with l itself: positive occurrences gain l as
@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 
 from .grounder import GroundProgram, ground_program, program_safety_check
-from .stable import answer_sets, consequences, projected_answer_sets
+from .stable import Engine, answer_sets, projected_answer_sets
 from .syntax import (Atom, KAtom, ObjLiteral, Program, Rule, SubjLiteral,
                      print_subjective)
 
@@ -62,7 +62,10 @@ def aux_atom(katom: KAtom) -> Atom:
     """Auxiliary atom standing for a subjective atom in the guess program.
 
     `&k{p}` maps to aux_p, `&k{~p}` to aux_not_p, `&k{-p}` to aux_sn_p
-    and `&k{~-p}` to aux_not_sn_p, keeping the argument list.
+    and `&k{~-p}` to aux_not_sn_p, keeping the argument list.  A name
+    that itself starts with `not_`, `sn_` or `_` gains one more leading
+    `_`, so `&k{not_p}` maps to aux__not_p and no two subjective atoms
+    share an auxiliary atom.
     """
     inner = katom.inner
     name = "aux_"
@@ -70,6 +73,8 @@ def aux_atom(katom: KAtom) -> Atom:
         name += "not_"
     if inner.atom.strong_neg:
         name += "sn_"
+    if inner.atom.name.startswith(("not_", "sn_", "_")):
+        name += "_"
     name += inner.atom.name
     return Atom(name, inner.atom.args, False)
 
@@ -195,14 +200,6 @@ def translate_guess(ground: GroundProgram) -> tuple[GroundProgram, dict[KAtom, A
     """
     katoms = subjective_atoms(ground)
     mapping = {k: aux_atom(k) for k in katoms}
-    by_name: dict[Atom, KAtom] = {}
-    for k, a in mapping.items():
-        if a in by_name:
-            raise TranslationError(
-                f"{print_subjective(k)} and "
-                f"{print_subjective(by_name[a])} map to the same "
-                f"auxiliary atom")
-        by_name[a] = k
     clash = set(mapping.values()) & ground.atoms
     if clash:
         raise TranslationError("auxiliary atom already used by the program")
@@ -222,16 +219,17 @@ def translate_guess(ground: GroundProgram) -> tuple[GroundProgram, dict[KAtom, A
     return GroundProgram(tuple(rules)), mapping
 
 
-def check_candidate(ground: GroundProgram, valuation: dict[KAtom, bool]) -> WorldView | None:
-    """Confirm or reject one guessed valuation.
+def check_candidate(tester: Engine, valuation: dict[KAtom, bool]) -> WorldView | None:
+    """Confirm or reject one guessed valuation against the engine of
+    the ground program.
 
     The valuation's objective program must have answer sets, every atom
     guessed known must be a cautious consequence (and only those), and
     every `&k{~l}` guessed true must keep l out of the brave
     consequences (and only those).
     """
-    reduced = apply_valuation(ground, valuation)
-    cons = consequences(reduced)
+    parts = tester.parts(valuation)
+    cons = tester.consequences(parts)
     if not cons.has_answer_set:
         return None
     for katom, value in valuation.items():
@@ -242,7 +240,7 @@ def check_candidate(ground: GroundProgram, valuation: dict[KAtom, bool]) -> Worl
         else:
             if (inner.atom not in cons.brave) != value:
                 return None
-    return WorldView(dict(valuation), tuple(answer_sets(reduced)))
+    return WorldView(dict(valuation), tuple(tester.answer_sets(parts)))
 
 
 def k15_transform(program: Program) -> Program:
@@ -311,12 +309,14 @@ def solve(program: Program, semantics: str = "g91", max_models: int = 0,
     if use_wfm:
         guess = wfm_propagate(guess, collect_ksets(ground), mapping)
     onto = frozenset(mapping.values())
+    candidates = projected_answer_sets(guess, onto)
+    tester = Engine(ground)
     emitted = 0
-    for projection in projected_answer_sets(guess, onto):
+    for projection in candidates:
         if stats is not None:
             stats.candidates += 1
         valuation = {k: mapping[k] in projection for k in mapping}
-        view = check_candidate(ground, valuation)
+        view = check_candidate(tester, valuation)
         if view is None:
             if stats is not None:
                 stats.rejected += 1

@@ -1,13 +1,16 @@
 """Ground answer-set engine.
 
-Interpretations are bitmasks over the program's atom universe sorted by
-printed form, and results come back in ascending bitmask order.  One
-search computes them: the atom graph is split into connected components,
-and inside each a branch-and-propagate loop on an explicit stack
+`Engine` indexes a ground program once.  Interpretations are bitmasks
+over its atom universe sorted by printed form, and results come back in
+ascending bitmask order.  Subjective literals stay in the index as rule
+guards over a separate bit space, so one index serves every valuation:
+`Engine.parts` keeps the rules whose guard a valuation satisfies, splits
+them into connected components and enumerates each component's answer
+sets, and `Engine.answer_sets` and `Engine.consequences` fold the parts.
+Inside a component a branch-and-propagate loop on an explicit stack
 enumerates the assignments that survive unit propagation and support
-checks; each one is kept if the minimality test accepts it.  The
-minimality test runs the same loop on the reduct's clauses and stops at
-the first model.
+checks; each one is kept if the minimality test, the same loop on the
+reduct's clauses stopped at the first model, finds no smaller model.
 
 A choice rule `{a}` becomes `a :- not a'.` and `a' :- not a.` over a
 complement bit a' that has no atom: no program atom can collide with
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .grounder import GroundProgram
-from .syntax import Atom, ObjLiteral, Rule, SubjLiteral, print_atom
+from .syntax import Atom, KAtom, ObjLiteral, Rule, SubjLiteral, print_atom
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,72 @@ def _models(clauses: list[tuple[int, int]],
 # Indexed engine
 
 
+def _minimal(m: int, rules: list[tuple[int, int, int, int]]) -> bool:
+    """Whether the model m of `rules` is minimal among the models of
+    their reduct by m, that is whether m is an answer set."""
+    clauses = [(head & m, pos) for head, pos, neg, negneg in rules
+               if pos & m == pos and neg & m == 0 and negneg & m == negneg]
+    clauses.append((0, m))  # rules out m itself
+    return next(_models(clauses, {}, m), None) is None
+
+
+def component_split(rules: list[tuple[int, int, int, int]]) -> list[tuple[int, list]]:
+    """Group rules that share atoms, transitively, into components.
+
+    Returns (atom mask, rules) pairs in ascending order of the lowest
+    atom bit.  Rules without atoms (`:- .`) form a component with mask
+    0, which comes first and has no model.
+    """
+    parent: dict[int, int] = {}
+
+    def find(i: int) -> int:
+        parent.setdefault(i, i)
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def lowest(mask: int) -> int:
+        return (mask & -mask).bit_length() - 1
+
+    for head, pos, neg, negneg in rules:
+        rest = head | pos | neg | negneg
+        root = find(lowest(rest))
+        rest &= rest - 1
+        while rest:
+            other = find(lowest(rest))
+            if other != root:
+                parent[other] = root
+            rest &= rest - 1
+    masks: dict[int, int] = {}
+    groups: dict[int, list[tuple[int, int, int, int]]] = {}
+    for rm in rules:
+        mask = rm[0] | rm[1] | rm[2] | rm[3]
+        root = find(lowest(mask))
+        masks[root] = masks.get(root, 0) | mask
+        groups.setdefault(root, []).append(rm)
+    return sorted(((masks[root], local) for root, local in groups.items()),
+                  key=lambda part: part[0] & -part[0])
+
+
+def component_masks(mask: int, rules: list[tuple[int, int, int, int]]) -> list[int]:
+    """Sorted answer sets, as masks, of one component's rules."""
+    clauses = [(head | neg, pos | negneg) for head, pos, neg, negneg in rules]
+    supports: dict[int, list[tuple[int, int]]] = {}
+    rest = mask
+    while rest:
+        b = rest & -rest
+        supports[b] = []
+        rest &= rest - 1
+    for clause, rule in zip(clauses, rules):
+        rest = rule[0]
+        while rest:
+            b = rest & -rest
+            supports[b].append(clause)
+            rest &= rest - 1
+    return sorted(m for m in _models(clauses, supports, mask) if _minimal(m, rules))
+
+
 def _complement_key(a: Atom) -> str:
     # The printed form of a with `n` prefixed to its name; the trailing
     # NUL sorts it right after a program atom printed the same way.
@@ -150,16 +219,27 @@ def _complement_key(a: Atom) -> str:
     return ("-n" + printed[1:] if a.strong_neg else "n" + printed) + "\0"
 
 
-class _Engine:
+class Engine:
+    """Bit index of a ground program, subjective literals included.
+
+    Each rule is stored as its objective masks (head, pos, neg, negneg)
+    beside a guard (kpos, kneg) over a separate bit space of subjective
+    atoms: `&k{l}` sets a kpos bit, `not &k{l}` a kneg bit.  A valuation
+    keeps the rules whose guard it satisfies, which are the rules
+    `apply_valuation` keeps, so one index serves every candidate.
+    """
+
     def __init__(self, program: GroundProgram):
         base: set[Atom] = set()
         choices: set[Atom] = set()
+        katoms: set[KAtom] = set()
         for r in program.rules:
+            base.update(r.head)
             for lit in r.body:
                 if isinstance(lit, SubjLiteral):
-                    raise ValueError("the engine expects a subjective-free program")
-            base.update(r.head)
-            base.update(lit.atom for lit in r.body)
+                    katoms.add(lit.katom)
+                else:
+                    base.add(lit.atom)
             if r.is_choice:
                 choices.add(r.head[0])
 
@@ -168,26 +248,29 @@ class _Engine:
         keyed = [(print_atom(a), False, a) for a in base]
         keyed += [(_complement_key(a), True, a) for a in choices]
         keyed.sort(key=itemgetter(0))
-        self.n = len(keyed)
         self.bit: dict[Atom, int] = {}
         complement: dict[Atom, int] = {}
         for i, (_, is_complement, a) in enumerate(keyed):
             (complement if is_complement else self.bit)[a] = 1 << i
-        self.atoms = [a for _, is_complement, a in keyed if not is_complement]
-        self.base_mask = 0
-        for b in self.bit.values():
-            self.base_mask |= b
+        self.base_mask = sum(self.bit.values())
+        self.kbit = {k: 1 << i for i, k in enumerate(katoms)}
 
-        self.rules: list[tuple[int, int, int, int]] = []
+        self.rules: list[tuple[tuple[int, int, int, int], int, int]] = []
         for r in program.rules:
             if r.is_choice:
                 a, na = self.bit[r.head[0]], complement[r.head[0]]
-                self.rules += [(a, 0, na, 0), (na, 0, a, 0)]
+                self.rules += [((a, 0, na, 0), 0, 0), ((na, 0, a, 0), 0, 0)]
                 continue
-            head = pos = neg = negneg = 0
+            head = pos = neg = negneg = kpos = kneg = 0
             for a in r.head:
                 head |= self.bit[a]
             for lit in r.body:
+                if isinstance(lit, SubjLiteral):
+                    if lit.negated:
+                        kneg |= self.kbit[lit.katom]
+                    else:
+                        kpos |= self.kbit[lit.katom]
+                    continue
                 b = self.bit[lit.atom]
                 if lit.negs == 0:
                     pos |= b
@@ -195,110 +278,63 @@ class _Engine:
                     neg |= b
                 else:
                     negneg |= b
-            self.rules.append((head, pos, neg, negneg))
-
-        # `:- .` mentions no atom, so the component machinery never sees
-        # it; flag it here and let the search entry points bail out.
-        self.falsum = any(head | pos | neg | negneg == 0
-                          for head, pos, neg, negneg in self.rules)
+            self.rules.append(((head, pos, neg, negneg), kpos, kneg))
         # a and -a never hold together: `:- a, -a.`
-        for a in self.atoms:
+        for a, b in self.bit.items():
             if a.strong_neg:
                 twin = self.bit.get(Atom(a.name, a.args, False))
                 if twin:
-                    self.rules.append((0, self.bit[a] | twin, 0, 0))
+                    self.rules.append(((0, b | twin, 0, 0), 0, 0))
 
-    def stable_search(self, m: int, rules: list[tuple[int, int, int, int]]) -> bool:
-        red = []
-        for head, pos, neg, negneg in rules:
-            if pos & m == pos and neg & m == 0 and negneg & m == negneg and not head & m:
-                return False
-            if neg & m == 0 and negneg & m == negneg:
-                red.append((head, pos))
-        live = [(head & m, pos) for head, pos in red if pos & m == pos]
-        if all((h & (h - 1)) == 0 for h, _ in live):
-            # definite once restricted to m: minimal iff m is the least fixpoint
-            least = 0
-            changed = True
-            while changed:
-                changed = False
-                for h, pos in live:
-                    if pos & ~least == 0 and h & ~least:
-                        least |= h
-                        changed = True
-            return least == m
-        clauses = live + [(0, m)]  # the last clause rules out m itself
-        return next(_models(clauses, {}, m), None) is None
+    def parts(self, valuation: dict[KAtom, bool] | None = None) -> list[list[int]] | None:
+        """Sorted answer-set masks of each component of the rules kept
+        under `valuation`, or None when there is no answer set.
 
-    def component_split(self) -> list[tuple[int, list[tuple[int, int, int, int]]]]:
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        def union_mask(mask: int) -> None:
-            first = -1
-            while mask:
-                b = mask & -mask
-                i = b.bit_length() - 1
-                if first < 0:
-                    first = i
-                else:
-                    union(first, i)
-                mask &= mask - 1
-
-        for head, pos, neg, negneg in self.rules:
-            union_mask(head | pos | neg | negneg)
-
-        groups: dict[int, int] = {}
-        for i in range(self.n):
-            r = find(i)
-            groups[r] = groups.get(r, 0) | (1 << i)
-        comps = sorted(groups.values(), key=lambda mask: mask & -mask)
+        `valuation` must give every subjective atom of the program a
+        value; None stands for the empty one.
+        """
+        valuation = valuation or {}
+        known = sum(b for k, b in self.kbit.items() if valuation[k])
+        unknown = ~known
+        kept = [rm for rm, kpos, kneg in self.rules
+                if not (kpos & unknown or kneg & known)]
         out = []
-        for mask in comps:
-            local = [rm for rm in self.rules if (rm[0] | rm[1] | rm[2] | rm[3]) & mask]
-            out.append((mask, local))
+        for mask, local in component_split(kept):
+            masks = component_masks(mask, local)
+            if not masks:
+                return None
+            out.append(masks)
         return out
 
-    def component_masks(self, mask: int, local_rules: list[tuple[int, int, int, int]]) -> list[int]:
-        clauses = [(head | neg, pos | negneg) for head, pos, neg, negneg in local_rules]
-        supports: dict[int, list[tuple[int, int]]] = {}
-        rest = mask
-        while rest:
-            b = rest & -rest
-            supports[b] = []
-            rest &= rest - 1
-        for clause, rule in zip(clauses, local_rules):
-            rest = rule[0]
-            while rest:
-                b = rest & -rest
-                supports[b].append(clause)
-                rest &= rest - 1
-        return sorted(m for m in _models(clauses, supports, mask)
-                      if self.stable_search(m, local_rules))
-
-    def search_masks(self) -> list[int]:
-        if self.falsum:
+    def answer_sets(self, parts: list[list[int]] | None) -> list[frozenset[Atom]]:
+        """All answer sets, one per choice of a mask from each part, in
+        ascending order of the program-atom bitmask."""
+        if parts is None:
             return []
-        partial = [0]
-        for mask, local in self.component_split():
-            comp_masks = self.component_masks(mask, local)
-            if not comp_masks:
-                return []
-            partial = [p | c for p in partial for c in comp_masks]
-        return partial
+        masks = [0]
+        for comp in parts:
+            masks = [m | c for m in masks for c in comp]
+        masks.sort(key=lambda m: m & self.base_mask)
+        return [self.to_interpretation(m) for m in masks]
+
+    def consequences(self, parts: list[list[int]] | None) -> ConsequenceSets:
+        """Cautious and brave consequences, folded part by part: an
+        answer set is a union of one answer set per part, so
+        intersections and unions distribute."""
+        if parts is None:
+            return ConsequenceSets(frozenset(), frozenset(), False)
+        cautious = brave = 0
+        for comp in parts:
+            meet = comp[0]
+            for m in comp:
+                meet &= m
+                brave |= m
+            cautious |= meet
+        return ConsequenceSets(self.to_interpretation(cautious),
+                               self.to_interpretation(brave), True)
 
     def to_interpretation(self, m: int) -> frozenset[Atom]:
-        return frozenset(a for a in self.atoms if self.bit[a] & m)
+        return frozenset(a for a, b in self.bit.items() if b & m)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +347,8 @@ def answer_sets(program: GroundProgram) -> list[frozenset[Atom]]:
     Interpretations containing a complementary pair a / -a are not
     answer sets.
     """
-    eng = _Engine(program)
-    masks = eng.search_masks()
-    masks.sort(key=lambda m: m & eng.base_mask)
-    return [eng.to_interpretation(m) for m in masks]
+    eng = Engine(program)
+    return eng.answer_sets(eng.parts())
 
 
 def projected_answer_sets(program: GroundProgram, onto):
@@ -324,61 +358,23 @@ def projected_answer_sets(program: GroundProgram, onto):
     across components, which keeps the enumeration linear in the number
     of distinct projections instead of the number of answer sets.
     """
-    onto = frozenset(onto)
-    eng = _Engine(program)
-    if eng.falsum:
+    eng = Engine(program)
+    parts = eng.parts()
+    if parts is None:
         return iter(())
-    per_component: list[list[frozenset[Atom]]] = []
-    for mask, local in eng.component_split():
-        comp_masks = eng.component_masks(mask, local)
-        if not comp_masks:
-            return iter(())
-        seen: set[frozenset[Atom]] = set()
-        projected: list[frozenset[Atom]] = []
-        for m in comp_masks:
-            p = frozenset(a for a in eng.to_interpretation(m) if a in onto)
-            if p not in seen:
-                seen.add(p)
-                projected.append(p)
-        per_component.append(projected)
-    if not per_component:
-        return iter((frozenset(),))
-
-    def assemble():
-        for combo in itertools.product(*per_component):
-            merged: frozenset[Atom] = frozenset()
-            for part in combo:
-                merged |= part
-            yield merged
-
-    return assemble()
+    onto_mask = 0
+    for a in onto:
+        onto_mask |= eng.bit.get(a, 0)
+    per_component = [[eng.to_interpretation(p) for p in dict.fromkeys(m & onto_mask for m in comp)]
+                     for comp in parts]
+    return (frozenset().union(*combo) for combo in itertools.product(*per_component))
 
 
 def consequences(program: GroundProgram) -> ConsequenceSets:
     """Cautious and brave consequences (intersection and union of the
-    answer sets).
-
-    Folded component by component: an answer set is a union of one
-    answer set per component, so intersections and unions distribute.
-    """
-    eng = _Engine(program)
-    if eng.falsum:
-        return ConsequenceSets(frozenset(), frozenset(), False)
-    cautious_mask = 0
-    brave_mask = 0
-    for mask, local in eng.component_split():
-        comp_masks = eng.component_masks(mask, local)
-        if not comp_masks:
-            return ConsequenceSets(frozenset(), frozenset(), False)
-        meet = comp_masks[0]
-        join = 0
-        for m in comp_masks:
-            meet &= m
-            join |= m
-        cautious_mask |= meet
-        brave_mask |= join
-    return ConsequenceSets(eng.to_interpretation(cautious_mask),
-                           eng.to_interpretation(brave_mask), True)
+    answer sets)."""
+    eng = Engine(program)
+    return eng.consequences(eng.parts())
 
 
 def project(models, onto) -> list[frozenset[Atom]]:

@@ -31,6 +31,10 @@ from dataclasses import dataclass
 # Atom names a user program may not introduce; the translation owns them.
 RESERVED_PREFIXES = ("aux_", "k15aux_")
 
+# Deepest nesting of function terms the parser accepts; the recursive
+# parser, printer and grounder stay far below Python's recursion limit.
+MAX_TERM_DEPTH = 100
+
 
 class SourceError(Exception):
     """Problem in an input program, with a source position."""
@@ -396,13 +400,15 @@ class _Parser:
             args = tuple(parts)
         return Atom(tok.text, args)
 
-    def term(self) -> Term:
+    def term(self, depth: int = 0) -> Term:
+        if depth > MAX_TERM_DEPTH:
+            raise self.error(f"terms may nest at most {MAX_TERM_DEPTH} deep")
         if self.at("ident"):
             name = self.take("ident").text
             if self.take("("):
-                parts = [self.term()]
+                parts = [self.term(depth + 1)]
                 while self.take(","):
-                    parts.append(self.term())
+                    parts.append(self.term(depth + 1))
                 self.expect(")")
                 return Compound(name, tuple(parts))
             return Const(name)

@@ -120,6 +120,26 @@ def test_parse_error_reports_position_and_exits_65(tmp_path, capsys):
     assert "Answer" not in text
 
 
+def test_deeply_nested_terms_are_refused_with_a_position(tmp_path, capsys):
+    def nested(depth):
+        return "p(" + "f(" * depth + "a" + ")" * depth + "). q(X) :- p(X).\n"
+
+    code, _ = run_text(tmp_path, nested(100))
+    assert code == SATISFIABLE
+    code, text = run_text(tmp_path, nested(101))
+    assert code == INPUT_ERROR
+    assert "1:205: terms may nest at most 100 deep" in capsys.readouterr().err
+    assert "Answer" not in text
+
+
+@pytest.mark.parametrize("source", ["q. p :- &k{~q}. r :- &k{not_q}.\n",
+                                    "q. p :- &k{-q}. r :- &k{sn_q}.\n"])
+def test_look_alike_subjective_atoms_solve(tmp_path, source):
+    code, text = run_text(tmp_path, source)
+    assert code == SATISFIABLE
+    assert "Answer: 1" in text
+
+
 def test_missing_file_exits_65(capsys):
     out = io.StringIO()
     code = run(RunConfig(files=("/no/such/file.lp",)), out=out)

@@ -23,7 +23,7 @@ from epiworld.epistemic import (
     translate_guess,
 )
 from epiworld.grounder import ground_program
-from epiworld.stable import answer_sets
+from epiworld.stable import Engine, answer_sets
 from epiworld.syntax import (
     Atom,
     KAtom,
@@ -162,6 +162,26 @@ def test_translate_guess_shares_aux_across_polarities():
     assert len(mapping) == 1
 
 
+def test_aux_atom_is_injective_over_its_own_vocabulary():
+    from epiworld.syntax import Const
+    names = ["q", "not_q", "sn_q", "not_sn_q", "sn_not_q", "_q"]
+    katoms = [katom(name, negs, strong, args)
+              for name in names for negs in (0, 1) for strong in (False, True)
+              for args in ((), (Const("a"),))]
+    assert len({aux_atom(k) for k in katoms}) == len(katoms) == 48
+
+
+@pytest.mark.parametrize("source", ["q. p :- &k{~q}. r :- &k{not_q}.",
+                                    "q. p :- &k{-q}. r :- &k{sn_q}.",
+                                    "q. not_q. p :- &k{~q}. r :- &k{not_q}.",
+                                    "q. sn_q. p :- &k{-q}. r :- &k{sn_q}."])
+def test_aux_names_keep_look_alike_subjective_atoms_apart(source):
+    prog = parse_text(source)
+    views = list(solve(prog))
+    assert view_keys(views) == view_keys(oracle_world_views(prog))
+    assert view_models(views) == view_models(oracle_world_views(prog))
+
+
 def test_translate_guess_rejects_aux_name_clash():
     g = ground_program(parse_text("aux_q. p :- &k{q}.", allow_reserved=True))
     with pytest.raises(TranslationError, match="already used"):
@@ -181,7 +201,7 @@ def test_guess_candidates_cover_all_valuations():
 
 
 def test_check_candidate_two_cycle_accepts_exactly_two():
-    g = ground_program(parse_text(TWO_CYCLE))
+    g = Engine(ground_program(parse_text(TWO_CYCLE)))
     kq, kp = katom("q"), katom("p")
     assert check_candidate(g, {kq: True, kp: True}) is None
     assert check_candidate(g, {kq: False, kp: False}) is None
@@ -193,7 +213,7 @@ def test_check_candidate_two_cycle_accepts_exactly_two():
 
 
 def test_check_candidate_tilde_uses_brave_consequences():
-    g = ground_program(parse_text("d :- not &k{~e}."))
+    g = Engine(ground_program(parse_text("d :- not &k{~e}.")))
     ke = katom("e", negs=1)
     wv = check_candidate(g, {ke: True})
     assert wv is not None and view_models([wv]) == [[[]]]
@@ -201,10 +221,46 @@ def test_check_candidate_tilde_uses_brave_consequences():
 
 
 def test_check_candidate_rejects_when_no_answer_sets_remain():
-    g = ground_program(parse_text(":- not &k{p}."))
+    g = Engine(ground_program(parse_text(":- not &k{p}.")))
     kp = katom("p")
     assert check_candidate(g, {kp: True}) is None   # p is not cautious
     assert check_candidate(g, {kp: False}) is None  # reduct is inconsistent
+
+
+def test_check_candidate_matches_the_reduct_path():
+    # Reference: the valuation's reduct by apply_valuation, its answer
+    # sets, and the definition of satisfaction; every valuation is tried.
+    rng = random.Random(34)
+    for _ in range(300):
+        g = ground_program(random_epistemic_program(rng, max_atoms=6, max_rules=None,
+                                                    max_subjective=8))
+        tester = Engine(g)
+        katoms = subjective_atoms(g)
+        for values in itertools.product((False, True), repeat=len(katoms)):
+            valuation = dict(zip(katoms, values))
+            models = answer_sets(apply_valuation(g, valuation))
+            got = check_candidate(tester, valuation)
+            if models and all(satisfies(models, k) == v for k, v in valuation.items()):
+                assert got is not None and got.valuation == valuation
+                assert got.answer_sets == tuple(models)
+            else:
+                assert got is None
+
+
+def test_solve_builds_one_guess_and_one_tester_engine(monkeypatch):
+    from epiworld.cli import yale_source
+    built = []
+    init = Engine.__init__
+
+    def counting_init(self, program):
+        built.append(program)
+        init(self, program)
+
+    monkeypatch.setattr(Engine, "__init__", counting_init)
+    stats = SolveStats()
+    views = list(solve(parse_text(yale_source("yale01")), stats=stats))
+    assert views and stats.candidates >= 2
+    assert len(built) == 2
 
 
 def test_world_view_known_and_display_order():
