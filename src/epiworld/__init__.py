@@ -5,33 +5,33 @@ enumerates their world views by guess-and-check over the subjective
 atoms, with a definition-faithful oracle for cross-checking.
 """
 
-from .epistemic import (SolveStats, TranslationError, WorldView, aux_atom,
-                        apply_valuation, check_candidate, expand_world_view,
-                        k15_transform, oracle_world_views, satisfies, solve,
-                        subjective_atoms, subjective_reduct, translate_guess)
+from .epistemic import (SolveStats, WorldView, aux_atom, apply_valuation,
+                        check_candidate, expand_world_view, k15_transform,
+                        oracle_world_views, satisfies, solve, subjective_atoms,
+                        subjective_reduct, translate_guess)
 from .grounder import (GroundingError, GroundProgram, SafetyError,
                        ground_program, program_safety_check, safety_check,
                        simplify)
 from .optimize import (KSets, add_consistency_constraints, collect_ksets,
                        wfm_propagate)
 from .stable import (ConsequenceSets, Engine, answer_sets, consequences,
-                     gl_reduct, project, projected_answer_sets)
-from .syntax import (Atom, Const, KAtom, LexError, Num, ObjLiteral, ParseError,
-                     Program, Rule, SourceError, SubjLiteral, Var, parse_text,
-                     print_atom, print_program, print_rule, print_subjective)
+                     projected_answer_sets)
+from .syntax import (Atom, AuxAtom, Const, KAtom, LexError, Num, ObjLiteral,
+                     ParseError, Program, Rule, SourceError, SubjLiteral, Var,
+                     parse_text, print_atom, print_program, print_rule,
+                     print_subjective)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom", "Const", "ConsequenceSets", "Engine", "GroundProgram", "GroundingError",
-    "KAtom", "KSets", "LexError", "Num", "ObjLiteral", "ParseError", "Program",
-    "Rule", "SafetyError", "SolveStats", "SourceError", "SubjLiteral",
-    "TranslationError", "Var", "WorldView", "add_consistency_constraints",
+    "Atom", "AuxAtom", "Const", "ConsequenceSets", "Engine", "GroundProgram",
+    "GroundingError", "KAtom", "KSets", "LexError", "Num", "ObjLiteral",
+    "ParseError", "Program", "Rule", "SafetyError", "SolveStats", "SourceError",
+    "SubjLiteral", "Var", "WorldView", "add_consistency_constraints",
     "answer_sets", "apply_valuation", "aux_atom", "check_candidate",
-    "collect_ksets", "consequences", "expand_world_view", "gl_reduct",
-    "ground_program", "k15_transform", "oracle_world_views", "parse_text",
-    "print_atom", "print_program", "print_rule", "print_subjective", "project",
-    "program_safety_check", "projected_answer_sets", "safety_check",
-    "satisfies", "simplify", "solve", "subjective_atoms", "subjective_reduct",
-    "translate_guess", "wfm_propagate",
+    "collect_ksets", "consequences", "expand_world_view", "ground_program",
+    "k15_transform", "oracle_world_views", "parse_text", "print_atom",
+    "print_program", "print_rule", "print_subjective", "program_safety_check",
+    "projected_answer_sets", "safety_check", "satisfies", "simplify", "solve",
+    "subjective_atoms", "subjective_reduct", "translate_guess", "wfm_propagate",
 ]

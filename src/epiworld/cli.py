@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 from multiprocessing import Pipe, Process
 
-from .epistemic import (TranslationError, WorldView, oracle_world_views, solve)
+from .epistemic import WorldView, expand_world_view, oracle_world_views, solve
 from .grounder import GroundingError, SafetyError
 from .syntax import (KAtom, ObjLiteral, Program, SourceError, parse_text,
                      print_atom, print_subjective)
@@ -43,7 +43,6 @@ class RunConfig:
     constraints: bool = True
     wfm: bool = True
     mode: str = "solve"
-    seed: int = 0
 
 
 def load_program(paths) -> Program:
@@ -65,11 +64,12 @@ def apply_show(wv: WorldView, shows) -> list[str]:
     Without directives the view's true subjective atoms are shown as
     given.  With directives, any ground atom of a shown predicate that
     holds in every answer set is displayed in `&k{ a }` form, whether or
-    not the program ever mentioned it subjectively.
+    not the program ever mentioned it subjectively.  Machinery atoms
+    are projected away first, so they are never displayed.
     """
     if not shows:
         return [print_subjective(k) for k in wv.known()]
-    cautious = frozenset.intersection(*wv.answer_sets)
+    cautious = frozenset.intersection(*expand_world_view(wv))
     wanted = {(d.name, d.arity, d.strong_neg) for d in shows}
     atoms = [a for a in cautious if (a.name, len(a.args), a.strong_neg) in wanted]
     return [print_subjective(KAtom(ObjLiteral(a, 0)))
@@ -100,7 +100,7 @@ def run(config: RunConfig, out=None) -> int:
             count += 1
             out.write(f"Answer: {count}\n")
             out.write(" ".join(apply_show(view, program.shows)) + "\n")
-    except (SafetyError, GroundingError, TranslationError, ValueError) as exc:
+    except (SafetyError, GroundingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     out.write("SATISFIABLE\n" if count else "UNSATISFIABLE\n")
@@ -204,26 +204,17 @@ def bench_instances(domain: str, max_n: int, seed: int):
 
 
 def bench(domain: str, max_n: int, seed: int, timeout: float, reps: int,
-          semantics: str, out_path: str | None, jobs: int = 1) -> list[dict]:
-    instances = bench_instances(domain, max_n, seed)
-
-    def record(item):
-        name, text = item
+          semantics: str, out_path: str | None) -> list[dict]:
+    rows = []
+    for name, text in bench_instances(domain, max_n, seed):
         count, avg, timed_out = _time_instance(text, semantics, timeout, reps)
-        return {
+        rows.append({
             "instance": name,
             "semantics": semantics,
             "world_views": "" if timed_out else count,
             "avg_seconds": "" if timed_out else f"{avg:.6f}",
             "timed_out": "true" if timed_out else "false",
-        }
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(record, instances))
-    else:
-        rows = [record(item) for item in instances]
+        })
 
     fields = ["instance", "semantics", "world_views", "avg_seconds", "timed_out"]
     if out_path is None or out_path == "-":
@@ -267,7 +258,6 @@ def _bench_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timeout", type=float, default=120.0, metavar="SECONDS")
     parser.add_argument("--reps", type=int, default=10)
     parser.add_argument("--out", default=None, metavar="CSV")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--semantics", choices=("g91", "k15"), default="g91")
     return parser
 
@@ -280,7 +270,7 @@ def main(argv=None) -> int:
             print("error: --max-n must be positive", file=sys.stderr)
             return INPUT_ERROR
         bench(args.domain, args.max_n, args.seed, args.timeout, args.reps,
-              args.semantics, args.out, args.jobs)
+              args.semantics, args.out)
         return 0
     if argv[:1] == ["solve"]:
         argv = argv[1:]

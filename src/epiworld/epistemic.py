@@ -22,28 +22,18 @@ the weakened complement (not known, or not derivable).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .grounder import GroundProgram, ground_program, program_safety_check
 from .stable import Engine, answer_sets, projected_answer_sets
-from .syntax import (Atom, KAtom, ObjLiteral, Program, Rule, SubjLiteral,
-                     print_subjective)
-
-K15_PREFIX = "k15aux_"
-
-
-class TranslationError(Exception):
-    pass
+from .syntax import (Atom, AuxAtom, KAtom, ObjLiteral, Program, Rule,
+                     SubjLiteral, print_subjective)
 
 
 @dataclass
 class WorldView:
     valuation: dict[KAtom, bool]
     answer_sets: tuple[frozenset[Atom], ...]
-
-    def valuation_key(self) -> frozenset:
-        return frozenset(self.valuation.items())
 
     def known(self) -> list[KAtom]:
         """Subjective atoms the view makes true, in display order."""
@@ -58,14 +48,16 @@ class SolveStats:
     rejected: int = 0
 
 
-def aux_atom(katom: KAtom) -> Atom:
+def aux_atom(katom: KAtom) -> AuxAtom:
     """Auxiliary atom standing for a subjective atom in the guess program.
 
     `&k{p}` maps to aux_p, `&k{~p}` to aux_not_p, `&k{-p}` to aux_sn_p
     and `&k{~-p}` to aux_not_sn_p, keeping the argument list.  A name
     that itself starts with `not_`, `sn_` or `_` gains one more leading
     `_`, so `&k{not_p}` maps to aux__not_p and no two subjective atoms
-    share an auxiliary atom.
+    share an auxiliary atom.  Being an `AuxAtom`, it never equals a
+    program atom, though a listing may print a program atom `aux_p`
+    the same way.
     """
     inner = katom.inner
     name = "aux_"
@@ -76,7 +68,7 @@ def aux_atom(katom: KAtom) -> Atom:
     if inner.atom.name.startswith(("not_", "sn_", "_")):
         name += "_"
     name += inner.atom.name
-    return Atom(name, inner.atom.args, False)
+    return AuxAtom(name, inner.atom.args)
 
 
 def subjective_atoms(program) -> list[KAtom]:
@@ -133,12 +125,15 @@ def subjective_reduct(program: GroundProgram, world) -> GroundProgram:
 
 
 def expand_world_view(wv: WorldView) -> list[frozenset[Atom]]:
-    """Answer sets of the view with machinery atoms projected away."""
-    internal = ("aux_", K15_PREFIX)
+    """Answer sets of the view with machinery atoms projected away.
+
+    Machinery atoms are the `AuxAtom`s; a program atom printed like one
+    (say `k15aux_1`) is kept.
+    """
     out: list[frozenset[Atom]] = []
     seen: set[frozenset[Atom]] = set()
     for m in wv.answer_sets:
-        kept = frozenset(a for a in m if not a.name.startswith(internal))
+        kept = frozenset(a for a in m if not isinstance(a, AuxAtom))
         if kept not in seen:
             seen.add(kept)
             out.append(kept)
@@ -191,7 +186,7 @@ def oracle_world_views(program, semantics: str = "g91",
 # Guess-and-check path
 
 
-def translate_guess(ground: GroundProgram) -> tuple[GroundProgram, dict[KAtom, Atom]]:
+def translate_guess(ground: GroundProgram) -> tuple[GroundProgram, dict[KAtom, AuxAtom]]:
     """Replace subjective literals by auxiliary atoms under choice.
 
     `&k{l}` becomes `not not aux`, `not &k{l}` becomes `not aux`, and
@@ -200,10 +195,6 @@ def translate_guess(ground: GroundProgram) -> tuple[GroundProgram, dict[KAtom, A
     """
     katoms = subjective_atoms(ground)
     mapping = {k: aux_atom(k) for k in katoms}
-    clash = set(mapping.values()) & ground.atoms
-    if clash:
-        raise TranslationError("auxiliary atom already used by the program")
-
     rules: list[Rule] = []
     for r in ground.rules:
         body: list = []
@@ -248,7 +239,7 @@ def k15_transform(program: Program) -> Program:
 
     Every subjective atom is strengthened with its own inner literal:
     `&k{l}` occurrences gain l as an objective conjunct, and `not &k{l}`
-    occurrences are replaced by a fresh atom defined to hold when the
+    occurrences are replaced by a fresh `AuxAtom` defined to hold when the
     literal is not known or does not hold:
 
         host :- ..., k15aux_i, ...
@@ -276,7 +267,7 @@ def k15_transform(program: Program) -> Program:
                 body.append(inner)
             else:
                 counter += 1
-                aux = Atom(f"{K15_PREFIX}{counter}", inner.atom.args, False)
+                aux = AuxAtom(f"k15aux_{counter}", inner.atom.args)
                 body.append(ObjLiteral(aux, 0))
                 extra.append(Rule((aux,), (SubjLiteral(lit.katom, True),) + domain))
                 extra.append(Rule((aux,), (ObjLiteral(inner.atom, inner.negs + 1),) + domain))

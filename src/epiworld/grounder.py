@@ -164,7 +164,7 @@ def substitute_term(t: Term, sub: dict[str, Term]) -> Term:
 def substitute_atom(a: Atom, sub: dict[str, Term]) -> Atom:
     if not a.args:
         return a
-    return Atom(a.name, tuple(substitute_term(t, sub) for t in a.args), a.strong_neg)
+    return type(a)(a.name, tuple(substitute_term(t, sub) for t in a.args), a.strong_neg)
 
 
 def substitute_rule(r: Rule, sub: dict[str, Term]) -> Rule:

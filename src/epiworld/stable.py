@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .grounder import GroundProgram
-from .syntax import Atom, KAtom, ObjLiteral, Rule, SubjLiteral, print_atom
+from .syntax import Atom, AuxAtom, KAtom, SubjLiteral, print_atom
 
 
 @dataclass(frozen=True)
@@ -36,36 +36,6 @@ class ConsequenceSets:
     cautious: frozenset[Atom]
     brave: frozenset[Atom]
     has_answer_set: bool
-
-
-def gl_reduct(program: GroundProgram, candidate: frozenset[Atom]) -> GroundProgram:
-    """Positive program obtained by evaluating default negation.
-
-    Rules with `not a` and a in the candidate (or `not not a` with a
-    outside it) disappear; the others keep only their positive body.
-    """
-    out: list[Rule] = []
-    for r in program.rules:
-        if r.is_choice:
-            raise ValueError("expand choice rules before taking a reduct")
-        body: list[ObjLiteral] = []
-        dead = False
-        for lit in r.body:
-            if isinstance(lit, SubjLiteral):
-                raise ValueError("reduct expects a subjective-free program")
-            if lit.negs == 0:
-                body.append(lit)
-            elif lit.negs == 1:
-                if lit.atom in candidate:
-                    dead = True
-                    break
-            else:
-                if lit.atom not in candidate:
-                    dead = True
-                    break
-        if not dead:
-            out.append(Rule(r.head, tuple(body)))
-    return GroundProgram(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +215,10 @@ class Engine:
 
         # Per-component results, and so the order world views are
         # emitted in, follow the bit order, complement bits included.
-        keyed = [(print_atom(a), False, a) for a in base]
-        keyed += [(_complement_key(a), True, a) for a in choices]
+        # An AuxAtom sorts right after a program atom printed the same
+        # way, so set iteration order never decides between them.
+        keyed = [((print_atom(a), isinstance(a, AuxAtom)), False, a) for a in base]
+        keyed += [((_complement_key(a), isinstance(a, AuxAtom)), True, a) for a in choices]
         keyed.sort(key=itemgetter(0))
         self.bit: dict[Atom, int] = {}
         complement: dict[Atom, int] = {}
@@ -375,17 +347,3 @@ def consequences(program: GroundProgram) -> ConsequenceSets:
     answer sets)."""
     eng = Engine(program)
     return eng.consequences(eng.parts())
-
-
-def project(models, onto) -> list[frozenset[Atom]]:
-    """Restrict each interpretation to `onto`, dropping duplicates while
-    keeping first-occurrence order."""
-    onto = frozenset(onto)
-    seen: set[frozenset[Atom]] = set()
-    out: list[frozenset[Atom]] = []
-    for m in models:
-        r = m & onto
-        if r not in seen:
-            seen.add(r)
-            out.append(r)
-    return out

@@ -28,9 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Atom names a user program may not introduce; the translation owns them.
-RESERVED_PREFIXES = ("aux_", "k15aux_")
-
 # Deepest nesting of function terms the parser accepts; the recursive
 # parser, printer and grounder stay far below Python's recursion limit.
 MAX_TERM_DEPTH = 100
@@ -89,6 +86,13 @@ class Atom:
     name: str
     args: tuple[Term, ...] = ()
     strong_neg: bool = False
+
+
+@dataclass(frozen=True)
+class AuxAtom(Atom):
+    """Atom the solver creates.  It prints like the `Atom` with the same
+    fields but never equals it, since dataclass equality compares
+    classes, so no user atom can collide with it."""
 
 
 @dataclass(frozen=True)
@@ -245,10 +249,9 @@ def tokenize(source: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], allow_reserved: bool = False):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.allow_reserved = allow_reserved
 
     # -- token helpers
 
@@ -389,8 +392,6 @@ class _Parser:
 
     def atom(self) -> Atom:
         tok = self.expect("ident")
-        if not self.allow_reserved and tok.text.startswith(RESERVED_PREFIXES):
-            raise ParseError(f"atom name {tok.text!r} uses a reserved prefix", tok.line, tok.col)
         args: tuple[Term, ...] = ()
         if self.take("("):
             parts = [self.term()]
@@ -453,12 +454,8 @@ def _substitute_consts_rule(r: Rule, mapping: dict[str, Term]) -> Rule:
     return Rule(head, tuple(body), r.is_choice)
 
 
-def parse_program(tokens: list[Token], allow_reserved: bool = False) -> Program:
-    return _Parser(tokens, allow_reserved).program()
-
-
-def parse_text(source: str, allow_reserved: bool = False) -> Program:
-    return parse_program(tokenize(source), allow_reserved)
+def parse_text(source: str) -> Program:
+    return _Parser(tokenize(source)).program()
 
 
 # ---------------------------------------------------------------------------

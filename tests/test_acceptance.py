@@ -32,6 +32,7 @@ from epiworld.optimize import collect_ksets, wfm_propagate
 from epiworld.stable import answer_sets, consequences
 from epiworld.syntax import (
     Atom,
+    AuxAtom,
     Const,
     Rule,
     parse_text,
@@ -131,8 +132,8 @@ def test_criterion_04_pipeline_stage_listings():
     ground = ground_program(parse_text(INTERPLAY))
     guess, mapping = translate_guess(ground)
     stage2 = simplify(guess)
-    fixed = GroundProgram(stage2.rules + (Rule((Atom("aux_a"),), ()),
-                                          Rule((Atom("aux_not_e"),), ())))
+    fixed = GroundProgram(stage2.rules + (Rule((AuxAtom("aux_a"),), ()),
+                                          Rule((AuxAtom("aux_not_e"),), ())))
     stage3 = simplify(fixed)
     final = wfm_propagate(guess, collect_ksets(ground), mapping)
     aux_facts = {print_atom(a) for a in final.facts}

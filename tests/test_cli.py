@@ -153,10 +153,23 @@ def test_unsafe_program_exits_65(tmp_path, capsys):
     assert "unsafe variable" in capsys.readouterr().err
 
 
-def test_reserved_atom_exits_65(tmp_path, capsys):
-    code, _ = run_text(tmp_path, "aux_p.\n")
-    assert code == INPUT_ERROR
-    assert "reserved prefix" in capsys.readouterr().err
+@pytest.mark.parametrize("source, semantics, shown", [
+    ("aux_p. q :- &k{aux_p}.\n", "g91", "&k{ aux_p }"),
+    ("k15aux_1. p :- not &k{q}.\n", "k15", ""),
+], ids=["aux_p-g91", "k15aux_1-k15"])
+def test_atoms_named_like_machinery_atoms_solve(tmp_path, source, semantics, shown):
+    code, text = run_text(tmp_path, source, semantics=semantics)
+    assert code == SATISFIABLE
+    assert after_banner(text) == f"Solving...\nAnswer: 1\n{shown}\nSATISFIABLE\n"
+
+
+def test_show_never_displays_machinery_atoms(tmp_path):
+    source = "q :- not &k{p}. p :- not q. #show k15aux_1/0.\n"
+    code, text = run_text(tmp_path, source, semantics="k15")
+    assert code == SATISFIABLE
+    assert after_banner(text) == "Solving...\nAnswer: 1\n\nSATISFIABLE\n"
+    code, text = run_text(tmp_path, "k15aux_1. " + source, semantics="k15")
+    assert after_banner(text) == "Solving...\nAnswer: 1\n&k{ k15aux_1 }\nSATISFIABLE\n"
 
 
 def test_main_routes_solve_with_and_without_subcommand(tmp_path, capsys):
@@ -302,12 +315,3 @@ def test_bench_marks_timeouts(tmp_path):
     assert rows[0]["world_views"] == ""
     assert rows[0]["avg_seconds"] == ""
     assert rows[0]["timed_out"] == "true"
-
-
-def test_bench_parallel_jobs_match_serial(tmp_path):
-    serial = bench("eligibility", max_n=2, seed=3, timeout=120.0, reps=1,
-                   semantics="g91", out_path=str(tmp_path / "a.csv"), jobs=1)
-    threaded = bench("eligibility", max_n=2, seed=3, timeout=120.0, reps=1,
-                     semantics="g91", out_path=str(tmp_path / "b.csv"), jobs=2)
-    strip = lambda rows: [(r["instance"], r["world_views"], r["timed_out"]) for r in rows]
-    assert strip(serial) == strip(threaded)

@@ -9,7 +9,6 @@ import pytest
 from corpus import random_epistemic_program
 from epiworld.epistemic import (
     SolveStats,
-    TranslationError,
     apply_valuation,
     aux_atom,
     check_candidate,
@@ -26,8 +25,11 @@ from epiworld.grounder import ground_program
 from epiworld.stable import Engine, answer_sets
 from epiworld.syntax import (
     Atom,
+    AuxAtom,
     KAtom,
     ObjLiteral,
+    Program,
+    Rule,
     SubjLiteral,
     parse_text,
     print_atom,
@@ -182,10 +184,14 @@ def test_aux_names_keep_look_alike_subjective_atoms_apart(source):
     assert view_models(views) == view_models(oracle_world_views(prog))
 
 
-def test_translate_guess_rejects_aux_name_clash():
-    g = ground_program(parse_text("aux_q. p :- &k{q}.", allow_reserved=True))
-    with pytest.raises(TranslationError, match="already used"):
-        translate_guess(g)
+def test_translate_guess_keeps_program_atoms_apart_from_aux_atoms():
+    prog = parse_text("aux_q. p :- &k{q}.")
+    guess, mapping = translate_guess(ground_program(prog))
+    (aux,) = mapping.values()
+    assert type(aux) is AuxAtom and aux != Atom("aux_q")
+    assert guess.text() == "aux_q.\np :- not not aux_q.\n{aux_q}.\n"
+    assert view_keys(solve(prog)) == view_keys(oracle_world_views(prog)) == \
+        [[("&k{ q }", False)]]
 
 
 def test_guess_candidates_cover_all_valuations():
@@ -326,6 +332,19 @@ def test_expand_world_view_strips_auxiliary_atoms():
     assert [set(map(print_atom, m)) for m in expand_world_view(wv)] == [{"p"}]
 
 
+def test_k15_keeps_a_program_atom_printed_like_its_aux_atom():
+    # Built without the parser: the program atom k15aux_1 and the fresh
+    # k15 atom print alike but stay two atoms.
+    user = Atom("k15aux_1")
+    prog = Program((Rule((user,), ()),
+                    Rule((Atom("p"),), (SubjLiteral(katom("q"), True),))))
+    (wv,) = solve(prog, semantics="k15")
+    assert view_keys([wv]) == [[("&k{ q }", False)]]
+    assert expand_world_view(wv) == [frozenset({user, Atom("p")})]
+    (m,) = wv.answer_sets
+    assert sorted(type(a).__name__ for a in m) == ["Atom", "Atom", "AuxAtom"]
+
+
 # ---------------------------------------------------------------------------
 # Solver end to end
 
@@ -388,3 +407,49 @@ def test_solver_matches_oracle_under_k15():
         got = list(solve(prog, semantics="k15"))
         want = oracle_world_views(prog, semantics="k15")
         assert view_models(got) == view_models(want)
+
+
+# Names the machinery prints its own atoms with; renaming program atoms
+# onto them must not change any world view.
+LOOK_ALIKE_NAMES = ("aux_a", "aux_not_a", "aux_sn_a", "aux__not_a",
+                    "k15aux_1", "k15aux_2", "not_a", "sn_a")
+
+
+def rename(a, names):
+    return Atom(names[a.name], a.args, a.strong_neg)
+
+
+def rename_program(prog, names):
+    def literal(lit):
+        if isinstance(lit, ObjLiteral):
+            return ObjLiteral(rename(lit.atom, names), lit.negs)
+        inner = lit.katom.inner
+        return SubjLiteral(KAtom(ObjLiteral(rename(inner.atom, names), inner.negs)),
+                           lit.negated)
+
+    return Program(tuple(Rule(tuple(rename(a, names) for a in r.head),
+                              tuple(map(literal, r.body)), r.is_choice)
+                         for r in prog.rules))
+
+
+def renamed_views(views, names):
+    """World views as comparable sets, atoms renamed through `names`."""
+    return {(frozenset((rename(k.inner.atom, names), k.inner.negs, v)
+                       for k, v in wv.valuation.items()),
+             frozenset(frozenset(rename(a, names) for a in m) for m in expand_world_view(wv)))
+            for wv in views}
+
+
+@pytest.mark.parametrize("semantics", ["g91", "k15"])
+def test_renaming_atoms_and_permuting_rules_keeps_world_views(semantics):
+    rng = random.Random(41)
+    for _ in range(300):
+        prog = random_epistemic_program(rng, max_atoms=6, max_rules=None)
+        names = sorted({a.name for a in ground_program(prog).atoms})
+        forward = dict(zip(names, rng.sample(LOOK_ALIKE_NAMES, len(names))))
+        back = {new: old for old, new in forward.items()}
+        renamed = rename_program(prog, forward)
+        renamed = Program(tuple(rng.sample(renamed.rules, len(renamed.rules))))
+        want = renamed_views(solve(prog, semantics=semantics), dict(zip(names, names)))
+        assert renamed_views(solve(renamed, semantics=semantics), back) == want
+        assert renamed_views(oracle_world_views(renamed, semantics), back) == want

@@ -1,10 +1,8 @@
-"""Answer-set engine: reducts, enumeration, consequences."""
+"""Answer-set engine: enumeration, consequences, projections."""
 
 import inspect
 import random
 import sys
-
-import pytest
 
 from brute import brute_answer_sets, brute_consequences
 from corpus import random_ground_rules
@@ -12,15 +10,13 @@ from epiworld.grounder import GroundProgram, ground_program
 from epiworld.stable import (
     answer_sets,
     consequences,
-    gl_reduct,
-    project,
     projected_answer_sets,
 )
-from epiworld.syntax import Atom, ObjLiteral, Rule, parse_text, print_atom
+from epiworld.syntax import Atom, AuxAtom, Rule, parse_text, print_atom
 
 
 def ground(source):
-    return ground_program(parse_text(source, allow_reserved=True))
+    return ground_program(parse_text(source))
 
 
 def names(models):
@@ -35,7 +31,7 @@ def bitmask_order(models):
 
 
 # ---------------------------------------------------------------------------
-# Choice rules and reducts
+# Choice rules
 
 
 def test_choice_program_has_both_answers():
@@ -45,27 +41,6 @@ def test_choice_program_has_both_answers():
 def test_two_choices_give_four_answers():
     got = names(answer_sets(ground("{aux_p}. {aux_q}.")))
     assert got == [[], ["aux_p"], ["aux_q"], ["aux_p", "aux_q"]]
-
-
-def test_gl_reduct_keeps_positive_bodies():
-    p, q = Atom("p"), Atom("q")
-    red = gl_reduct(ground("p :- not q."), frozenset({p}))
-    assert red.rules == (Rule((p,), ()),)
-    assert gl_reduct(ground("p :- not q."), frozenset({q})).rules == ()
-    red = gl_reduct(ground("p :- not not p."), frozenset({p}))
-    assert red.rules == (Rule((p,), ()),)
-    red = gl_reduct(ground("p :- q, not r."), frozenset({q}))
-    assert red.rules == (Rule((p,), (ObjLiteral(q, 0),)),)
-
-
-def test_gl_reduct_rejects_unexpanded_choice():
-    with pytest.raises(ValueError, match="expand choice rules"):
-        gl_reduct(ground("{aux_p}."), frozenset())
-
-
-def test_gl_reduct_rejects_subjective_literals():
-    with pytest.raises(ValueError, match="subjective-free"):
-        gl_reduct(ground("p :- &k{q}."), frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +101,13 @@ def test_choice_complements_do_not_collide_with_program_atoms():
         assert answer_sets(g) == bitmask_order(brute_answer_sets(g.rules))
 
 
+def test_program_atom_sorts_before_the_aux_atom_printed_alike():
+    user, aux = Atom("x"), AuxAtom("x")
+    for first, second in ((user, aux), (aux, user)):
+        g = GroundProgram((Rule((first, second), ()), Rule((second,), (), True)))
+        assert answer_sets(g) == [frozenset({user}), frozenset({aux})]
+
+
 def test_long_component_needs_no_recursion():
     src = " ".join(f"a{i}, b{i}. a{i} :- b{i}. b{i} :- a{i}. c :- a{i}." for i in range(200))
     g = ground(src)
@@ -166,16 +148,6 @@ def test_consequences_exclude_choice_complements():
     c = consequences(ground("{aux_p}."))
     assert c.cautious == frozenset()
     assert c.brave == {Atom("aux_p")}
-
-
-def test_project_deduplicates_in_first_seen_order():
-    x, y, p = Atom("x"), Atom("y"), Atom("aux_p")
-    models = [frozenset({p, x}), frozenset({p, y}), frozenset({y})]
-    assert project(models, {p}) == [frozenset({p}), frozenset()]
-    assert project([], {p}) == []
-    q = Atom("aux_q")
-    assert project([frozenset({p}), frozenset({q})], {p, q}) == \
-        [frozenset({p}), frozenset({q})]
 
 
 def test_projected_answer_sets_cover_all_combinations():

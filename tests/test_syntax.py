@@ -15,7 +15,6 @@ from epiworld.syntax import (
     ObjLiteral,
     ParseError,
     Program,
-    RESERVED_PREFIXES,
     Rule,
     ShowDirective,
     SubjLiteral,
@@ -194,20 +193,16 @@ def test_parse_rejects_subjective_in_head():
 
 
 # ---------------------------------------------------------------------------
-# Parser: reserved names, directives
+# Parser: names, directives
 
 
-@pytest.mark.parametrize("prefix", RESERVED_PREFIXES)
-def test_reserved_prefixes_rejected(prefix):
-    with pytest.raises(ParseError, match="reserved prefix"):
-        parse_text(f"{prefix}thing.")
-    with pytest.raises(ParseError, match="reserved prefix"):
-        parse_text(f"p :- {prefix}thing.")
-
-
-def test_reserved_prefixes_allowed_when_requested():
-    (r,) = parse_text("aux_p :- not naux_p.", allow_reserved=True).rules
-    assert r.head == (Atom("aux_p"),)
+@pytest.mark.parametrize("prefix", ["aux_", "k15aux_", "naux_"])
+def test_machinery_prefixes_are_ordinary_names(prefix):
+    (r,) = parse_text(f"{prefix}p :- not {prefix}q, &k{{{prefix}r}}.").rules
+    assert r.head == (Atom(f"{prefix}p"),)
+    assert type(r.head[0]) is Atom
+    assert r.body[0] == ObjLiteral(Atom(f"{prefix}q"), 1)
+    assert r.body[1].katom == katom(f"{prefix}r")
 
 
 def test_show_directive():
