@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import random
 import sys
 import time
 from dataclasses import dataclass
 from importlib import resources
 from multiprocessing import Pipe, Process
+from pathlib import Path
 
 from .epistemic import WorldView, expand_world_view, oracle_world_views, solve
 from .grounder import GroundingError, SafetyError
@@ -40,22 +42,12 @@ class RunConfig:
     files: tuple[str, ...]
     n_models: int = 0
     semantics: str = "g91"
-    constraints: bool = True
-    wfm: bool = True
     mode: str = "solve"
 
 
 def load_program(paths) -> Program:
-    rules: list = []
-    shows: list = []
-    consts: list = []
-    for path in paths:
-        with open(path, encoding="utf-8") as handle:
-            part = parse_text(handle.read())
-        rules.extend(part.rules)
-        shows.extend(part.shows)
-        consts.extend(part.consts)
-    return Program(tuple(rules), tuple(shows), tuple(consts))
+    """One program from the given files; `#const` applies across them."""
+    return parse_text(*(Path(path).read_text(encoding="utf-8") for path in paths))
 
 
 def apply_show(wv: WorldView, shows) -> list[str]:
@@ -87,16 +79,9 @@ def run(config: RunConfig, out=None) -> int:
     out.write("Solving...\n")
     count = 0
     try:
-        if config.mode == "oracle":
-            views = oracle_world_views(program, config.semantics)
-            if config.n_models:
-                views = views[:config.n_models]
-        else:
-            views = solve(program, semantics=config.semantics,
-                          max_models=config.n_models,
-                          use_constraints=config.constraints,
-                          use_wfm=config.wfm)
-        for view in views:
+        source = oracle_world_views if config.mode == "oracle" else solve
+        views = source(program, config.semantics)
+        for view in itertools.islice(views, config.n_models or None):
             count += 1
             out.write(f"Answer: {count}\n")
             out.write(" ".join(apply_show(view, program.shows)) + "\n")
@@ -239,10 +224,6 @@ def _solve_parser() -> argparse.ArgumentParser:
     parser.add_argument("-n", dest="n_models", type=int, default=0, metavar="N",
                         help="stop after N world views (0 = all)")
     parser.add_argument("--semantics", choices=("g91", "k15"), default="g91")
-    parser.add_argument("--no-constraints", action="store_true",
-                        help="disable guess consistency constraints")
-    parser.add_argument("--no-wfm", action="store_true",
-                        help="disable well-founded propagation on the guess program")
     parser.add_argument("--mode", choices=("solve", "oracle"), default="solve",
                         help="oracle checks all valuations by definition (slow)")
     parser.add_argument("files", nargs="+", metavar="FILE")
@@ -279,9 +260,7 @@ def main(argv=None) -> int:
         print("error: -n must be non-negative", file=sys.stderr)
         return INPUT_ERROR
     config = RunConfig(files=tuple(args.files), n_models=args.n_models,
-                       semantics=args.semantics,
-                       constraints=not args.no_constraints,
-                       wfm=not args.no_wfm, mode=args.mode)
+                       semantics=args.semantics, mode=args.mode)
     return run(config)
 
 

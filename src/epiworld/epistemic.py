@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grounder import GroundProgram, ground_program, program_safety_check
+from .optimize import add_consistency_constraints, collect_ksets, wfm_propagate
 from .stable import Engine, answer_sets, projected_answer_sets
 from .syntax import (Atom, AuxAtom, KAtom, ObjLiteral, Program, Rule,
                      SubjLiteral, print_subjective)
@@ -45,7 +46,10 @@ class WorldView:
 class SolveStats:
     candidates: int = 0
     accepted: int = 0
-    rejected: int = 0
+
+    @property
+    def rejected(self) -> int:
+        return self.candidates - self.accepted
 
 
 def aux_atom(katom: KAtom) -> AuxAtom:
@@ -140,29 +144,34 @@ def expand_world_view(wv: WorldView) -> list[frozenset[Atom]]:
     return out
 
 
+def _ground(program: Program, semantics: str) -> GroundProgram:
+    """Front end of both paths: the semantics' source transform, the
+    safety check and grounding."""
+    if semantics == "k15":
+        program = k15_transform(program)
+    elif semantics != "g91":
+        raise ValueError(f"unknown semantics {semantics!r}")
+    program_safety_check(program)
+    return ground_program(program)
+
+
 # ---------------------------------------------------------------------------
 # Oracle path
 
+ORACLE_MAX_SUBJECTIVE = 16
 
-def oracle_world_views(program, semantics: str = "g91",
-                       max_subjective: int = 16) -> list[WorldView]:
+
+def oracle_world_views(program: Program, semantics: str = "g91") -> list[WorldView]:
     """World views by direct application of the definition.
 
     Enumerates every valuation of the subjective atoms, computes the
     answer sets of the valuation's objective program, and keeps the
     valuations that are reproduced by their own answer sets.
     """
-    if isinstance(program, GroundProgram):
-        program = Program(program.rules)
-    if semantics == "k15":
-        program = k15_transform(program)
-    elif semantics != "g91":
-        raise ValueError(f"unknown semantics {semantics!r}")
-    program_safety_check(program)
-    ground = ground_program(program)
+    ground = _ground(program, semantics)
     katoms = subjective_atoms(ground)
-    if len(katoms) > max_subjective:
-        raise ValueError(f"oracle limited to {max_subjective} subjective atoms, "
+    if len(katoms) > ORACLE_MAX_SUBJECTIVE:
+        raise ValueError(f"oracle limited to {ORACLE_MAX_SUBJECTIVE} subjective atoms, "
                          f"got {len(katoms)}")
     views: list[WorldView] = []
     seen: set[tuple] = set()
@@ -276,45 +285,26 @@ def k15_transform(program: Program) -> Program:
     return Program(tuple(out), program.shows, program.consts)
 
 
-def solve(program: Program, semantics: str = "g91", max_models: int = 0,
-          use_constraints: bool = True, use_wfm: bool = True,
-          stats: SolveStats | None = None):
+def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = None):
     """Yield the world views of a program, production path.
 
-    Grounds the program, builds the guess translation (tightened by the
-    optional optimisation passes), walks its projected answer sets as
-    candidate valuations, and yields the ones the consequence check
-    confirms.  `max_models` of 0 means all.
+    Grounds the program, builds the guess translation, tightens it with
+    the consistency constraints and then wfm propagation, walks its
+    projected answer sets as candidate valuations, and yields the ones
+    the consequence check confirms, counting them into `stats`.  Stop
+    the generator early (say with `itertools.islice`) to skip the
+    remaining candidates.
     """
-    from .optimize import add_consistency_constraints, collect_ksets, wfm_propagate
-
-    if semantics == "k15":
-        program = k15_transform(program)
-    elif semantics != "g91":
-        raise ValueError(f"unknown semantics {semantics!r}")
-    program_safety_check(program)
-    ground = ground_program(program)
+    stats = SolveStats() if stats is None else stats
+    ground = _ground(program, semantics)
     guess, mapping = translate_guess(ground)
-    if use_constraints:
-        guess = add_consistency_constraints(guess, mapping)
-    if use_wfm:
-        guess = wfm_propagate(guess, collect_ksets(ground), mapping)
-    onto = frozenset(mapping.values())
-    candidates = projected_answer_sets(guess, onto)
+    guess = add_consistency_constraints(guess, mapping)
+    guess = wfm_propagate(guess, collect_ksets(ground), mapping)
+    candidates = projected_answer_sets(guess, frozenset(mapping.values()))
     tester = Engine(ground)
-    emitted = 0
     for projection in candidates:
-        if stats is not None:
-            stats.candidates += 1
-        valuation = {k: mapping[k] in projection for k in mapping}
-        view = check_candidate(tester, valuation)
-        if view is None:
-            if stats is not None:
-                stats.rejected += 1
-            continue
-        if stats is not None:
+        stats.candidates += 1
+        view = check_candidate(tester, {k: mapping[k] in projection for k in mapping})
+        if view is not None:
             stats.accepted += 1
-        yield view
-        emitted += 1
-        if max_models and emitted >= max_models:
-            return
+            yield view

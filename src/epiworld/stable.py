@@ -265,7 +265,9 @@ class Engine:
         `valuation` must give every subjective atom of the program a
         value; None stands for the empty one.
         """
-        valuation = valuation or {}
+        if valuation is None and self.kbit:
+            raise ValueError("the program has subjective literals: its answer sets "
+                             "depend on a valuation of them")
         known = sum(b for k, b in self.kbit.items() if valuation[k])
         unknown = ~known
         kept = [rm for rm, kpos, kneg in self.rules

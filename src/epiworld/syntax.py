@@ -282,10 +282,8 @@ class _Parser:
 
     # -- grammar
 
-    def program(self) -> Program:
-        rules: list[Rule] = []
-        shows: list[ShowDirective] = []
-        consts: list[tuple[ConstDirective, Token]] = []
+    def statements(self, rules: list[Rule], shows: list[ShowDirective],
+                   consts: list[tuple[ConstDirective, Token]]) -> None:
         while not self.at("eof"):
             if self.at("#show"):
                 shows.append(self.show_directive())
@@ -293,14 +291,6 @@ class _Parser:
                 consts.append(self.const_directive())
             else:
                 rules.append(self.rule())
-        mapping: dict[str, Term] = {}
-        for directive, tok in consts:
-            if directive.name in mapping:
-                raise ParseError(f"constant {directive.name!r} defined twice", tok.line, tok.col)
-            mapping[directive.name] = directive.value
-        if mapping:
-            rules = [_substitute_consts_rule(r, mapping) for r in rules]
-        return Program(tuple(rules), tuple(shows), tuple(d for d, _ in consts))
 
     def show_directive(self) -> ShowDirective:
         self.expect("#show")
@@ -454,8 +444,23 @@ def _substitute_consts_rule(r: Rule, mapping: dict[str, Term]) -> Rule:
     return Rule(head, tuple(body), r.is_choice)
 
 
-def parse_text(source: str) -> Program:
-    return _Parser(tokenize(source)).program()
+def parse_text(*sources: str) -> Program:
+    """One program from one or more source texts.  Each `#const` is
+    substituted into the rules of every text, and a constant may be
+    defined only once across all of them."""
+    rules: list[Rule] = []
+    shows: list[ShowDirective] = []
+    consts: list[tuple[ConstDirective, Token]] = []
+    for source in sources:
+        _Parser(tokenize(source)).statements(rules, shows, consts)
+    mapping: dict[str, Term] = {}
+    for directive, tok in consts:
+        if directive.name in mapping:
+            raise ParseError(f"constant {directive.name!r} defined twice", tok.line, tok.col)
+        mapping[directive.name] = directive.value
+    if mapping:
+        rules = [_substitute_consts_rule(r, mapping) for r in rules]
+    return Program(tuple(rules), tuple(shows), tuple(d for d, _ in consts))
 
 
 # ---------------------------------------------------------------------------

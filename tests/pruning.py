@@ -1,0 +1,41 @@
+"""Candidate sets of the guess program with and without its pruning passes.
+
+`solve` always runs both passes, so the unpruned guess is only reachable
+through the library layer: translate, optionally prune, enumerate the
+projected answer sets, and check each candidate on one engine of the
+ground program.
+"""
+
+from __future__ import annotations
+
+from epiworld.epistemic import check_candidate, translate_guess
+from epiworld.grounder import ground_program
+from epiworld.optimize import add_consistency_constraints, collect_ksets, wfm_propagate
+from epiworld.stable import Engine, projected_answer_sets
+
+
+def pruning_outcomes(program) -> dict[str, tuple[set, set]]:
+    """(candidates, accepted candidates) of the guess program of a ground
+    `program`, keyed by the passes applied: "plain", "constraints",
+    "wfm", and "both" (constraints then wfm, as `solve` runs them).
+    Candidates are projections onto the auxiliary atoms."""
+    ground = ground_program(program)
+    guess, mapping = translate_guess(ground)
+    ksets = collect_ksets(ground)
+    constrained = add_consistency_constraints(guess, mapping)
+    variants = {
+        "plain": guess,
+        "constraints": constrained,
+        "wfm": wfm_propagate(guess, ksets, mapping),
+        "both": wfm_propagate(constrained, ksets, mapping),
+    }
+    onto = frozenset(mapping.values())
+    tester = Engine(ground)
+    out = {}
+    for name, variant in variants.items():
+        candidates = set(projected_answer_sets(variant, onto))
+        accepted = {c for c in candidates
+                    if check_candidate(tester, {k: mapping[k] in c for k in mapping})
+                    is not None}
+        out[name] = (candidates, accepted)
+    return out

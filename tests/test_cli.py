@@ -3,6 +3,7 @@
 import csv
 import io
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -16,6 +17,8 @@ from epiworld.cli import (
     UNSATISFIABLE,
     YALE_INSTANCES,
     RunConfig,
+    _bench_parser,
+    _solve_parser,
     apply_show,
     bench,
     bench_instances,
@@ -30,6 +33,7 @@ from epiworld.grounder import ground_program, program_safety_check
 from epiworld.syntax import parse_text, print_program
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 TWO_CYCLE = "p :- not &k{q}.\nq :- not &k{p}.\n"
 ELIGIBILITY = """student(mike).
@@ -45,8 +49,12 @@ interview(X) :- not &k{ eligible(X) }, not &k{ -eligible(X) }, student(X).
 def run_text(tmp_path, source, **kw):
     path = tmp_path / "in.lp"
     path.write_text(source)
+    return run_files(path, **kw)
+
+
+def run_files(*paths, **kw):
     out = io.StringIO()
-    code = run(RunConfig(files=(str(path),), **kw), out=out)
+    code = run(RunConfig(files=tuple(map(str, paths)), **kw), out=out)
     return code, out.getvalue()
 
 
@@ -87,8 +95,9 @@ def test_empty_display_line_for_empty_world_view(tmp_path):
     assert after_banner(text) == "Solving...\nAnswer: 1\n\nSATISFIABLE\n"
 
 
-def test_max_models_truncates_output(tmp_path):
-    code, text = run_text(tmp_path, TWO_CYCLE, n_models=1)
+@pytest.mark.parametrize("mode", ["solve", "oracle"])
+def test_max_models_truncates_output(tmp_path, mode):
+    code, text = run_text(tmp_path, TWO_CYCLE, n_models=1, mode=mode)
     assert code == SATISFIABLE
     assert after_banner(text) == "Solving...\nAnswer: 1\n&k{ p }\nSATISFIABLE\n"
 
@@ -100,13 +109,6 @@ def test_oracle_mode_prints_the_same_views(tmp_path):
     _, fast = run_text(tmp_path, "p :- &k{p}.\n")
     _, slow = run_text(tmp_path, "p :- &k{p}.\n", mode="oracle")
     assert fast == slow
-
-
-def test_solver_flags_do_not_change_the_transcript(tmp_path):
-    _, base = run_text(tmp_path, TWO_CYCLE)
-    _, no_con = run_text(tmp_path, TWO_CYCLE, constraints=False)
-    _, no_wfm = run_text(tmp_path, TWO_CYCLE, wfm=False)
-    assert base == no_con == no_wfm
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +140,16 @@ def test_look_alike_subjective_atoms_solve(tmp_path, source):
     code, text = run_text(tmp_path, source)
     assert code == SATISFIABLE
     assert "Answer: 1" in text
+
+
+def test_constant_defined_in_two_files_exits_65(tmp_path, capsys):
+    one, two = tmp_path / "one.lp", tmp_path / "two.lp"
+    one.write_text("#const n = 1.\n")
+    two.write_text("#const n = 2.\np(n).\n")
+    code, text = run_files(one, two)
+    assert code == INPUT_ERROR
+    assert "constant 'n' defined twice" in capsys.readouterr().err
+    assert "Answer" not in text
 
 
 def test_missing_file_exits_65(capsys):
@@ -227,6 +239,28 @@ def test_load_program_concatenates_files(tmp_path):
     assert len(program.rules) == 2
     assert len(program.shows) == 1
     assert len(program.consts) == 1
+
+
+def test_constants_apply_across_files(tmp_path):
+    one, two, joined = tmp_path / "one.lp", tmp_path / "two.lp", tmp_path / "joined.lp"
+    one.write_text("#const n = 3.\n")
+    two.write_text("p(n). q :- &k{p(3)}.\n")
+    joined.write_text(one.read_text() + two.read_text())
+    code, text = run_files(one, two)
+    assert (code, text) == run_files(joined)
+    assert after_banner(text) == "Solving...\nAnswer: 1\n&k{ p(3) }\nSATISFIABLE\n"
+
+
+def test_readme_lists_exactly_the_cli_options():
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    listed = {}
+    for paragraph in block.strip().split("\n\n"):
+        command = "bench" if paragraph.startswith("epiworld bench") else "solve"
+        listed[command] = set(re.findall(r"(?<!\S)--?[a-z][a-z-]*", paragraph))
+    for command, parser in (("solve", _solve_parser()), ("bench", _bench_parser())):
+        options = {s for a in parser._actions for s in a.option_strings}
+        assert listed[command] == options - {"-h", "--help"}, command
 
 
 # ---------------------------------------------------------------------------

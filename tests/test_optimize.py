@@ -4,15 +4,16 @@ import pathlib
 import random
 
 from corpus import random_epistemic_program
-from epiworld.epistemic import SolveStats, solve, translate_guess
-from epiworld.grounder import GroundProgram, ground_program, simplify
+from epiworld.epistemic import translate_guess
+from epiworld.grounder import ground_program, simplify
 from epiworld.optimize import (
     KSets,
     add_consistency_constraints,
     collect_ksets,
     wfm_propagate,
 )
-from epiworld.syntax import Atom, parse_text, print_atom, print_rule, print_subjective
+from epiworld.syntax import Atom, parse_text, print_rule
+from pruning import pruning_outcomes
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -22,11 +23,6 @@ TWO_CYCLE = "p :- not &k{q}. q :- not &k{p}."
 
 def translated(source):
     return translate_guess(ground_program(parse_text(source)))
-
-
-def view_keys(views):
-    return sorted(sorted((print_subjective(k), v) for k, v in wv.valuation.items())
-                  for wv in views)
 
 
 # ---------------------------------------------------------------------------
@@ -79,15 +75,14 @@ def test_constraints_leave_original_rules_untouched():
 
 
 def test_constraints_prune_self_defeating_guesses():
-    stats_plain, stats_con = SolveStats(), SolveStats()
-    plain = list(solve(parse_text(TWO_CYCLE), use_constraints=False, use_wfm=False,
-                       stats=stats_plain))
-    pruned = list(solve(parse_text(TWO_CYCLE), use_constraints=True, use_wfm=False,
-                        stats=stats_con))
-    assert view_keys(plain) == view_keys(pruned)
-    assert stats_plain.candidates == 4
-    assert stats_con.candidates == 3
-    assert stats_plain.accepted == stats_con.accepted == 2
+    outcomes = pruning_outcomes(parse_text(TWO_CYCLE))
+    plain, plain_accepted = outcomes["plain"]
+    pruned, pruned_accepted = outcomes["constraints"]
+    assert len(plain) == 4
+    assert len(pruned) == 3
+    assert pruned <= plain
+    assert plain_accepted == pruned_accepted
+    assert len(pruned_accepted) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +124,13 @@ def test_wfm_without_subjective_atoms_is_plain_simplification():
 
 
 def test_wfm_shrinks_the_candidate_space():
-    stats_plain, stats_wfm = SolveStats(), SolveStats()
-    prog = parse_text("a :- not b. c :- &k{a}. d :- &k{c}.")
-    plain = list(solve(prog, use_constraints=False, use_wfm=False, stats=stats_plain))
-    fast = list(solve(prog, use_constraints=False, use_wfm=True, stats=stats_wfm))
-    assert view_keys(plain) == view_keys(fast)
-    assert stats_plain.candidates == 4
-    assert stats_wfm.candidates == 1
+    outcomes = pruning_outcomes(parse_text("a :- not b. c :- &k{a}. d :- &k{c}."))
+    plain, plain_accepted = outcomes["plain"]
+    fast, fast_accepted = outcomes["wfm"]
+    assert len(plain) == 4
+    assert len(fast) == 1
+    assert fast <= plain
+    assert plain_accepted == fast_accepted
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +140,8 @@ def test_wfm_shrinks_the_candidate_space():
 def test_optimizations_preserve_world_views_and_never_add_candidates():
     rng = random.Random(55)
     for _ in range(150):
-        prog = random_epistemic_program(rng)
-        base_stats = SolveStats()
-        base = view_keys(solve(prog, use_constraints=False, use_wfm=False,
-                               stats=base_stats))
-        for constraints, wfm in ((True, False), (False, True), (True, True)):
-            stats = SolveStats()
-            got = view_keys(solve(prog, use_constraints=constraints, use_wfm=wfm,
-                                  stats=stats))
-            assert got == base
-            assert stats.candidates <= base_stats.candidates
-            assert stats.accepted == base_stats.accepted
+        outcomes = pruning_outcomes(random_epistemic_program(rng))
+        plain, plain_accepted = outcomes.pop("plain")
+        for candidates, accepted in outcomes.values():
+            assert candidates <= plain
+            assert accepted == plain_accepted

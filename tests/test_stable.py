@@ -4,6 +4,8 @@ import inspect
 import random
 import sys
 
+import pytest
+
 from brute import brute_answer_sets, brute_consequences
 from corpus import random_ground_rules
 from epiworld.grounder import GroundProgram, ground_program
@@ -159,6 +161,14 @@ def test_projected_answer_sets_cover_all_combinations():
 def test_projected_answer_sets_on_empty_program():
     assert list(projected_answer_sets(GroundProgram(()), {Atom("aux_p")})) == [frozenset()]
     assert list(projected_answer_sets(ground(":- ."), {Atom("aux_p")})) == []
+
+
+def test_subjective_programs_are_refused_without_a_valuation():
+    g = ground("p :- &k{q}. q.")
+    for query in (answer_sets, consequences,
+                  lambda program: projected_answer_sets(program, {Atom("p")})):
+        with pytest.raises(ValueError, match="depend on a valuation"):
+            query(g)
 
 
 # ---------------------------------------------------------------------------
