@@ -8,7 +8,7 @@ atoms, with a definition-faithful oracle for cross-checking.
 from .epistemic import (SolveStats, WorldView, aux_atom, apply_valuation,
                         check_candidate, expand_world_view, k15_transform,
                         oracle_world_views, satisfies, solve, subjective_atoms,
-                        subjective_reduct, translate_guess)
+                        translate_guess)
 from .grounder import (GroundingError, GroundProgram, SafetyError,
                        ground_program, program_safety_check, safety_check,
                        simplify)
@@ -33,5 +33,5 @@ __all__ = [
     "k15_transform", "oracle_world_views", "parse_text", "print_atom",
     "print_program", "print_rule", "print_subjective", "program_safety_check",
     "projected_answer_sets", "safety_check", "satisfies", "simplify", "solve",
-    "subjective_atoms", "subjective_reduct", "translate_guess", "wfm_propagate",
+    "subjective_atoms", "translate_guess", "wfm_propagate",
 ]

@@ -24,7 +24,7 @@ from importlib import resources
 from multiprocessing import Pipe, Process
 from pathlib import Path
 
-from .epistemic import WorldView, expand_world_view, oracle_world_views, solve
+from .epistemic import WorldView, oracle_world_views, solve
 from .grounder import GroundingError, SafetyError
 from .syntax import (KAtom, ObjLiteral, Program, SourceError, parse_text,
                      print_atom, print_subjective)
@@ -46,8 +46,11 @@ class RunConfig:
 
 
 def load_program(paths) -> Program:
-    """One program from the given files; `#const` applies across them."""
-    return parse_text(*(Path(path).read_text(encoding="utf-8") for path in paths))
+    """One program from the given files; `#const` applies across them,
+    and an error names the file it is in."""
+    paths = [str(path) for path in paths]
+    return parse_text(*(Path(path).read_text(encoding="utf-8") for path in paths),
+                      names=paths)
 
 
 def apply_show(wv: WorldView, shows) -> list[str]:
@@ -57,11 +60,13 @@ def apply_show(wv: WorldView, shows) -> list[str]:
     given.  With directives, any ground atom of a shown predicate that
     holds in every answer set is displayed in `&k{ a }` form, whether or
     not the program ever mentioned it subjectively.  Machinery atoms
-    are projected away first, so they are never displayed.
+    are projected away first, so they are never displayed.  The
+    answer sets are never expanded: the cautious atoms are folded from
+    the view's components.
     """
     if not shows:
         return [print_subjective(k) for k in wv.known()]
-    cautious = frozenset.intersection(*expand_world_view(wv))
+    cautious = wv.cautious()
     wanted = {(d.name, d.arity, d.strong_neg) for d in shows}
     atoms = [a for a in cautious if (a.name, len(a.args), a.strong_neg) in wanted]
     return [print_subjective(KAtom(ObjLiteral(a, 0)))

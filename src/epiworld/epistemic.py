@@ -22,28 +22,55 @@ the weakened complement (not known, or not derivable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from collections.abc import Iterator
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .grounder import GroundProgram, ground_program, program_safety_check
 from .optimize import add_consistency_constraints, collect_ksets, wfm_propagate
-from .stable import Engine, answer_sets, projected_answer_sets
+from .stable import Engine, projected_components
 from .syntax import (Atom, AuxAtom, KAtom, ObjLiteral, Program, Rule,
                      SubjLiteral, print_subjective)
 
 
 @dataclass
 class WorldView:
+    """A subjective valuation with its answer sets, kept factored.
+
+    `components` holds, for each component of the rules the valuation
+    keeps, its answer sets as masks over `engine`'s bits; each answer
+    set of the view is the union of one mask per component.
+    `answer_sets` expands them on first use, which for a program of many
+    independent parts can be far more than memory holds; `cautious`
+    folds them instead.
+    """
     valuation: dict[KAtom, bool]
-    answer_sets: tuple[frozenset[Atom], ...]
+    engine: Engine = field(repr=False)
+    components: list[list[int]] = field(repr=False)
 
     def known(self) -> list[KAtom]:
         """Subjective atoms the view makes true, in display order."""
         true = [k for k, v in self.valuation.items() if v]
         return sorted(true, key=print_subjective)
 
+    @cached_property
+    def answer_sets(self) -> tuple[frozenset[Atom], ...]:
+        """The answer sets, in ascending order of the program-atom bitmask."""
+        return tuple(self.engine.answer_sets(self.components))
+
+    def cautious(self) -> frozenset[Atom]:
+        """Program atoms true in every answer set; machinery atoms are
+        projected away, as in `expand_world_view`."""
+        return _program_atoms(self.engine.consequences(self.components).cautious)
+
 
 @dataclass
 class SolveStats:
+    """Counts of one `solve` call.  `parts` is the number of independent
+    parts of the ground program; `candidates` and `accepted` count the
+    guessed valuations of single parts, checked and confirmed."""
+    parts: int = 0
     candidates: int = 0
     accepted: int = 0
 
@@ -122,10 +149,8 @@ def apply_valuation(program: GroundProgram, valuation: dict[KAtom, bool]) -> Gro
     return GroundProgram(tuple(out))
 
 
-def subjective_reduct(program: GroundProgram, world) -> GroundProgram:
-    world = tuple(world)
-    valuation = {k: satisfies(world, k) for k in subjective_atoms(program)}
-    return apply_valuation(program, valuation)
+def _program_atoms(interpretation: frozenset[Atom]) -> frozenset[Atom]:
+    return frozenset(a for a in interpretation if not isinstance(a, AuxAtom))
 
 
 def expand_world_view(wv: WorldView) -> list[frozenset[Atom]]:
@@ -137,7 +162,7 @@ def expand_world_view(wv: WorldView) -> list[frozenset[Atom]]:
     out: list[frozenset[Atom]] = []
     seen: set[frozenset[Atom]] = set()
     for m in wv.answer_sets:
-        kept = frozenset(a for a in m if not isinstance(a, AuxAtom))
+        kept = _program_atoms(m)
         if kept not in seen:
             seen.add(kept)
             out.append(kept)
@@ -179,15 +204,16 @@ def oracle_world_views(program: Program, semantics: str = "g91") -> list[WorldVi
     # atom least significant, so small valuations come out first.
     for mask in range(1 << len(katoms)):
         valuation = {k: bool(mask >> i & 1) for i, k in enumerate(katoms)}
-        reduced = apply_valuation(ground, valuation)
-        models = answer_sets(reduced)
+        reduct = Engine(apply_valuation(ground, valuation))
+        components = reduct.parts()
+        models = reduct.answer_sets(components)
         if not models:
             continue
         if all(satisfies(models, k) == v for k, v in valuation.items()):
             key = tuple(models)
             if key not in seen:
                 seen.add(key)
-                views.append(WorldView(valuation, tuple(models)))
+                views.append(WorldView(valuation, reduct, components))
     return views
 
 
@@ -219,28 +245,29 @@ def translate_guess(ground: GroundProgram) -> tuple[GroundProgram, dict[KAtom, A
     return GroundProgram(tuple(rules)), mapping
 
 
-def check_candidate(tester: Engine, valuation: dict[KAtom, bool]) -> WorldView | None:
+def check_candidate(tester: Engine, valuation: dict[KAtom, bool],
+                    part: int | None = None) -> WorldView | None:
     """Confirm or reject one guessed valuation against the engine of
-    the ground program.
+    the ground program, or against its independent part `part` only.
 
     The valuation's objective program must have answer sets, every atom
     guessed known must be a cautious consequence (and only those), and
     every `&k{~l}` guessed true must keep l out of the brave
     consequences (and only those).
     """
-    parts = tester.parts(valuation)
-    cons = tester.consequences(parts)
-    if not cons.has_answer_set:
+    components = tester.parts(valuation, part)
+    if components is None:
         return None
+    cautious, brave = tester.fold(components)
     for katom, value in valuation.items():
         inner = katom.inner
+        b = 1 << tester.index[inner.atom]
         if inner.negs == 0:
-            if (inner.atom in cons.cautious) != value:
+            if bool(cautious & b) != value:
                 return None
-        else:
-            if (inner.atom not in cons.brave) != value:
-                return None
-    return WorldView(dict(valuation), tuple(tester.answer_sets(parts)))
+        elif bool(brave & b) == value:
+            return None
+    return WorldView(dict(valuation), tester, components)
 
 
 def k15_transform(program: Program) -> Program:
@@ -289,22 +316,133 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     """Yield the world views of a program, production path.
 
     Grounds the program, builds the guess translation, tightens it with
-    the consistency constraints and then wfm propagation, walks its
-    projected answer sets as candidate valuations, and yields the ones
-    the consequence check confirms, counting them into `stats`.  Stop
-    the generator early (say with `itertools.islice`) to skip the
-    remaining candidates.
+    the consistency constraints and then wfm propagation, and takes the
+    distinct projections of each component of the guess program.  The
+    tester engine splits the ground program into independent parts that
+    share no atom, subjective atoms included.  Each part's candidates
+    are the product of its own guess components only, and the
+    consequence check confirms them against its own rules only, counting
+    into `stats`.  The world views are the products of the parts'
+    confirmed views, yielded lazily in the order the unsplit guess
+    program would give: lexicographic over its components.  Stop the
+    generator early (say with `itertools.islice`) to skip the remaining
+    candidates.
+
+    Only disjoint splitting is sound under the G91 semantics: general
+    top/bottom epistemic splitting, which would solve a bottom part and
+    feed its views to the parts above it, does not hold for it (Cabalar,
+    Fandinno, Fariñas del Cerro, "Splitting Epistemic Logic Programs",
+    TPLP 2021, arXiv 1812.08763).  Splitting too little costs time;
+    splitting too much would give wrong views.
     """
     stats = SolveStats() if stats is None else stats
     ground = _ground(program, semantics)
     guess, mapping = translate_guess(ground)
     guess = add_consistency_constraints(guess, mapping)
     guess = wfm_propagate(guess, collect_ksets(ground), mapping)
-    candidates = projected_answer_sets(guess, frozenset(mapping.values()))
+    components = projected_components(guess, frozenset(mapping.values()))
     tester = Engine(ground)
-    for projection in candidates:
-        stats.candidates += 1
-        view = check_candidate(tester, {k: mapping[k] in projection for k in mapping})
-        if view is not None:
-            stats.accepted += 1
-            yield view
+    stats.parts = len(tester.part_rules)
+    if components is None:
+        return
+    # Each guess component lies inside one part: the guess program ties
+    # aux_l to the atom of l and otherwise only atoms its rules share in
+    # the ground program.  A component without auxiliary atoms offers
+    # nothing to choose.
+    katom_of = {aux: k for k, aux in mapping.items()}
+    owner: list[int] = []
+    options: list[list[list[frozenset[Atom]]]] = [[] for _ in tester.part_rules]
+    for comp in components:
+        aux = next((a for projection in comp for a in projection), None)
+        if aux is not None:
+            owner.append(tester.part_of[katom_of[aux]])
+            options[owner[-1]].append(comp)
+    katoms: list[list[KAtom]] = [[] for _ in tester.part_rules]
+    for k in mapping:
+        katoms[tester.part_of[k]].append(k)
+
+    def part_views(j: int):
+        for key in itertools.product(*(range(len(comp)) for comp in options[j])):
+            guessed = frozenset().union(*(comp[i] for comp, i in zip(options[j], key)))
+            stats.candidates += 1
+            view = check_candidate(tester, {k: mapping[k] in guessed for k in katoms[j]}, j)
+            if view is not None:
+                stats.accepted += 1
+                yield key, view
+
+    streams = [part_views(j) for j in range(len(tester.part_rules))]
+    for views in _ordered_product(owner, streams):
+        valuation = {}
+        for view in views:
+            valuation.update(view.valuation)
+        yield WorldView({k: valuation[k] for k in mapping}, tester,
+                        [comp for view in views for comp in view.components])
+
+
+def _ordered_product(owner: list[int], streams: list) -> Iterator[list]:
+    """Lazy product of the parts' views, in lexicographic order of the
+    guess components.
+
+    `owner[p]` is the part of guess component p, components in guess
+    order.  `streams[j]` yields part j's views as (key, view) pairs in
+    ascending order of key, where key[t] indexes the projection taken
+    from part j's t-th component.  A combination's order key interleaves
+    the parts' keys by `owner`.  Each stream is read as far as the
+    output needs, plus one view, and nothing is yielded unless every
+    part has a view.
+
+    The state is an odometer over the components: `cur[j]` is the view
+    of part j in the current combination and `start[p]` the first view
+    of part j = owner[p] that agrees with it up to component p.  To
+    advance, the deepest component whose part has a next view that
+    agrees with the current one on the part's earlier components moves
+    to that view, and every deeper component restarts at the first view
+    that agrees with what is left above it.  A part's views are kept for
+    these restarts, except when all its components come first (a
+    program of one part, say): that part never goes back, so it keeps
+    only its current view and the one after.
+    """
+    seen: list[list] = [[] for _ in streams]
+    dropped = [0] * len(streams)  # views of part j before seen[j][0]
+
+    def view(j: int, i: int):
+        return seen[j][i - dropped[j]]
+
+    def has(j: int, i: int) -> bool:
+        while dropped[j] + len(seen[j]) <= i:
+            item = next(streams[j], None)
+            if item is None:
+                return False
+            seen[j].append(item)
+        return True
+
+    if not all(has(j, 0) for j in range(len(streams))):
+        return
+    rank: list[int] = []  # position of component p among its part's
+    prev: list[int] = []  # the part's component before p, or -1
+    last: dict[int, int] = {}
+    for p, j in enumerate(owner):
+        prev.append(last.get(j, -1))
+        rank.append(rank[prev[p]] + 1 if prev[p] >= 0 else 0)
+        last[j] = p
+    first = owner[0] if owner else None
+    forgetful = first is not None and all(owner[p] == first for p in range(last[first] + 1))
+    cur = [0] * len(streams)
+    start = [0] * len(owner)
+    while True:
+        yield [view(j, cur[j])[1] for j in range(len(streams))]
+        for p in reversed(range(len(owner))):
+            j, t = owner[p], rank[p]
+            nxt = cur[j] + 1
+            if has(j, nxt) and view(j, nxt)[0][:t] == view(j, cur[j])[0][:t]:
+                break
+        else:
+            return
+        cur[j] = start[p] = nxt
+        if forgetful and j == first:
+            del seen[j][:nxt - dropped[j]]
+            dropped[j] = nxt
+        for q in range(p + 1, len(owner)):
+            if prev[q] <= p:
+                cur[owner[q]] = start[prev[q]] if prev[q] >= 0 else 0
+            start[q] = cur[owner[q]]

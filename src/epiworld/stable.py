@@ -6,11 +6,14 @@ ascending bitmask order.  Subjective literals stay in the index as rule
 guards over a separate bit space, so one index serves every valuation:
 `Engine.parts` keeps the rules whose guard a valuation satisfies, splits
 them into connected components and enumerates each component's answer
-sets, and `Engine.answer_sets` and `Engine.consequences` fold the parts.
-Inside a component a branch-and-propagate loop on an explicit stack
-enumerates the assignments that survive unit propagation and support
-checks; each one is kept if the minimality test, the same loop on the
-reduct's clauses stopped at the first model, finds no smaller model.
+sets, and `Engine.answer_sets` and `Engine.consequences` fold the
+components.  The index also splits the program once into independent
+parts, which share no atom under any valuation, and `Engine.parts` can
+take one such part at a time.  Inside a component a branch-and-propagate
+loop on an explicit stack enumerates the assignments that survive unit
+propagation and support checks; each one is kept if the minimality
+test, the same loop on the reduct's clauses stopped at the first model,
+finds no smaller model.
 
 A choice rule `{a}` becomes `a :- not a'.` and `a' :- not a.` over a
 complement bit a' that has no atom: no program atom can collide with
@@ -125,12 +128,14 @@ def _minimal(m: int, rules: list[tuple[int, int, int, int]]) -> bool:
     return next(_models(clauses, {}, m), None) is None
 
 
-def component_split(rules: list[tuple[int, int, int, int]]) -> list[tuple[int, list]]:
+def component_split(rules: list[tuple]) -> list[tuple[int, list]]:
     """Group rules that share atoms, transitively, into components.
 
-    Returns (atom mask, rules) pairs in ascending order of the lowest
-    atom bit.  Rules without atoms (`:- .`) form a component with mask
-    0, which comes first and has no model.
+    Each rule is an `Engine` rule: its masks first and the bit indices
+    of its atoms last.  Returns (atom mask, masks of the rules) pairs in
+    ascending order of the lowest atom bit.  Rules without atoms
+    (`:- .`) form a component with mask 0, which comes first and has no
+    model.
     """
     parent: dict[int, int] = {}
 
@@ -141,27 +146,25 @@ def component_split(rules: list[tuple[int, int, int, int]]) -> list[tuple[int, l
             i = parent[i]
         return i
 
-    def lowest(mask: int) -> int:
-        return (mask & -mask).bit_length() - 1
-
-    for head, pos, neg, negneg in rules:
-        rest = head | pos | neg | negneg
-        root = find(lowest(rest))
-        rest &= rest - 1
-        while rest:
-            other = find(lowest(rest))
-            if other != root:
-                parent[other] = root
-            rest &= rest - 1
-    masks: dict[int, int] = {}
+    for rule in rules:
+        atoms = rule[-1]
+        if atoms:
+            root = find(atoms[0])
+            for i in atoms[1:]:
+                other = find(i)
+                if other != root:
+                    parent[other] = root
     groups: dict[int, list[tuple[int, int, int, int]]] = {}
-    for rm in rules:
-        mask = rm[0] | rm[1] | rm[2] | rm[3]
-        root = find(lowest(mask))
-        masks[root] = masks.get(root, 0) | mask
-        groups.setdefault(root, []).append(rm)
-    return sorted(((masks[root], local) for root, local in groups.items()),
-                  key=lambda part: part[0] & -part[0])
+    for rule in rules:
+        atoms = rule[-1]
+        groups.setdefault(find(atoms[0]) if atoms else -1, []).append(rule[0])
+    out = []
+    for local in groups.values():
+        mask = 0
+        for head, pos, neg, negneg in local:
+            mask |= head | pos | neg | negneg
+        out.append((mask, local))
+    return sorted(out, key=lambda part: part[0] & -part[0])
 
 
 def component_masks(mask: int, rules: list[tuple[int, int, int, int]]) -> list[int]:
@@ -192,11 +195,21 @@ def _complement_key(a: Atom) -> str:
 class Engine:
     """Bit index of a ground program, subjective literals included.
 
-    Each rule is stored as its objective masks (head, pos, neg, negneg)
-    beside a guard (kpos, kneg) over a separate bit space of subjective
-    atoms: `&k{l}` sets a kpos bit, `not &k{l}` a kneg bit.  A valuation
-    keeps the rules whose guard it satisfies, which are the rules
-    `apply_valuation` keeps, so one index serves every candidate.
+    Each rule is stored as its objective masks (head, pos, neg, negneg),
+    a guard (kpos, kneg) over a separate bit space of subjective atoms
+    (`&k{l}` sets a kpos bit, `not &k{l}` a kneg bit) and the bit
+    indices of its atoms.  A valuation keeps the rules whose guard it
+    satisfies, which are the rules `apply_valuation` keeps, so one index
+    serves every candidate.  The inner atom of every subjective atom
+    has a bit, even if no rule mentions it outside `&k{}`.
+
+    The index also splits the program once into independent parts,
+    groups of rules that share no atom and no subjective atom whatever
+    the valuation: a rule ties together every atom it uses and every
+    subjective atom of its guard, and a subjective atom `&k{l}` is tied
+    to the atom of l.  `part_rules[j]` holds the rules of part j and
+    `part_of` maps each subjective atom to its part.  Rules without
+    atoms or guard (`:- .`) form one part of their own.
     """
 
     def __init__(self, program: GroundProgram):
@@ -208,6 +221,7 @@ class Engine:
             for lit in r.body:
                 if isinstance(lit, SubjLiteral):
                     katoms.add(lit.katom)
+                    base.add(lit.katom.inner.atom)
                 else:
                     base.add(lit.atom)
             if r.is_choice:
@@ -220,58 +234,117 @@ class Engine:
         keyed = [((print_atom(a), isinstance(a, AuxAtom)), False, a) for a in base]
         keyed += [((_complement_key(a), isinstance(a, AuxAtom)), True, a) for a in choices]
         keyed.sort(key=itemgetter(0))
-        self.bit: dict[Atom, int] = {}
+        # Atom to bit position; complement bits have no atom.
+        self.index: dict[Atom, int] = {}
         complement: dict[Atom, int] = {}
         for i, (_, is_complement, a) in enumerate(keyed):
-            (complement if is_complement else self.bit)[a] = 1 << i
-        self.base_mask = sum(self.bit.values())
-        self.kbit = {k: 1 << i for i, k in enumerate(katoms)}
+            (complement if is_complement else self.index)[a] = i
+        index = self.index
+        self.width = len(keyed)
+        self.base_mask = sum(1 << i for i in index.values())
+        kindex = {k: i for i, k in enumerate(katoms)}
+        self.kbit = {k: 1 << i for k, i in kindex.items()}
 
-        self.rules: list[tuple[tuple[int, int, int, int], int, int]] = []
+        # Union-find over nodes: bit i is node i, subjective atom k node n + k.
+        n = self.width
+        parent = list(range(n + len(kindex)))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        def tie(nodes) -> None:
+            root = find(nodes[0])
+            for i in nodes[1:]:
+                other = find(i)
+                if other != root:
+                    parent[other] = root
+
+        # (masks, kpos, kneg, atom indices)
+        self.rules: list[tuple[tuple[int, int, int, int], int, int, tuple[int, ...]]] = []
         for r in program.rules:
             if r.is_choice:
-                a, na = self.bit[r.head[0]], complement[r.head[0]]
-                self.rules += [((a, 0, na, 0), 0, 0), ((na, 0, a, 0), 0, 0)]
+                pair = index[r.head[0]], complement[r.head[0]]
+                a, na = 1 << pair[0], 1 << pair[1]
+                self.rules += [((a, 0, na, 0), 0, 0, pair), ((na, 0, a, 0), 0, 0, pair)]
+                tie(pair)
                 continue
             head = pos = neg = negneg = kpos = kneg = 0
+            atoms: list[int] = []
+            guard: list[int] = []
             for a in r.head:
-                head |= self.bit[a]
+                i = index[a]
+                atoms.append(i)
+                head |= 1 << i
             for lit in r.body:
                 if isinstance(lit, SubjLiteral):
+                    k = kindex[lit.katom]
+                    guard.append(n + k)
                     if lit.negated:
-                        kneg |= self.kbit[lit.katom]
+                        kneg |= 1 << k
                     else:
-                        kpos |= self.kbit[lit.katom]
+                        kpos |= 1 << k
                     continue
-                b = self.bit[lit.atom]
+                i = index[lit.atom]
+                atoms.append(i)
+                b = 1 << i
                 if lit.negs == 0:
                     pos |= b
                 elif lit.negs == 1:
                     neg |= b
                 else:
                     negneg |= b
-            self.rules.append(((head, pos, neg, negneg), kpos, kneg))
+            self.rules.append(((head, pos, neg, negneg), kpos, kneg, tuple(atoms)))
+            if atoms or guard:
+                tie(atoms + guard)
         # a and -a never hold together: `:- a, -a.`
-        for a, b in self.bit.items():
+        for a, i in index.items():
             if a.strong_neg:
-                twin = self.bit.get(Atom(a.name, a.args, False))
-                if twin:
-                    self.rules.append(((0, b | twin, 0, 0), 0, 0))
+                twin = index.get(Atom(a.name, a.args, False))
+                if twin is not None:
+                    self.rules.append(((0, (1 << i) | (1 << twin), 0, 0), 0, 0, (i, twin)))
+                    tie((i, twin))
+        for k, i in kindex.items():
+            tie((n + i, index[k.inner.atom]))
 
-    def parts(self, valuation: dict[KAtom, bool] | None = None) -> list[list[int]] | None:
+        def root(rule) -> int:
+            if rule[3]:
+                return find(rule[3][0])
+            guard = rule[1] | rule[2]
+            return find(n + (guard & -guard).bit_length() - 1) if guard else -1
+
+        groups: dict[int, list] = {}
+        for rule in self.rules:
+            groups.setdefault(root(rule), []).append(rule)
+        number = {r: j for j, r in enumerate(groups)}
+        # With one part, share the rule list instead of copying it.
+        self.part_rules: list[list] = [self.rules] if len(groups) == 1 else list(groups.values())
+        self.part_of: dict[KAtom, int] = {k: number[find(n + i)] for k, i in kindex.items()}
+
+    def parts(self, valuation: dict[KAtom, bool] | None = None,
+              part: int | None = None) -> list[list[int]] | None:
         """Sorted answer-set masks of each component of the rules kept
         under `valuation`, or None when there is no answer set.
 
-        `valuation` must give every subjective atom of the program a
-        value; None stands for the empty one.
+        With `part`, only the rules of that independent part count.
+        Subjective atoms missing from `valuation` count as false; None
+        stands for the empty valuation and is refused when the program
+        has subjective literals.
         """
-        if valuation is None and self.kbit:
-            raise ValueError("the program has subjective literals: its answer sets "
-                             "depend on a valuation of them")
-        known = sum(b for k, b in self.kbit.items() if valuation[k])
+        if valuation is None:
+            if self.kbit:
+                raise ValueError("the program has subjective literals: its answer sets "
+                                 "depend on a valuation of them")
+            valuation = {}
+        known = 0
+        for k, value in valuation.items():
+            if value:
+                known |= self.kbit[k]
         unknown = ~known
-        kept = [rm for rm, kpos, kneg in self.rules
-                if not (kpos & unknown or kneg & known)]
+        rules = self.rules if part is None else self.part_rules[part]
+        kept = [rule for rule in rules if not (rule[1] & unknown or rule[2] & known)]
         out = []
         for mask, local in component_split(kept):
             masks = component_masks(mask, local)
@@ -280,35 +353,43 @@ class Engine:
             out.append(masks)
         return out
 
-    def answer_sets(self, parts: list[list[int]] | None) -> list[frozenset[Atom]]:
-        """All answer sets, one per choice of a mask from each part, in
-        ascending order of the program-atom bitmask."""
-        if parts is None:
+    def answer_sets(self, components: list[list[int]] | None) -> list[frozenset[Atom]]:
+        """All answer sets, one per choice of a mask from each component,
+        in ascending order of the program-atom bitmask."""
+        if components is None:
             return []
         masks = [0]
-        for comp in parts:
+        for comp in components:
             masks = [m | c for m in masks for c in comp]
         masks.sort(key=lambda m: m & self.base_mask)
         return [self.to_interpretation(m) for m in masks]
 
-    def consequences(self, parts: list[list[int]] | None) -> ConsequenceSets:
-        """Cautious and brave consequences, folded part by part: an
-        answer set is a union of one answer set per part, so
-        intersections and unions distribute."""
-        if parts is None:
-            return ConsequenceSets(frozenset(), frozenset(), False)
+    def fold(self, components: list[list[int]]) -> tuple[int, int]:
+        """Cautious and brave consequences as masks, folded component by
+        component: an answer set is a union of one answer set per
+        component, so intersections and unions distribute."""
         cautious = brave = 0
-        for comp in parts:
+        for comp in components:
             meet = comp[0]
             for m in comp:
                 meet &= m
                 brave |= m
             cautious |= meet
+        return cautious, brave
+
+    def consequences(self, components: list[list[int]] | None) -> ConsequenceSets:
+        """Cautious and brave consequences of the answer sets that
+        `components`, a result of `parts`, describes."""
+        if components is None:
+            return ConsequenceSets(frozenset(), frozenset(), False)
+        cautious, brave = self.fold(components)
         return ConsequenceSets(self.to_interpretation(cautious),
                                self.to_interpretation(brave), True)
 
     def to_interpretation(self, m: int) -> frozenset[Atom]:
-        return frozenset(a for a, b in self.bit.items() if b & m)
+        bits = format(m, f"0{self.width}b")  # bit i is bits[-1 - i]
+        top = self.width - 1
+        return frozenset(a for a, i in self.index.items() if bits[top - i] == "1")
 
 
 # ---------------------------------------------------------------------------
@@ -325,22 +406,33 @@ def answer_sets(program: GroundProgram) -> list[frozenset[Atom]]:
     return eng.answer_sets(eng.parts())
 
 
+def projected_components(program: GroundProgram, onto) -> list[list[frozenset[Atom]]] | None:
+    """Distinct projections onto the given atoms of each connected
+    component's answer sets, components in ascending order of their
+    lowest bit; None when there is no answer set."""
+    eng = Engine(program)
+    parts = eng.parts()
+    if parts is None:
+        return None
+    onto_mask = 0
+    for a in onto:
+        if a in eng.index:
+            onto_mask |= 1 << eng.index[a]
+    return [[eng.to_interpretation(p) for p in dict.fromkeys(m & onto_mask for m in comp)]
+            for comp in parts]
+
+
 def projected_answer_sets(program: GroundProgram, onto):
     """Distinct projections of the answer sets onto the given atoms.
 
     Projections are deduplicated per connected component and combined
-    across components, which keeps the enumeration linear in the number
-    of distinct projections instead of the number of answer sets.
+    across components in lexicographic order of `projected_components`,
+    which keeps the enumeration linear in the number of distinct
+    projections instead of the number of answer sets.
     """
-    eng = Engine(program)
-    parts = eng.parts()
-    if parts is None:
+    per_component = projected_components(program, onto)
+    if per_component is None:
         return iter(())
-    onto_mask = 0
-    for a in onto:
-        onto_mask |= eng.bit.get(a, 0)
-    per_component = [[eng.to_interpretation(p) for p in dict.fromkeys(m & onto_mask for m in comp)]
-                     for comp in parts]
     return (frozenset().union(*combo) for combo in itertools.product(*per_component))
 
 

@@ -26,6 +26,7 @@ negation and binds tighter than `~`.  `&m{l}` is sugar for
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 # Deepest nesting of function terms the parser accepts; the recursive
@@ -34,10 +35,12 @@ MAX_TERM_DEPTH = 100
 
 
 class SourceError(Exception):
-    """Problem in an input program, with a source position."""
+    """Problem in an input program, with a source position and, when
+    known, the name of the source it is in."""
 
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
+    def __init__(self, message: str, line: int, col: int, source: str | None = None):
+        where = f"{line}:{col}" if source is None else f"{source}:{line}:{col}"
+        super().__init__(f"{where}: {message}")
         self.message = message
         self.line = line
         self.col = col
@@ -444,19 +447,27 @@ def _substitute_consts_rule(r: Rule, mapping: dict[str, Term]) -> Rule:
     return Rule(head, tuple(body), r.is_choice)
 
 
-def parse_text(*sources: str) -> Program:
+def parse_text(*sources: str, names: Sequence[str] | None = None) -> Program:
     """One program from one or more source texts.  Each `#const` is
     substituted into the rules of every text, and a constant may be
-    defined only once across all of them."""
+    defined only once across all of them.  `names`, one per text (say
+    file names), prefix the position of an error in that text."""
     rules: list[Rule] = []
     shows: list[ShowDirective] = []
     consts: list[tuple[ConstDirective, Token]] = []
-    for source in sources:
-        _Parser(tokenize(source)).statements(rules, shows, consts)
+    origin: list[str | None] = []  # name of the text of each entry of consts
+    for i, source in enumerate(sources):
+        name = None if names is None else names[i]
+        try:
+            _Parser(tokenize(source)).statements(rules, shows, consts)
+        except SourceError as exc:
+            raise type(exc)(exc.message, exc.line, exc.col, name) from None
+        origin += [name] * (len(consts) - len(origin))
     mapping: dict[str, Term] = {}
-    for directive, tok in consts:
+    for (directive, tok), name in zip(consts, origin):
         if directive.name in mapping:
-            raise ParseError(f"constant {directive.name!r} defined twice", tok.line, tok.col)
+            raise ParseError(f"constant {directive.name!r} defined twice",
+                             tok.line, tok.col, name)
         mapping[directive.name] = directive.value
     if mapping:
         rules = [_substitute_consts_rule(r, mapping) for r in rules]

@@ -4,14 +4,17 @@ Everything here is written the slow, obvious way on purpose: expand
 choice rules into a complementary pair over a fresh `zz_` atom, walk
 every subset of the atom universe, take the reduct by hand, check the
 model property against every rule, and check minimality against every
-proper subset.  No sharing with the package internals beyond the AST.
+proper subset.  `subjective_reduct` evaluates each subjective literal
+against a world by the definition.  No sharing with the package
+internals beyond the AST and the `GroundProgram` container.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from epiworld.syntax import Atom, ObjLiteral, Rule, print_atom
+from epiworld.grounder import GroundProgram
+from epiworld.syntax import Atom, ObjLiteral, Rule, SubjLiteral, print_atom
 
 
 def _expand(rules):
@@ -137,3 +140,27 @@ def brute_consequences(rules):
     cautious = frozenset.intersection(*models)
     brave = frozenset.union(*models)
     return cautious, brave
+
+
+def subjective_reduct(program, world) -> GroundProgram:
+    """The objective program left when every subjective literal is
+    evaluated against `world`, a collection of interpretations: `&k{l}`
+    holds when l holds in each of them.  True literals are dropped from
+    their bodies, and rules with a false one are dropped."""
+    world = tuple(world)
+
+    def holds(lit) -> bool:
+        inner = lit.katom.inner
+        if inner.negs == 0:
+            known = all(inner.atom in i for i in world)
+        else:
+            known = all(inner.atom not in i for i in world)
+        return known != lit.negated
+
+    rules = []
+    for r in program.rules:
+        subjective = [lit for lit in r.body if isinstance(lit, SubjLiteral)]
+        if all(map(holds, subjective)):
+            body = tuple(lit for lit in r.body if not isinstance(lit, SubjLiteral))
+            rules.append(Rule(r.head, body, r.is_choice))
+    return GroundProgram(tuple(rules))

@@ -3,7 +3,8 @@
 `solve` always runs both passes, so the unpruned guess is only reachable
 through the library layer: translate, optionally prune, enumerate the
 projected answer sets, and check each candidate on one engine of the
-ground program.
+ground program.  The same steps without any split into independent
+parts give `unsplit_views`, the reference for `solve`'s split.
 """
 
 from __future__ import annotations
@@ -39,3 +40,20 @@ def pruning_outcomes(program) -> dict[str, tuple[set, set]]:
                     is not None}
         out[name] = (candidates, accepted)
     return out
+
+
+def unsplit_views(program) -> list:
+    """World views of a ground `program` from one guess over all of its
+    subjective atoms: every candidate of the pruned guess program, in
+    `projected_answer_sets` order, checked against the whole program."""
+    ground = ground_program(program)
+    guess, mapping = translate_guess(ground)
+    guess = add_consistency_constraints(guess, mapping)
+    guess = wfm_propagate(guess, collect_ksets(ground), mapping)
+    tester = Engine(ground)
+    views = []
+    for candidate in projected_answer_sets(guess, frozenset(mapping.values())):
+        view = check_candidate(tester, {k: mapping[k] in candidate for k in mapping})
+        if view is not None:
+            views.append(view)
+    return views

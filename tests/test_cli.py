@@ -152,6 +152,21 @@ def test_constant_defined_in_two_files_exits_65(tmp_path, capsys):
     assert "Answer" not in text
 
 
+def test_errors_in_one_of_several_files_name_the_file(tmp_path, capsys):
+    a, b, c = (tmp_path / f"{name}.lp" for name in "abc")
+    a.write_text("#const n = 1.\np(n).\n")
+    b.write_text("q :- p(1).\n")
+    c.write_text("#const n = 2.\n")
+    code, text = run_files(a, c, b)
+    assert code == INPUT_ERROR
+    assert f"error: {c}:1:1: constant 'n' defined twice" in capsys.readouterr().err
+    assert "Answer" not in text
+    b.write_text("q :- &k{p .\n")
+    code, _ = run_files(a, b)
+    assert code == INPUT_ERROR
+    assert f"error: {b}:1:11: expected '}}'" in capsys.readouterr().err
+
+
 def test_missing_file_exits_65(capsys):
     out = io.StringIO()
     code = run(RunConfig(files=("/no/such/file.lp",)), out=out)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from brute import subjective_reduct
 from corpus import random_epistemic_program
 from epiworld.epistemic import (
     SolveStats,
@@ -18,7 +19,6 @@ from epiworld.epistemic import (
     satisfies,
     solve,
     subjective_atoms,
-    subjective_reduct,
     translate_guess,
 )
 from epiworld.grounder import ground_program
@@ -357,6 +357,17 @@ def test_solve_two_cycle_order_and_stats():
     assert stats.accepted == 2
     assert stats.candidates == 3
     assert stats.rejected == 1
+
+
+def test_candidates_add_up_over_independent_parts():
+    # 40 students, each an independent part with one or two candidates;
+    # guessing all subjective atoms at once would check 4,096.
+    from epiworld.cli import gen_eligibility
+    stats = SolveStats()
+    (wv,) = solve(gen_eligibility(40, 1), stats=stats)
+    assert stats.parts == 40
+    assert stats.candidates <= 2 * stats.parts
+    assert stats.accepted == stats.parts
 
 
 def test_solve_unsatisfiable_program():
