@@ -12,8 +12,7 @@ from .epistemic import (SolveStats, WorldView, aux_atom, apply_valuation,
 from .grounder import (GroundingError, GroundProgram, SafetyError,
                        ground_program, program_safety_check, safety_check,
                        simplify)
-from .optimize import (KSets, add_consistency_constraints, collect_ksets,
-                       wfm_propagate)
+from .optimize import add_consistency_constraints, wfm_propagate
 from .stable import (ConsequenceSets, Engine, answer_sets, consequences,
                      projected_answer_sets)
 from .syntax import (Atom, AuxAtom, Const, KAtom, LexError, Num, ObjLiteral,
@@ -25,11 +24,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Atom", "AuxAtom", "Const", "ConsequenceSets", "Engine", "GroundProgram",
-    "GroundingError", "KAtom", "KSets", "LexError", "Num", "ObjLiteral",
+    "GroundingError", "KAtom", "LexError", "Num", "ObjLiteral",
     "ParseError", "Program", "Rule", "SafetyError", "SolveStats", "SourceError",
     "SubjLiteral", "Var", "WorldView", "add_consistency_constraints",
     "answer_sets", "apply_valuation", "aux_atom", "check_candidate",
-    "collect_ksets", "consequences", "expand_world_view", "ground_program",
+    "consequences", "expand_world_view", "ground_program",
     "k15_transform", "oracle_world_views", "parse_text", "print_atom",
     "print_program", "print_rule", "print_subjective", "program_safety_check",
     "projected_answer_sets", "safety_check", "satisfies", "simplify", "solve",

@@ -252,9 +252,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv[:1] == ["bench"]:
         args = _bench_parser().parse_args(argv[1:])
-        if args.max_n < 1:
-            print("error: --max-n must be positive", file=sys.stderr)
-            return INPUT_ERROR
+        for name, value in (("--max-n", args.max_n), ("--reps", args.reps)):
+            if value < 1:
+                print(f"error: {name} must be positive", file=sys.stderr)
+                return INPUT_ERROR
         bench(args.domain, args.max_n, args.seed, args.timeout, args.reps,
               args.semantics, args.out)
         return 0

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .grounder import GroundProgram, ground_program, program_safety_check
-from .optimize import add_consistency_constraints, collect_ksets, wfm_propagate
+from .optimize import add_consistency_constraints, wfm_propagate
 from .stable import Engine, projected_components
 from .syntax import (Atom, AuxAtom, KAtom, ObjLiteral, Program, Rule,
                      SubjLiteral, print_subjective)
@@ -199,7 +199,6 @@ def oracle_world_views(program: Program, semantics: str = "g91") -> list[WorldVi
         raise ValueError(f"oracle limited to {ORACLE_MAX_SUBJECTIVE} subjective atoms, "
                          f"got {len(katoms)}")
     views: list[WorldView] = []
-    seen: set[tuple] = set()
     # Ascending bitmask order over the sorted subjective alphabet, first
     # atom least significant, so small valuations come out first.
     for mask in range(1 << len(katoms)):
@@ -210,10 +209,7 @@ def oracle_world_views(program: Program, semantics: str = "g91") -> list[WorldVi
         if not models:
             continue
         if all(satisfies(models, k) == v for k, v in valuation.items()):
-            key = tuple(models)
-            if key not in seen:
-                seen.add(key)
-                views.append(WorldView(valuation, reduct, components))
+            views.append(WorldView(valuation, reduct, components))
     return views
 
 
@@ -339,7 +335,7 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     ground = _ground(program, semantics)
     guess, mapping = translate_guess(ground)
     guess = add_consistency_constraints(guess, mapping)
-    guess = wfm_propagate(guess, collect_ksets(ground), mapping)
+    guess = wfm_propagate(guess, ground, mapping)
     components = projected_components(guess, frozenset(mapping.values()))
     tester = Engine(ground)
     stats.parts = len(tester.part_rules)

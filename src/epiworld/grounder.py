@@ -1,7 +1,8 @@
 """Variable instantiation and ground-program simplification.
 
 `ground_program` substitutes every variable by the ground terms that
-occur in the program; rules that are already ground pass through
+occur in the program, through `syntax.substitute_rule`, which also
+applies `#const`; rules that are already ground pass through
 unchanged.  `simplify` closes a ground program under the usual
 fact/head rewrites until nothing changes; the result bounds the
 well-founded consequences from both sides (its facts are cautious
@@ -14,8 +15,9 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .syntax import (Atom, Compound, KAtom, ObjLiteral, Program, Rule,
-                     SubjLiteral, Term, Var, print_rule, print_term)
+from .syntax import (Atom, Compound, ObjLiteral, Program, Rule, SubjLiteral,
+                     Term, Var, print_rule, print_term, rule_atoms,
+                     substitute_rule, term_vars)
 
 
 class SafetyError(Exception):
@@ -30,17 +32,6 @@ class GroundingError(Exception):
 # Variable bookkeeping
 
 
-def term_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Compound):
-        out: set[str] = set()
-        for a in t.args:
-            out |= term_vars(a)
-        return out
-    return set()
-
-
 def atom_vars(a: Atom) -> set[str]:
     out: set[str] = set()
     for t in a.args:
@@ -50,13 +41,8 @@ def atom_vars(a: Atom) -> set[str]:
 
 def rule_vars(r: Rule) -> set[str]:
     out: set[str] = set()
-    for a in r.head:
+    for a in rule_atoms(r):
         out |= atom_vars(a)
-    for lit in r.body:
-        if isinstance(lit, ObjLiteral):
-            out |= atom_vars(lit.atom)
-        else:
-            out |= atom_vars(lit.katom.inner.atom)
     return out
 
 
@@ -96,15 +82,7 @@ class GroundProgram:
 
     @cached_property
     def atoms(self) -> frozenset[Atom]:
-        out: set[Atom] = set()
-        for r in self.rules:
-            out.update(r.head)
-            for lit in r.body:
-                if isinstance(lit, ObjLiteral):
-                    out.add(lit.atom)
-                else:
-                    out.add(lit.katom.inner.atom)
-        return frozenset(out)
+        return frozenset(a for r in self.rules for a in rule_atoms(r))
 
     @cached_property
     def heads(self) -> frozenset[Atom]:
@@ -137,48 +115,11 @@ def _collect_ground_terms(t: Term, out: set[Term]) -> None:
 def ground_terms(program: Program) -> list[Term]:
     """All ground terms (and ground subterms) occurring in the program."""
     out: set[Term] = set()
-
-    def visit_atom(a: Atom) -> None:
-        for t in a.args:
-            _collect_ground_terms(t, out)
-
     for r in program.rules:
-        for a in r.head:
-            visit_atom(a)
-        for lit in r.body:
-            if isinstance(lit, ObjLiteral):
-                visit_atom(lit.atom)
-            else:
-                visit_atom(lit.katom.inner.atom)
+        for a in rule_atoms(r):
+            for t in a.args:
+                _collect_ground_terms(t, out)
     return sorted(out, key=print_term)
-
-
-def substitute_term(t: Term, sub: dict[str, Term]) -> Term:
-    if isinstance(t, Var):
-        return sub[t.name]
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(substitute_term(a, sub) for a in t.args))
-    return t
-
-
-def substitute_atom(a: Atom, sub: dict[str, Term]) -> Atom:
-    if not a.args:
-        return a
-    return type(a)(a.name, tuple(substitute_term(t, sub) for t in a.args), a.strong_neg)
-
-
-def substitute_rule(r: Rule, sub: dict[str, Term]) -> Rule:
-    head = tuple(substitute_atom(a, sub) for a in r.head)
-    body: list = []
-    for lit in r.body:
-        if isinstance(lit, ObjLiteral):
-            body.append(ObjLiteral(substitute_atom(lit.atom, sub), lit.negs))
-        else:
-            inner = lit.katom.inner
-            body.append(SubjLiteral(
-                KAtom(ObjLiteral(substitute_atom(inner.atom, sub), inner.negs)),
-                lit.negated))
-    return Rule(head, tuple(body), r.is_choice)
 
 
 def ground_program(program: Program) -> GroundProgram:
@@ -198,7 +139,7 @@ def ground_program(program: Program) -> GroundProgram:
             raise GroundingError(
                 f"rule uses variables but the program has no ground terms: {print_rule(rule)}")
         for combo in itertools.product(terms, repeat=len(vs)):
-            out.append(substitute_rule(rule, dict(zip(vs, combo))))
+            out.append(substitute_rule(rule, dict(zip(vs, combo)), Var))
     return GroundProgram(tuple(out))
 
 

@@ -15,35 +15,8 @@ auxiliary atom is fixed true and simplification runs again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .grounder import GroundProgram, simplify
-from .syntax import Atom, KAtom, ObjLiteral, Rule, SubjLiteral, print_atom
-
-
-@dataclass(frozen=True)
-class KSets:
-    """Atoms appearing inside subjective atoms, split by inner negation.
-
-    `kplus` holds the atoms p of `&k{p}` and `&k{-p}` forms; `kminus`
-    holds the atoms of `&k{~p}` and `&k{~-p}` forms.  Strong negation
-    rides along inside the Atom values.
-    """
-    kplus: frozenset[Atom]
-    kminus: frozenset[Atom]
-
-
-def collect_ksets(program) -> KSets:
-    """Collect the inner atoms of every subjective literal, keyed on
-    whether the inner literal is default-negated."""
-    kplus: set[Atom] = set()
-    kminus: set[Atom] = set()
-    for r in program.rules:
-        for lit in r.body:
-            if isinstance(lit, SubjLiteral):
-                inner = lit.katom.inner
-                (kminus if inner.negs else kplus).add(inner.atom)
-    return KSets(frozenset(kplus), frozenset(kminus))
+from .syntax import Atom, KAtom, ObjLiteral, Rule, print_atom
 
 
 def add_consistency_constraints(guess: GroundProgram,
@@ -63,35 +36,26 @@ def add_consistency_constraints(guess: GroundProgram,
     return GroundProgram(guess.rules + tuple(constraints))
 
 
-def wfm_propagate(guess: GroundProgram, ksets: KSets,
+def wfm_propagate(guess: GroundProgram, ground: GroundProgram,
                   mapping: dict[KAtom, Atom]) -> GroundProgram:
     """Fix auxiliary atoms decided by the simplification fixpoint.
 
-    Runs simplify, then repeatedly: every new fact p with `&k{p}` in the
-    program yields the fact `aux_p.`, every atom p of some `&k{~p}` that
-    no longer heads any rule yields `aux_not_p.`, and the program is
-    simplified again.  Stops when a round contributes nothing.  The
-    facts and heads trackers start from the untouched guess program plus
-    the subjective inner atoms, which may occur nowhere else.
+    Runs simplify, then repeatedly: every new fact p with `&k{p}` among
+    the keys of `mapping` yields the fact `aux_p.`, every atom p of some
+    `&k{~p}` that heads no rule yields `aux_not_p.`, and the program is
+    simplified again.  Stops when a round fixes nothing.  `ground`, the
+    program `guess` was translated from, is not read: it keeps `mapping`
+    the third argument, where `perfbench/spans.py` reads it.
     """
-    aux_for: dict[tuple[Atom, int], Atom] = {}
-    for katom, aux in mapping.items():
-        aux_for[(katom.inner.atom, katom.inner.negs)] = aux
-
-    facts_seen: set[Atom] = set()
-    heads_seen: set[Atom] = set(guess.atoms) | set(ksets.kplus) | set(ksets.kminus)
+    # (atom p of l, 1 if l is `~p` else 0) to the auxiliary atom of &k{l}
+    pending = {(k.inner.atom, k.inner.negs): aux for k, aux in mapping.items()}
     program = simplify(guess)
     while True:
-        new_facts = (program.facts - facts_seen) & ksets.kplus
-        dropped = (heads_seen - program.heads) & ksets.kminus
-        additions = [aux_for[(p, 0)] for p in sorted(new_facts, key=print_atom)
-                     if (p, 0) in aux_for]
-        additions += [aux_for[(p, 1)] for p in sorted(dropped, key=print_atom)
-                      if (p, 1) in aux_for]
-        if not new_facts and not dropped:
+        facts, heads = program.facts, program.heads
+        fixed = [(p, negs) for p, negs in pending
+                 if (p not in heads if negs else p in facts)]
+        if not fixed:
             return program
-        fact_rules = tuple(Rule((a,), ()) for a in additions)
-        program = GroundProgram(program.rules + fact_rules)
-        facts_seen = set(program.facts)
-        heads_seen = set(program.heads)
-        program = simplify(program)
+        fixed.sort(key=lambda key: (key[1], print_atom(key[0])))
+        additions = tuple(Rule((pending.pop(key),), ()) for key in fixed)
+        program = simplify(GroundProgram(program.rules + additions))

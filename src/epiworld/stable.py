@@ -9,7 +9,9 @@ them into connected components and enumerates each component's answer
 sets, and `Engine.answer_sets` and `Engine.consequences` fold the
 components.  The index also splits the program once into independent
 parts, which share no atom under any valuation, and `Engine.parts` can
-take one such part at a time.  Inside a component a branch-and-propagate
+take one such part at a time.  Both splits group rules with one
+union-find over atom bits (`_group`); a rule's guard ties it to the
+inner atoms of its subjective atoms only in the split into parts.  Inside a component a branch-and-propagate
 loop on an explicit stack enumerates the assignments that survive unit
 propagation and support checks; each one is kept if the minimality
 test, the same loop on the reduct's clauses stopped at the first model,
@@ -128,36 +130,45 @@ def _minimal(m: int, rules: list[tuple[int, int, int, int]]) -> bool:
     return next(_models(clauses, {}, m), None) is None
 
 
-def component_split(rules: list[tuple]) -> list[tuple[int, list]]:
-    """Group rules that share atoms, transitively, into components.
+def _group(items, nodes: list[tuple[int, ...]], width: int):
+    """Group `items` whose nodes meet, transitively, by union-find.
 
-    Each rule is an `Engine` rule: its masks first and the bit indices
-    of its atoms last.  Returns (atom mask, masks of the rules) pairs in
-    ascending order of the lowest atom bit.  Rules without atoms
-    (`:- .`) form a component with mask 0, which comes first and has no
-    model.
+    The i-th item has the nodes nodes[i], ints below `width`.  Returns
+    the groups keyed by a root node, in order of their first item, with
+    the items without nodes under -1, and the function that maps a node
+    to the key of its group.
     """
-    parent: dict[int, int] = {}
+    parent = list(range(width))
 
     def find(i: int) -> int:
-        parent.setdefault(i, i)
         while parent[i] != i:
             parent[i] = parent[parent[i]]
             i = parent[i]
         return i
 
-    for rule in rules:
-        atoms = rule[-1]
-        if atoms:
-            root = find(atoms[0])
-            for i in atoms[1:]:
+    for ns in nodes:
+        if ns:
+            root = find(ns[0])
+            for i in ns:
                 other = find(i)
                 if other != root:
                     parent[other] = root
-    groups: dict[int, list[tuple[int, int, int, int]]] = {}
-    for rule in rules:
-        atoms = rule[-1]
-        groups.setdefault(find(atoms[0]) if atoms else -1, []).append(rule[0])
+    groups: dict[int, list] = {}
+    for item, ns in zip(items, nodes):
+        groups.setdefault(find(ns[0]) if ns else -1, []).append(item)
+    return groups, find
+
+
+def component_split(rules: list[tuple], width: int) -> list[tuple[int, list]]:
+    """Group rules that share atoms, transitively, into components.
+
+    Each rule is an `Engine` rule: its masks first and the bit indices
+    of its atoms, all below `width`, last.  Returns (atom mask, masks of
+    the rules) pairs in ascending order of the lowest atom bit.  Rules
+    without atoms (`:- .`) form a component with mask 0, which comes
+    first and has no model.
+    """
+    groups, _ = _group((rule[0] for rule in rules), [rule[-1] for rule in rules], width)
     out = []
     for local in groups.values():
         mask = 0
@@ -205,11 +216,12 @@ class Engine:
 
     The index also splits the program once into independent parts,
     groups of rules that share no atom and no subjective atom whatever
-    the valuation: a rule ties together every atom it uses and every
-    subjective atom of its guard, and a subjective atom `&k{l}` is tied
-    to the atom of l.  `part_rules[j]` holds the rules of part j and
-    `part_of` maps each subjective atom to its part.  Rules without
-    atoms or guard (`:- .`) form one part of their own.
+    the valuation: a rule ties together every atom it uses and the
+    inner atom of each subjective atom of its guard, so a subjective
+    atom `&k{l}` lies in the part of the atom of l.  `part_rules[j]`
+    holds the rules of part j and `part_of` maps each subjective atom
+    to its part.  Rules without atoms or guard (`:- .`) form one part
+    of their own.
     """
 
     def __init__(self, program: GroundProgram):
@@ -242,50 +254,34 @@ class Engine:
         index = self.index
         self.width = len(keyed)
         self.base_mask = sum(1 << i for i in index.values())
-        kindex = {k: i for i, k in enumerate(katoms)}
-        self.kbit = {k: 1 << i for k, i in kindex.items()}
-
-        # Union-find over nodes: bit i is node i, subjective atom k node n + k.
-        n = self.width
-        parent = list(range(n + len(kindex)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def tie(nodes) -> None:
-            root = find(nodes[0])
-            for i in nodes[1:]:
-                other = find(i)
-                if other != root:
-                    parent[other] = root
+        self.kbit = kbit = {k: 1 << i for i, k in enumerate(katoms)}
 
         # (masks, kpos, kneg, atom indices)
         self.rules: list[tuple[tuple[int, int, int, int], int, int, tuple[int, ...]]] = []
+        # The nodes that tie each rule into its part: its atoms and, for a
+        # guarded rule, the inner atom of each subjective atom of its guard.
+        ties: list[tuple[int, ...]] = []
         for r in program.rules:
             if r.is_choice:
                 pair = index[r.head[0]], complement[r.head[0]]
                 a, na = 1 << pair[0], 1 << pair[1]
                 self.rules += [((a, 0, na, 0), 0, 0, pair), ((na, 0, a, 0), 0, 0, pair)]
-                tie(pair)
+                ties += [pair, pair]
                 continue
             head = pos = neg = negneg = kpos = kneg = 0
             atoms: list[int] = []
-            guard: list[int] = []
+            inner: tuple[int, ...] = ()
             for a in r.head:
                 i = index[a]
                 atoms.append(i)
                 head |= 1 << i
             for lit in r.body:
                 if isinstance(lit, SubjLiteral):
-                    k = kindex[lit.katom]
-                    guard.append(n + k)
+                    inner += (index[lit.katom.inner.atom],)
                     if lit.negated:
-                        kneg |= 1 << k
+                        kneg |= kbit[lit.katom]
                     else:
-                        kpos |= 1 << k
+                        kpos |= kbit[lit.katom]
                     continue
                 i = index[lit.atom]
                 atoms.append(i)
@@ -296,32 +292,22 @@ class Engine:
                     neg |= b
                 else:
                     negneg |= b
-            self.rules.append(((head, pos, neg, negneg), kpos, kneg, tuple(atoms)))
-            if atoms or guard:
-                tie(atoms + guard)
+            rule = ((head, pos, neg, negneg), kpos, kneg, tuple(atoms))
+            self.rules.append(rule)
+            ties.append(rule[3] + inner if inner else rule[3])
         # a and -a never hold together: `:- a, -a.`
         for a, i in index.items():
             if a.strong_neg:
                 twin = index.get(Atom(a.name, a.args, False))
                 if twin is not None:
                     self.rules.append(((0, (1 << i) | (1 << twin), 0, 0), 0, 0, (i, twin)))
-                    tie((i, twin))
-        for k, i in kindex.items():
-            tie((n + i, index[k.inner.atom]))
+                    ties.append(self.rules[-1][3])
 
-        def root(rule) -> int:
-            if rule[3]:
-                return find(rule[3][0])
-            guard = rule[1] | rule[2]
-            return find(n + (guard & -guard).bit_length() - 1) if guard else -1
-
-        groups: dict[int, list] = {}
-        for rule in self.rules:
-            groups.setdefault(root(rule), []).append(rule)
+        groups, find = _group(self.rules, ties, self.width)
         number = {r: j for j, r in enumerate(groups)}
         # With one part, share the rule list instead of copying it.
         self.part_rules: list[list] = [self.rules] if len(groups) == 1 else list(groups.values())
-        self.part_of: dict[KAtom, int] = {k: number[find(n + i)] for k, i in kindex.items()}
+        self.part_of: dict[KAtom, int] = {k: number[find(index[k.inner.atom])] for k in kbit}
 
     def parts(self, valuation: dict[KAtom, bool] | None = None,
               part: int | None = None) -> list[list[int]] | None:
@@ -346,7 +332,7 @@ class Engine:
         rules = self.rules if part is None else self.part_rules[part]
         kept = [rule for rule in rules if not (rule[1] & unknown or rule[2] & known)]
         out = []
-        for mask, local in component_split(kept):
+        for mask, local in component_split(kept, self.width):
             masks = component_masks(mask, local)
             if not masks:
                 return None

@@ -220,9 +220,9 @@ def tokenize(source: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             push("num", source[i:j], ln, cl)
             col += j - i
@@ -300,7 +300,7 @@ class _Parser:
         strong = self.take("-") is not None
         name = self.expect("ident").text
         self.expect("/")
-        arity = int(self.expect("num").text)
+        arity = self.number()
         self.expect(".")
         return ShowDirective(name, arity, strong)
 
@@ -309,7 +309,7 @@ class _Parser:
         name = self.expect("ident").text
         self.expect("=")
         value = self.term()
-        if _term_has_var(value):
+        if term_vars(value):
             raise ParseError("constant definitions must be ground", tok.line, tok.col)
         self.expect(".")
         return ConstDirective(name, value), tok
@@ -409,40 +409,65 @@ class _Parser:
         if self.at("var"):
             return Var(self.take("var").text)
         if self.at("num"):
-            return Num(int(self.take("num").text))
+            return Num(self.number())
         raise self.error(f"expected a term, found {self.peek().text!r}")
 
+    def number(self) -> int:
+        tok = self.expect("num")
+        try:
+            return int(tok.text)
+        except ValueError:  # past Python's limit on digits of an int
+            raise ParseError("number too long", tok.line, tok.col) from None
 
-def _term_has_var(t: Term) -> bool:
+
+def term_vars(t: Term) -> set[str]:
     if isinstance(t, Var):
-        return True
+        return {t.name}
     if isinstance(t, Compound):
-        return any(_term_has_var(a) for a in t.args)
-    return False
+        out: set[str] = set()
+        for a in t.args:
+            out |= term_vars(a)
+        return out
+    return set()
 
 
-def _substitute_consts_term(t: Term, mapping: dict[str, Term]) -> Term:
-    if isinstance(t, Const) and t.name in mapping:
-        return mapping[t.name]
+def rule_atoms(r: Rule):
+    """The atoms of a rule: its head, then its body literals in order,
+    the inner atom of a subjective literal included."""
+    yield from r.head
+    for lit in r.body:
+        yield lit.atom if isinstance(lit, ObjLiteral) else lit.katom.inner.atom
+
+
+def substitute_term(t: Term, sub: dict[str, Term], leaf: type[Var] | type[Const]) -> Term:
+    """`t` with each term of class `leaf` named in `sub` replaced: `Var`
+    when grounding, `Const` for `#const`."""
+    if isinstance(t, leaf):
+        try:
+            return sub[t.name]
+        except KeyError:  # a constant without a `#const`
+            return t
     if isinstance(t, Compound):
-        return Compound(t.functor, tuple(_substitute_consts_term(a, mapping) for a in t.args))
+        return Compound(t.functor, tuple(substitute_term(a, sub, leaf) for a in t.args))
     return t
 
 
-def _substitute_consts_atom(a: Atom, mapping: dict[str, Term]) -> Atom:
-    return Atom(a.name, tuple(_substitute_consts_term(t, mapping) for t in a.args), a.strong_neg)
+def substitute_atom(a: Atom, sub: dict[str, Term], leaf: type[Var] | type[Const]) -> Atom:
+    if not a.args:
+        return a
+    return type(a)(a.name, tuple(substitute_term(t, sub, leaf) for t in a.args), a.strong_neg)
 
 
-def _substitute_consts_rule(r: Rule, mapping: dict[str, Term]) -> Rule:
-    head = tuple(_substitute_consts_atom(a, mapping) for a in r.head)
-    body = []
+def substitute_rule(r: Rule, sub: dict[str, Term], leaf: type[Var] | type[Const]) -> Rule:
+    head = tuple(substitute_atom(a, sub, leaf) for a in r.head)
+    body: list[BodyLiteral] = []
     for lit in r.body:
         if isinstance(lit, ObjLiteral):
-            body.append(ObjLiteral(_substitute_consts_atom(lit.atom, mapping), lit.negs))
+            body.append(ObjLiteral(substitute_atom(lit.atom, sub, leaf), lit.negs))
         else:
             inner = lit.katom.inner
             body.append(SubjLiteral(
-                KAtom(ObjLiteral(_substitute_consts_atom(inner.atom, mapping), inner.negs)),
+                KAtom(ObjLiteral(substitute_atom(inner.atom, sub, leaf), inner.negs)),
                 lit.negated))
     return Rule(head, tuple(body), r.is_choice)
 
@@ -470,7 +495,7 @@ def parse_text(*sources: str, names: Sequence[str] | None = None) -> Program:
                              tok.line, tok.col, name)
         mapping[directive.name] = directive.value
     if mapping:
-        rules = [_substitute_consts_rule(r, mapping) for r in rules]
+        rules = [substitute_rule(r, mapping, Const) for r in rules]
     return Program(tuple(rules), tuple(shows), tuple(d for d, _ in consts))
 
 

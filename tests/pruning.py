@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from epiworld.epistemic import check_candidate, translate_guess
 from epiworld.grounder import ground_program
-from epiworld.optimize import add_consistency_constraints, collect_ksets, wfm_propagate
+from epiworld.optimize import add_consistency_constraints, wfm_propagate
 from epiworld.stable import Engine, projected_answer_sets
 
 
@@ -22,13 +22,12 @@ def pruning_outcomes(program) -> dict[str, tuple[set, set]]:
     Candidates are projections onto the auxiliary atoms."""
     ground = ground_program(program)
     guess, mapping = translate_guess(ground)
-    ksets = collect_ksets(ground)
     constrained = add_consistency_constraints(guess, mapping)
     variants = {
         "plain": guess,
         "constraints": constrained,
-        "wfm": wfm_propagate(guess, ksets, mapping),
-        "both": wfm_propagate(constrained, ksets, mapping),
+        "wfm": wfm_propagate(guess, ground, mapping),
+        "both": wfm_propagate(constrained, ground, mapping),
     }
     onto = frozenset(mapping.values())
     tester = Engine(ground)
@@ -49,7 +48,7 @@ def unsplit_views(program) -> list:
     ground = ground_program(program)
     guess, mapping = translate_guess(ground)
     guess = add_consistency_constraints(guess, mapping)
-    guess = wfm_propagate(guess, collect_ksets(ground), mapping)
+    guess = wfm_propagate(guess, ground, mapping)
     tester = Engine(ground)
     views = []
     for candidate in projected_answer_sets(guess, frozenset(mapping.values())):

@@ -27,7 +27,7 @@ from epiworld.epistemic import (
     translate_guess,
 )
 from epiworld.grounder import GroundProgram, ground_program, simplify
-from epiworld.optimize import collect_ksets, wfm_propagate
+from epiworld.optimize import wfm_propagate
 from epiworld.stable import answer_sets, consequences
 from epiworld.syntax import (
     Atom,
@@ -135,7 +135,7 @@ def test_criterion_04_pipeline_stage_listings():
     fixed = GroundProgram(stage2.rules + (Rule((AuxAtom("aux_a"),), ()),
                                           Rule((AuxAtom("aux_not_e"),), ())))
     stage3 = simplify(fixed)
-    final = wfm_propagate(guess, collect_ksets(ground), mapping)
+    final = wfm_propagate(guess, ground, mapping)
     aux_facts = {print_atom(a) for a in final.facts}
     ok = (guess.text() == (GOLDEN / "interplay_guess.lp").read_text()
           and stage2.text() == (GOLDEN / "interplay_simplified.lp").read_text()

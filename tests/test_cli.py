@@ -122,6 +122,17 @@ def test_parse_error_reports_position_and_exits_65(tmp_path, capsys):
     assert "Answer" not in text
 
 
+@pytest.mark.parametrize("source, message", [
+    ("p(²).\n", "1:3: unrecognized character '²'"),
+    ("p(" + "9" * 5000 + ").\n", "1:3: number too long"),
+], ids=["superscript-digit", "5000-digits"])
+def test_number_literals_int_refuses_exit_65(tmp_path, capsys, source, message):
+    code, text = run_text(tmp_path, source)
+    assert code == INPUT_ERROR
+    assert message in capsys.readouterr().err
+    assert "Answer" not in text
+
+
 def test_deeply_nested_terms_are_refused_with_a_position(tmp_path, capsys):
     def nested(depth):
         return "p(" + "f(" * depth + "a" + ")" * depth + "). q(X) :- p(X).\n"
@@ -211,6 +222,8 @@ def test_main_routes_solve_with_and_without_subcommand(tmp_path, capsys):
 def test_main_validates_bench_arguments(capsys):
     assert main(["bench", "--domain", "eligibility", "--max-n", "0"]) == INPUT_ERROR
     assert "--max-n" in capsys.readouterr().err
+    assert main(["bench", "--domain", "yale", "--reps", "0"]) == INPUT_ERROR
+    assert "--reps" in capsys.readouterr().err
 
 
 def test_installed_entry_point(tmp_path):

@@ -6,13 +6,8 @@ import random
 from corpus import random_epistemic_program
 from epiworld.epistemic import translate_guess
 from epiworld.grounder import ground_program, simplify
-from epiworld.optimize import (
-    KSets,
-    add_consistency_constraints,
-    collect_ksets,
-    wfm_propagate,
-)
-from epiworld.syntax import Atom, parse_text, print_rule
+from epiworld.optimize import add_consistency_constraints, wfm_propagate
+from epiworld.syntax import parse_text, print_rule
 from pruning import pruning_outcomes
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -23,27 +18,6 @@ TWO_CYCLE = "p :- not &k{q}. q :- not &k{p}."
 
 def translated(source):
     return translate_guess(ground_program(parse_text(source)))
-
-
-# ---------------------------------------------------------------------------
-# Subjective alphabet split
-
-
-def test_collect_ksets_splits_by_inner_negation():
-    ks = collect_ksets(ground_program(parse_text(INTERPLAY)))
-    assert ks.kplus == {Atom("a")}
-    assert ks.kminus == {Atom("d"), Atom("e")}
-
-
-def test_collect_ksets_keeps_explicit_negation_on_the_atom():
-    ks = collect_ksets(ground_program(parse_text("x :- &k{-b}, not &k{~-c}.")))
-    assert ks.kplus == {Atom("b", (), True)}
-    assert ks.kminus == {Atom("c", (), True)}
-
-
-def test_collect_ksets_without_subjective_atoms():
-    ks = collect_ksets(ground_program(parse_text("p. q :- p.")))
-    assert ks == KSets(frozenset(), frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -90,36 +64,44 @@ def test_constraints_prune_self_defeating_guesses():
 
 
 def test_wfm_interplay_reaches_the_golden_fixpoint():
-    guess, mapping = translated(INTERPLAY)
-    ksets = collect_ksets(ground_program(parse_text(INTERPLAY)))
-    final = wfm_propagate(guess, ksets, mapping)
+    ground = ground_program(parse_text(INTERPLAY))
+    guess, mapping = translate_guess(ground)
+    final = wfm_propagate(guess, ground, mapping)
     assert final.text() == (GOLDEN / "interplay_wfm.lp").read_text()
     assert not any(r.is_choice for r in final.rules)
 
 
 def test_wfm_fixes_known_positive_atoms_in_cascade():
-    src = "a :- not b. c :- &k{a}. d :- &k{c}."
-    guess, mapping = translated(src)
-    final = wfm_propagate(guess, collect_ksets(ground_program(parse_text(src))), mapping)
+    ground = ground_program(parse_text("a :- not b. c :- &k{a}. d :- &k{c}."))
+    guess, mapping = translate_guess(ground)
+    final = wfm_propagate(guess, ground, mapping)
     assert final.text() == "a.\nc.\nd.\naux_a.\naux_c.\n"
 
 
 def test_wfm_fixes_atoms_that_can_never_become_heads():
-    src = "d :- not &k{~e}."
-    guess, mapping = translated(src)
-    final = wfm_propagate(guess, collect_ksets(ground_program(parse_text(src))), mapping)
+    ground = ground_program(parse_text("d :- not &k{~e}."))
+    guess, mapping = translate_guess(ground)
+    final = wfm_propagate(guess, ground, mapping)
     assert final.text() == "aux_not_e.\n"
 
 
+def test_wfm_keeps_explicit_negation_on_the_inner_atom():
+    # -b is a fact, so &k{-b} is fixed; nothing heads -c, so &k{~-c} is.
+    ground = ground_program(parse_text("-b. x :- &k{-b}, not &k{~-c}."))
+    guess, mapping = translate_guess(ground)
+    final = wfm_propagate(guess, ground, mapping)
+    assert final.text() == "-b.\naux_sn_b.\naux_not_sn_c.\n"
+
+
 def test_wfm_leaves_undetermined_guesses_alone():
-    guess, mapping = translated(TWO_CYCLE)
-    ksets = collect_ksets(ground_program(parse_text(TWO_CYCLE)))
-    assert wfm_propagate(guess, ksets, mapping).rules == guess.rules
+    ground = ground_program(parse_text(TWO_CYCLE))
+    guess, mapping = translate_guess(ground)
+    assert wfm_propagate(guess, ground, mapping).rules == guess.rules
 
 
 def test_wfm_without_subjective_atoms_is_plain_simplification():
     g = ground_program(parse_text("a :- not b. c :- a."))
-    out = wfm_propagate(g, KSets(frozenset(), frozenset()), {})
+    out = wfm_propagate(g, g, {})
     assert out == simplify(g)
 
 

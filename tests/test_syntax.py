@@ -17,6 +17,7 @@ from epiworld.syntax import (
     Program,
     Rule,
     ShowDirective,
+    SourceError,
     SubjLiteral,
     Var,
     parse_text,
@@ -70,6 +71,18 @@ def test_tokenize_rejects_unknown_ampersand_word():
 def test_tokenize_rejects_unknown_character():
     with pytest.raises(LexError, match=r"unrecognized character '\$'"):
         tokenize("p :- $q.")
+
+
+def test_number_literals_int_refuses_are_source_errors():
+    # '²'.isdigit() holds but int('²') fails; Python's int() refuses
+    # literals longer than its digit limit (4300 by default).
+    with pytest.raises(LexError, match=r"1:3: unrecognized character '²'"):
+        parse_text("p(²).")
+    with pytest.raises(ParseError, match="1:3: number too long"):
+        parse_text("p(" + "9" * 5000 + ").")
+    with pytest.raises(ParseError, match="1:9: number too long"):
+        parse_text("#show p/" + "9" * 5000 + ".")
+    assert parse_text("p(٣).").rules[0].head[0].args == (Num(3),)
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +297,17 @@ _programs = st.builds(
 @given(_programs)
 def test_printer_output_parses_back_to_same_ast(program):
     assert parse_text(print_program(program)) == program
+
+
+_pieces = st.sampled_from([":-", "&k", "&m", "{", "}", "~", "-", "not ", "#show ", "#const ",
+                           "p(", ")", ",", ";", ".", "/", "=", "p", "X", "7", "²", " ", "\n",
+                           "%"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.lists(_pieces).map("".join))
+def test_parse_text_raises_only_source_errors(text):
+    try:
+        parse_text(text)
+    except SourceError:
+        pass
