@@ -62,7 +62,8 @@ class WorldView:
     def cautious(self) -> frozenset[Atom]:
         """Program atoms true in every answer set; machinery atoms are
         projected away, as in `expand_world_view`."""
-        return _program_atoms(self.engine.consequences(self.components).cautious)
+        cautious, _ = self.engine.fold(self.components)
+        return _program_atoms(self.engine.to_interpretation(cautious))
 
 
 @dataclass
@@ -318,11 +319,12 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     share no atom, subjective atoms included.  Each part's candidates
     are the product of its own guess components only, and the
     consequence check confirms them against its own rules only, counting
-    into `stats`.  The world views are the products of the parts'
-    confirmed views, yielded lazily in the order the unsplit guess
-    program would give: lexicographic over its components.  Stop the
-    generator early (say with `itertools.islice`) to skip the remaining
-    candidates.
+    into `stats`.  The world views are the lazy product of the parts'
+    confirmed views, parts in the order of their first guess component
+    (parts without one last) and the last part varying fastest; each
+    part's views come in the lexicographic order of its components.
+    Stop the generator early (say with `itertools.islice`) to skip the
+    remaining candidates.
 
     Only disjoint splitting is sound under the G91 semantics: general
     top/bottom epistemic splitting, which would solve a bottom part and
@@ -346,66 +348,48 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     # the ground program.  A component without auxiliary atoms offers
     # nothing to choose.
     katom_of = {aux: k for k, aux in mapping.items()}
-    owner: list[int] = []
     options: list[list[list[frozenset[Atom]]]] = [[] for _ in tester.part_rules]
+    order: list[int] = []  # parts in order of their first guess component
     for comp in components:
         aux = next((a for projection in comp for a in projection), None)
         if aux is not None:
-            owner.append(tester.part_of[katom_of[aux]])
-            options[owner[-1]].append(comp)
+            j = tester.part_of[katom_of[aux]]
+            if not options[j]:
+                order.append(j)
+            options[j].append(comp)
+    order += [j for j, comps in enumerate(options) if not comps]
     katoms: list[list[KAtom]] = [[] for _ in tester.part_rules]
     for k in mapping:
         katoms[tester.part_of[k]].append(k)
 
     def part_views(j: int):
-        for key in itertools.product(*(range(len(comp)) for comp in options[j])):
-            guessed = frozenset().union(*(comp[i] for comp, i in zip(options[j], key)))
+        for combo in itertools.product(*options[j]):
+            guessed = frozenset().union(*combo)
             stats.candidates += 1
             view = check_candidate(tester, {k: mapping[k] in guessed for k in katoms[j]}, j)
             if view is not None:
                 stats.accepted += 1
-                yield key, view
+                yield view
 
-    streams = [part_views(j) for j in range(len(tester.part_rules))]
-    for views in _ordered_product(owner, streams):
-        valuation = {}
-        for view in views:
-            valuation.update(view.valuation)
+    for views in _product([part_views(j) for j in order]):
+        valuation = {k: v for view in views for k, v in view.valuation.items()}
         yield WorldView({k: valuation[k] for k in mapping}, tester,
                         [comp for view in views for comp in view.components])
 
 
-def _ordered_product(owner: list[int], streams: list) -> Iterator[list]:
-    """Lazy product of the parts' views, in lexicographic order of the
-    guess components.
+def _product(streams: list[Iterator]) -> Iterator[list]:
+    """Lazy product of the parts' views, the last part varying fastest.
 
-    `owner[p]` is the part of guess component p, components in guess
-    order.  `streams[j]` yields part j's views as (key, view) pairs in
-    ascending order of key, where key[t] indexes the projection taken
-    from part j's t-th component.  A combination's order key interleaves
-    the parts' keys by `owner`.  Each stream is read as far as the
-    output needs, plus one view, and nothing is yielded unless every
-    part has a view.
-
-    The state is an odometer over the components: `cur[j]` is the view
-    of part j in the current combination and `start[p]` the first view
-    of part j = owner[p] that agrees with it up to component p.  To
-    advance, the deepest component whose part has a next view that
-    agrees with the current one on the part's earlier components moves
-    to that view, and every deeper component restarts at the first view
-    that agrees with what is left above it.  A part's views are kept for
-    these restarts, except when all its components come first (a
-    program of one part, say): that part never goes back, so it keeps
-    only its current view and the one after.
+    Each stream is read as far as the output needs, plus one view, and
+    nothing is yielded unless every part has a view; zero parts yield
+    one empty combination.  Every part but the first keeps its views to
+    start over from; the first never goes back, so it keeps only its
+    current view and the next, and a program of one part streams.
     """
     seen: list[list] = [[] for _ in streams]
-    dropped = [0] * len(streams)  # views of part j before seen[j][0]
-
-    def view(j: int, i: int):
-        return seen[j][i - dropped[j]]
 
     def has(j: int, i: int) -> bool:
-        while dropped[j] + len(seen[j]) <= i:
+        while len(seen[j]) <= i:
             item = next(streams[j], None)
             if item is None:
                 return False
@@ -414,31 +398,16 @@ def _ordered_product(owner: list[int], streams: list) -> Iterator[list]:
 
     if not all(has(j, 0) for j in range(len(streams))):
         return
-    rank: list[int] = []  # position of component p among its part's
-    prev: list[int] = []  # the part's component before p, or -1
-    last: dict[int, int] = {}
-    for p, j in enumerate(owner):
-        prev.append(last.get(j, -1))
-        rank.append(rank[prev[p]] + 1 if prev[p] >= 0 else 0)
-        last[j] = p
-    first = owner[0] if owner else None
-    forgetful = first is not None and all(owner[p] == first for p in range(last[first] + 1))
     cur = [0] * len(streams)
-    start = [0] * len(owner)
     while True:
-        yield [view(j, cur[j])[1] for j in range(len(streams))]
-        for p in reversed(range(len(owner))):
-            j, t = owner[p], rank[p]
-            nxt = cur[j] + 1
-            if has(j, nxt) and view(j, nxt)[0][:t] == view(j, cur[j])[0][:t]:
+        yield [seen[j][i] for j, i in enumerate(cur)]
+        for j in reversed(range(len(streams))):
+            if has(j, cur[j] + 1):
                 break
+            cur[j] = 0
         else:
             return
-        cur[j] = start[p] = nxt
-        if forgetful and j == first:
-            del seen[j][:nxt - dropped[j]]
-            dropped[j] = nxt
-        for q in range(p + 1, len(owner)):
-            if prev[q] <= p:
-                cur[owner[q]] = start[prev[q]] if prev[q] >= 0 else 0
-            start[q] = cur[owner[q]]
+        if j == 0:
+            del seen[0][0]
+        else:
+            cur[j] += 1

@@ -252,6 +252,9 @@ class Engine:
         for i, (_, is_complement, a) in enumerate(keyed):
             (complement if is_complement else self.index)[a] = i
         index = self.index
+        # Bit position to atom; a complement bit maps to its choice atom,
+        # so masks are cut to `base_mask` before a lookup.
+        self.atom_of = [a for _, _, a in keyed]
         self.width = len(keyed)
         self.base_mask = sum(1 << i for i in index.values())
         self.kbit = kbit = {k: 1 << i for i, k in enumerate(katoms)}
@@ -373,9 +376,13 @@ class Engine:
                                self.to_interpretation(brave), True)
 
     def to_interpretation(self, m: int) -> frozenset[Atom]:
-        bits = format(m, f"0{self.width}b")  # bit i is bits[-1 - i]
-        top = self.width - 1
-        return frozenset(a for a, i in self.index.items() if bits[top - i] == "1")
+        m &= self.base_mask
+        atoms = []
+        while m:
+            i = m.bit_length() - 1
+            atoms.append(self.atom_of[i])
+            m ^= 1 << i
+        return frozenset(atoms)
 
 
 # ---------------------------------------------------------------------------

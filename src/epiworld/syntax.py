@@ -420,13 +420,14 @@ class _Parser:
             raise ParseError("number too long", tok.line, tok.col) from None
 
 
-def term_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
+def term_vars(t: Term, leaf: type[Var] | type[Const] = Var) -> set[str]:
+    """Names of the terms of class `leaf` in `t`, variables by default."""
+    if isinstance(t, leaf):
         return {t.name}
     if isinstance(t, Compound):
         out: set[str] = set()
         for a in t.args:
-            out |= term_vars(a)
+            out |= term_vars(a, leaf)
         return out
     return set()
 
@@ -474,9 +475,11 @@ def substitute_rule(r: Rule, sub: dict[str, Term], leaf: type[Var] | type[Const]
 
 def parse_text(*sources: str, names: Sequence[str] | None = None) -> Program:
     """One program from one or more source texts.  Each `#const` is
-    substituted into the rules of every text, and a constant may be
-    defined only once across all of them.  `names`, one per text (say
-    file names), prefix the position of an error in that text."""
+    substituted into the rules of every text, a constant may be defined
+    only once across all of them, and a value that the substitution
+    would change (one naming a defined constant) is refused.  `names`,
+    one per text (say file names), prefix the position of an error in
+    that text."""
     rules: list[Rule] = []
     shows: list[ShowDirective] = []
     consts: list[tuple[ConstDirective, Token]] = []
@@ -494,6 +497,15 @@ def parse_text(*sources: str, names: Sequence[str] | None = None) -> Program:
             raise ParseError(f"constant {directive.name!r} defined twice",
                              tok.line, tok.col, name)
         mapping[directive.name] = directive.value
+    # A value naming a defined constant is refused, not expanded: chains
+    # could expand to terms of any size.
+    for (directive, tok), name in zip(consts, origin):
+        chained = sorted(c for c in term_vars(directive.value, Const)
+                         if mapping.get(c, Const(c)) != Const(c))
+        if chained:
+            raise ParseError(f"the value of constant {directive.name!r} names constant "
+                             f"{chained[0]!r}; chained #const definitions are refused",
+                             tok.line, tok.col, name)
     if mapping:
         rules = [substitute_rule(r, mapping, Const) for r in rules]
     return Program(tuple(rules), tuple(shows), tuple(d for d, _ in consts))

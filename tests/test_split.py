@@ -13,7 +13,7 @@ import random
 import weakref
 
 from corpus import random_epistemic_program
-from epiworld.epistemic import SolveStats, _ordered_product, oracle_world_views, solve
+from epiworld.epistemic import SolveStats, _product, oracle_world_views, solve
 from epiworld.grounder import ground_program
 from epiworld.stable import Engine
 from epiworld.syntax import (Atom, KAtom, ObjLiteral, Program, Rule, SubjLiteral,
@@ -132,46 +132,67 @@ def test_the_empty_program_has_no_parts_and_one_view():
     check(Program(()))
 
 
-def test_ordered_product_interleaves_the_parts_keys():
-    # Reference: the whole product, sorted on the interleaved key.
+def test_product_matches_itertools_product():
     rng = random.Random(66)
     for _ in range(300):
-        parts = rng.randint(1, 3)
-        owner = [rng.randrange(parts) for _ in range(rng.randint(0, 6))]
-        keys = []
-        for j in range(parts):
-            sizes = [rng.randint(1, 3) for p in owner if p == j]
-            every = list(itertools.product(*map(range, sizes)))
-            keys.append(sorted(rng.sample(every, rng.randint(1, len(every)))))
-
-        def order(combo):
-            ranks = [0] * parts
-            out = []
-            for j in owner:
-                out.append(combo[j][ranks[j]])
-                ranks[j] += 1
-            return out
-
-        want = sorted(itertools.product(*keys), key=order)
-        streams = [iter([(k, k) for k in part]) for part in keys]
-        assert [tuple(c) for c in _ordered_product(owner, streams)] == want
-        if any(not part for part in keys):
-            continue
-        keys[-1] = []
-        assert list(_ordered_product(owner, [iter([(k, k) for k in part])
-                                             for part in keys])) == []
+        parts = [list(range(rng.randint(0, 4))) for _ in range(rng.randint(0, 4))]
+        want = [list(combo) for combo in itertools.product(*parts)]
+        assert list(_product([iter(part) for part in parts])) == want
+    assert list(_product([])) == [[]]
 
 
-def test_ordered_product_of_one_part_keeps_no_old_views():
-    # A program of one part streams its views as the unsplit guess did,
-    # without holding on to the ones already yielded.
+def test_product_reads_each_part_one_view_ahead():
+    read = [0, 0]
+
+    def stream(j, n):
+        for i in range(n):
+            read[j] += 1
+            yield i
+
+    product = _product([stream(0, 5), stream(1, 3)])
+    assert next(product) == [0, 0] and read == [1, 1]
+    assert next(product) == [0, 1] and read == [1, 2]
+    read[:] = [0, 0]
+    assert list(_product([stream(0, 5), stream(1, 0)])) == [] and read == [1, 0]
+
+
+def test_product_keeps_two_views_of_the_first_part():
+    # The first part never goes back, so a program of one part streams
+    # its views without holding on to the ones already yielded.
     class View:
         pass
 
-    alive = []
-    stream = (((i // 10, i % 10), View()) for i in range(100))
-    for (view,) in _ordered_product([0, 0], [stream]):
-        alive.append(weakref.ref(view))
-        del view
-        assert sum(ref() is not None for ref in alive) <= 2
-    assert len(alive) == 100
+    for others in ([], [iter(range(3))]):
+        alive = []
+        stream = (View() for _ in range(100))
+        for view, *_ in _product([stream] + others):
+            if not alive or alive[-1]() is not view:
+                alive.append(weakref.ref(view))
+            del view
+            assert sum(ref() is not None for ref in alive) <= 2
+        assert len(alive) == 100
+
+
+# `z` ties a and c into one part, and the wfm pass drops its rule from the
+# guess program (g heads no rule), so part (a, c) owns guess components on
+# both sides of part b's: the views no longer follow one unsplit guess.
+INTERLEAVED = """a1 :- not &k{a2}. a2 :- not &k{a1}.
+b1 :- not &k{b2}. b2 :- not &k{b1}.
+c1 :- not &k{c2}. c2 :- not &k{c1}.
+z :- &k{a1}, &k{c1}, g.
+"""
+
+
+def known(wv):
+    return " ".join(print_atom(k.inner.atom) for k in wv.known())
+
+
+def test_parts_are_ordered_by_their_first_guess_component():
+    stats = SolveStats()
+    got = [known(wv) for wv in solve(parse_text(INTERLEAVED), stats=stats)]
+    assert stats.parts == 2
+    assert got == ["a2 b2 c2", "a2 b1 c2", "a2 b2 c1", "a2 b1 c1",
+                   "a1 b2 c2", "a1 b1 c2", "a1 b2 c1", "a1 b1 c1"]
+    # One guess over the whole program swaps answers 2/3 and 6/7.
+    unsplit = [known(wv) for wv in unsplit_views(parse_text(INTERLEAVED))]
+    assert unsplit == [got[i] for i in (0, 2, 1, 3, 4, 6, 5, 7)]

@@ -238,6 +238,23 @@ def test_const_directive_rejects_duplicates():
         parse_text("#const n = 1. #const n = 2.")
 
 
+@pytest.mark.parametrize("source, where, named", [
+    ("#const n = m. #const m = 3. p(n).", "1:1", "'n' names constant 'm'"),
+    ("#const n = m. #const m = n. p(n).", "1:1", "'n' names constant 'm'"),
+    ("#const m = 3.\n#const n = f(1, g(m)).", "2:1", "'n' names constant 'm'"),
+    ("#const n = f(n).", "1:1", "'n' names constant 'n'"),
+])
+def test_const_directive_rejects_chains(source, where, named):
+    with pytest.raises(ParseError, match="chained #const") as info:
+        parse_text(source)
+    assert str(info.value).startswith(f"{where}: the value of constant {named}")
+
+
+def test_const_directive_may_name_undefined_constants():
+    assert parse_text("#const n = m. p(n).").rules == parse_text("p(m).").rules
+    assert parse_text("#const n = n. p(n).").rules == parse_text("p(n).").rules
+
+
 def test_const_directive_rejects_variables():
     with pytest.raises(ParseError, match="must be ground"):
         parse_text("#const n = f(X).")
