@@ -27,7 +27,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .grounder import GroundProgram, ground_program, program_safety_check
+from .grounder import GroundProgram, ground_program
 from .optimize import add_consistency_constraints, wfm_propagate
 from .stable import Engine, projected_components
 from .syntax import (Atom, AuxAtom, KAtom, ObjLiteral, Program, Rule,
@@ -171,13 +171,12 @@ def expand_world_view(wv: WorldView) -> list[frozenset[Atom]]:
 
 
 def _ground(program: Program, semantics: str) -> GroundProgram:
-    """Front end of both paths: the semantics' source transform, the
-    safety check and grounding."""
+    """Front end of both paths: the semantics' source transform, then
+    grounding, which checks safety first."""
     if semantics == "k15":
         program = k15_transform(program)
     elif semantics != "g91":
         raise ValueError(f"unknown semantics {semantics!r}")
-    program_safety_check(program)
     return ground_program(program)
 
 

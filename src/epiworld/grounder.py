@@ -1,9 +1,15 @@
 """Variable instantiation and ground-program simplification.
 
-`ground_program` substitutes every variable by the ground terms that
-occur in the program, through `syntax.substitute_rule`, which also
-applies `#const`; rules that are already ground pass through
-unchanged.  `simplify` closes a ground program under the usual
+`ground_program` instantiates rules bottom-up: it derives the atoms
+that can still be derived when `not` and subjective literals are
+ignored, and instantiates each rule with variables once per way its
+positive objective body matches them (a semi-naive fixpoint; Kaminski
+and Schaub, "On the Foundations of Grounding in Answer Set
+Programming", TPLP 2023).  Terms that rule heads build, such as f(a)
+from p(f(X)), are followed.  Rules that are already ground pass
+through unchanged.  `MAX_INSTANCES` and `syntax.MAX_TERM_DEPTH` bound
+the work, so a program whose instances grow without end is refused
+with `GroundingError`.  `simplify` closes a ground program under the usual
 fact/head rewrites until nothing changes; the result bounds the
 well-founded consequences from both sides (its facts are cautious
 consequences of the input, its heads cover the brave ones).
@@ -11,12 +17,11 @@ consequences of the input, its heads cover the brave ones).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .syntax import (Atom, Compound, ObjLiteral, Program, Rule, SubjLiteral,
-                     Term, Var, print_rule, print_term, rule_atoms,
+from .syntax import (MAX_TERM_DEPTH, Atom, Compound, ObjLiteral, Program, Rule,
+                     SubjLiteral, Term, Var, print_rule, rule_atoms, substitute_atom,
                      substitute_rule, term_vars)
 
 
@@ -100,46 +105,149 @@ class GroundProgram:
         return "".join(print_rule(r) + "\n" for r in self.rules)
 
 
-def _collect_ground_terms(t: Term, out: set[Term]) -> None:
-    if isinstance(t, Var):
-        return
+# Most rule instances grounding may create, and so (with the heads of
+# the ground rules) most atoms it may derive.  A program past it is
+# refused with GroundingError instead of exhausting memory.
+MAX_INSTANCES = 100_000
+
+
+def _depth(t: Term) -> int:
     if isinstance(t, Compound):
-        if not term_vars(t):
-            out.add(t)
-        for a in t.args:
-            _collect_ground_terms(a, out)
-        return
-    out.add(t)
+        return 1 + max(_depth(a) for a in t.args)
+    return 0
 
 
-def ground_terms(program: Program) -> list[Term]:
-    """All ground terms (and ground subterms) occurring in the program."""
-    out: set[Term] = set()
-    for r in program.rules:
-        for a in rule_atoms(r):
-            for t in a.args:
-                _collect_ground_terms(t, out)
-    return sorted(out, key=print_term)
+def _match(pattern: Term, t: Term, sub: dict[str, Term]) -> bool:
+    """Extend `sub` so that `pattern` under it equals the ground `t`
+    (one-way unification).  `sub` may be left partly extended on
+    failure."""
+    if isinstance(pattern, Var):
+        return sub.setdefault(pattern.name, t) == t
+    if isinstance(pattern, Compound):
+        return (isinstance(t, Compound) and t.functor == pattern.functor
+                and len(t.args) == len(pattern.args)
+                and all(_match(p, a, sub) for p, a in zip(pattern.args, t.args)))
+    return pattern == t
+
+
+def _key(a: Atom) -> tuple:
+    # The class keeps an `AuxAtom` apart from the program atom it prints as.
+    return type(a), a.name, len(a.args), a.strong_neg
+
+
+class _Derivable:
+    """The atoms derived so far, by key and in derivation order.
+
+    `position` gives each atom's index in the list of its key, so a
+    round of the semi-naive fixpoint can tell the atoms of earlier
+    rounds, [0, lo), from those of the last round, [lo, hi), where lo
+    and hi are the list lengths at the start of the last round and of
+    this one.
+    """
+
+    def __init__(self) -> None:
+        self.atoms: dict[tuple, list[Atom]] = {}
+        self.position: dict[Atom, int] = {}
+
+    def add(self, a: Atom) -> bool:
+        if a in self.position:
+            return False
+        found = self.atoms.setdefault(_key(a), [])
+        self.position[a] = len(found)
+        found.append(a)
+        return True
+
+    def sizes(self) -> dict[tuple, int]:
+        return {k: len(v) for k, v in self.atoms.items()}
+
+    def join(self, body: list[Atom], lo: dict, hi: dict):
+        """Substitutions that match every atom of `body` against a
+        derived atom of a round before this one, at least one of them
+        against an atom of the last round.  The first such body atom is
+        atom i: atoms before it match older atoms, atoms after it any
+        atom up to hi, so each substitution comes once."""
+        for i in range(len(body)):
+            key = _key(body[i])
+            if lo.get(key, 0) < hi.get(key, 0):
+                yield from self._extend(body, 0, i, {}, lo, hi)
+
+    def _extend(self, body, j, i, sub, lo, hi):
+        if j == len(body):
+            yield sub
+            return
+        pattern = body[j]
+        key = _key(pattern)
+        start = lo.get(key, 0) if j == i else 0
+        stop = lo.get(key, 0) if j < i else hi.get(key, 0)
+        if atom_vars(pattern) <= sub.keys():
+            at = self.position.get(substitute_atom(pattern, sub, Var), -1)
+            if start <= at < stop:
+                yield from self._extend(body, j + 1, i, sub, lo, hi)
+            return
+        for a in self.atoms.get(key, [])[start:stop]:
+            s = dict(sub)
+            if all(_match(p, t, s) for p, t in zip(pattern.args, a.args)):
+                yield from self._extend(body, j + 1, i, s, lo, hi)
 
 
 def ground_program(program: Program) -> GroundProgram:
-    """Instantiate every rule over the program's ground terms.
+    """Instantiate each rule once per substitution that matches its
+    positive objective body against the derivable atoms.
 
-    Ground rules are kept verbatim, so grounding is the identity on
-    ground programs.
+    An atom is derivable when it heads a rule (choice rules included)
+    whose positive objective body atoms are all derivable; `not`,
+    `not not` and subjective literals are ignored, so the derivable
+    atoms cover every answer set of every reduct.  They are found by a
+    semi-naive fixpoint that instantiates the rules as it goes.  Rules
+    without variables are kept verbatim, so grounding is the identity
+    on ground programs, and a ground program skips the fixpoint.
+    Instances come in program rule order, then in order of derivation.
+    Unsafe rules raise `SafetyError`; more than `MAX_INSTANCES`
+    instances, or a derived term nested deeper than `MAX_TERM_DEPTH`,
+    raise `GroundingError`.
     """
-    terms = ground_terms(program)
+    program_safety_check(program)
+    rules = program.rules
+    variable = [bool(rule_vars(r)) for r in rules]
+    if not any(variable):
+        return GroundProgram(rules)
+    bodies = [[lit.atom for lit in r.body if isinstance(lit, ObjLiteral) and lit.negs == 0]
+              for r in rules]
+    found: list[list[dict[str, Term]]] = [[] for _ in rules]
+    derived = _Derivable()
+    count = 0
+
+    def fire(j: int, sub: dict[str, Term]) -> None:
+        nonlocal count
+        rule = rules[j]
+        if variable[j]:
+            count += 1
+            if count > MAX_INSTANCES:
+                raise GroundingError(f"grounding creates more than {MAX_INSTANCES} rule "
+                                     f"instances, at rule: {print_rule(rule)}")
+            found[j].append(sub)
+        for a in rule.head:
+            if sub:
+                a = substitute_atom(a, sub, Var)
+            if derived.add(a) and any(_depth(t) > MAX_TERM_DEPTH for t in a.args):
+                raise GroundingError(f"a derived term nests deeper than {MAX_TERM_DEPTH}, "
+                                     f"at rule: {print_rule(rule)}")
+
+    for j, body in enumerate(bodies):
+        if not body:
+            fire(j, {})
+    lo, hi = {}, derived.sizes()
+    while lo != hi:
+        for j, body in enumerate(bodies):
+            for sub in derived.join(body, lo, hi):
+                fire(j, sub)
+        lo, hi = hi, derived.sizes()
     out: list[Rule] = []
-    for rule in program.rules:
-        vs = sorted(rule_vars(rule))
-        if not vs:
+    for j, rule in enumerate(rules):
+        if variable[j]:
+            out.extend(substitute_rule(rule, sub, Var) for sub in found[j])
+        else:
             out.append(rule)
-            continue
-        if not terms:
-            raise GroundingError(
-                f"rule uses variables but the program has no ground terms: {print_rule(rule)}")
-        for combo in itertools.product(terms, repeat=len(vs)):
-            out.append(substitute_rule(rule, dict(zip(vs, combo)), Var))
     return GroundProgram(tuple(out))
 
 

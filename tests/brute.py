@@ -5,16 +5,20 @@ choice rules into a complementary pair over a fresh `zz_` atom, walk
 every subset of the atom universe, take the reduct by hand, check the
 model property against every rule, and check minimality against every
 proper subset.  `subjective_reduct` evaluates each subjective literal
-against a world by the definition.  No sharing with the package
-internals beyond the AST and the `GroundProgram` container.
+against a world by the definition.  `cross_product_ground` instantiates
+every rule over all ground terms of the program, derivable or not.  No
+sharing with the package internals beyond the AST, its walks and the
+`GroundProgram` container.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from epiworld.grounder import GroundProgram
-from epiworld.syntax import Atom, ObjLiteral, Rule, SubjLiteral, print_atom
+from epiworld.grounder import GroundProgram, rule_vars
+from epiworld.syntax import (Atom, Compound, ObjLiteral, Rule, SubjLiteral, Var,
+                             print_atom, print_term, rule_atoms, substitute_rule,
+                             term_vars)
 
 
 def _expand(rules):
@@ -164,3 +168,43 @@ def subjective_reduct(program, world) -> GroundProgram:
             body = tuple(lit for lit in r.body if not isinstance(lit, SubjLiteral))
             rules.append(Rule(r.head, body, r.is_choice))
     return GroundProgram(tuple(rules))
+
+
+def _collect_ground_terms(t, out: set) -> None:
+    if isinstance(t, Var):
+        return
+    if isinstance(t, Compound):
+        if not term_vars(t):
+            out.add(t)
+        for a in t.args:
+            _collect_ground_terms(a, out)
+        return
+    out.add(t)
+
+
+def ground_terms(program) -> list:
+    """All ground terms (and ground subterms) occurring in the program."""
+    out: set = set()
+    for r in program.rules:
+        for a in rule_atoms(r):
+            for t in a.args:
+                _collect_ground_terms(t, out)
+    return sorted(out, key=print_term)
+
+
+def cross_product_ground(program) -> GroundProgram:
+    """Reference grounder: every rule with variables instantiated over
+    every tuple of the program's ground terms, whether its body can be
+    derived or not; ground rules are kept verbatim.  It never builds a
+    term the program text lacks, so it is complete only on programs
+    without function symbols."""
+    terms = ground_terms(program)
+    out = []
+    for rule in program.rules:
+        vs = sorted(rule_vars(rule))
+        if not vs:
+            out.append(rule)
+            continue
+        for combo in itertools.product(terms, repeat=len(vs)):
+            out.append(substitute_rule(rule, dict(zip(vs, combo)), Var))
+    return GroundProgram(tuple(out))

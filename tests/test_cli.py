@@ -4,6 +4,7 @@ import csv
 import io
 import pathlib
 import re
+import resource
 import subprocess
 import sys
 
@@ -214,6 +215,26 @@ def test_unsafe_program_exits_65(tmp_path, capsys):
     code, _ = run_text(tmp_path, "p(X) :- not q(X). q(a).\n")
     assert code == INPUT_ERROR
     assert "unsafe variable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source, message", [
+    ("p(a). p(f(X)) :- p(X).\n",
+     "error: a derived term nests deeper than 100, at rule: p(f(X)) :- p(X)."),
+    ("".join(f"q({i}). " for i in range(50)) + "p(X,Y,Z) :- q(X), q(Y), q(Z).\n",
+     "error: grounding creates more than 100000 rule instances, "
+     "at rule: p(X,Y,Z) :- q(X), q(Y), q(Z)."),
+], ids=["divergent", "wide-join"])
+def test_grounding_past_its_limits_exits_65(tmp_path, source, message):
+    # In a child process, so that a missing limit fails after 30 s
+    # instead of stalling the suite; ru_maxrss is in KiB on Linux.
+    path = tmp_path / "in.lp"
+    path.write_text(source)
+    proc = subprocess.run([sys.executable, "-m", "epiworld", str(path)],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == INPUT_ERROR
+    assert message in proc.stderr
+    assert "Answer" not in proc.stdout
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 512 * 1024
 
 
 @pytest.mark.parametrize("source, semantics, shown", [

@@ -1,23 +1,28 @@
 """Safety checking, instantiation, and ground-program simplification."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from brute import brute_answer_sets
-from corpus import random_ground_rules
+from brute import brute_answer_sets, cross_product_ground, ground_terms
+from corpus import random_ground_rules, random_safe_program
+from epiworld.cli import YALE_INSTANCES, yale_source
+from epiworld.epistemic import (expand_world_view, k15_transform, oracle_world_views,
+                                solve, subjective_atoms)
 from epiworld.grounder import (
+    MAX_INSTANCES,
     GroundProgram,
     GroundingError,
     SafetyError,
     ground_program,
-    ground_terms,
     program_safety_check,
     safety_check,
     simplify,
 )
 from epiworld.stable import answer_sets
-from epiworld.syntax import Atom, Compound, Const, Num, parse_text, print_atom
+from epiworld.syntax import (Atom, Compound, Const, Num, ObjLiteral, Program, parse_text,
+                             print_atom, print_subjective)
 
 
 def rules_of(source):
@@ -62,7 +67,7 @@ def test_program_safety_check_scans_all_rules():
 
 
 # ---------------------------------------------------------------------------
-# Ground terms and instantiation
+# Ground terms and the reference grounder
 
 
 def test_ground_terms_include_subterms():
@@ -76,9 +81,26 @@ def test_ground_terms_skip_non_ground_compounds():
     assert ground_terms(program) == [Const("a"), Const("b")]
 
 
+def test_grounding_is_a_full_cross_product():
+    ground = cross_product_ground(parse_text("q(a). r(b). s(c). p(X, Y) :- q(X), q(Y)."))
+    assert len(ground.rules) == 3 + 9
+
+
+# ---------------------------------------------------------------------------
+# Instantiation
+
+
 def test_grounding_is_identity_on_ground_programs():
     program = parse_text("p. q :- p, not r. {s}. a, b :- not not c.")
     assert ground_program(program).rules == program.rules
+
+
+@pytest.mark.parametrize("name", YALE_INSTANCES)
+def test_grounding_is_identity_on_the_yale_programs(name):
+    program = parse_text(yale_source(name))
+    assert ground_program(program).rules == program.rules
+    transformed = k15_transform(program)
+    assert ground_program(transformed).rules == transformed.rules
 
 
 def test_grounding_instantiates_over_all_terms():
@@ -89,9 +111,35 @@ def test_grounding_instantiates_over_all_terms():
     assert len(ground.rules) == 4
 
 
-def test_grounding_is_a_full_cross_product():
+def test_grounding_instantiates_only_derivable_bodies():
     ground = ground_program(parse_text("q(a). r(b). s(c). p(X, Y) :- q(X), q(Y)."))
-    assert len(ground.rules) == 3 + 9
+    assert ground.text() == "q(a).\nr(b).\ns(c).\np(a,a) :- q(a), q(a).\n"
+
+
+def test_grounding_follows_choices_and_ignores_negation_and_subjective_literals():
+    source = ("{q(a)}. r(b) :- not q(b). s(c) :- &k{ q(c) }. "
+              "p(X) :- q(X), not r(X). t(X) :- r(X), not not q(X). u(X) :- s(X).")
+    ground = ground_program(parse_text(source))
+    assert [r for r in ground.rules if r.head[0].name in "ptu"] == list(rules_of(
+        "p(a) :- q(a), not r(a). t(b) :- r(b), not not q(b). u(c) :- s(c)."))
+
+
+def test_grounding_keeps_rule_order_then_derivation_order():
+    source = "e(1,2). e(2,3). e(3,4). t(X,Y) :- e(X,Y). t(X,Z) :- e(X,Y), t(Y,Z)."
+    text = ground_program(parse_text(source)).text().splitlines()
+    assert text[3:] == [
+        "t(1,2) :- e(1,2).", "t(2,3) :- e(2,3).", "t(3,4) :- e(3,4).",
+        "t(1,3) :- e(1,2), t(2,3).", "t(2,4) :- e(2,3), t(3,4).",
+        "t(1,4) :- e(1,2), t(2,4).",
+    ]
+
+
+def test_grounding_keeps_machinery_atoms_apart_from_their_look_alikes():
+    ground = ground_program(k15_transform(parse_text(
+        "k15aux_1(a). q(a). p(X) :- q(X), not &k{ r(X) }. s(X) :- k15aux_1(X).")))
+    assert [r for r in ground.rules if r.head and r.head[0].name == "s"] == list(
+        rules_of("s(a) :- k15aux_1(a)."))
+    assert len([r for r in ground.rules if r.head and r.head[0].name == "p"]) == 1
 
 
 def test_grounding_substitutes_inside_subjective_atoms():
@@ -100,9 +148,91 @@ def test_grounding_substitutes_inside_subjective_atoms():
     assert rule.body[1].katom.inner.atom == Atom("r", (Const("a"),))
 
 
-def test_grounding_without_terms_fails():
-    with pytest.raises(GroundingError, match="no ground terms"):
-        ground_program(parse_text("p(X) :- q(X)."))
+FUNCTION_TERMS = "q(a). p(f(X)) :- q(X). r(Y) :- p(Y). s :- &k{r(Y)}, p(Y)."
+
+
+def test_grounding_follows_function_terms_built_in_heads():
+    # The cross product ranges Y over the terms of the text, a alone, so
+    # it never reaches r(f(a)).
+    assert ground_program(parse_text(FUNCTION_TERMS)).text() == (
+        "q(a).\n"
+        "p(f(a)) :- q(a).\n"
+        "r(f(a)) :- p(f(a)).\n"
+        "s :- &k{ r(f(a)) }, p(f(a)).\n")
+
+
+def test_function_terms_built_in_heads_solve_to_the_right_view():
+    (view,) = solve(parse_text(FUNCTION_TERMS))
+    assert [print_subjective(k) for k in view.known()] == ["&k{ r(f(a)) }"]
+    assert [sorted(map(print_atom, m)) for m in expand_world_view(view)] == [
+        ["p(f(a))", "q(a)", "r(f(a))", "s"]]
+
+
+def test_grounding_without_derivable_bodies_gives_no_rules():
+    program = parse_text("p(X) :- q(X).")
+    assert ground_program(program).rules == ()
+    (view,) = solve(program)
+    assert view.valuation == {} and expand_world_view(view) == [frozenset()]
+
+
+def test_grounding_checks_safety():
+    with pytest.raises(SafetyError, match="unsafe variable 'Y'"):
+        ground_program(parse_text("q(a). p(X, Y) :- q(X)."))
+
+
+def test_grounding_refuses_unbounded_function_terms():
+    with pytest.raises(GroundingError, match=r"deeper than 100, at rule: p\(f\(X\)\) :- p\(X\)\."):
+        ground_program(parse_text("p(a). p(f(X)) :- p(X)."))
+
+
+def test_grounding_refuses_more_than_the_instance_limit():
+    facts = "".join(f"q({i}). " for i in range(50))  # 50^3 instances
+    with pytest.raises(GroundingError, match=f"more than {MAX_INSTANCES} rule instances"):
+        ground_program(parse_text(facts + "p(X,Y,Z) :- q(X), q(Y), q(Z)."))
+
+
+def _live(rules):
+    """The rules whose positive objective body holds in the least model
+    of the program with `not` and subjective literals ignored, by a
+    naive fixpoint."""
+    derived: set = set()
+    while True:
+        live = [r for r in rules
+                if all(lit.atom in derived for lit in r.body
+                       if isinstance(lit, ObjLiteral) and lit.negs == 0)]
+        heads = {a for r in live for a in r.head}
+        if heads <= derived:
+            return Counter(live)
+        derived |= heads
+
+
+def _views(views, katoms):
+    """Each view as its valuation restricted to `katoms` and its
+    answer sets without machinery atoms."""
+    return [(frozenset((k, v) for k, v in view.valuation.items() if k in katoms),
+             frozenset(expand_world_view(view))) for view in views]
+
+
+@pytest.mark.parametrize("semantics", ["g91", "k15"])
+def test_join_grounding_agrees_with_the_cross_product(semantics):
+    # The join keeps exactly the cross product's live instances.  A dead
+    # one never fires, so the answer sets agree.  A subjective atom
+    # occurring only in dead instances is not ground by the join; its
+    # value in a view of the cross product is fixed by the answer sets,
+    # so restricting the reference valuations to the join's subjective
+    # atoms is one-to-one.
+    rng = random.Random(901 if semantics == "g91" else 902)
+    for _ in range(150):
+        program = random_safe_program(rng)
+        source = k15_transform(program) if semantics == "k15" else program
+        ground = ground_program(source)
+        reference = cross_product_ground(source)
+        assert _live(ground.rules) == _live(reference.rules), program
+        katoms = set(subjective_atoms(ground))
+        want = _views(oracle_world_views(Program(reference.rules)), katoms)
+        got = _views(solve(program, semantics), katoms)
+        assert len(set(want)) == len(want)
+        assert set(got) == set(want), program
 
 
 def test_ground_program_views():
