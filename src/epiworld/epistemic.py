@@ -56,7 +56,7 @@ class WorldView:
 
     @cached_property
     def answer_sets(self) -> tuple[frozenset[Atom], ...]:
-        """The answer sets, in ascending order of the program-atom bitmask."""
+        """The answer sets, in ascending order of the bitmask."""
         return tuple(self.engine.answer_sets(self.components))
 
     def cautious(self) -> frozenset[Atom]:

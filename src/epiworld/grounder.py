@@ -165,7 +165,11 @@ class _Derivable:
         derived atom of a round before this one, at least one of them
         against an atom of the last round.  The first such body atom is
         atom i: atoms before it match older atoms, atoms after it any
-        atom up to hi, so each substitution comes once."""
+        atom up to hi, so each substitution comes once.  A body atom
+        whose key has no derived atom yet matches nothing, so then no
+        atom is scanned."""
+        if any(_key(a) not in hi for a in body):
+            return
         for i in range(len(body)):
             key = _key(body[i])
             if lo.get(key, 0) < hi.get(key, 0):

@@ -10,27 +10,25 @@ sets, and `Engine.answer_sets` and `Engine.consequences` fold the
 components.  The index also splits the program once into independent
 parts, which share no atom under any valuation, and `Engine.parts` can
 take one such part at a time.  Both splits group rules with one
-union-find over atom bits (`_group`); a rule's guard ties it to the
-inner atoms of its subjective atoms only in the split into parts.  Inside a component a branch-and-propagate
-loop on an explicit stack enumerates the assignments that survive unit
-propagation and support checks; each one is kept if the minimality
-test, the same loop on the reduct's clauses stopped at the first model,
-finds no smaller model.
+union-find over atom bits (`_group`).  Only the split into parts lets a
+rule's guard tie it to the inner atoms of its subjective atoms.
 
-A choice rule `{a}` becomes `a :- not a'.` and `a' :- not a.` over a
-complement bit a' that has no atom: no program atom can collide with
-it, and it never shows up in returned interpretations, consequence sets,
-or projections.  It takes the position in the sort that the printed form
-of a with `n` prefixed to its name would take, after a program atom
-printed the same way, which fixes the order of per-component results.
-A complementary pair a / -a becomes the constraint `:- a, -a.`
+Inside a component a branch-and-propagate loop on an explicit stack
+enumerates the assignments that survive unit propagation and support
+checks; each one is kept if the minimality test, the same loop on the
+reduct's clauses stopped at the first model, finds no smaller model.
+
+A choice rule `{a}` becomes `a :- not not a.` (Lifschitz, Tang, Turner
+1999), so every bit is an atom.  Its clause `a or not a` never
+propagates, it supports a exactly when a is true, and its reduct by m
+is the fact `a.` exactly when a is in m.  A complementary pair a / -a
+becomes the constraint `:- a, -a.`
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .grounder import GroundProgram
 from .syntax import Atom, AuxAtom, KAtom, SubjLiteral, print_atom
@@ -196,13 +194,6 @@ def component_masks(mask: int, rules: list[tuple[int, int, int, int]]) -> list[i
     return sorted(m for m in _models(clauses, supports, mask) if _minimal(m, rules))
 
 
-def _complement_key(a: Atom) -> str:
-    # The printed form of a with `n` prefixed to its name; the trailing
-    # NUL sorts it right after a program atom printed the same way.
-    printed = print_atom(a)
-    return ("-n" + printed[1:] if a.strong_neg else "n" + printed) + "\0"
-
-
 class Engine:
     """Bit index of a ground program, subjective literals included.
 
@@ -226,7 +217,6 @@ class Engine:
 
     def __init__(self, program: GroundProgram):
         base: set[Atom] = set()
-        choices: set[Atom] = set()
         katoms: set[KAtom] = set()
         for r in program.rules:
             base.update(r.head)
@@ -236,27 +226,14 @@ class Engine:
                     base.add(lit.katom.inner.atom)
                 else:
                     base.add(lit.atom)
-            if r.is_choice:
-                choices.add(r.head[0])
 
         # Per-component results, and so the order world views are
-        # emitted in, follow the bit order, complement bits included.
-        # An AuxAtom sorts right after a program atom printed the same
-        # way, so set iteration order never decides between them.
-        keyed = [((print_atom(a), isinstance(a, AuxAtom)), False, a) for a in base]
-        keyed += [((_complement_key(a), isinstance(a, AuxAtom)), True, a) for a in choices]
-        keyed.sort(key=itemgetter(0))
-        # Atom to bit position; complement bits have no atom.
-        self.index: dict[Atom, int] = {}
-        complement: dict[Atom, int] = {}
-        for i, (_, is_complement, a) in enumerate(keyed):
-            (complement if is_complement else self.index)[a] = i
-        index = self.index
-        # Bit position to atom; a complement bit maps to its choice atom,
-        # so masks are cut to `base_mask` before a lookup.
-        self.atom_of = [a for _, _, a in keyed]
-        self.width = len(keyed)
-        self.base_mask = sum(1 << i for i in index.values())
+        # emitted in, follow the bit order.  An AuxAtom sorts right
+        # after a program atom printed the same way, so set iteration
+        # order never decides between them.
+        self.atom_of = sorted(base, key=lambda a: (print_atom(a), isinstance(a, AuxAtom)))
+        self.index = index = {a: i for i, a in enumerate(self.atom_of)}
+        self.width = len(index)
         self.kbit = kbit = {k: 1 << i for i, k in enumerate(katoms)}
 
         # (masks, kpos, kneg, atom indices)
@@ -265,12 +242,6 @@ class Engine:
         # guarded rule, the inner atom of each subjective atom of its guard.
         ties: list[tuple[int, ...]] = []
         for r in program.rules:
-            if r.is_choice:
-                pair = index[r.head[0]], complement[r.head[0]]
-                a, na = 1 << pair[0], 1 << pair[1]
-                self.rules += [((a, 0, na, 0), 0, 0, pair), ((na, 0, a, 0), 0, 0, pair)]
-                ties += [pair, pair]
-                continue
             head = pos = neg = negneg = kpos = kneg = 0
             atoms: list[int] = []
             inner: tuple[int, ...] = ()
@@ -278,6 +249,8 @@ class Engine:
                 i = index[a]
                 atoms.append(i)
                 head |= 1 << i
+            if r.is_choice:  # {a}. is a :- not not a.
+                negneg = head
             for lit in r.body:
                 if isinstance(lit, SubjLiteral):
                     inner += (index[lit.katom.inner.atom],)
@@ -344,13 +317,13 @@ class Engine:
 
     def answer_sets(self, components: list[list[int]] | None) -> list[frozenset[Atom]]:
         """All answer sets, one per choice of a mask from each component,
-        in ascending order of the program-atom bitmask."""
+        in ascending order of the bitmask."""
         if components is None:
             return []
         masks = [0]
         for comp in components:
             masks = [m | c for m in masks for c in comp]
-        masks.sort(key=lambda m: m & self.base_mask)
+        masks.sort()
         return [self.to_interpretation(m) for m in masks]
 
     def fold(self, components: list[list[int]]) -> tuple[int, int]:
@@ -376,7 +349,6 @@ class Engine:
                                self.to_interpretation(brave), True)
 
     def to_interpretation(self, m: int) -> frozenset[Atom]:
-        m &= self.base_mask
         atoms = []
         while m:
             i = m.bit_length() - 1

@@ -121,10 +121,18 @@ def test_parts_print_in_order_of_their_first_guess_component(tmp_path):
               "z :- &k{a1}, &k{c1}, g.\n")
     code, text = run_text(tmp_path, source)
     assert code == SATISFIABLE
-    views = ["a2 b2 c2", "a2 b1 c2", "a2 b2 c1", "a2 b1 c1",
-             "a1 b2 c2", "a1 b1 c2", "a1 b2 c1", "a1 b1 c1"]
+    views = ["a1 b1 c1", "a1 b2 c1", "a1 b1 c2", "a1 b2 c2",
+             "a2 b1 c1", "a2 b2 c1", "a2 b1 c2", "a2 b2 c2"]
     want = "".join(f"Answer: {i}\n" + " ".join(f"&k{{ {a} }}" for a in view.split()) + "\n"
                    for i, view in enumerate(views, 1))
+    assert after_banner(text) == f"Solving...\n{want}SATISFIABLE\n"
+
+
+@pytest.mark.parametrize("x, y", [("a", "b"), ("p", "q")])
+def test_views_print_in_the_order_of_their_atoms_whatever_the_names(tmp_path, x, y):
+    code, text = run_text(tmp_path, f"{x} :- not &k{{{y}}}. {y} :- not &k{{{x}}}.\n")
+    assert code == SATISFIABLE
+    want = f"Answer: 1\n&k{{ {x} }}\nAnswer: 2\n&k{{ {y} }}\n"
     assert after_banner(text) == f"Solving...\n{want}SATISFIABLE\n"
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from brute import brute_answer_sets, cross_product_ground, ground_terms
 from corpus import random_ground_rules, random_safe_program
+from epiworld import grounder
 from epiworld.cli import YALE_INSTANCES, yale_source
 from epiworld.epistemic import (expand_world_view, k15_transform, oracle_world_views,
                                 solve, subjective_atoms)
@@ -173,6 +174,15 @@ def test_grounding_without_derivable_bodies_gives_no_rules():
     assert ground_program(program).rules == ()
     (view,) = solve(program)
     assert view.valuation == {} and expand_world_view(view) == [frozenset()]
+
+
+def test_grounding_scans_nothing_for_a_body_atom_that_cannot_be_derived(monkeypatch):
+    facts = "".join(f"a({i}). b({i}). " for i in range(1000))
+    match, calls = grounder._match, []
+    monkeypatch.setattr(grounder, "_match", lambda *args: calls.append(None) or match(*args))
+    ground = ground_program(parse_text(facts + "s(X,Y) :- a(X), b(Y), c(X,Y)."))
+    assert len(ground.rules) == 2000 and not any(r.body for r in ground.rules)
+    assert calls == []
 
 
 def test_grounding_checks_safety():

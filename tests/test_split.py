@@ -191,8 +191,8 @@ def test_parts_are_ordered_by_their_first_guess_component():
     stats = SolveStats()
     got = [known(wv) for wv in solve(parse_text(INTERLEAVED), stats=stats)]
     assert stats.parts == 2
-    assert got == ["a2 b2 c2", "a2 b1 c2", "a2 b2 c1", "a2 b1 c1",
-                   "a1 b2 c2", "a1 b1 c2", "a1 b2 c1", "a1 b1 c1"]
+    assert got == ["a1 b1 c1", "a1 b2 c1", "a1 b1 c2", "a1 b2 c2",
+                   "a2 b1 c1", "a2 b2 c1", "a2 b1 c2", "a2 b2 c2"]
     # One guess over the whole program swaps answers 2/3 and 6/7.
     unsplit = [known(wv) for wv in unsplit_views(parse_text(INTERLEAVED))]
     assert unsplit == [got[i] for i in (0, 2, 1, 3, 4, 6, 5, 7)]

@@ -10,9 +10,11 @@ from brute import brute_answer_sets, brute_consequences
 from corpus import random_ground_rules
 from epiworld.grounder import GroundProgram, ground_program
 from epiworld.stable import (
+    Engine,
     answer_sets,
     consequences,
     projected_answer_sets,
+    projected_components,
 )
 from epiworld.syntax import Atom, AuxAtom, Rule, parse_text, print_atom
 
@@ -43,6 +45,18 @@ def test_choice_program_has_both_answers():
 def test_two_choices_give_four_answers():
     got = names(answer_sets(ground("{aux_p}. {aux_q}.")))
     assert got == [[], ["aux_p"], ["aux_q"], ["aux_p", "aux_q"]]
+
+
+def test_choice_rules_take_no_bit_beyond_their_atom():
+    g = ground("{a}. {c}. b :- a.")
+    eng = Engine(g)
+    assert eng.width == len(eng.index) == len(g.atoms) == 3
+    assert eng.atom_of == sorted(g.atoms, key=print_atom)
+
+
+def test_choice_answer_sets_ascend_over_the_program_atoms():
+    g = ground("{a}. b :- a.")
+    assert projected_components(g, g.atoms) == [[frozenset(), frozenset({Atom("a"), Atom("b")})]]
 
 
 # ---------------------------------------------------------------------------
