@@ -163,7 +163,10 @@ def _time_instance(text: str, semantics: str, timeout: float, reps: int):
     """Average solving time over `reps` fresh processes.
 
     Returns (world_views, avg_seconds, timed_out); counts are None when
-    any repetition hit the timeout or died.
+    any repetition hit the timeout or died.  A repetition whose reported
+    solving time exceeds `timeout` counts as timed out even if it ended
+    before the parent stopped waiting, so the verdict does not depend on
+    how the parent was scheduled.
     """
     count = None
     seconds = []
@@ -180,6 +183,8 @@ def _time_instance(text: str, semantics: str, timeout: float, reps: int):
         if not parent.poll():
             return None, None, True
         count, elapsed = parent.recv()
+        if elapsed > timeout:
+            return None, None, True
         seconds.append(elapsed)
     return count, sum(seconds) / len(seconds), False
 

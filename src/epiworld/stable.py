@@ -17,6 +17,11 @@ Inside a component a branch-and-propagate loop on an explicit stack
 enumerates the assignments that survive unit propagation and support
 checks; each one is kept if the minimality test, the same loop on the
 reduct's clauses stopped at the first model, finds no smaller model.
+Support propagates both ways, as the support nogoods of Clark's
+completion do in CDNL (Gebser, Kaufmann, Schaub, "Conflict-driven answer
+set solving: From theory to practice", AIJ 2012): an atom that no rule
+can still support is false, and a true atom with one rule left that can
+support it makes that rule's body true and its other head atoms false.
 
 A choice rule `{a}` becomes `a :- not not a.` (Lifschitz, Tang, Turner
 1999), so every bit is an atom.  Its clause `a or not a` never
@@ -57,8 +62,16 @@ def _propagate(clauses: list[tuple[int, int]],
     an atom of p other than the atom itself is true, that is once its
     body fails or another of its head atoms holds.  Each true atom of
     an answer set has a rule whose body holds and whose head holds only
-    there, so an atom that no rule supports is set false.
+    there.  So an open atom that no rule supports is set false, a true
+    one is a conflict, and a true atom with one supporting rule (p, n)
+    left forces that rule: every atom of n (its positive and `not not`
+    body) is set true and every other atom of p (its `not` body and
+    other head atoms) false, or a conflict is found if an atom is in
+    both.  This is the atom-support nogood of CDNL (Gebser, Kaufmann,
+    Schaub, AIJ 2012).  Once forced, a true atom keeps that one
+    supporter, so it is not looked at again.
     """
+    done = 0  # true atoms whose last supporter has been forced
     while True:
         changed = False
         und = scope & ~(true_m | false_m)
@@ -77,17 +90,36 @@ def _propagate(clauses: list[tuple[int, int]],
                     false_m |= un
                 und = scope & ~(true_m | false_m)
                 changed = True
+        skip = false_m | done
         for b, rules in supports.items():
-            if b & false_m:
+            if b & skip:
+                continue
+            if b & true_m:
+                only = None
+                for rule in rules:
+                    if not rule[1] & false_m and rule[0] & true_m == b:
+                        if only is not None:
+                            break
+                        only = rule
+                else:
+                    if only is None:
+                        return None
+                    p_mask, n_mask = only
+                    p_mask &= ~b
+                    if n_mask & p_mask:
+                        return None
+                    done |= b
+                    if n_mask & ~true_m or p_mask & ~false_m:
+                        true_m |= n_mask
+                        false_m |= p_mask
+                        und = scope & ~(true_m | false_m)
+                        changed = True
+                    skip = false_m | done
                 continue
             for p_mask, n_mask in rules:
-                if not n_mask & false_m:
-                    held = p_mask & true_m
-                    if held == 0 or held == b:
-                        break
+                if not (n_mask & false_m or p_mask & true_m):
+                    break
             else:
-                if b & true_m:
-                    return None
                 false_m |= b
                 und = scope & ~(true_m | false_m)
                 changed = True

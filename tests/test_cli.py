@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from epiworld import cli
 from epiworld.cli import (
     BANNER,
     ELIGIBILITY_RULES,
@@ -20,6 +21,7 @@ from epiworld.cli import (
     RunConfig,
     _bench_parser,
     _solve_parser,
+    _time_instance,
     apply_show,
     bench,
     bench_instances,
@@ -431,3 +433,20 @@ def test_bench_marks_timeouts(tmp_path):
     assert rows[0]["world_views"] == ""
     assert rows[0]["avg_seconds"] == ""
     assert rows[0]["timed_out"] == "true"
+
+
+def _report_elapsed(text, semantics, conn):
+    """Stand-in bench worker: ends at once and reports `text` as its time."""
+    conn.send((1, float(text)))
+    conn.close()
+
+
+@pytest.mark.parametrize("elapsed, timeout, want", [
+    ("5.0", 1.0, (None, None, True)),
+    ("0.5", 60.0, (1, 0.5, False)),
+])
+def test_reported_time_decides_a_timeout(monkeypatch, elapsed, timeout, want):
+    # The child ends before the parent stops waiting either way, so only
+    # the time it reports can mark the slow one as timed out.
+    monkeypatch.setattr(cli, "_bench_worker", _report_elapsed)
+    assert _time_instance(elapsed, "g91", timeout, reps=1) == want

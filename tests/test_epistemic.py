@@ -421,6 +421,18 @@ def test_solver_matches_oracle_under_k15():
         assert view_models(got) == view_models(want)
 
 
+def test_solver_matches_oracle_under_k15_when_heads_repeat():
+    # Up to nine rules over at most three atoms: most head atoms have
+    # several rules.
+    rng = random.Random(34)
+    for _ in range(150):
+        prog = random_epistemic_program(rng, max_atoms=3, max_rules=None)
+        got = list(solve(prog, semantics="k15"))
+        want = oracle_world_views(prog, semantics="k15")
+        assert view_keys(got) == view_keys(want)
+        assert view_models(got) == view_models(want)
+
+
 # Names the machinery prints its own atoms with; renaming program atoms
 # onto them must not change any world view.
 LOOK_ALIKE_NAMES = ("aux_a", "aux_not_a", "aux_sn_a", "aux__not_a",

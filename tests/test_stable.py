@@ -11,6 +11,7 @@ from corpus import random_ground_rules
 from epiworld.grounder import GroundProgram, ground_program
 from epiworld.stable import (
     Engine,
+    _propagate,
     answer_sets,
     consequences,
     projected_answer_sets,
@@ -186,6 +187,41 @@ def test_subjective_programs_are_refused_without_a_valuation():
 
 
 # ---------------------------------------------------------------------------
+# Propagation
+
+# Bits of a hand-built component: the rules `b | w :- x, not y, not not z.`
+# and `b :- v.`, as clauses (head | not, pos | not not).
+B, X, Y, Z, W, V = 1, 2, 4, 8, 16, 32
+ALL = B | X | Y | Z | W | V
+FIRST = (B | W | Y, X | Z)
+SECOND = (B, V)
+
+
+def test_a_true_atom_with_one_supporter_left_forces_that_rule():
+    # v is false, so only the first rule can support b: its positive and
+    # `not not` body atoms hold, its `not` body atom and other head fail.
+    got = _propagate([FIRST, SECOND], {B: [FIRST, SECOND]}, ALL, B, V)
+    assert got == (B | X | Z, V | Y | W)
+
+
+def test_a_true_atom_with_two_supporters_left_forces_nothing():
+    got = _propagate([FIRST, SECOND], {B: [FIRST, SECOND]}, ALL, B, 0)
+    assert got == (B, 0)
+
+
+def test_a_true_atom_whose_last_supporter_failed_is_a_conflict():
+    assert _propagate([FIRST, SECOND], {B: [FIRST, SECOND]}, ALL, B, V | X) is None
+    # Without the support lists, the same assignment is closed as it is.
+    assert _propagate([FIRST, SECOND], {}, ALL, B, V | X) == (B, V | X)
+
+
+def test_a_last_supporter_that_needs_an_atom_both_ways_is_a_conflict():
+    # `b | w :- w.` can support b only if w is true and false at once.
+    rule = (B | W, W)
+    assert _propagate([rule], {B: [rule]}, B | W, B, 0) is None
+
+
+# ---------------------------------------------------------------------------
 # Differential checks
 
 
@@ -194,6 +230,15 @@ def test_both_paths_agree_on_a_large_random_corpus():
     rng = random.Random(2024)
     for _ in range(1000):
         rules = random_ground_rules(rng)
+        assert answer_sets(GroundProgram(tuple(rules))) == bitmask_order(brute_answer_sets(rules))
+
+
+def test_engine_matches_brute_force_when_heads_repeat():
+    # Nine rules over at most three atoms and their strong negations give
+    # each head atom several rules, so support runs out one rule at a time.
+    rng = random.Random(2026)
+    for _ in range(600):
+        rules = random_ground_rules(rng, max_atoms=3, max_rules=9)
         assert answer_sets(GroundProgram(tuple(rules))) == bitmask_order(brute_answer_sets(rules))
 
 
