@@ -22,6 +22,14 @@ completion do in CDNL (Gebser, Kaufmann, Schaub, "Conflict-driven answer
 set solving: From theory to practice", AIJ 2012): an atom that no rule
 can still support is false, and a true atom with one rule left that can
 support it makes that rule's body true and its other head atoms false.
+Propagation at the root of a search scans every clause and atom.  Below
+the root it starts from the parent's closed state and looks only at the
+watch lists of the bits set since: the clauses that mention a bit and
+the atoms whose supporting rules mention it.  clasp watches two
+literals per clause; these lists file a clause under each of its bits,
+which costs more visits but nothing to keep up on a backtrack.  They
+are built at the first branch, so a search that ends at its root, as
+most minimality tests do, never builds them.
 
 A choice rule `{a}` becomes `a :- not not a.` (Lifschitz, Tang, Turner
 1999), so every bit is an atom.  Its clause `a or not a` never
@@ -52,7 +60,9 @@ class ConsequenceSets:
 
 def _propagate(clauses: list[tuple[int, int]],
                supports: dict[int, list[tuple[int, int]]],
-               scope: int, true_m: int, false_m: int) -> tuple[int, int] | None:
+               scope: int, true_m: int, false_m: int,
+               watch: dict[int, tuple[list, list]] | None = None,
+               todo: int = 0) -> tuple[int, int] | None:
     """Close a partial assignment over `scope`; None on a conflict.
 
     A clause (p, n) holds once an atom of p is true or an atom of n is
@@ -70,12 +80,31 @@ def _propagate(clauses: list[tuple[int, int]],
     both.  This is the atom-support nogood of CDNL (Gebser, Kaufmann,
     Schaub, AIJ 2012).  Once forced, a true atom keeps that one
     supporter, so it is not looked at again.
+
+    Propagation goes in rounds until a round sets no bit.  Without
+    `watch`, each round looks at every clause and atom.  With the watch
+    lists of `_watch`, the assignment must be a closed one plus the bits
+    of `todo`, and each round looks only at what is filed under the bits
+    set since the round before, the first round under `todo`: a clause
+    or an atom's support can change only when one of its bits is set.
+    Every rule is monotone, so both ways reach the same closed state, or
+    both a conflict.
     """
     done = 0  # true atoms whose last supporter has been forced
     while True:
-        changed = False
-        und = scope & ~(true_m | false_m)
-        for p_mask, n_mask in clauses:
+        if watch is None:
+            visit, atoms = clauses, supports.items()
+        else:
+            visit, atoms = [], []
+            while todo:
+                b = todo & -todo
+                todo ^= b
+                on = watch[b]
+                visit += on[0]
+                atoms += on[1]
+        before = true_m | false_m
+        und = scope & ~before
+        for p_mask, n_mask in visit:
             if p_mask & true_m or n_mask & false_m:
                 continue
             up = p_mask & und
@@ -89,9 +118,8 @@ def _propagate(clauses: list[tuple[int, int]],
                 else:
                     false_m |= un
                 und = scope & ~(true_m | false_m)
-                changed = True
         skip = false_m | done
-        for b, rules in supports.items():
+        for b, rules in atoms:
             if b & skip:
                 continue
             if b & true_m:
@@ -109,11 +137,8 @@ def _propagate(clauses: list[tuple[int, int]],
                     if n_mask & p_mask:
                         return None
                     done |= b
-                    if n_mask & ~true_m or p_mask & ~false_m:
-                        true_m |= n_mask
-                        false_m |= p_mask
-                        und = scope & ~(true_m | false_m)
-                        changed = True
+                    true_m |= n_mask
+                    false_m |= p_mask
                     skip = false_m | done
                 continue
             for p_mask, n_mask in rules:
@@ -121,20 +146,55 @@ def _propagate(clauses: list[tuple[int, int]],
                     break
             else:
                 false_m |= b
-                und = scope & ~(true_m | false_m)
-                changed = True
-        if not changed:
+                skip = false_m | done
+        todo = (true_m | false_m) & ~before
+        if not todo:
             return true_m, false_m
+
+
+def _watch(clauses: list[tuple[int, int]],
+           supports: dict[int, list[tuple[int, int]]],
+           scope: int) -> dict[int, tuple[list, list]]:
+    """Watch lists for `_propagate`: each bit of `scope` maps to the
+    clauses that mention it and to the (atom, supporting clauses)
+    entries of `supports` whose atom or supporting clauses mention it.
+    Every bit that the clauses and `supports` mention must lie in
+    `scope`."""
+    watch: dict[int, tuple[list, list]] = {}
+    rest = scope
+    while rest:
+        b = rest & -rest
+        watch[b] = ([], [])
+        rest ^= b
+    for clause in clauses:
+        rest = clause[0] | clause[1]
+        while rest:
+            b = rest & -rest
+            watch[b][0].append(clause)
+            rest ^= b
+    for entry in supports.items():
+        rest = entry[0]
+        for p_mask, n_mask in entry[1]:
+            rest |= p_mask | n_mask
+        while rest:
+            b = rest & -rest
+            watch[b][1].append(entry)
+            rest ^= b
+    return watch
 
 
 def _models(clauses: list[tuple[int, int]],
             supports: dict[int, list[tuple[int, int]]], scope: int):
     """Yield, as true-masks, every total assignment over `scope` that
     `_propagate` leaves without conflict.  Branches on the lowest open
-    bit, false first."""
-    stack = [(0, 0)]
+    bit, false first.  The root is propagated by full scans.  At the
+    first branch the watch lists are built, and each child propagates
+    from its parent's closed state and its branch bit through them."""
+    stack = [(0, 0, 0)]
+    watch = None
     while stack:
-        state = _propagate(clauses, supports, scope, *stack.pop())
+        true_m, false_m, b = stack.pop()
+        state = _propagate(clauses, supports, scope, true_m, false_m, watch, b)
         if state is None:
             continue
         true_m, false_m = state
@@ -142,9 +202,11 @@ def _models(clauses: list[tuple[int, int]],
         if und == 0:
             yield true_m
             continue
+        if watch is None:
+            watch = _watch(clauses, supports, scope)
         b = und & -und
-        stack.append((true_m | b, false_m))
-        stack.append((true_m, false_m | b))
+        stack.append((true_m | b, false_m, b))
+        stack.append((true_m, false_m | b, b))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,14 @@ import pytest
 
 from brute import brute_answer_sets, brute_consequences
 from corpus import random_ground_rules
+from epiworld import stable
 from epiworld.grounder import GroundProgram, ground_program
 from epiworld.stable import (
     Engine,
+    _minimal,
+    _models,
     _propagate,
+    _watch,
     answer_sets,
     consequences,
     projected_answer_sets,
@@ -221,8 +225,109 @@ def test_a_last_supporter_that_needs_an_atom_both_ways_is_a_conflict():
     assert _propagate([rule], {B: [rule]}, B | W, B, 0) is None
 
 
+def test_watch_files_clauses_and_atoms_under_every_bit_they_mention():
+    supports = {B: [FIRST, SECOND]}
+    entry = (B, [FIRST, SECOND])
+    assert _watch([FIRST, SECOND], supports, ALL) == {
+        B: ([FIRST, SECOND], [entry]),
+        X: ([FIRST], [entry]), Y: ([FIRST], [entry]), Z: ([FIRST], [entry]),
+        W: ([FIRST], [entry]), V: ([SECOND], [entry]),
+    }
+
+
+def test_a_set_bit_reaches_the_atoms_its_rules_support():
+    # From the closed state (b, -), v false leaves b one supporter.
+    supports = {B: [FIRST, SECOND]}
+    watch = _watch([FIRST, SECOND], supports, ALL)
+    got = _propagate([FIRST, SECOND], supports, ALL, B, V, watch, V)
+    assert got == (B | X | Z, V | Y | W)
+
+
+def test_a_branch_bit_that_touches_nothing_leaves_the_state_as_it_is():
+    U = 64  # in scope, but in no clause and no supporting rule
+    supports = {B: [FIRST, SECOND]}
+    watch = _watch([FIRST, SECOND], supports, ALL | U)
+    assert watch[U] == ([], [])
+    assert _propagate([FIRST, SECOND], supports, ALL | U, B, U, watch, U) == (B, U)
+    # Only the new bit's lists are looked at: the state (b, v) is not
+    # closed, and a full scan would force the first rule.
+    assert _propagate([FIRST, SECOND], supports, ALL | U, B, V | U, watch, U) == (B, V | U)
+
+
+def test_an_atom_free_clause_is_a_conflict_at_the_root():
+    # `:- .` is filed under no bit, so only the root's full scan sees it.
+    assert _watch([(0, 0)], {}, X) == {X: ([], [])}
+    assert _propagate([(0, 0)], {}, X, 0, 0) is None
+    assert list(_models([(0, 0), (X | Y, 0)], {}, X | Y)) == []
+
+
+def test_minimality_tests_of_a_normal_program_build_no_watch_lists(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return _watch(*args)
+
+    monkeypatch.setattr(stable, "_watch", counted)
+    g = ground("p :- not q. q :- not p. r :- p. s :- r, not q.")
+    eng = Engine(g)
+    [(mask, local)] = stable.component_split(eng.rules, eng.width)
+    models = stable.component_masks(mask, local)
+    assert len(models) == 2
+    assert len(built) == 1  # the component search, which branches on p
+    assert all(_minimal(m, local) for m in models)
+    assert len(built) == 1
+
+
 # ---------------------------------------------------------------------------
 # Differential checks
+
+
+def _full_scan_models(clauses, supports, scope, counts):
+    """The search of `_models` with a full scan at every node.  Each
+    child is also propagated from its watch lists, from the parent's
+    closed state and the branch bit, and must close the same way;
+    counts[0] counts the children and counts[1] their conflicts."""
+    watch = _watch(clauses, supports, scope)
+    stack = [(0, 0, 0)]
+    while stack:
+        true_m, false_m, b = stack.pop()
+        state = _propagate(clauses, supports, scope, true_m, false_m)
+        if b:
+            assert _propagate(clauses, supports, scope, true_m, false_m, watch, b) == state
+            counts[0] += 1
+            counts[1] += state is None
+        if state is None:
+            continue
+        true_m, false_m = state
+        und = scope & ~(true_m | false_m)
+        if und == 0:
+            yield true_m
+            continue
+        b = und & -und
+        stack.append((true_m | b, false_m, b))
+        stack.append((true_m, false_m | b, b))
+
+
+def test_watched_search_matches_full_scans_at_every_node(monkeypatch):
+    # Every search the engine makes, component searches and minimality
+    # tests alike, is recorded and then replayed both ways.
+    searches = []
+
+    def recorded(clauses, supports, scope):
+        searches.append((clauses, supports, scope))
+        return _models(clauses, supports, scope)
+
+    monkeypatch.setattr(stable, "_models", recorded)
+    rng = random.Random(4242)
+    for _ in range(2500):
+        rules = random_ground_rules(rng, max_atoms=6, max_rules=12)
+        answer_sets(GroundProgram(tuple(rules)))
+    counts = [0, 0]
+    for clauses, supports, scope in searches:
+        assert list(_models(clauses, supports, scope)) == \
+            list(_full_scan_models(clauses, supports, scope, counts))
+    assert counts[0] > 3000 and 0 < counts[1] < counts[0]
 
 
 def test_both_paths_agree_on_a_large_random_corpus():
