@@ -12,7 +12,9 @@ definition directly: try all 2^k valuations of the k subjective atoms,
 reduce, and keep the fixpoints.  `solve` is the production path: it
 translates subjective literals to auxiliary atoms with choice rules,
 reads candidate valuations off the answer sets of that guess program,
-and confirms each with a cautious/brave check on one shared `Engine`.
+and confirms each with a cautious/brave check on one shared `Engine`,
+which fixes the guessed subjective literals as assumptions and never
+lists a candidate's answer sets.
 
 The `k15` mode reduces the alternative semantics to the default one by
 strengthening each `&k{l}` with l itself: positive occurrences gain l as
@@ -23,6 +25,7 @@ the weakened complement (not known, or not derivable).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,18 +39,21 @@ from .syntax import (Atom, AuxAtom, KAtom, ObjLiteral, Program, Rule,
 
 @dataclass
 class WorldView:
-    """A subjective valuation with its answer sets, kept factored.
+    """A subjective valuation with the engine of its program.
 
     `components` holds, for each component of the rules the valuation
     keeps, its answer sets as masks over `engine`'s bits; each answer
-    set of the view is the union of one mask per component.
-    `answer_sets` expands them on first use, which for a program of many
-    independent parts can be far more than memory holds; `cautious`
-    folds them instead.
+    set of the view is the union of one mask per component.  It is
+    computed on first use.  `answer_sets` expands it, which for a
+    program of many independent parts can be far more than memory
+    holds; `cautious` folds it instead.
     """
     valuation: dict[KAtom, bool]
     engine: Engine = field(repr=False)
-    components: list[list[int]] = field(repr=False)
+
+    @cached_property
+    def components(self) -> list[list[int]]:
+        return self.engine.parts(self.valuation)
 
     def known(self) -> list[KAtom]:
         """Subjective atoms the view makes true, in display order."""
@@ -70,10 +76,14 @@ class WorldView:
 class SolveStats:
     """Counts of one `solve` call.  `parts` is the number of independent
     parts of the ground program; `candidates` and `accepted` count the
-    guessed valuations of single parts, checked and confirmed."""
+    guessed valuations of single parts, checked and confirmed.
+    `rejections` counts the others by the first reason the check meets
+    (see `Engine.check`): "no answer set", "known atom not cautious",
+    "unknown atom cautious" or "~-form brave failure"."""
     parts: int = 0
     candidates: int = 0
     accepted: int = 0
+    rejections: Counter[str] = field(default_factory=Counter)
 
     @property
     def rejected(self) -> int:
@@ -203,13 +213,10 @@ def oracle_world_views(program: Program, semantics: str = "g91") -> list[WorldVi
     # atom least significant, so small valuations come out first.
     for mask in range(1 << len(katoms)):
         valuation = {k: bool(mask >> i & 1) for i, k in enumerate(katoms)}
-        reduct = Engine(apply_valuation(ground, valuation))
-        components = reduct.parts()
-        models = reduct.answer_sets(components)
-        if not models:
-            continue
-        if all(satisfies(models, k) == v for k, v in valuation.items()):
-            views.append(WorldView(valuation, reduct, components))
+        view = WorldView(valuation, Engine(apply_valuation(ground, valuation)))
+        models = view.answer_sets
+        if models and all(satisfies(models, k) == v for k, v in valuation.items()):
+            views.append(view)
     return views
 
 
@@ -241,29 +248,25 @@ def translate_guess(ground: GroundProgram) -> tuple[GroundProgram, dict[KAtom, A
     return GroundProgram(tuple(rules)), mapping
 
 
-def check_candidate(tester: Engine, valuation: dict[KAtom, bool],
-                    part: int | None = None) -> WorldView | None:
+def check_candidate(tester: Engine, known: int, part: int | None = None) -> WorldView | None:
     """Confirm or reject one guessed valuation against the engine of
     the ground program, or against its independent part `part` only.
 
-    The valuation's objective program must have answer sets, every atom
-    guessed known must be a cautious consequence (and only those), and
-    every `&k{~l}` guessed true must keep l out of the brave
-    consequences (and only those).
+    The valuation makes true exactly the subjective atoms of `known`, a
+    mask over `tester.kbit` (see `Engine.known_mask`).  Its objective
+    program must have answer sets, every atom guessed known must be a
+    cautious consequence (and only those), and every `&k{~l}` guessed
+    true must keep l out of the brave consequences (and only those).
+    `Engine.check` decides this under assumptions, without listing the
+    answer sets.  With `part`, the view returned holds the valuation of
+    the part's subjective atoms only, and its answer sets would be the
+    whole program's with the other subjective atoms unknown; `solve`
+    reads only the valuation and joins the parts' views.
     """
-    components = tester.parts(valuation, part)
-    if components is None:
+    if tester.check(known, part) is not None:
         return None
-    cautious, brave = tester.fold(components)
-    for katom, value in valuation.items():
-        inner = katom.inner
-        b = 1 << tester.index[inner.atom]
-        if inner.negs == 0:
-            if bool(cautious & b) != value:
-                return None
-        elif bool(brave & b) == value:
-            return None
-    return WorldView(dict(valuation), tester, components)
+    katoms = tester.kbit if part is None else tester.part_katoms[part]
+    return WorldView({k: bool(known & tester.kbit[k]) for k in katoms}, tester)
 
 
 def k15_transform(program: Program) -> Program:
@@ -316,9 +319,13 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     distinct projections of each component of the guess program.  The
     tester engine splits the ground program into independent parts that
     share no atom, subjective atoms included.  Each part's candidates
-    are the product of its own guess components only, and the
-    consequence check confirms them against its own rules only, counting
-    into `stats`.  The world views are the lazy product of the parts'
+    are the product of its own guess components only, each candidate a
+    sum of one mask of known subjective atoms per component.  The
+    consequence check (`check_candidate`) confirms them against the
+    part's own rules only, under assumptions on a check prepared once
+    per part, without listing their answer sets, and counts into
+    `stats`.  A view computes its answer sets only when asked.  The
+    world views are the lazy product of the parts'
     confirmed views, parts in the order of their first guess component
     (parts without one last) and the last part varying fastest; each
     part's views come in the lexicographic order of its components.
@@ -339,15 +346,18 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     guess = wfm_propagate(guess, ground, mapping)
     components = projected_components(guess, frozenset(mapping.values()))
     tester = Engine(ground)
+    tester.rejections = stats.rejections
     stats.parts = len(tester.part_rules)
     if components is None:
         return
     # Each guess component lies inside one part: the guess program ties
     # aux_l to the atom of l and otherwise only atoms its rules share in
     # the ground program.  A component without auxiliary atoms offers
-    # nothing to choose.
+    # nothing to choose.  Each projection becomes a mask over the
+    # tester's subjective atoms once, so a candidate is the sum of one
+    # mask per component: components share no auxiliary atom.
     katom_of = {aux: k for k, aux in mapping.items()}
-    options: list[list[list[frozenset[Atom]]]] = [[] for _ in tester.part_rules]
+    options: list[list[list[int]]] = [[] for _ in tester.part_rules]
     order: list[int] = []  # parts in order of their first guess component
     for comp in components:
         aux = next((a for projection in comp for a in projection), None)
@@ -355,25 +365,21 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
             j = tester.part_of[katom_of[aux]]
             if not options[j]:
                 order.append(j)
-            options[j].append(comp)
+            options[j].append([sum(tester.kbit[katom_of[a]] for a in projection)
+                               for projection in comp])
     order += [j for j, comps in enumerate(options) if not comps]
-    katoms: list[list[KAtom]] = [[] for _ in tester.part_rules]
-    for k in mapping:
-        katoms[tester.part_of[k]].append(k)
 
     def part_views(j: int):
         for combo in itertools.product(*options[j]):
-            guessed = frozenset().union(*combo)
             stats.candidates += 1
-            view = check_candidate(tester, {k: mapping[k] in guessed for k in katoms[j]}, j)
+            view = check_candidate(tester, sum(combo), j)
             if view is not None:
                 stats.accepted += 1
                 yield view
 
     for views in _product([part_views(j) for j in order]):
         valuation = {k: v for view in views for k, v in view.valuation.items()}
-        yield WorldView({k: valuation[k] for k in mapping}, tester,
-                        [comp for view in views for comp in view.components])
+        yield WorldView({k: valuation[k] for k in mapping}, tester)
 
 
 def _product(streams: list[Iterator]) -> Iterator[list]:

@@ -8,10 +8,18 @@ guards over a separate bit space, so one index serves every valuation:
 them into connected components and enumerates each component's answer
 sets, and `Engine.answer_sets` and `Engine.consequences` fold the
 components.  The index also splits the program once into independent
-parts, which share no atom under any valuation, and `Engine.parts` can
-take one such part at a time.  Both splits group rules with one
-union-find over atom bits (`_group`).  Only the split into parts lets a
-rule's guard tie it to the inner atoms of its subjective atoms.
+parts, which share no atom under any valuation.  Both splits group rules
+with one union-find over atom bits (`_group`).  Only the split into
+parts lets a rule's guard tie it to the inner atoms of its subjective
+atoms.
+
+`Engine.check` decides whether a valuation of one part is reproduced by
+its answer sets without listing them, as eclingo checks a guess with
+assumptions on a tester grounded once (arXiv 2008.02018).  Each part's
+`_Check` is built at its first valuation: every subjective atom becomes
+an assumption bit, and one search finds an answer set.  Each further
+search adds one clause that asks for an answer set that would change
+the verdict, until one fails.
 
 Inside a component a branch-and-propagate loop on an explicit stack
 enumerates the assignments that survive unit propagation and support
@@ -29,7 +37,9 @@ the atoms whose supporting rules mention it.  clasp watches two
 literals per clause; these lists file a clause under each of its bits,
 which costs more visits but nothing to keep up on a backtrack.  They
 are built at the first branch, so a search that ends at its root, as
-most minimality tests do, never builds them.
+most minimality tests do, never builds them.  A `_Check` builds its
+lists and its root closure once, and each of its searches starts from
+that closure with the valuation's assumption bits set.
 
 A choice rule `{a}` becomes `a :- not not a.` (Lifschitz, Tang, Turner
 1999), so every bit is an atom.  Its clause `a or not a` never
@@ -41,10 +51,11 @@ becomes the constraint `:- a, -a.`
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .grounder import GroundProgram
-from .syntax import Atom, AuxAtom, KAtom, SubjLiteral, print_atom
+from .syntax import Atom, AuxAtom, KAtom, SubjLiteral, print_atom, print_subjective
 
 
 @dataclass(frozen=True)
@@ -184,14 +195,17 @@ def _watch(clauses: list[tuple[int, int]],
 
 
 def _models(clauses: list[tuple[int, int]],
-            supports: dict[int, list[tuple[int, int]]], scope: int):
+            supports: dict[int, list[tuple[int, int]]], scope: int,
+            start: tuple[int, int, int] = (0, 0, 0),
+            watch: dict[int, tuple[list, list]] | None = None):
     """Yield, as true-masks, every total assignment over `scope` that
     `_propagate` leaves without conflict.  Branches on the lowest open
-    bit, false first.  The root is propagated by full scans.  At the
-    first branch the watch lists are built, and each child propagates
-    from its parent's closed state and its branch bit through them."""
-    stack = [(0, 0, 0)]
-    watch = None
+    bit, false first.  Without `watch`, the root is propagated by full
+    scans and the watch lists are built at the first branch.  With the
+    lists of `_watch`, `start` is a closed assignment (true, false) plus
+    the bits to propagate from, as for `_propagate`.  Each child
+    propagates from its parent's closed state and its branch bit."""
+    stack = [start]
     while stack:
         true_m, false_m, b = stack.pop()
         state = _propagate(clauses, supports, scope, true_m, false_m, watch, b)
@@ -213,11 +227,14 @@ def _models(clauses: list[tuple[int, int]],
 # Indexed engine
 
 
-def _minimal(m: int, rules: list[tuple[int, int, int, int]]) -> bool:
+def _minimal(m: int, rules: list[tuple[int, int, int, int]], assumed: int = 0) -> bool:
     """Whether the model m of `rules` is minimal among the models of
-    their reduct by m, that is whether m is an answer set."""
+    their reduct by m, that is whether m is an answer set.  The bits of
+    `assumed` are fixed assumptions, not atoms: they decide which rules
+    the reduct keeps, and are never minimised."""
     clauses = [(head & m, pos) for head, pos, neg, negneg in rules
                if pos & m == pos and neg & m == 0 and negneg & m == negneg]
+    m &= ~assumed
     clauses.append((0, m))  # rules out m itself
     return next(_models(clauses, {}, m), None) is None
 
@@ -270,11 +287,12 @@ def component_split(rules: list[tuple], width: int) -> list[tuple[int, list]]:
     return sorted(out, key=lambda part: part[0] & -part[0])
 
 
-def component_masks(mask: int, rules: list[tuple[int, int, int, int]]) -> list[int]:
-    """Sorted answer sets, as masks, of one component's rules."""
+def _clauses(rules: list[tuple[int, int, int, int]], atoms: int):
+    """The clauses of `rules` and the `supports` of `_propagate` that
+    map each bit of `atoms` to the clauses of the rules it heads."""
     clauses = [(head | neg, pos | negneg) for head, pos, neg, negneg in rules]
     supports: dict[int, list[tuple[int, int]]] = {}
-    rest = mask
+    rest = atoms
     while rest:
         b = rest & -rest
         supports[b] = []
@@ -285,7 +303,130 @@ def component_masks(mask: int, rules: list[tuple[int, int, int, int]]) -> list[i
             b = rest & -rest
             supports[b].append(clause)
             rest &= rest - 1
+    return clauses, supports
+
+
+def component_masks(mask: int, rules: list[tuple[int, int, int, int]]) -> list[int]:
+    """Sorted answer sets, as masks, of one component's rules."""
+    clauses, supports = _clauses(rules, mask)
     return sorted(m for m in _models(clauses, supports, mask) if _minimal(m, rules))
+
+
+# Why `Engine.check` rejects a valuation, in the order the check meets them.
+NO_ANSWER_SET = "no answer set"
+KNOWN_NOT_CAUTIOUS = "known atom not cautious"
+UNKNOWN_CAUTIOUS = "unknown atom cautious"
+BRAVE_FAILURE = "~-form brave failure"
+
+
+class _Check:
+    """The consequence check of one part, prepared for every valuation.
+
+    Each subjective atom of the part has an assumption bit above the
+    atoms, and a rule's guard enters its clause as a literal over it:
+    `&k{l}` as `not not g` and `not &k{l}` as `not g`.  A valuation
+    fixes every assumption bit, which keeps exactly the rules whose
+    guard it satisfies.  Assumption bits need no support, so they are
+    no keys of `supports`, and `_minimal` never minimises them.  The
+    clauses, supports, watch lists and the root closure, with every
+    assumption bit open, are built once.
+    """
+
+    def __init__(self, rules: list[tuple], width: int,
+                 katoms: list[tuple[int, int, bool]]):
+        # katoms: (assumption bit, bit of the inner atom, whether `~l`)
+        self.katoms = katoms
+        self.rules: list[tuple[int, int, int, int]] = []
+        atoms = assume = 0
+        for (head, pos, neg, negneg), kpos, kneg, _ in rules:
+            atoms |= head | pos | neg | negneg
+            self.rules.append((head, pos, neg | kneg << width, negneg | kpos << width))
+        for a, b, _ in katoms:
+            assume |= a
+            atoms |= b
+        self.assume = assume
+        self.scope = atoms | assume
+        self.clauses, self.supports = _clauses(self.rules, atoms)
+        self.watch = _watch(self.clauses, self.supports, self.scope)
+        self.root = _propagate(self.clauses, self.supports, self.scope, 0, 0)
+
+    def verdict(self, known: int) -> str | None:
+        """None if the valuation that sets exactly the assumption bits
+        of `known` passes, else the first reason to reject it met.
+
+        An answer set M rejects it if it lacks the atom of a known
+        `&k{a}` or holds the atom of a known `&k{~a}`.  An unknown
+        `&k{a}` is pending while every M found holds a, an unknown
+        `&k{~a}` while none does.  Each next search adds the clause
+        "some known or pending atom flips", so it settles a pending
+        atom or rejects, and the first that fails decides, as clasp's
+        cautious and brave modes refine one answer set (Alviano,
+        Dodaro, Järvisalo, Maratea, Ricca, TPLP 2018).
+        """
+        if self.root is None:
+            return NO_ANSWER_SET
+        true_m, false_m = self.root
+        known &= self.assume
+        unknown = self.assume & ~known
+        if known & false_m or unknown & true_m:
+            return NO_ANSWER_SET
+        start = (true_m | known, false_m | unknown, self.assume & ~(true_m | false_m))
+        cpos = cneg = wpos = wneg = 0  # known a, known ~a, unknown a, unknown ~a
+        for a, b, tilde in self.katoms:
+            if a & known:
+                if tilde:
+                    cneg |= b
+                else:
+                    cpos |= b
+            elif tilde:
+                wneg |= b
+            else:
+                wpos |= b
+        m = self._answer_set(start, None)
+        if m is None:
+            return NO_ANSWER_SET
+        while True:
+            if cpos & ~m:
+                return KNOWN_NOT_CAUTIOUS
+            if cneg & m:
+                return BRAVE_FAILURE
+            wpos &= m
+            wneg &= ~m
+            flip = (cneg | wneg, cpos | wpos)
+            if not (flip[0] or flip[1]):
+                return None
+            m = self._answer_set(start, flip)
+            if m is None:
+                if wpos:
+                    return UNKNOWN_CAUTIOUS
+                if wneg:
+                    return BRAVE_FAILURE
+                return None
+
+    def _answer_set(self, start: tuple[int, int, int], extra: tuple[int, int] | None) -> int | None:
+        """The first answer set, with the assumption bits, reached from
+        `start` that also satisfies the clause `extra`, or None.  The
+        clause is filed in the watch lists for this search only, and
+        its bits are propagated from at once."""
+        true_m, false_m, todo = start
+        bits = 0 if extra is None else extra[0] | extra[1]
+        rest = bits
+        while rest:
+            b = rest & -rest
+            self.watch[b][0].append(extra)
+            rest ^= b
+        try:
+            for m in _models(self.clauses, self.supports, self.scope,
+                             (true_m, false_m, todo | bits), self.watch):
+                if _minimal(m, self.rules, self.assume):
+                    return m
+            return None
+        finally:
+            rest = bits
+            while rest:
+                b = rest & -rest
+                self.watch[b][0].pop()
+                rest ^= b
 
 
 class Engine:
@@ -304,9 +445,13 @@ class Engine:
     the valuation: a rule ties together every atom it uses and the
     inner atom of each subjective atom of its guard, so a subjective
     atom `&k{l}` lies in the part of the atom of l.  `part_rules[j]`
-    holds the rules of part j and `part_of` maps each subjective atom
-    to its part.  Rules without atoms or guard (`:- .`) form one part
-    of their own.
+    holds the rules of part j, `part_katoms[j]` its subjective atoms,
+    and `part_of` maps each subjective atom to its part.  Rules without
+    atoms or guard (`:- .`) form one part of their own.
+
+    `check` decides a valuation of a part's subjective atoms without
+    listing answer sets, on a `_Check` prepared at the part's first
+    valuation, and counts its rejections by reason in `rejections`.
     """
 
     def __init__(self, program: GroundProgram):
@@ -328,7 +473,8 @@ class Engine:
         self.atom_of = sorted(base, key=lambda a: (print_atom(a), isinstance(a, AuxAtom)))
         self.index = index = {a: i for i, a in enumerate(self.atom_of)}
         self.width = len(index)
-        self.kbit = kbit = {k: 1 << i for i, k in enumerate(katoms)}
+        self.kbit = kbit = {k: 1 << i
+                            for i, k in enumerate(sorted(katoms, key=print_subjective))}
 
         # (masks, kpos, kneg, atom indices)
         self.rules: list[tuple[tuple[int, int, int, int], int, int, tuple[int, ...]]] = []
@@ -378,13 +524,25 @@ class Engine:
         # With one part, share the rule list instead of copying it.
         self.part_rules: list[list] = [self.rules] if len(groups) == 1 else list(groups.values())
         self.part_of: dict[KAtom, int] = {k: number[find(index[k.inner.atom])] for k in kbit}
+        self.part_katoms: list[list[KAtom]] = [[] for _ in self.part_rules]
+        for k, j in self.part_of.items():
+            self.part_katoms[j].append(k)
+        self.rejections: Counter[str] = Counter()
+        self._checks: dict[int | None, _Check] = {}
 
-    def parts(self, valuation: dict[KAtom, bool] | None = None,
-              part: int | None = None) -> list[list[int]] | None:
+    def known_mask(self, valuation: dict[KAtom, bool]) -> int:
+        """The `kbit` mask of the subjective atoms `valuation` makes
+        true; atoms the program lacks are left out."""
+        known = 0
+        for k, bit in self.kbit.items():
+            if valuation.get(k):
+                known |= bit
+        return known
+
+    def parts(self, valuation: dict[KAtom, bool] | None = None) -> list[list[int]] | None:
         """Sorted answer-set masks of each component of the rules kept
         under `valuation`, or None when there is no answer set.
 
-        With `part`, only the rules of that independent part count.
         Subjective atoms missing from `valuation` count as false; None
         stands for the empty valuation and is refused when the program
         has subjective literals.
@@ -394,13 +552,9 @@ class Engine:
                 raise ValueError("the program has subjective literals: its answer sets "
                                  "depend on a valuation of them")
             valuation = {}
-        known = 0
-        for k, value in valuation.items():
-            if value:
-                known |= self.kbit[k]
+        known = self.known_mask(valuation)
         unknown = ~known
-        rules = self.rules if part is None else self.part_rules[part]
-        kept = [rule for rule in rules if not (rule[1] & unknown or rule[2] & known)]
+        kept = [rule for rule in self.rules if not (rule[1] & unknown or rule[2] & known)]
         out = []
         for mask, local in component_split(kept, self.width):
             masks = component_masks(mask, local)
@@ -408,6 +562,25 @@ class Engine:
                 return None
             out.append(masks)
         return out
+
+    def check(self, known: int, part: int | None = None) -> str | None:
+        """None if the valuation that makes exactly the subjective atoms
+        of the `kbit` mask `known` true is reproduced by its answer
+        sets, else the reason, also counted in `rejections`.  With
+        `part`, only that independent part's rules and subjective atoms
+        count."""
+        prepared = self._checks.get(part)
+        if prepared is None:
+            rules = self.rules if part is None else self.part_rules[part]
+            katoms = self.kbit if part is None else self.part_katoms[part]
+            prepared = self._checks[part] = _Check(
+                rules, self.width,
+                [(self.kbit[k] << self.width, 1 << self.index[k.inner.atom], k.inner.negs == 1)
+                 for k in katoms])
+        reason = prepared.verdict(known << self.width)
+        if reason is not None:
+            self.rejections[reason] += 1
+        return reason
 
     def answer_sets(self, components: list[list[int]] | None) -> list[frozenset[Atom]]:
         """All answer sets, one per choice of a mask from each component,

@@ -15,6 +15,12 @@ from epiworld.optimize import add_consistency_constraints, wfm_propagate
 from epiworld.stable import Engine, projected_answer_sets
 
 
+def _known(tester, mapping, candidate) -> int:
+    """The tester's mask of the subjective atoms whose auxiliary atoms
+    the candidate holds."""
+    return tester.known_mask({k: mapping[k] in candidate for k in mapping})
+
+
 def pruning_outcomes(program) -> dict[str, tuple[set, set]]:
     """(candidates, accepted candidates) of the guess program of a ground
     `program`, keyed by the passes applied: "plain", "constraints",
@@ -35,8 +41,7 @@ def pruning_outcomes(program) -> dict[str, tuple[set, set]]:
     for name, variant in variants.items():
         candidates = set(projected_answer_sets(variant, onto))
         accepted = {c for c in candidates
-                    if check_candidate(tester, {k: mapping[k] in c for k in mapping})
-                    is not None}
+                    if check_candidate(tester, _known(tester, mapping, c)) is not None}
         out[name] = (candidates, accepted)
     return out
 
@@ -52,7 +57,7 @@ def unsplit_views(program) -> list:
     tester = Engine(ground)
     views = []
     for candidate in projected_answer_sets(guess, frozenset(mapping.values())):
-        view = check_candidate(tester, {k: mapping[k] in candidate for k in mapping})
+        view = check_candidate(tester, _known(tester, mapping, candidate))
         if view is not None:
             views.append(view)
     return views

@@ -2,6 +2,7 @@
 
 import itertools
 import pathlib
+from collections import Counter
 import random
 
 import pytest
@@ -209,28 +210,138 @@ def test_guess_candidates_cover_all_valuations():
 def test_check_candidate_two_cycle_accepts_exactly_two():
     g = Engine(ground_program(parse_text(TWO_CYCLE)))
     kq, kp = katom("q"), katom("p")
-    assert check_candidate(g, {kq: True, kp: True}) is None
-    assert check_candidate(g, {kq: False, kp: False}) is None
-    wv = check_candidate(g, {kq: False, kp: True})
+    q, p = g.kbit[kq], g.kbit[kp]
+    assert check_candidate(g, q | p) is None
+    assert check_candidate(g, 0) is None
+    wv = check_candidate(g, p)
     assert wv is not None and view_models([wv]) == [[["p"]]]
     assert wv.valuation == {kq: False, kp: True}
-    wv = check_candidate(g, {kq: True, kp: False})
+    wv = check_candidate(g, q)
     assert wv is not None and view_models([wv]) == [[["q"]]]
 
 
 def test_check_candidate_tilde_uses_brave_consequences():
     g = Engine(ground_program(parse_text("d :- not &k{~e}.")))
-    ke = katom("e", negs=1)
-    wv = check_candidate(g, {ke: True})
+    wv = check_candidate(g, g.kbit[katom("e", negs=1)])
     assert wv is not None and view_models([wv]) == [[[]]]
-    assert check_candidate(g, {ke: False}) is None
+    assert check_candidate(g, 0) is None
 
 
 def test_check_candidate_rejects_when_no_answer_sets_remain():
+    # The constraint forces the assumption of &k{p} at the root.
     g = Engine(ground_program(parse_text(":- not &k{p}.")))
-    kp = katom("p")
-    assert check_candidate(g, {kp: True}) is None   # p is not cautious
-    assert check_candidate(g, {kp: False}) is None  # reduct is inconsistent
+    assert check_candidate(g, g.kbit[katom("p")]) is None  # p is not cautious
+    assert check_candidate(g, 0) is None  # reduct is inconsistent
+    assert g.rejections == {"known atom not cautious": 1, "no answer set": 1}
+
+
+def test_rejections_are_counted_by_the_first_reason_the_check_meets():
+    # Two independent parts.  p/q: the empty valuation makes p and q
+    # facts, so an unknown &k{p} is cautious.  a/b: a known &k{a} keeps
+    # c, and {b, c, d} lacks a; a known &k{~a} drops d, and {a} holds a.
+    # A candidate of the guess program always has answer sets.
+    stats = SolveStats()
+    views = list(solve(parse_text("p :- not &k{q}. q :- not &k{p}. "
+                                  "a ; b. c :- &k{a}. d :- not &k{~a}."), stats=stats))
+    assert [[print_subjective(k) for k in wv.known()] for wv in views] == \
+        [["&k{ p }"], ["&k{ q }"]]
+    assert (stats.parts, stats.candidates, stats.accepted) == (2, 6, 3)
+    assert stats.rejections == {"known atom not cautious": 1, "unknown atom cautious": 1,
+                                "~-form brave failure": 1}
+
+
+def _enumeration_accepts(tester, valuation) -> bool:
+    """The check by listing answer sets: `Engine.parts`, folded into
+    cautious and brave masks, compared subjective atom by atom."""
+    components = tester.parts(valuation)
+    if components is None:
+        return False
+    cautious, brave = tester.fold(components)
+    for k, value in valuation.items():
+        b = 1 << tester.index[k.inner.atom]
+        if k.inner.negs == 0:
+            if bool(cautious & b) != value:
+                return False
+        elif bool(brave & b) == value:
+            return False
+    return True
+
+
+# What `random_epistemic_program` leaves out: choice rules, `:- .`,
+# guards that force an assumption at the root, and atoms that occur only
+# inside `&k{}` (c, d, e below).
+CHECK_CASES = (
+    "{a}. b :- &k{a}. c :- not &k{~a}. {c}.",
+    "a ; -b :- not &k{~a}. {b}. -a :- &k{-b}. c :- not &k{c}, b.",
+    ":- . p :- &k{p}.",
+    "p. :- . q :- not &k{~p}.",
+    ":- &k{a}. {a}. b :- &k{~a}.",
+    ":- not &k{a}. {a}. a :- &k{b}, not &k{~b}. {b}.",
+    "q :- &k{c}. r :- not &k{c}. s :- not &k{~d}, &k{~e}.",
+    "{a}. {b}. :- a, b. p :- &k{~a}, &k{~b}. q :- not &k{a}, not &k{b}.",
+    "a ; b. -a ; c :- &k{b}. :- not &k{~c}, c. -b :- not b. {b}.",
+)
+
+
+def test_prepared_check_matches_the_enumeration():
+    # Every valuation, under both semantics, of the cases above and of
+    # random programs, half of them with choice rules added: the whole
+    # program's check, and the conjunction of its parts' checks, accept
+    # exactly what listing the answer sets accepts.
+    rng = random.Random(1314)
+    programs = [parse_text(text) for text in CHECK_CASES]
+    for _ in range(1000):
+        prog = random_epistemic_program(rng, max_atoms=5, max_rules=8, max_subjective=5)
+        extra = tuple(Rule((Atom(rng.choice("abcde")),), (), is_choice=True)
+                      for _ in range(rng.choice((0, 0, 1, 2))))
+        programs.append(Program(prog.rules + extra))
+    checked = accepted = 0
+    reasons = Counter()
+    for prog in programs:
+        for ground in (ground_program(prog), ground_program(k15_transform(prog))):
+            tester = Engine(ground)
+            tester.rejections = reasons
+            katoms = subjective_atoms(ground)
+            for values in itertools.product((False, True), repeat=len(katoms)):
+                valuation = dict(zip(katoms, values))
+                known = tester.known_mask(valuation)
+                want = _enumeration_accepts(tester, valuation)
+                got = check_candidate(tester, known)
+                assert (got is not None) == want, (print_program(prog), valuation)
+                assert all(tester.check(known, j) is None
+                           for j in range(len(tester.part_rules))) == want
+                checked += 1
+                accepted += want
+    assert checked > 8000 and accepted > 1000
+    assert len(reasons) == 4
+
+
+def test_solve_never_lists_the_answer_sets_of_a_candidate(monkeypatch):
+    # `Engine.parts` lists answer sets.  The guess enumeration still
+    # calls it on the guess program, which has no subjective atoms; on
+    # the tester only `answer_sets` and `cautious()` may.
+    from epiworld.cli import yale_source
+    parts = Engine.parts
+
+    def refuse(self, valuation=None):
+        if self.kbit:
+            raise AssertionError("a candidate's answer sets were listed")
+        return parts(self, valuation)
+
+    programs = [parse_text(yale_source(f"yale0{i}")) for i in (1, 2, 3)]
+    monkeypatch.setattr(Engine, "parts", refuse)
+    solved = [list(solve(prog)) for prog in programs]
+    known = [[[print_subjective(k) for k in wv.known()] for wv in views] for views in solved]
+    monkeypatch.setattr(Engine, "parts", parts)
+
+    def listing(views):
+        return sorted(([print_subjective(k) for k in wv.known()],
+                       [sorted(map(print_atom, m)) for m in wv.answer_sets],
+                       sorted(map(print_atom, wv.cautious()))) for wv in views)
+
+    for prog, views, names in zip(programs, solved, known):
+        assert [[print_subjective(k) for k in wv.known()] for wv in views] == names
+        assert listing(views) == listing(oracle_world_views(prog))
 
 
 def test_check_candidate_matches_the_reduct_path():
@@ -245,7 +356,7 @@ def test_check_candidate_matches_the_reduct_path():
         for values in itertools.product((False, True), repeat=len(katoms)):
             valuation = dict(zip(katoms, values))
             models = answer_sets(apply_valuation(g, valuation))
-            got = check_candidate(tester, valuation)
+            got = check_candidate(tester, tester.known_mask(valuation))
             if models and all(satisfies(models, k) == v for k, v in valuation.items()):
                 assert got is not None and got.valuation == valuation
                 assert got.answer_sets == tuple(models)
