@@ -260,8 +260,9 @@ def check_candidate(tester: Engine, known: int, part: int | None = None) -> Worl
     `Engine.check` decides this under assumptions, without listing the
     answer sets.  With `part`, the view returned holds the valuation of
     the part's subjective atoms only, and its answer sets would be the
-    whole program's with the other subjective atoms unknown; `solve`
-    reads only the valuation and joins the parts' views.
+    whole program's with the other subjective atoms unknown.  `solve`
+    calls `Engine.check` itself and keeps each accepted candidate as a
+    mask until it yields a view.
     """
     if tester.check(known, part) is not None:
         return None
@@ -321,14 +322,15 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     share no atom, subjective atoms included.  Each part's candidates
     are the product of its own guess components only, each candidate a
     sum of one mask of known subjective atoms per component.  The
-    consequence check (`check_candidate`) confirms them against the
-    part's own rules only, under assumptions on a check prepared once
-    per part, without listing their answer sets, and counts into
-    `stats`.  A view computes its answer sets only when asked.  The
-    world views are the lazy product of the parts'
-    confirmed views, parts in the order of their first guess component
-    (parts without one last) and the last part varying fastest; each
-    part's views come in the lexicographic order of its components.
+    consequence check (`Engine.check`) confirms them against the part's
+    own rules only, under assumptions on a check prepared once per
+    part, without listing their answer sets, and counts into `stats`.
+    The world views are the lazy product of the parts' confirmed masks,
+    parts in the order of their first guess component (parts without
+    one last) and the last part varying fastest; each part's views come
+    in the lexicographic order of its components.  Each view is built
+    from the sum of its masks when it is yielded, and computes its
+    answer sets only when asked.
     Stop the generator early (say with `itertools.islice`) to skip the
     remaining candidates.
 
@@ -372,14 +374,16 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     def part_views(j: int):
         for combo in itertools.product(*options[j]):
             stats.candidates += 1
-            view = check_candidate(tester, sum(combo), j)
-            if view is not None:
+            known = sum(combo)
+            if tester.check(known, j) is None:
                 stats.accepted += 1
-                yield view
+                yield known
 
-    for views in _product([part_views(j) for j in order]):
-        valuation = {k: v for view in views for k, v in view.valuation.items()}
-        yield WorldView({k: valuation[k] for k in mapping}, tester)
+    # Parts share no subjective atom, so their known masks add up, and
+    # `kbit` lists the subjective atoms in the order of `mapping`.
+    for masks in _product([part_views(j) for j in order]):
+        known = sum(masks)
+        yield WorldView({k: bool(known & bit) for k, bit in tester.kbit.items()}, tester)
 
 
 def _product(streams: list[Iterator]) -> Iterator[list]:

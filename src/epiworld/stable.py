@@ -23,13 +23,23 @@ the verdict, until one fails.
 
 Inside a component a branch-and-propagate loop on an explicit stack
 enumerates the assignments that survive unit propagation and support
-checks; each one is kept if the minimality test, the same loop on the
-reduct's clauses stopped at the first model, finds no smaller model.
-Support propagates both ways, as the support nogoods of Clark's
+checks.  Support propagates both ways, as the support nogoods of Clark's
 completion do in CDNL (Gebser, Kaufmann, Schaub, "Conflict-driven answer
 set solving: From theory to practice", AIJ 2012): an atom that no rule
 can still support is false, and a true atom with one rule left that can
 support it makes that rule's body true and its other head atoms false.
+A rule with `not b` in its body never supports its head atom b, so it
+is not filed as one of b's supporters.  Each total assignment the loop
+reaches is then a supported model, a model of the completion.  If the
+program is tight, with no cycle through positive bodies, its supported
+models are its answer sets (Fages, "Consistency of Clark's completion
+and existence of stable models", 1994; Lee, Lifschitz, "Loop formulas
+for disjunctive logic programs", ICLP 2003), and every one is kept, as
+clasp runs no unfounded-set check on a tight program.  `Engine` decides
+tightness once, and any subset of a tight program's rules is tight, so
+the one flag serves every part, component and valuation.  Otherwise a
+model is kept if the minimality test, the same loop on the reduct's
+clauses stopped at the first model, finds no smaller model.
 Propagation at the root of a search scans every clause and atom.  Below
 the root it starts from the parent's closed state and looks only at the
 watch lists of the bits set since: the clauses that mention a bit and
@@ -78,7 +88,8 @@ def _propagate(clauses: list[tuple[int, int]],
 
     A clause (p, n) holds once an atom of p is true or an atom of n is
     false; with one literal left open, that literal is set.  `supports`
-    maps an atom bit to the clauses of the rules with it in the head.
+    maps an atom bit to the clauses of the rules that can support it
+    (see `_clauses`).
     Such a rule stops supporting the atom once an atom of n is false or
     an atom of p other than the atom itself is true, that is once its
     body fails or another of its head atoms holds.  Each true atom of
@@ -289,7 +300,9 @@ def component_split(rules: list[tuple], width: int) -> list[tuple[int, list]]:
 
 def _clauses(rules: list[tuple[int, int, int, int]], atoms: int):
     """The clauses of `rules` and the `supports` of `_propagate` that
-    map each bit of `atoms` to the clauses of the rules it heads."""
+    map each bit of `atoms` to the clauses of the rules that can support
+    it: the rules it heads, less those with `not` of it in their body,
+    whose body fails wherever the atom holds."""
     clauses = [(head | neg, pos | negneg) for head, pos, neg, negneg in rules]
     supports: dict[int, list[tuple[int, int]]] = {}
     rest = atoms
@@ -298,7 +311,7 @@ def _clauses(rules: list[tuple[int, int, int, int]], atoms: int):
         supports[b] = []
         rest &= rest - 1
     for clause, rule in zip(clauses, rules):
-        rest = rule[0]
+        rest = rule[0] & ~rule[2]
         while rest:
             b = rest & -rest
             supports[b].append(clause)
@@ -306,10 +319,54 @@ def _clauses(rules: list[tuple[int, int, int, int]], atoms: int):
     return clauses, supports
 
 
-def component_masks(mask: int, rules: list[tuple[int, int, int, int]]) -> list[int]:
-    """Sorted answer sets, as masks, of one component's rules."""
+def component_masks(mask: int, rules: list[tuple[int, int, int, int]],
+                    tight: bool = False) -> list[int]:
+    """Sorted answer sets, as masks, of one component's rules.  With
+    `tight`, the rules must be tight (see `_tight`), and every model
+    found is an answer set without the minimality test."""
     clauses, supports = _clauses(rules, mask)
-    return sorted(m for m in _models(clauses, supports, mask) if _minimal(m, rules))
+    return sorted(m for m in _models(clauses, supports, mask) if tight or _minimal(m, rules))
+
+
+def _tight(rules: list[tuple[int, int, int, int]], width: int) -> bool:
+    """Whether the positive dependency graph of `rules` over atom bits
+    below `width` has no cycle.  Its edges go from each head atom of a
+    rule to each atom of its positive body; `not`, `not not` (so choice
+    rules too) and guards add none.  An iterative depth-first search
+    over the atoms and, between them, the rules: atom i is node i, and
+    it points to the rules that head it, each of which points to its
+    positive body atoms, so the search costs O(rules + atoms + sizes)."""
+    succ: list[list[int]] = [[] for _ in range(width)]
+    for j, (head, pos, _, _) in enumerate(rules):
+        body = []
+        while pos:
+            b = pos & -pos
+            body.append(b.bit_length() - 1)
+            pos ^= b
+        succ.append(body)
+        while head:
+            b = head & -head
+            succ[b.bit_length() - 1].append(width + j)
+            head ^= b
+    state = bytearray(len(succ))  # 0 unseen, 1 on the path, 2 finished
+    for root in range(width):
+        if state[root]:
+            continue
+        state[root] = 1
+        path = [(root, iter(succ[root]))]
+        while path:
+            node, rest = path[-1]
+            for nxt in rest:
+                if state[nxt] == 1:
+                    return False
+                if state[nxt] == 0:
+                    state[nxt] = 1
+                    path.append((nxt, iter(succ[nxt])))
+                    break
+            else:
+                state[node] = 2
+                path.pop()
+    return True
 
 
 # Why `Engine.check` rejects a valuation, in the order the check meets them.
@@ -329,13 +386,15 @@ class _Check:
     guard it satisfies.  Assumption bits need no support, so they are
     no keys of `supports`, and `_minimal` never minimises them.  The
     clauses, supports, watch lists and the root closure, with every
-    assumption bit open, are built once.
+    assumption bit open, are built once.  With `tight`, the rules
+    must be tight, and every model a search finds is an answer set.
     """
 
     def __init__(self, rules: list[tuple], width: int,
-                 katoms: list[tuple[int, int, bool]]):
+                 katoms: list[tuple[int, int, bool]], tight: bool):
         # katoms: (assumption bit, bit of the inner atom, whether `~l`)
         self.katoms = katoms
+        self.tight = tight
         self.rules: list[tuple[int, int, int, int]] = []
         atoms = assume = 0
         for (head, pos, neg, negneg), kpos, kneg, _ in rules:
@@ -418,7 +477,7 @@ class _Check:
         try:
             for m in _models(self.clauses, self.supports, self.scope,
                              (true_m, false_m, todo | bits), self.watch):
-                if _minimal(m, self.rules, self.assume):
+                if self.tight or _minimal(m, self.rules, self.assume):
                     return m
             return None
         finally:
@@ -452,6 +511,8 @@ class Engine:
     `check` decides a valuation of a part's subjective atoms without
     listing answer sets, on a `_Check` prepared at the part's first
     valuation, and counts its rejections by reason in `rejections`.
+    `tight` tells whether the program is tight (`_tight`): then no
+    search of the engine runs the minimality test.
     """
 
     def __init__(self, program: GroundProgram):
@@ -519,6 +580,10 @@ class Engine:
                     self.rules.append(((0, (1 << i) | (1 << twin), 0, 0), 0, 0, (i, twin)))
                     ties.append(self.rules[-1][3])
 
+        # Every subset of a tight program's rules is tight, so one flag
+        # serves every part, component and valuation.
+        self.tight = _tight([rule[0] for rule in self.rules], self.width)
+
         groups, find = _group(self.rules, ties, self.width)
         number = {r: j for j, r in enumerate(groups)}
         # With one part, share the rule list instead of copying it.
@@ -557,7 +622,7 @@ class Engine:
         kept = [rule for rule in self.rules if not (rule[1] & unknown or rule[2] & known)]
         out = []
         for mask, local in component_split(kept, self.width):
-            masks = component_masks(mask, local)
+            masks = component_masks(mask, local, self.tight)
             if not masks:
                 return None
             out.append(masks)
@@ -576,7 +641,7 @@ class Engine:
             prepared = self._checks[part] = _Check(
                 rules, self.width,
                 [(self.kbit[k] << self.width, 1 << self.index[k.inner.atom], k.inner.negs == 1)
-                 for k in katoms])
+                 for k in katoms], self.tight)
         reason = prepared.verdict(known << self.width)
         if reason is not None:
             self.rejections[reason] += 1

@@ -9,7 +9,7 @@ Grammar (informal):
 
     program   : statement*
     statement : rule | "#show" ["-"] NAME "/" NUM "." | "#const" NAME "=" term "."
-    rule      : "{" atom "}" "."                      (choice; head only)
+    rule      : "{" hatom "}" "."                     (choice; head only)
               | head "."  |  head ":-" body "."  |  ":-" body "."  |  ":- ."
     head      : hatom (("," | ";") hatom)*            (disjunction)
     hatom     : ["-"] atom
@@ -316,7 +316,7 @@ class _Parser:
 
     def rule(self) -> Rule:
         if self.take("{"):
-            atom = self.atom()
+            atom = self.head_atom()
             self.expect("}")
             self.expect(".")
             return Rule((atom,), (), is_choice=True)

@@ -500,6 +500,28 @@ def test_solve_rejects_unknown_semantics():
         list(solve(parse_text("p."), semantics="g94"))
 
 
+def test_solve_matches_the_oracle_on_a_strongly_negated_choice():
+    prog = parse_text("{-b}. b :- not -b. q :- &k{b}.")
+    views = list(solve(prog))
+    assert view_keys(views) == view_keys(oracle_world_views(prog)) == [[("&k{ b }", False)]]
+    assert view_models(views) == view_models(oracle_world_views(prog)) == [[["-b"], ["b"]]]
+
+
+def test_a_head_atom_under_not_in_its_own_body_is_never_supported():
+    # Found by criterion 05 (seed 2025): the second rule heads b but has
+    # `not b` in its body, so it can never support b, and {b} is not an
+    # answer set of any reduct.
+    prog = parse_text("a ; b :- not &k{b}, &k{a}, b.  a ; b :- not not b, not b.")
+    for semantics in ("g91", "k15"):
+        views = list(solve(prog, semantics))
+        assert view_keys(views) == view_keys(oracle_world_views(prog, semantics))
+        assert view_models(views) == view_models(oracle_world_views(prog, semantics))
+    views = list(solve(prog))
+    assert view_keys(views) == [[("&k{ a }", False), ("&k{ b }", False)]]
+    assert view_models(views) == [[[]]]
+    assert answer_sets(ground_program(parse_text("a ; b :- not not b, not b."))) == [frozenset()]
+
+
 def test_world_views_satisfy_their_own_valuation_and_fixpoint():
     rng = random.Random(31)
     for _ in range(150):

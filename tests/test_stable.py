@@ -12,9 +12,11 @@ from epiworld import stable
 from epiworld.grounder import GroundProgram, ground_program
 from epiworld.stable import (
     Engine,
+    _clauses,
     _minimal,
     _models,
     _propagate,
+    _tight,
     _watch,
     answer_sets,
     consequences,
@@ -277,6 +279,87 @@ def test_minimality_tests_of_a_normal_program_build_no_watch_lists(monkeypatch):
     assert len(built) == 1  # the component search, which branches on p
     assert all(_minimal(m, local) for m in models)
     assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# Supports and tight programs
+
+
+def search(source):
+    """The masks `_models` yields over the whole of a ground program,
+    with its `Engine`."""
+    eng = Engine(ground(source))
+    rules = [rule[0] for rule in eng.rules]
+    scope = (1 << eng.width) - 1
+    return list(_models(*_clauses(rules, scope), scope)), eng
+
+
+def test_a_rule_with_not_of_its_head_atom_supports_nothing():
+    # `b :- not b.` holds only if b is true, and then its body fails.
+    assert search("b :- not b.")[0] == []
+    # The rule cannot support a, so a is false and b must hold.
+    models, eng = search("a ; b :- not a.")
+    assert models == [1 << eng.index[Atom("b")]]
+
+
+def test_a_positive_loop_is_not_tight_and_keeps_the_minimality_test():
+    g = ground("{c}. p :- q. q :- p. p :- c.")
+    assert not Engine(g).tight
+    assert names(answer_sets(g)) == [[], ["c", "p", "q"]]
+    # {p, q} is a model whose atoms support each other: only the
+    # minimality test rules it out.
+    models, eng = search("{c}. p :- q. q :- p. p :- c.")
+    p_q = (1 << eng.index[Atom("p")]) | (1 << eng.index[Atom("q")])
+    assert p_q in models
+
+
+@pytest.mark.parametrize("source, tight", [
+    ("p :- p.", False),
+    ("a ; b :- b.", False),
+    ("p :- q. q :- r. r :- p.", False),
+    ("p :- not p. q :- not not q. {r}. r :- not q.", True),
+    ("p :- q, r. q :- r. r.", True),
+    ("p :- &k{p}. q :- not &k{q}, p.", True),
+    (":- p, q. p ; q.", True),
+])
+def test_tight_means_no_cycle_through_positive_bodies(source, tight):
+    eng = Engine(ground(source))
+    assert eng.tight is tight
+    assert _tight([rule[0] for rule in eng.rules], eng.width) is tight
+
+
+def test_a_tight_program_never_runs_the_minimality_test(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _minimal(*args)
+
+    monkeypatch.setattr(stable, "_minimal", counted)
+    g = ground("p :- not q. q :- not p. r :- p. s ; t :- r, not q. {u}. v :- u, &k{r}.")
+    eng = Engine(g)
+    assert eng.tight
+    # r is not cautious: {q} is an answer set.
+    assert eng.check(0) is None
+    assert eng.check(sum(eng.kbit.values())) == stable.KNOWN_NOT_CAUTIOUS
+    assert eng.answer_sets(eng.parts({})) == answer_sets(ground(
+        "p :- not q. q :- not p. r :- p. s ; t :- r, not q. {u}."))
+    assert calls == []
+    g = ground("p :- q. q :- p. p :- not r. r :- not p.")
+    assert names(answer_sets(g)) == [["p", "q"], ["r"]]
+    assert calls
+
+
+def test_tight_and_non_tight_programs_match_brute_force():
+    rng = random.Random(1994)
+    tight = 0
+    for n in range(3000):
+        rules = random_ground_rules(rng, max_atoms=rng.choice((3, 4, 5)),
+                                    max_rules=rng.choice((4, 6, 9)))
+        g = GroundProgram(tuple(rules))
+        tight += Engine(g).tight
+        assert answer_sets(g) == bitmask_order(brute_answer_sets(rules))
+    assert 500 < tight < 2500
 
 
 # ---------------------------------------------------------------------------

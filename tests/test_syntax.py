@@ -114,6 +114,13 @@ def test_parse_choice_rule():
     assert r == Rule((Atom("p", (Const("a"),)),), (), is_choice=True)
 
 
+def test_strongly_negated_choice_rule_round_trips():
+    (r,) = parse_text("{-b}.").rules
+    assert r == Rule((Atom("b", (), True),), (), is_choice=True)
+    assert print_program(parse_text("{-b}.")) == "{-b}.\n"
+    assert parse_text(print_program(parse_text("{-b(X)}. p."))) == parse_text("{-b(X)}. p.")
+
+
 def test_parse_choice_rule_rejects_body():
     with pytest.raises(ParseError):
         parse_text("{p} :- q.")
@@ -299,7 +306,7 @@ _plain = st.builds(Rule, st.lists(_atoms, max_size=2).map(tuple),
                    st.lists(_body, max_size=3).map(tuple), st.just(False))
 _choice = st.builds(
     Rule,
-    st.builds(Atom, _name, st.lists(_terms, max_size=2).map(tuple), st.just(False)).map(lambda a: (a,)),
+    _atoms.map(lambda a: (a,)),
     st.just(()), st.just(True))
 _programs = st.builds(
     Program,
