@@ -6,15 +6,13 @@ atoms, with a definition-faithful oracle for cross-checking.
 """
 
 from .epistemic import (SolveStats, WorldView, aux_atom, apply_valuation,
-                        check_candidate, expand_world_view, k15_transform,
-                        oracle_world_views, satisfies, solve, subjective_atoms,
-                        translate_guess)
+                        expand_world_view, k15_transform, oracle_world_views,
+                        satisfies, solve, subjective_atoms, translate_guess)
 from .grounder import (GroundingError, GroundProgram, SafetyError,
                        ground_program, program_safety_check, safety_check,
                        simplify)
 from .optimize import add_consistency_constraints, wfm_propagate
-from .stable import (ConsequenceSets, Engine, answer_sets, consequences,
-                     projected_answer_sets)
+from .stable import ConsequenceSets, Engine, answer_sets, consequences
 from .syntax import (Atom, AuxAtom, Const, KAtom, LexError, Num, ObjLiteral,
                      ParseError, Program, Rule, SourceError, SubjLiteral, Var,
                      parse_text, print_atom, print_program, print_rule,
@@ -27,10 +25,10 @@ __all__ = [
     "GroundingError", "KAtom", "LexError", "Num", "ObjLiteral",
     "ParseError", "Program", "Rule", "SafetyError", "SolveStats", "SourceError",
     "SubjLiteral", "Var", "WorldView", "add_consistency_constraints",
-    "answer_sets", "apply_valuation", "aux_atom", "check_candidate",
-    "consequences", "expand_world_view", "ground_program",
-    "k15_transform", "oracle_world_views", "parse_text", "print_atom",
-    "print_program", "print_rule", "print_subjective", "program_safety_check",
-    "projected_answer_sets", "safety_check", "satisfies", "simplify", "solve",
-    "subjective_atoms", "translate_guess", "wfm_propagate",
+    "answer_sets", "apply_valuation", "aux_atom", "consequences",
+    "expand_world_view", "ground_program", "k15_transform",
+    "oracle_world_views", "parse_text", "print_atom", "print_program",
+    "print_rule", "print_subjective", "program_safety_check", "safety_check",
+    "satisfies", "simplify", "solve", "subjective_atoms", "translate_guess",
+    "wfm_propagate",
 ]

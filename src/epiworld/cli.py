@@ -61,8 +61,8 @@ def apply_show(wv: WorldView, shows) -> list[str]:
     holds in every answer set is displayed in `&k{ a }` form, whether or
     not the program ever mentioned it subjectively.  Machinery atoms
     are projected away first, so they are never displayed.  The
-    answer sets are never expanded: the cautious atoms are folded from
-    the view's components.
+    answer sets are never listed: `WorldView.cautious` refines one
+    answer set at a time in each part.
     """
     if not shows:
         return [print_subjective(k) for k in wv.known()]

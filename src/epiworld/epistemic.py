@@ -41,19 +41,15 @@ from .syntax import (Atom, AuxAtom, KAtom, ObjLiteral, Program, Rule,
 class WorldView:
     """A subjective valuation with the engine of its program.
 
-    `components` holds, for each component of the rules the valuation
-    keeps, its answer sets as masks over `engine`'s bits; each answer
-    set of the view is the union of one mask per component.  It is
-    computed on first use.  `answer_sets` expands it, which for a
+    Nothing is computed until asked, and every query goes to the
+    engine's index of each independent part.  `answer_sets` lists the
+    answer sets of every part and expands their product, which for a
     program of many independent parts can be far more than memory
-    holds; `cautious` folds it instead.
+    holds.  `cautious` never lists them: each part refines one answer
+    set at a time.
     """
     valuation: dict[KAtom, bool]
     engine: Engine = field(repr=False)
-
-    @cached_property
-    def components(self) -> list[list[int]]:
-        return self.engine.parts(self.valuation)
 
     def known(self) -> list[KAtom]:
         """Subjective atoms the view makes true, in display order."""
@@ -63,12 +59,12 @@ class WorldView:
     @cached_property
     def answer_sets(self) -> tuple[frozenset[Atom], ...]:
         """The answer sets, in ascending order of the bitmask."""
-        return tuple(self.engine.answer_sets(self.components))
+        return tuple(self.engine.answer_sets(self.engine.parts(self.valuation)))
 
     def cautious(self) -> frozenset[Atom]:
         """Program atoms true in every answer set; machinery atoms are
         projected away, as in `expand_world_view`."""
-        cautious, _ = self.engine.fold(self.components)
+        cautious, _ = self.engine.consequences(self.valuation)
         return _program_atoms(self.engine.to_interpretation(cautious))
 
 
@@ -248,28 +244,6 @@ def translate_guess(ground: GroundProgram) -> tuple[GroundProgram, dict[KAtom, A
     return GroundProgram(tuple(rules)), mapping
 
 
-def check_candidate(tester: Engine, known: int, part: int | None = None) -> WorldView | None:
-    """Confirm or reject one guessed valuation against the engine of
-    the ground program, or against its independent part `part` only.
-
-    The valuation makes true exactly the subjective atoms of `known`, a
-    mask over `tester.kbit` (see `Engine.known_mask`).  Its objective
-    program must have answer sets, every atom guessed known must be a
-    cautious consequence (and only those), and every `&k{~l}` guessed
-    true must keep l out of the brave consequences (and only those).
-    `Engine.check` decides this under assumptions, without listing the
-    answer sets.  With `part`, the view returned holds the valuation of
-    the part's subjective atoms only, and its answer sets would be the
-    whole program's with the other subjective atoms unknown.  `solve`
-    calls `Engine.check` itself and keeps each accepted candidate as a
-    mask until it yields a view.
-    """
-    if tester.check(known, part) is not None:
-        return None
-    katoms = tester.kbit if part is None else tester.part_katoms[part]
-    return WorldView({k: bool(known & tester.kbit[k]) for k in katoms}, tester)
-
-
 def k15_transform(program: Program) -> Program:
     """Reduce the alternative semantics to the default one.
 
@@ -323,8 +297,8 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     are the product of its own guess components only, each candidate a
     sum of one mask of known subjective atoms per component.  The
     consequence check (`Engine.check`) confirms them against the part's
-    own rules only, under assumptions on a check prepared once per
-    part, without listing their answer sets, and counts into `stats`.
+    own rules only, under assumptions on the part's index, prepared
+    once, without listing their answer sets, and counts into `stats`.
     The world views are the lazy product of the parts' confirmed masks,
     parts in the order of their first guess component (parts without
     one last) and the last part varying fastest; each part's views come

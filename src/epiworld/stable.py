@@ -3,25 +3,22 @@
 `Engine` indexes a ground program once.  Interpretations are bitmasks
 over its atom universe sorted by printed form, and results come back in
 ascending bitmask order.  Subjective literals stay in the index as rule
-guards over a separate bit space, so one index serves every valuation:
-`Engine.parts` keeps the rules whose guard a valuation satisfies, splits
-them into connected components and enumerates each component's answer
-sets, and `Engine.answer_sets` and `Engine.consequences` fold the
-components.  The index also splits the program once into independent
-parts, which share no atom under any valuation.  Both splits group rules
-with one union-find over atom bits (`_group`).  Only the split into
-parts lets a rule's guard tie it to the inner atoms of its subjective
-atoms.
+guards over a separate bit space, so one index serves every valuation.
+One union-find over atom bits (`_group`) splits the program into
+independent parts, which share no atom under any valuation; in a
+program without subjective literals they are its connected components.
+Each part has one index, a `_Part`, which answers every query on it:
+`models` lists its answer sets, `consequences` gives its cautious and
+brave consequences, and `verdict` decides whether a valuation is
+reproduced by its answer sets.  The last two never list them, as
+eclingo checks a guess with assumptions on a tester grounded once (arXiv
+2008.02018): they refine one answer set at a time, as clasp's cautious
+and brave modes do (Alviano, Dodaro, Järvisalo, Maratea, Ricca,
+"Cautious reasoning in ASP via minimal models and unsatisfiable cores",
+TPLP 2018).  Each further search adds one clause that asks for an answer
+set that would change the result, until one fails.
 
-`Engine.check` decides whether a valuation of one part is reproduced by
-its answer sets without listing them, as eclingo checks a guess with
-assumptions on a tester grounded once (arXiv 2008.02018).  Each part's
-`_Check` is built at its first valuation: every subjective atom becomes
-an assumption bit, and one search finds an answer set.  Each further
-search adds one clause that asks for an answer set that would change
-the verdict, until one fails.
-
-Inside a component a branch-and-propagate loop on an explicit stack
+Each search is a branch-and-propagate loop on an explicit stack that
 enumerates the assignments that survive unit propagation and support
 checks.  Support propagates both ways, as the support nogoods of Clark's
 completion do in CDNL (Gebser, Kaufmann, Schaub, "Conflict-driven answer
@@ -37,19 +34,18 @@ and existence of stable models", 1994; Lee, Lifschitz, "Loop formulas
 for disjunctive logic programs", ICLP 2003), and every one is kept, as
 clasp runs no unfounded-set check on a tight program.  `Engine` decides
 tightness once, and any subset of a tight program's rules is tight, so
-the one flag serves every part, component and valuation.  Otherwise a
-model is kept if the minimality test, the same loop on the reduct's
-clauses stopped at the first model, finds no smaller model.
-Propagation at the root of a search scans every clause and atom.  Below
-the root it starts from the parent's closed state and looks only at the
-watch lists of the bits set since: the clauses that mention a bit and
-the atoms whose supporting rules mention it.  clasp watches two
-literals per clause; these lists file a clause under each of its bits,
-which costs more visits but nothing to keep up on a backtrack.  They
-are built at the first branch, so a search that ends at its root, as
-most minimality tests do, never builds them.  A `_Check` builds its
-lists and its root closure once, and each of its searches starts from
-that closure with the valuation's assumption bits set.
+the one flag serves every part and valuation.  Otherwise a model is
+kept if the minimality test, the same loop on the reduct's clauses
+stopped at the first model, finds no smaller model.
+Propagation scans every clause and atom until the search has watch
+lists: for each bit, the clauses that mention it and the atoms whose
+supporting rules mention it.  Then each node starts from its parent's
+closed state and looks only at the lists of the bits set since.  clasp
+watches two literals per clause; these lists file a clause under each
+of its bits, which costs more visits but nothing to keep up on a
+backtrack.  They are built at the first branch or added clause, so a
+search that ends at its root, as most minimality tests do, never builds
+them, and a `_Part` keeps them for its later searches.
 
 A choice rule `{a}` becomes `a :- not not a.` (Lifschitz, Tang, Turner
 1999), so every bit is an atom.  Its clause `a or not a` never
@@ -60,7 +56,6 @@ becomes the constraint `:- a, -a.`
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -211,15 +206,20 @@ def _models(clauses: list[tuple[int, int]],
             watch: dict[int, tuple[list, list]] | None = None):
     """Yield, as true-masks, every total assignment over `scope` that
     `_propagate` leaves without conflict.  Branches on the lowest open
-    bit, false first.  Without `watch`, the root is propagated by full
-    scans and the watch lists are built at the first branch.  With the
-    lists of `_watch`, `start` is a closed assignment (true, false) plus
-    the bits to propagate from, as for `_propagate`.  Each child
-    propagates from its parent's closed state and its branch bit."""
+    bit, false first.  `start` is a partial assignment (true, false)
+    and the bits to propagate from; each child propagates from its
+    parent's closed state and its branch bit.  Until the dict `watch`
+    holds the lists of `_watch`, propagation scans everything, and the
+    first branch files them there, so a caller that passes its own dict
+    keeps them for its next search.  With the lists, `start` must be a
+    closed assignment plus the bits to propagate from, as for
+    `_propagate`."""
+    if watch is None:
+        watch = {}
     stack = [start]
     while stack:
         true_m, false_m, b = stack.pop()
-        state = _propagate(clauses, supports, scope, true_m, false_m, watch, b)
+        state = _propagate(clauses, supports, scope, true_m, false_m, watch or None, b)
         if state is None:
             continue
         true_m, false_m = state
@@ -227,8 +227,8 @@ def _models(clauses: list[tuple[int, int]],
         if und == 0:
             yield true_m
             continue
-        if watch is None:
-            watch = _watch(clauses, supports, scope)
+        if not watch:
+            watch.update(_watch(clauses, supports, scope))
         b = und & -und
         stack.append((true_m | b, false_m, b))
         stack.append((true_m, false_m | b, b))
@@ -254,9 +254,9 @@ def _group(items, nodes: list[tuple[int, ...]], width: int):
     """Group `items` whose nodes meet, transitively, by union-find.
 
     The i-th item has the nodes nodes[i], ints below `width`.  Returns
-    the groups keyed by a root node, in order of their first item, with
-    the items without nodes under -1, and the function that maps a node
-    to the key of its group.
+    the groups in ascending order of their lowest node, the items
+    without nodes first as a group of their own, and the function that
+    maps a node of an item to the index of its group.
     """
     parent = list(range(width))
 
@@ -276,26 +276,11 @@ def _group(items, nodes: list[tuple[int, ...]], width: int):
     groups: dict[int, list] = {}
     for item, ns in zip(items, nodes):
         groups.setdefault(find(ns[0]) if ns else -1, []).append(item)
-    return groups, find
-
-
-def component_split(rules: list[tuple], width: int) -> list[tuple[int, list]]:
-    """Group rules that share atoms, transitively, into components.
-
-    Each rule is an `Engine` rule: its masks first and the bit indices
-    of its atoms, all below `width`, last.  Returns (atom mask, masks of
-    the rules) pairs in ascending order of the lowest atom bit.  Rules
-    without atoms (`:- .`) form a component with mask 0, which comes
-    first and has no model.
-    """
-    groups, _ = _group((rule[0] for rule in rules), [rule[-1] for rule in rules], width)
-    out = []
-    for local in groups.values():
-        mask = 0
-        for head, pos, neg, negneg in local:
-            mask |= head | pos | neg | negneg
-        out.append((mask, local))
-    return sorted(out, key=lambda part: part[0] & -part[0])
+    number: dict[int, int] = {}
+    for root in (-1, *map(find, range(width))):
+        if root in groups and root not in number:
+            number[root] = len(number)
+    return [groups[root] for root in number], lambda i: number[find(i)]
 
 
 def _clauses(rules: list[tuple[int, int, int, int]], atoms: int):
@@ -317,15 +302,6 @@ def _clauses(rules: list[tuple[int, int, int, int]], atoms: int):
             supports[b].append(clause)
             rest &= rest - 1
     return clauses, supports
-
-
-def component_masks(mask: int, rules: list[tuple[int, int, int, int]],
-                    tight: bool = False) -> list[int]:
-    """Sorted answer sets, as masks, of one component's rules.  With
-    `tight`, the rules must be tight (see `_tight`), and every model
-    found is an answer set without the minimality test."""
-    clauses, supports = _clauses(rules, mask)
-    return sorted(m for m in _models(clauses, supports, mask) if tight or _minimal(m, rules))
 
 
 def _tight(rules: list[tuple[int, int, int, int]], width: int) -> bool:
@@ -376,18 +352,20 @@ UNKNOWN_CAUTIOUS = "unknown atom cautious"
 BRAVE_FAILURE = "~-form brave failure"
 
 
-class _Check:
-    """The consequence check of one part, prepared for every valuation.
+class _Part:
+    """The index of one independent part, prepared for every valuation.
 
     Each subjective atom of the part has an assumption bit above the
     atoms, and a rule's guard enters its clause as a literal over it:
-    `&k{l}` as `not not g` and `not &k{l}` as `not g`.  A valuation
-    fixes every assumption bit, which keeps exactly the rules whose
-    guard it satisfies.  Assumption bits need no support, so they are
-    no keys of `supports`, and `_minimal` never minimises them.  The
-    clauses, supports, watch lists and the root closure, with every
-    assumption bit open, are built once.  With `tight`, the rules
-    must be tight, and every model a search finds is an answer set.
+    `&k{l}` as `not not g` and `not &k{l}` as `not g`.  A valuation, the
+    mask of its known assumption bits, fixes every assumption bit, which
+    keeps exactly the rules whose guard it satisfies.  Assumption bits
+    need no support, so they are no keys of `supports`, and `_minimal`
+    never minimises them.  The clauses, supports and the root closure,
+    with every assumption bit open, are built with the part, and the
+    watch lists when a search first branches or adds a clause.  With
+    `tight`, the rules must be tight, and every model a search finds is
+    an answer set.
     """
 
     def __init__(self, rules: list[tuple], width: int,
@@ -403,33 +381,47 @@ class _Check:
         for a, b, _ in katoms:
             assume |= a
             atoms |= b
+        self.atoms = atoms
         self.assume = assume
         self.scope = atoms | assume
         self.clauses, self.supports = _clauses(self.rules, atoms)
-        self.watch = _watch(self.clauses, self.supports, self.scope)
+        self.watch: dict[int, tuple[list, list]] = {}
         self.root = _propagate(self.clauses, self.supports, self.scope, 0, 0)
 
-    def verdict(self, known: int) -> str | None:
-        """None if the valuation that sets exactly the assumption bits
-        of `known` passes, else the first reason to reject it met.
-
-        An answer set M rejects it if it lacks the atom of a known
-        `&k{a}` or holds the atom of a known `&k{~a}`.  An unknown
-        `&k{a}` is pending while every M found holds a, an unknown
-        `&k{~a}` while none does.  Each next search adds the clause
-        "some known or pending atom flips", so it settles a pending
-        atom or rejects, and the first that fails decides, as clasp's
-        cautious and brave modes refine one answer set (Alviano,
-        Dodaro, Järvisalo, Maratea, Ricca, TPLP 2018).
-        """
+    def start(self, known: int) -> tuple[int, int, int] | None:
+        """The root closure with the assumption bits of `known` true and
+        the others false, and the bits to propagate from, as `_models`
+        takes them; None if the closure rules the valuation out."""
         if self.root is None:
-            return NO_ANSWER_SET
+            return None
         true_m, false_m = self.root
         known &= self.assume
         unknown = self.assume & ~known
         if known & false_m or unknown & true_m:
-            return NO_ANSWER_SET
-        start = (true_m | known, false_m | unknown, self.assume & ~(true_m | false_m))
+            return None
+        return true_m | known, false_m | unknown, self.assume & ~(true_m | false_m)
+
+    def models(self, known: int) -> list[int]:
+        """The sorted answer sets under `known`, atom bits only."""
+        start = self.start(known)
+        if start is None:
+            return []
+        found = self._search(start)
+        # Without assumption bits, every bit of the scope is an atom.
+        return sorted(m & self.atoms for m in found) if self.assume else sorted(found)
+
+    def verdict(self, known: int) -> str | None:
+        """None if the valuation `known` passes, else the first reason
+        to reject it met.
+
+        An answer set M rejects it if it lacks the atom of a known
+        `&k{a}` or holds the atom of a known `&k{~a}`.  An unknown
+        `&k{a}` is pending while every M found holds a, an unknown
+        `&k{~a}` while none does.  `_refine` tracks the known and the
+        pending atoms, so each next search settles a pending atom or
+        rejects, and the first that fails decides.
+        """
+        start = self.start(known)
         cpos = cneg = wpos = wneg = 0  # known a, known ~a, unknown a, unknown ~a
         for a, b, tilde in self.katoms:
             if a & known:
@@ -441,51 +433,82 @@ class _Check:
                 wneg |= b
             else:
                 wpos |= b
-        m = self._answer_set(start, None)
-        if m is None:
-            return NO_ANSWER_SET
-        while True:
-            if cpos & ~m:
+        found = None
+        for found in self._refine(start, cpos | wpos, cneg | wneg):
+            if cpos & ~found[0]:
                 return KNOWN_NOT_CAUTIOUS
-            if cneg & m:
+            if cneg & ~found[1]:
                 return BRAVE_FAILURE
-            wpos &= m
-            wneg &= ~m
-            flip = (cneg | wneg, cpos | wpos)
-            if not (flip[0] or flip[1]):
-                return None
-            m = self._answer_set(start, flip)
-            if m is None:
-                if wpos:
-                    return UNKNOWN_CAUTIOUS
-                if wneg:
-                    return BRAVE_FAILURE
-                return None
+        if found is None:
+            return NO_ANSWER_SET
+        if wpos & found[0]:
+            return UNKNOWN_CAUTIOUS
+        return BRAVE_FAILURE if wneg & found[1] else None
 
-    def _answer_set(self, start: tuple[int, int, int], extra: tuple[int, int] | None) -> int | None:
+    def consequences(self, known: int) -> tuple[int, int] | None:
+        """The cautious and brave consequences under `known`, as masks
+        over the part's atoms, or None when there is no answer set:
+        `_refine` with every atom pending both ways, so at most
+        1 + min(#answer sets, 2 |atoms|) searches."""
+        found = None
+        for found in self._refine(self.start(known), self.atoms, self.atoms):
+            pass
+        return None if found is None else (found[0], self.atoms & ~found[1])
+
+    def _refine(self, start: tuple[int, int, int] | None, cautious: int, absent: int):
+        """Yield, after each answer set found from `start`, the atoms of
+        `cautious` true in every answer set found so far and the atoms
+        of `absent` false in every one.  Each search after the first
+        adds the clause "some atom still in `cautious` fails or some
+        atom still in `absent` holds", so it finds an answer set that
+        no earlier search found.  It stops once both are empty or a
+        search fails."""
+        m = None if start is None else next(iter(self._search(start)), None)
+        while m is not None:
+            cautious &= m
+            absent &= ~m
+            yield cautious, absent
+            if not (cautious or absent):
+                return
+            m = self._answer_set(start, (absent, cautious))
+
+    def _answer_set(self, start: tuple[int, int, int], extra: tuple[int, int]) -> int | None:
         """The first answer set, with the assumption bits, reached from
         `start` that also satisfies the clause `extra`, or None.  The
         clause is filed in the watch lists for this search only, and
         its bits are propagated from at once."""
-        true_m, false_m, todo = start
-        bits = 0 if extra is None else extra[0] | extra[1]
-        rest = bits
+        if not self.watch:
+            self.watch.update(_watch(self.clauses, self.supports, self.scope))
+        bits = rest = extra[0] | extra[1]
         while rest:
             b = rest & -rest
             self.watch[b][0].append(extra)
             rest ^= b
         try:
-            for m in _models(self.clauses, self.supports, self.scope,
-                             (true_m, false_m, todo | bits), self.watch):
-                if self.tight or _minimal(m, self.rules, self.assume):
-                    return m
-            return None
+            return next(iter(self._search((start[0], start[1], start[2] | bits))), None)
         finally:
             rest = bits
             while rest:
                 b = rest & -rest
                 self.watch[b][0].pop()
                 rest ^= b
+
+    def _search(self, start: tuple[int, int, int]):
+        """The answer sets, with the assumption bits, that the search
+        from `start` reaches, lazily.  A start with no bits to propagate
+        from is closed: if it is total it is the only candidate, and
+        otherwise the search branches at once, so the lists are built
+        first."""
+        true_m, false_m, todo = start
+        if todo or self.watch or self.scope & ~(true_m | false_m):
+            if not (todo or self.watch):
+                self.watch.update(_watch(self.clauses, self.supports, self.scope))
+            found = _models(self.clauses, self.supports, self.scope, start, self.watch)
+        else:
+            found = (true_m,)
+        if self.tight:
+            return found
+        return (m for m in found if _minimal(m, self.rules, self.assume))
 
 
 class Engine:
@@ -499,20 +522,24 @@ class Engine:
     serves every candidate.  The inner atom of every subjective atom
     has a bit, even if no rule mentions it outside `&k{}`.
 
-    The index also splits the program once into independent parts,
-    groups of rules that share no atom and no subjective atom whatever
-    the valuation: a rule ties together every atom it uses and the
-    inner atom of each subjective atom of its guard, so a subjective
-    atom `&k{l}` lies in the part of the atom of l.  `part_rules[j]`
-    holds the rules of part j, `part_katoms[j]` its subjective atoms,
-    and `part_of` maps each subjective atom to its part.  Rules without
-    atoms or guard (`:- .`) form one part of their own.
+    The index splits the program once into independent parts, groups
+    of rules that share no atom and no subjective atom whatever the
+    valuation: a rule ties together every atom it uses and the inner
+    atom of each subjective atom of its guard, so a subjective atom
+    `&k{l}` lies in the part of the atom of l.  Parts come in ascending
+    order of their lowest atom bit; rules without atoms or guard
+    (`:- .`) form one part of their own, which comes first.
+    `part_rules[j]` holds the rules of part j, `part_katoms[j]` its
+    subjective atoms, and `part_of` maps each subjective atom to its
+    part.
 
-    `check` decides a valuation of a part's subjective atoms without
-    listing answer sets, on a `_Check` prepared at the part's first
-    valuation, and counts its rejections by reason in `rejections`.
-    `tight` tells whether the program is tight (`_tight`): then no
-    search of the engine runs the minimality test.
+    Every query is answered from the parts' `_Part`s, each built at the
+    part's first query: `parts` lists answer sets, `consequences` gives
+    the cautious and brave consequences without listing them, and
+    `check` decides a valuation of one part without listing them and
+    counts its rejections by reason in `rejections`.  `tight` tells
+    whether the program is tight (`_tight`): then no search of the
+    engine runs the minimality test.
     """
 
     def __init__(self, program: GroundProgram):
@@ -527,10 +554,10 @@ class Engine:
                 else:
                     base.add(lit.atom)
 
-        # Per-component results, and so the order world views are
-        # emitted in, follow the bit order.  An AuxAtom sorts right
-        # after a program atom printed the same way, so set iteration
-        # order never decides between them.
+        # Per-part results, and so the order world views are emitted
+        # in, follow the bit order.  An AuxAtom sorts right after a
+        # program atom printed the same way, so set iteration order
+        # never decides between them.
         self.atom_of = sorted(base, key=lambda a: (print_atom(a), isinstance(a, AuxAtom)))
         self.index = index = {a: i for i, a in enumerate(self.atom_of)}
         self.width = len(index)
@@ -581,19 +608,18 @@ class Engine:
                     ties.append(self.rules[-1][3])
 
         # Every subset of a tight program's rules is tight, so one flag
-        # serves every part, component and valuation.
+        # serves every part and valuation.
         self.tight = _tight([rule[0] for rule in self.rules], self.width)
 
-        groups, find = _group(self.rules, ties, self.width)
-        number = {r: j for j, r in enumerate(groups)}
+        groups, part_of = _group(self.rules, ties, self.width)
         # With one part, share the rule list instead of copying it.
-        self.part_rules: list[list] = [self.rules] if len(groups) == 1 else list(groups.values())
-        self.part_of: dict[KAtom, int] = {k: number[find(index[k.inner.atom])] for k in kbit}
+        self.part_rules: list[list] = [self.rules] if len(groups) == 1 else groups
+        self.part_of: dict[KAtom, int] = {k: part_of(index[k.inner.atom]) for k in kbit}
         self.part_katoms: list[list[KAtom]] = [[] for _ in self.part_rules]
         for k, j in self.part_of.items():
             self.part_katoms[j].append(k)
         self.rejections: Counter[str] = Counter()
-        self._checks: dict[int | None, _Check] = {}
+        self._parts: list[_Part | None] = [None] * len(self.part_rules)
 
     def known_mask(self, valuation: dict[KAtom, bool]) -> int:
         """The `kbit` mask of the subjective atoms `valuation` makes
@@ -604,81 +630,75 @@ class Engine:
                 known |= bit
         return known
 
-    def parts(self, valuation: dict[KAtom, bool] | None = None) -> list[list[int]] | None:
-        """Sorted answer-set masks of each component of the rules kept
-        under `valuation`, or None when there is no answer set.
+    def _part(self, j: int) -> _Part:
+        part = self._parts[j]
+        if part is None:
+            part = self._parts[j] = _Part(
+                self.part_rules[j], self.width,
+                [(self.kbit[k] << self.width, 1 << self.index[k.inner.atom], k.inner.negs == 1)
+                 for k in self.part_katoms[j]], self.tight)
+        return part
 
-        Subjective atoms missing from `valuation` count as false; None
-        stands for the empty valuation and is refused when the program
-        has subjective literals.
-        """
+    def _assumed(self, valuation: dict[KAtom, bool] | None) -> int:
+        """The assumption bits of the subjective atoms `valuation` makes
+        true.  Atoms missing from it count as false; None stands for the
+        empty valuation and is refused when the program has subjective
+        literals."""
         if valuation is None:
             if self.kbit:
                 raise ValueError("the program has subjective literals: its answer sets "
                                  "depend on a valuation of them")
-            valuation = {}
-        known = self.known_mask(valuation)
-        unknown = ~known
-        kept = [rule for rule in self.rules if not (rule[1] & unknown or rule[2] & known)]
+            return 0
+        return self.known_mask(valuation) << self.width
+
+    def parts(self, valuation: dict[KAtom, bool] | None = None) -> list[list[int]] | None:
+        """Sorted answer-set masks of each part under `valuation` (see
+        `_assumed`), or None when there is no answer set."""
+        known = self._assumed(valuation)
         out = []
-        for mask, local in component_split(kept, self.width):
-            masks = component_masks(mask, local, self.tight)
+        for j in range(len(self.part_rules)):
+            masks = self._part(j).models(known)
             if not masks:
                 return None
             out.append(masks)
         return out
 
-    def check(self, known: int, part: int | None = None) -> str | None:
+    def consequences(self, valuation: dict[KAtom, bool] | None = None) -> tuple[int, int] | None:
+        """Cautious and brave consequences as masks under `valuation`
+        (see `_assumed`), or None when there is no answer set.  An
+        answer set is a union of one answer set per part, so the parts'
+        consequences add up."""
+        known = self._assumed(valuation)
+        cautious = brave = 0
+        for j in range(len(self.part_rules)):
+            found = self._part(j).consequences(known)
+            if found is None:
+                return None
+            cautious |= found[0]
+            brave |= found[1]
+        return cautious, brave
+
+    def check(self, known: int, part: int) -> str | None:
         """None if the valuation that makes exactly the subjective atoms
-        of the `kbit` mask `known` true is reproduced by its answer
-        sets, else the reason, also counted in `rejections`.  With
-        `part`, only that independent part's rules and subjective atoms
+        of the `kbit` mask `known` true is reproduced by the answer sets
+        of the independent part `part`, else the reason, also counted in
+        `rejections`.  Only that part's rules and subjective atoms
         count."""
-        prepared = self._checks.get(part)
-        if prepared is None:
-            rules = self.rules if part is None else self.part_rules[part]
-            katoms = self.kbit if part is None else self.part_katoms[part]
-            prepared = self._checks[part] = _Check(
-                rules, self.width,
-                [(self.kbit[k] << self.width, 1 << self.index[k.inner.atom], k.inner.negs == 1)
-                 for k in katoms], self.tight)
-        reason = prepared.verdict(known << self.width)
+        reason = self._part(part).verdict(known << self.width)
         if reason is not None:
             self.rejections[reason] += 1
         return reason
 
-    def answer_sets(self, components: list[list[int]] | None) -> list[frozenset[Atom]]:
-        """All answer sets, one per choice of a mask from each component,
-        in ascending order of the bitmask."""
-        if components is None:
+    def answer_sets(self, parts: list[list[int]] | None) -> list[frozenset[Atom]]:
+        """All answer sets, one per choice of a mask from each part of a
+        result of `parts`, in ascending order of the bitmask."""
+        if parts is None:
             return []
         masks = [0]
-        for comp in components:
-            masks = [m | c for m in masks for c in comp]
+        for part in parts:
+            masks = [m | c for m in masks for c in part]
         masks.sort()
         return [self.to_interpretation(m) for m in masks]
-
-    def fold(self, components: list[list[int]]) -> tuple[int, int]:
-        """Cautious and brave consequences as masks, folded component by
-        component: an answer set is a union of one answer set per
-        component, so intersections and unions distribute."""
-        cautious = brave = 0
-        for comp in components:
-            meet = comp[0]
-            for m in comp:
-                meet &= m
-                brave |= m
-            cautious |= meet
-        return cautious, brave
-
-    def consequences(self, components: list[list[int]] | None) -> ConsequenceSets:
-        """Cautious and brave consequences of the answer sets that
-        `components`, a result of `parts`, describes."""
-        if components is None:
-            return ConsequenceSets(frozenset(), frozenset(), False)
-        cautious, brave = self.fold(components)
-        return ConsequenceSets(self.to_interpretation(cautious),
-                               self.to_interpretation(brave), True)
 
     def to_interpretation(self, m: int) -> frozenset[Atom]:
         atoms = []
@@ -704,9 +724,10 @@ def answer_sets(program: GroundProgram) -> list[frozenset[Atom]]:
 
 
 def projected_components(program: GroundProgram, onto) -> list[list[frozenset[Atom]]] | None:
-    """Distinct projections onto the given atoms of each connected
-    component's answer sets, components in ascending order of their
-    lowest bit; None when there is no answer set."""
+    """Distinct projections onto the given atoms of the answer sets of
+    each part, which for a program without subjective literals is a
+    connected component, in the order of `Engine.parts`; None when
+    there is no answer set."""
     eng = Engine(program)
     parts = eng.parts()
     if parts is None:
@@ -719,22 +740,12 @@ def projected_components(program: GroundProgram, onto) -> list[list[frozenset[At
             for comp in parts]
 
 
-def projected_answer_sets(program: GroundProgram, onto):
-    """Distinct projections of the answer sets onto the given atoms.
-
-    Projections are deduplicated per connected component and combined
-    across components in lexicographic order of `projected_components`,
-    which keeps the enumeration linear in the number of distinct
-    projections instead of the number of answer sets.
-    """
-    per_component = projected_components(program, onto)
-    if per_component is None:
-        return iter(())
-    return (frozenset().union(*combo) for combo in itertools.product(*per_component))
-
-
 def consequences(program: GroundProgram) -> ConsequenceSets:
     """Cautious and brave consequences (intersection and union of the
     answer sets)."""
     eng = Engine(program)
-    return eng.consequences(eng.parts())
+    found = eng.consequences()
+    if found is None:
+        return ConsequenceSets(frozenset(), frozenset(), False)
+    return ConsequenceSets(eng.to_interpretation(found[0]),
+                           eng.to_interpretation(found[1]), True)

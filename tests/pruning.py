@@ -3,22 +3,35 @@
 `solve` always runs both passes, so the unpruned guess is only reachable
 through the library layer: translate, optionally prune, enumerate the
 projected answer sets, and check each candidate on one engine of the
-ground program.  The same steps without any split into independent
-parts give `unsplit_views`, the reference for `solve`'s split.
+ground program.  The same steps with one guess over the whole program
+give `unsplit_views`, the reference for `solve`'s split of the guess.
 """
 
 from __future__ import annotations
 
-from epiworld.epistemic import check_candidate, translate_guess
+import itertools
+
+from epiworld.epistemic import WorldView, translate_guess
 from epiworld.grounder import ground_program
 from epiworld.optimize import add_consistency_constraints, wfm_propagate
-from epiworld.stable import Engine, projected_answer_sets
+from epiworld.stable import Engine, projected_components
 
 
-def _known(tester, mapping, candidate) -> int:
-    """The tester's mask of the subjective atoms whose auxiliary atoms
-    the candidate holds."""
-    return tester.known_mask({k: mapping[k] in candidate for k in mapping})
+def projected_answer_sets(program, onto) -> list[frozenset]:
+    """Distinct projections of the answer sets of a ground `program`
+    onto the atoms `onto`: the product of `projected_components`."""
+    components = projected_components(program, onto)
+    if components is None:
+        return []
+    return [frozenset().union(*combo) for combo in itertools.product(*components)]
+
+
+def _accepts(tester, mapping, candidate) -> bool:
+    """Whether the whole ground program reproduces the candidate: the
+    subjective atoms whose auxiliary atoms it holds are known, and
+    every independent part accepts its share."""
+    known = tester.known_mask({k: mapping[k] in candidate for k in mapping})
+    return all(tester.check(known, j) is None for j in range(len(tester.part_rules)))
 
 
 def pruning_outcomes(program) -> dict[str, tuple[set, set]]:
@@ -40,8 +53,7 @@ def pruning_outcomes(program) -> dict[str, tuple[set, set]]:
     out = {}
     for name, variant in variants.items():
         candidates = set(projected_answer_sets(variant, onto))
-        accepted = {c for c in candidates
-                    if check_candidate(tester, _known(tester, mapping, c)) is not None}
+        accepted = {c for c in candidates if _accepts(tester, mapping, c)}
         out[name] = (candidates, accepted)
     return out
 
@@ -55,9 +67,6 @@ def unsplit_views(program) -> list:
     guess = add_consistency_constraints(guess, mapping)
     guess = wfm_propagate(guess, ground, mapping)
     tester = Engine(ground)
-    views = []
-    for candidate in projected_answer_sets(guess, frozenset(mapping.values())):
-        view = check_candidate(tester, _known(tester, mapping, candidate))
-        if view is not None:
-            views.append(view)
-    return views
+    return [WorldView({k: mapping[k] in candidate for k in tester.kbit}, tester)
+            for candidate in projected_answer_sets(guess, frozenset(mapping.values()))
+            if _accepts(tester, mapping, candidate)]

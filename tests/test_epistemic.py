@@ -9,11 +9,12 @@ import pytest
 
 from brute import subjective_reduct
 from corpus import random_epistemic_program
+from pruning import projected_answer_sets
 from epiworld.epistemic import (
     SolveStats,
+    WorldView,
     apply_valuation,
     aux_atom,
-    check_candidate,
     expand_world_view,
     k15_transform,
     oracle_world_views,
@@ -197,7 +198,6 @@ def test_translate_guess_keeps_program_atoms_apart_from_aux_atoms():
 
 def test_guess_candidates_cover_all_valuations():
     guess, mapping = translate_guess(ground_program(parse_text(TWO_CYCLE)))
-    from epiworld.stable import projected_answer_sets
     got = sorted(sorted(print_atom(a) for a in m)
                  for m in projected_answer_sets(guess, set(mapping.values())))
     assert got == [[], ["aux_p"], ["aux_p", "aux_q"], ["aux_q"]]
@@ -207,12 +207,23 @@ def test_guess_candidates_cover_all_valuations():
 # Candidate checking
 
 
+def check_candidate(tester, known):
+    """The view of the valuation `known`, a mask over `tester.kbit`, if
+    every independent part of the tester accepts it, else None."""
+    if any(tester.check(known, j) is not None for j in range(len(tester.part_rules))):
+        return None
+    return WorldView({k: bool(known & bit) for k, bit in tester.kbit.items()}, tester)
+
+
 def test_check_candidate_two_cycle_accepts_exactly_two():
     g = Engine(ground_program(parse_text(TWO_CYCLE)))
     kq, kp = katom("q"), katom("p")
     q, p = g.kbit[kq], g.kbit[kp]
-    assert check_candidate(g, q | p) is None
-    assert check_candidate(g, 0) is None
+    assert len(g.part_rules) == 1
+    assert g.check(q | p, 0) is not None
+    assert g.check(0, 0) is not None
+    assert g.check(p, 0) is None
+    assert g.check(q, 0) is None
     wv = check_candidate(g, p)
     assert wv is not None and view_models([wv]) == [[["p"]]]
     assert wv.valuation == {kq: False, kp: True}
@@ -222,16 +233,17 @@ def test_check_candidate_two_cycle_accepts_exactly_two():
 
 def test_check_candidate_tilde_uses_brave_consequences():
     g = Engine(ground_program(parse_text("d :- not &k{~e}.")))
+    assert g.check(g.kbit[katom("e", negs=1)], 0) is None
+    assert g.check(0, 0) == "~-form brave failure"
     wv = check_candidate(g, g.kbit[katom("e", negs=1)])
     assert wv is not None and view_models([wv]) == [[[]]]
-    assert check_candidate(g, 0) is None
 
 
 def test_check_candidate_rejects_when_no_answer_sets_remain():
     # The constraint forces the assumption of &k{p} at the root.
     g = Engine(ground_program(parse_text(":- not &k{p}.")))
-    assert check_candidate(g, g.kbit[katom("p")]) is None  # p is not cautious
-    assert check_candidate(g, 0) is None  # reduct is inconsistent
+    assert g.check(g.kbit[katom("p")], 0) == "known atom not cautious"
+    assert g.check(0, 0) == "no answer set"  # reduct is inconsistent
     assert g.rejections == {"known atom not cautious": 1, "no answer set": 1}
 
 
@@ -250,13 +262,30 @@ def test_rejections_are_counted_by_the_first_reason_the_check_meets():
                                 "~-form brave failure": 1}
 
 
+def fold(parts):
+    """Cautious and brave masks of the answer sets that a result of
+    `Engine.parts` lists, or None when it lists none: an answer set is
+    a union of one answer set per part, so the intersections and
+    unions of the parts' lists add up."""
+    if parts is None:
+        return None
+    cautious = brave = 0
+    for masks in parts:
+        meet = masks[0]
+        for m in masks:
+            meet &= m
+            brave |= m
+        cautious |= meet
+    return cautious, brave
+
+
 def _enumeration_accepts(tester, valuation) -> bool:
     """The check by listing answer sets: `Engine.parts`, folded into
     cautious and brave masks, compared subjective atom by atom."""
-    components = tester.parts(valuation)
-    if components is None:
+    folded = fold(tester.parts(valuation))
+    if folded is None:
         return False
-    cautious, brave = tester.fold(components)
+    cautious, brave = folded
     for k, value in valuation.items():
         b = 1 << tester.index[k.inner.atom]
         if k.inner.negs == 0:
@@ -285,9 +314,9 @@ CHECK_CASES = (
 
 def test_prepared_check_matches_the_enumeration():
     # Every valuation, under both semantics, of the cases above and of
-    # random programs, half of them with choice rules added: the whole
-    # program's check, and the conjunction of its parts' checks, accept
-    # exactly what listing the answer sets accepts.
+    # random programs, half of them with choice rules added: the
+    # conjunction of the parts' checks accepts exactly what listing the
+    # answer sets accepts.
     rng = random.Random(1314)
     programs = [parse_text(text) for text in CHECK_CASES]
     for _ in range(1000):
@@ -306,21 +335,47 @@ def test_prepared_check_matches_the_enumeration():
                 valuation = dict(zip(katoms, values))
                 known = tester.known_mask(valuation)
                 want = _enumeration_accepts(tester, valuation)
-                got = check_candidate(tester, known)
-                assert (got is not None) == want, (print_program(prog), valuation)
-                assert all(tester.check(known, j) is None
-                           for j in range(len(tester.part_rules))) == want
+                got = all(tester.check(known, j) is None for j in range(len(tester.part_rules)))
+                assert got == want, (print_program(prog), valuation)
                 checked += 1
                 accepted += want
     assert checked > 8000 and accepted > 1000
     assert len(reasons) == 4
 
 
+def test_consequences_match_the_fold_of_the_listed_answer_sets():
+    # The refinement of each part against listing its answer sets, on
+    # random programs under random valuations, some with no answer set.
+    rng = random.Random(1518)
+    consistent = inconsistent = 0
+    for _ in range(600):
+        prog = random_epistemic_program(rng, max_atoms=5, max_rules=8, max_subjective=5)
+        for ground in (ground_program(prog), ground_program(k15_transform(prog))):
+            tester = Engine(ground)
+            for _ in range(3):
+                valuation = {k: rng.random() < 0.5 for k in tester.kbit}
+                want = fold(tester.parts(valuation))
+                assert tester.consequences(valuation) == want, (print_program(prog), valuation)
+                consistent += want is not None
+                inconsistent += want is None
+    assert consistent > 1000 and inconsistent > 500
+
+
+def shows_program(n):
+    """Two sides of n choices each, tied by the facts i(I); `&k{d}` is
+    its one view, and its display needs the cautious atoms of a view
+    with 2^(2n) answer sets."""
+    return parse_text(" ".join(f"{{x({i})}}. {{y({i})}}. i({i})." for i in range(n))
+                      + " d. c :- x(I), i(I). e :- y(I), i(I), d. a :- c, not &k{d}."
+                      + " #show c/0. #show e/0. #show d/0.")
+
+
 def test_solve_never_lists_the_answer_sets_of_a_candidate(monkeypatch):
     # `Engine.parts` lists answer sets.  The guess enumeration still
     # calls it on the guess program, which has no subjective atoms; on
-    # the tester only `answer_sets` and `cautious()` may.
-    from epiworld.cli import yale_source
+    # the tester only `answer_sets` may, and neither the check nor
+    # `cautious()`, so the `#show` display of a view never lists them.
+    from epiworld.cli import apply_show, yale_source
     parts = Engine.parts
 
     def refuse(self, valuation=None):
@@ -332,15 +387,22 @@ def test_solve_never_lists_the_answer_sets_of_a_candidate(monkeypatch):
     monkeypatch.setattr(Engine, "parts", refuse)
     solved = [list(solve(prog)) for prog in programs]
     known = [[[print_subjective(k) for k in wv.known()] for wv in views] for views in solved]
+    cautious = [[sorted(map(print_atom, wv.cautious())) for wv in views] for views in solved]
+    # The display does not depend on n; the oracle lists 2^6 answer sets.
+    shows = [apply_show(wv, shows_program(10).shows) for wv in solve(shows_program(10))]
     monkeypatch.setattr(Engine, "parts", parts)
+    expected = shows_program(3)
+    assert shows == [apply_show(wv, expected.shows) for wv in oracle_world_views(expected)]
+    assert shows == [["&k{ d }"]]
 
     def listing(views):
         return sorted(([print_subjective(k) for k in wv.known()],
                        [sorted(map(print_atom, m)) for m in wv.answer_sets],
                        sorted(map(print_atom, wv.cautious()))) for wv in views)
 
-    for prog, views, names in zip(programs, solved, known):
+    for prog, views, names, atoms in zip(programs, solved, known, cautious):
         assert [[print_subjective(k) for k in wv.known()] for wv in views] == names
+        assert [sorted(map(print_atom, wv.cautious())) for wv in views] == atoms
         assert listing(views) == listing(oracle_world_views(prog))
 
 

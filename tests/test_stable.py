@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from brute import brute_answer_sets, brute_consequences
-from corpus import random_ground_rules
+from corpus import random_epistemic_program, random_ground_rules
+from pruning import projected_answer_sets
 from epiworld import stable
 from epiworld.grounder import GroundProgram, ground_program
 from epiworld.stable import (
@@ -20,7 +21,6 @@ from epiworld.stable import (
     _watch,
     answer_sets,
     consequences,
-    projected_answer_sets,
     projected_components,
 )
 from epiworld.syntax import Atom, AuxAtom, Rule, parse_text, print_atom
@@ -174,20 +174,24 @@ def test_consequences_exclude_choice_complements():
 
 
 def test_projected_answer_sets_cover_all_combinations():
-    got = sorted(names(projected_answer_sets(ground("{aux_p}. {aux_q}. x :- not y."),
-                                             {Atom("aux_p"), Atom("aux_q")})))
+    g = ground("{aux_p}. {aux_q}. x :- not y.")
+    onto = {Atom("aux_p"), Atom("aux_q")}
+    assert [names(comp) for comp in projected_components(g, onto)] == \
+        [[[], ["aux_p"]], [[], ["aux_q"]], [[]]]
+    got = sorted(names(projected_answer_sets(g, onto)))
     assert got == [[], ["aux_p"], ["aux_p", "aux_q"], ["aux_q"]]
 
 
 def test_projected_answer_sets_on_empty_program():
-    assert list(projected_answer_sets(GroundProgram(()), {Atom("aux_p")})) == [frozenset()]
-    assert list(projected_answer_sets(ground(":- ."), {Atom("aux_p")})) == []
+    assert projected_components(GroundProgram(()), {Atom("aux_p")}) == []
+    assert projected_answer_sets(GroundProgram(()), {Atom("aux_p")}) == [frozenset()]
+    assert projected_components(ground(":- ."), {Atom("aux_p")}) is None
 
 
 def test_subjective_programs_are_refused_without_a_valuation():
     g = ground("p :- &k{q}. q.")
     for query in (answer_sets, consequences,
-                  lambda program: projected_answer_sets(program, {Atom("p")})):
+                  lambda program: projected_components(program, {Atom("p")})):
         with pytest.raises(ValueError, match="depend on a valuation"):
             query(g)
 
@@ -273,12 +277,27 @@ def test_minimality_tests_of_a_normal_program_build_no_watch_lists(monkeypatch):
     monkeypatch.setattr(stable, "_watch", counted)
     g = ground("p :- not q. q :- not p. r :- p. s :- r, not q.")
     eng = Engine(g)
-    [(mask, local)] = stable.component_split(eng.rules, eng.width)
-    models = stable.component_masks(mask, local)
+    [models] = eng.parts()
     assert len(models) == 2
-    assert len(built) == 1  # the component search, which branches on p
-    assert all(_minimal(m, local) for m in models)
+    assert len(built) == 1  # the part's search, which branches on p
+    # The part keeps its lists for every later query.
+    assert eng.parts() == [models] and eng.consequences() is not None
     assert len(built) == 1
+    rules = [rule[0] for rule in eng.rules]
+    assert all(_minimal(m, rules) for m in models)
+    assert len(built) == 1
+    # Listing the answer set of a part that its root closure decides
+    # builds none.
+    assert Engine(ground("p. q :- p, not r. :- r.")).parts() == [[0b11]]
+    assert len(built) == 1
+
+
+def test_parts_ascend_by_their_lowest_atom_with_the_atom_free_part_first():
+    eng = Engine(ground("d :- not c. c :- not d. b. a :- e. e :- not a. :- ."))
+    assert eng.atom_of == [Atom(n) for n in "abcde"]
+    assert [[rule[3] for rule in rules] for rules in eng.part_rules] == \
+        [[()], [(0, 4), (4, 0)], [(1,)], [(3, 2), (2, 3)]]
+    assert eng.parts() is None and eng.consequences() is None
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +359,11 @@ def test_a_tight_program_never_runs_the_minimality_test(monkeypatch):
     eng = Engine(g)
     assert eng.tight
     # r is not cautious: {q} is an answer set.
-    assert eng.check(0) is None
-    assert eng.check(sum(eng.kbit.values())) == stable.KNOWN_NOT_CAUTIOUS
+    assert len(eng.part_rules) == 1
+    assert eng.check(0, 0) is None
+    assert eng.check(sum(eng.kbit.values()), 0) == stable.KNOWN_NOT_CAUTIOUS
+    cautious, brave = eng.consequences({})
+    assert cautious == 0 and brave
     assert eng.answer_sets(eng.parts({})) == answer_sets(ground(
         "p :- not q. q :- not p. r :- p. s ; t :- r, not q. {u}."))
     assert calls == []
@@ -366,13 +388,14 @@ def test_tight_and_non_tight_programs_match_brute_force():
 # Differential checks
 
 
-def _full_scan_models(clauses, supports, scope, counts):
-    """The search of `_models` with a full scan at every node.  Each
-    child is also propagated from its watch lists, from the parent's
-    closed state and the branch bit, and must close the same way;
-    counts[0] counts the children and counts[1] their conflicts."""
+def _full_scan_models(clauses, supports, scope, start, counts):
+    """The search of `_models` from `start` with a full scan at every
+    node.  Each node with bits to propagate from, a child or a start
+    closed but for those bits, is also propagated from its watch lists
+    and must close the same way; counts[0] counts such nodes and
+    counts[1] their conflicts."""
     watch = _watch(clauses, supports, scope)
-    stack = [(0, 0, 0)]
+    stack = [start]
     while stack:
         true_m, false_m, b = stack.pop()
         state = _propagate(clauses, supports, scope, true_m, false_m)
@@ -393,23 +416,29 @@ def _full_scan_models(clauses, supports, scope, counts):
 
 
 def test_watched_search_matches_full_scans_at_every_node(monkeypatch):
-    # Every search the engine makes, component searches and minimality
-    # tests alike, is recorded and then replayed both ways.
+    # Every search the engine makes, part searches and minimality tests
+    # alike, is recorded and then replayed both ways.  The parts of the
+    # epistemic programs start from their root closure with a
+    # valuation's assumption bits to propagate from.
     searches = []
 
-    def recorded(clauses, supports, scope):
-        searches.append((clauses, supports, scope))
-        return _models(clauses, supports, scope)
+    def recorded(clauses, supports, scope, start=(0, 0, 0), watch=None):
+        searches.append((clauses, supports, scope, start))
+        return _models(clauses, supports, scope, start, watch)
 
     monkeypatch.setattr(stable, "_models", recorded)
     rng = random.Random(4242)
     for _ in range(2500):
         rules = random_ground_rules(rng, max_atoms=6, max_rules=12)
         answer_sets(GroundProgram(tuple(rules)))
+    for _ in range(300):
+        tester = Engine(ground_program(random_epistemic_program(rng, max_atoms=5)))
+        tester.parts({k: rng.random() < 0.5 for k in tester.kbit})
+    assert sum(start[2] != 0 for *_, start in searches) > 100
     counts = [0, 0]
-    for clauses, supports, scope in searches:
-        assert list(_models(clauses, supports, scope)) == \
-            list(_full_scan_models(clauses, supports, scope, counts))
+    for clauses, supports, scope, start in searches:
+        assert list(_models(clauses, supports, scope, start)) == \
+            list(_full_scan_models(clauses, supports, scope, start, counts))
     assert counts[0] > 3000 and 0 < counts[1] < counts[0]
 
 
