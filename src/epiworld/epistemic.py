@@ -9,12 +9,12 @@ of W.
 
 Two paths compute the same thing.  `oracle_world_views` follows the
 definition directly: try all 2^k valuations of the k subjective atoms,
-reduce, and keep the fixpoints.  `solve` is the production path: it
-translates subjective literals to auxiliary atoms with choice rules,
-reads candidate valuations off the answer sets of that guess program,
-and confirms each with a cautious/brave check on one shared `Engine`,
-which fixes the guessed subjective literals as assumptions and never
-lists a candidate's answer sets.
+reduce, and keep the fixpoints.  `solve` is the production path: one
+`Engine` keeps each subjective literal as an assumption, projects each
+independent part's answer sets onto them to guess candidates, and
+confirms each with a cautious/brave check on the same index that starts
+from the guess's answer set and never lists a candidate's answer sets.
+`translate_guess` builds the guess as a program, for listings and tests.
 
 The `k15` mode reduces the alternative semantics to the default one by
 strengthening each `&k{l}` with l itself: positive occurrences gain l as
@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .grounder import GroundProgram, ground_program
-from .optimize import add_consistency_constraints, wfm_propagate
-from .stable import Engine, projected_components
+from .stable import Engine
 from .syntax import (Atom, AuxAtom, KAtom, ObjLiteral, Program, Rule,
                      SubjLiteral, print_subjective)
 
@@ -195,9 +194,10 @@ ORACLE_MAX_SUBJECTIVE = 16
 def oracle_world_views(program: Program, semantics: str = "g91") -> list[WorldView]:
     """World views by direct application of the definition.
 
-    Enumerates every valuation of the subjective atoms, computes the
-    answer sets of the valuation's objective program, and keeps the
-    valuations that are reproduced by their own answer sets.
+    Tries every valuation of the subjective atoms and keeps those that
+    its own objective program reproduces: `&k{a}` must hold exactly when
+    a is a cautious consequence, and `&k{~a}` exactly when a is not a
+    brave one.  No answer set is listed to find them.
     """
     ground = _ground(program, semantics)
     katoms = subjective_atoms(ground)
@@ -209,10 +209,13 @@ def oracle_world_views(program: Program, semantics: str = "g91") -> list[WorldVi
     # atom least significant, so small valuations come out first.
     for mask in range(1 << len(katoms)):
         valuation = {k: bool(mask >> i & 1) for i, k in enumerate(katoms)}
-        view = WorldView(valuation, Engine(apply_valuation(ground, valuation)))
-        models = view.answer_sets
-        if models and all(satisfies(models, k) == v for k, v in valuation.items()):
-            views.append(view)
+        engine = Engine(apply_valuation(ground, valuation))
+        found = engine.consequences()
+        if found is not None:
+            cautious, brave = map(engine.to_interpretation, found)
+            if all(satisfies((brave if k.inner.negs else cautious,), k) == v
+                   for k, v in valuation.items()):
+                views.append(WorldView(valuation, engine))
     return views
 
 
@@ -289,22 +292,21 @@ def k15_transform(program: Program) -> Program:
 def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = None):
     """Yield the world views of a program, production path.
 
-    Grounds the program, builds the guess translation, tightens it with
-    the consistency constraints and then wfm propagation, and takes the
-    distinct projections of each component of the guess program.  The
-    tester engine splits the ground program into independent parts that
-    share no atom, subjective atoms included.  Each part's candidates
-    are the product of its own guess components only, each candidate a
-    sum of one mask of known subjective atoms per component.  The
-    consequence check (`Engine.check`) confirms them against the part's
-    own rules only, under assumptions on the part's index, prepared
-    once, without listing their answer sets, and counts into `stats`.
-    The world views are the lazy product of the parts' confirmed masks,
-    parts in the order of their first guess component (parts without
-    one last) and the last part varying fastest; each part's views come
-    in the lexicographic order of its components.  Each view is built
-    from the sum of its masks when it is yielded, and computes its
-    answer sets only when asked.
+    Grounds the program and indexes it once (`Engine`), which splits it
+    into independent parts that share no atom, subjective atoms
+    included.  Each part guesses its own candidate valuations
+    (`Engine.guesses`: its answer sets with the subjective atoms open,
+    under the consistency constraints and the root-closure rule that
+    stands in for wfm propagation, projected onto the subjective atoms)
+    in ascending order of the known mask, each with one of its answer
+    sets.  The consequence check (`Engine.check`) confirms each against
+    the part's own rules only, taking that answer set as its first, and
+    counts into `stats`.  No candidate is checked unless every part has
+    one.  The world views are the lazy product of the parts' confirmed
+    masks, parts in `Engine` part order and the last part varying
+    fastest, so a program of one part lists its views in the oracle's
+    order.  Each view is built from the sum of its masks when it is
+    yielded, and computes its answer sets only when asked.
     Stop the generator early (say with `itertools.islice`) to skip the
     remaining candidates.
 
@@ -316,46 +318,24 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     splitting too much would give wrong views.
     """
     stats = SolveStats() if stats is None else stats
-    ground = _ground(program, semantics)
-    guess, mapping = translate_guess(ground)
-    guess = add_consistency_constraints(guess, mapping)
-    guess = wfm_propagate(guess, ground, mapping)
-    components = projected_components(guess, frozenset(mapping.values()))
-    tester = Engine(ground)
+    tester = Engine(_ground(program, semantics))
     tester.rejections = stats.rejections
     stats.parts = len(tester.part_rules)
-    if components is None:
+    # Without a guess in every part there is no view: find them first.
+    guesses = [tester.guesses(j) for j in range(stats.parts)]
+    firsts = [next(g, None) for g in guesses]
+    if None in firsts:
         return
-    # Each guess component lies inside one part: the guess program ties
-    # aux_l to the atom of l and otherwise only atoms its rules share in
-    # the ground program.  A component without auxiliary atoms offers
-    # nothing to choose.  Each projection becomes a mask over the
-    # tester's subjective atoms once, so a candidate is the sum of one
-    # mask per component: components share no auxiliary atom.
-    katom_of = {aux: k for k, aux in mapping.items()}
-    options: list[list[list[int]]] = [[] for _ in tester.part_rules]
-    order: list[int] = []  # parts in order of their first guess component
-    for comp in components:
-        aux = next((a for projection in comp for a in projection), None)
-        if aux is not None:
-            j = tester.part_of[katom_of[aux]]
-            if not options[j]:
-                order.append(j)
-            options[j].append([sum(tester.kbit[katom_of[a]] for a in projection)
-                               for projection in comp])
-    order += [j for j, comps in enumerate(options) if not comps]
 
     def part_views(j: int):
-        for combo in itertools.product(*options[j]):
+        for known, witness in itertools.chain((firsts[j],), guesses[j]):
             stats.candidates += 1
-            known = sum(combo)
-            if tester.check(known, j) is None:
+            if tester.check(known, j, witness) is None:
                 stats.accepted += 1
                 yield known
 
-    # Parts share no subjective atom, so their known masks add up, and
-    # `kbit` lists the subjective atoms in the order of `mapping`.
-    for masks in _product([part_views(j) for j in order]):
+    # Parts share no subjective atom, so their known masks add up.
+    for masks in _product([part_views(j) for j in range(stats.parts)]):
         known = sum(masks)
         yield WorldView({k: bool(known & bit) for k, bit in tester.kbit.items()}, tester)
 

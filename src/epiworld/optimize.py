@@ -1,8 +1,8 @@
-"""Optimisation passes over the guess program.
+"""Optimisation passes over the guess program of `translate_guess`.
 
-Both passes tighten the guess program before its answer sets are
-enumerated, without changing the world views that come out of the
-check phase.
+Both passes tighten the guess program without changing the world views
+that come out of the check phase.  `solve` runs them on the engine's
+own index instead (`stable._Part.guesses`).
 
 Consistency constraints rule out guesses that contradict the candidate
 answer set they appear in, such as believing `~p` in a world where p

@@ -8,15 +8,15 @@ One union-find over atom bits (`_group`) splits the program into
 independent parts, which share no atom under any valuation; in a
 program without subjective literals they are its connected components.
 Each part has one index, a `_Part`, which answers every query on it:
-`models` lists its answer sets, `consequences` gives its cautious and
-brave consequences, and `verdict` decides whether a valuation is
-reproduced by its answer sets.  The last two never list them, as
-eclingo checks a guess with assumptions on a tester grounded once (arXiv
-2008.02018): they refine one answer set at a time, as clasp's cautious
-and brave modes do (Alviano, Dodaro, Järvisalo, Maratea, Ricca,
-"Cautious reasoning in ASP via minimal models and unsatisfiable cores",
-TPLP 2018).  Each further search adds one clause that asks for an answer
-set that would change the result, until one fails.
+`models` lists its answer sets, `guesses` its candidate valuations,
+`consequences` its cautious and brave consequences, and `verdict`
+decides whether a valuation is reproduced by its answer sets.  Only
+`models` lists them, as eclingo guesses by projection and checks with
+assumptions on a tester grounded once (arXiv 2008.02018).  The last two
+refine one answer set at a time, as clasp's cautious and brave modes do
+(Alviano, Dodaro, Järvisalo, Maratea, Ricca, "Cautious reasoning in ASP
+via minimal models and unsatisfiable cores", TPLP 2018): each further
+search adds a clause asking for an answer set that changes the result.
 
 Each search is a branch-and-propagate loop on an explicit stack that
 enumerates the assignments that survive unit propagation and support
@@ -56,6 +56,7 @@ becomes the constraint `:- a, -a.`
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -406,11 +407,48 @@ class _Part:
         start = self.start(known)
         if start is None:
             return []
-        found = self._search(start)
-        # Without assumption bits, every bit of the scope is an atom.
-        return sorted(m & self.atoms for m in found) if self.assume else sorted(found)
+        return sorted(m & self.atoms for m in self._search(start, self.clauses, self.watch))
 
-    def verdict(self, known: int) -> str | None:
+    def guesses(self):
+        """Yield one answer set of the guess per valuation it has, in
+        ascending order of the assumption bits.  The guess is the part
+        with its assumption bits open and the consistency constraints (a
+        known `&k{a}` needs a, a known `&k{~a}` needs a false) as clauses
+        the check never sees.  If a holds (fails) in its root closure, so
+        in every answer set, a world view knows `&k{a}` (`&k{~a}`): that
+        bit is fixed true and the root closed again.  The search branches
+        on the open assumption bits, highest and false first; where all
+        are set, one ordinary search runs, and it goes back to its last
+        branch (projected enumeration: Gebser, Kaufmann, Schaub, CPAIOR
+        2009), so no answer set is listed."""
+        clauses = self.clauses + [(0, g | b) if tilde else (b, g) for g, b, tilde in self.katoms]
+        watch: dict[int, tuple[list, list]] = {}
+        state = _propagate(clauses, self.supports, self.scope, 0, 0)
+        while state is not None:
+            # state[tilde] is the true mask for `&k{a}`, the false one for `&k{~a}`.
+            fix = sum(g for g, b, tilde in self.katoms if b & state[tilde]) & ~state[0]
+            if not fix:
+                break
+            state = None if fix & state[1] else _propagate(
+                clauses, self.supports, self.scope, state[0] | fix, state[1])
+        stack = [] if state is None else [(*state, 0)]
+        while stack:
+            true_m, false_m, g = stack.pop()
+            if g:
+                state = _propagate(clauses, self.supports, self.scope, true_m, false_m, watch, g)
+                if state is None:
+                    continue
+                true_m, false_m = state
+            open_ = self.assume & ~(true_m | false_m)
+            if not open_:
+                yield from itertools.islice(self._search((true_m, false_m, 0), clauses, watch), 1)
+                continue
+            if not watch:
+                watch.update(_watch(clauses, self.supports, self.scope))
+            g = 1 << (open_.bit_length() - 1)
+            stack += [(true_m | g, false_m, g), (true_m, false_m | g, g)]
+
+    def verdict(self, known: int, witness: int | None = None) -> str | None:
         """None if the valuation `known` passes, else the first reason
         to reject it met.
 
@@ -419,22 +457,16 @@ class _Part:
         `&k{a}` is pending while every M found holds a, an unknown
         `&k{~a}` while none does.  `_refine` tracks the known and the
         pending atoms, so each next search settles a pending atom or
-        rejects, and the first that fails decides.
+        rejects, and the first that fails decides.  An answer set
+        `witness` under `known`, as `guesses` yields, saves the first.
         """
         start = self.start(known)
-        cpos = cneg = wpos = wneg = 0  # known a, known ~a, unknown a, unknown ~a
+        masks = [0, 0, 0, 0]
         for a, b, tilde in self.katoms:
-            if a & known:
-                if tilde:
-                    cneg |= b
-                else:
-                    cpos |= b
-            elif tilde:
-                wneg |= b
-            else:
-                wpos |= b
+            masks[2 * (not a & known) + tilde] |= b
+        cpos, cneg, wpos, wneg = masks  # known a, known ~a, unknown a, unknown ~a
         found = None
-        for found in self._refine(start, cpos | wpos, cneg | wneg):
+        for found in self._refine(start, cpos | wpos, cneg | wneg, witness):
             if cpos & ~found[0]:
                 return KNOWN_NOT_CAUTIOUS
             if cneg & ~found[1]:
@@ -455,15 +487,16 @@ class _Part:
             pass
         return None if found is None else (found[0], self.atoms & ~found[1])
 
-    def _refine(self, start: tuple[int, int, int] | None, cautious: int, absent: int):
+    def _refine(self, start: tuple | None, cautious: int, absent: int, m: int | None = None):
         """Yield, after each answer set found from `start`, the atoms of
         `cautious` true in every answer set found so far and the atoms
-        of `absent` false in every one.  Each search after the first
-        adds the clause "some atom still in `cautious` fails or some
-        atom still in `absent` holds", so it finds an answer set that
-        no earlier search found.  It stops once both are empty or a
-        search fails."""
-        m = None if start is None else next(iter(self._search(start)), None)
+        of `absent` false in every one, the first `m` if given.  Each
+        search after the first adds the clause "some atom still in
+        `cautious` fails or some atom still in `absent` holds", so it
+        finds an answer set that no earlier search found.  It stops once
+        both are empty or a search fails."""
+        if m is None and start is not None:
+            m = next(iter(self._search(start, self.clauses, self.watch)), None)
         while m is not None:
             cautious &= m
             absent &= ~m
@@ -484,8 +517,9 @@ class _Part:
             b = rest & -rest
             self.watch[b][0].append(extra)
             rest ^= b
+        start = (start[0], start[1], start[2] | bits)
         try:
-            return next(iter(self._search((start[0], start[1], start[2] | bits))), None)
+            return next(iter(self._search(start, self.clauses, self.watch)), None)
         finally:
             rest = bits
             while rest:
@@ -493,17 +527,17 @@ class _Part:
                 self.watch[b][0].pop()
                 rest ^= b
 
-    def _search(self, start: tuple[int, int, int]):
+    def _search(self, start: tuple[int, int, int], clauses: list, watch: dict):
         """The answer sets, with the assumption bits, that the search
-        from `start` reaches, lazily.  A start with no bits to propagate
-        from is closed: if it is total it is the only candidate, and
-        otherwise the search branches at once, so the lists are built
-        first."""
+        over `clauses` and their lists `watch` from `start` reaches,
+        lazily.  A start with no bits to propagate from is closed: if it
+        is total it is the only candidate, and otherwise the search
+        branches at once, so the lists are built first."""
         true_m, false_m, todo = start
-        if todo or self.watch or self.scope & ~(true_m | false_m):
-            if not (todo or self.watch):
-                self.watch.update(_watch(self.clauses, self.supports, self.scope))
-            found = _models(self.clauses, self.supports, self.scope, start, self.watch)
+        if todo or watch or self.scope & ~(true_m | false_m):
+            if not (todo or watch):
+                watch.update(_watch(clauses, self.supports, self.scope))
+            found = _models(clauses, self.supports, self.scope, start, watch)
         else:
             found = (true_m,)
         if self.tight:
@@ -529,17 +563,16 @@ class Engine:
     `&k{l}` lies in the part of the atom of l.  Parts come in ascending
     order of their lowest atom bit; rules without atoms or guard
     (`:- .`) form one part of their own, which comes first.
-    `part_rules[j]` holds the rules of part j, `part_katoms[j]` its
-    subjective atoms, and `part_of` maps each subjective atom to its
-    part.
+    `part_rules[j]` holds the rules of part j and `part_katoms[j]` its
+    subjective atoms.
 
     Every query is answered from the parts' `_Part`s, each built at the
-    part's first query: `parts` lists answer sets, `consequences` gives
-    the cautious and brave consequences without listing them, and
-    `check` decides a valuation of one part without listing them and
-    counts its rejections by reason in `rejections`.  `tight` tells
-    whether the program is tight (`_tight`): then no search of the
-    engine runs the minimality test.
+    part's first query: `parts` lists answer sets, `guesses` yields a
+    part's candidate valuations, `consequences` gives the cautious and
+    brave consequences and `check` decides a valuation of one part, both
+    without listing them, `check` counting rejections by reason in
+    `rejections`.  `tight` tells whether the program is tight
+    (`_tight`): then no search of the engine runs the minimality test.
     """
 
     def __init__(self, program: GroundProgram):
@@ -614,10 +647,9 @@ class Engine:
         groups, part_of = _group(self.rules, ties, self.width)
         # With one part, share the rule list instead of copying it.
         self.part_rules: list[list] = [self.rules] if len(groups) == 1 else groups
-        self.part_of: dict[KAtom, int] = {k: part_of(index[k.inner.atom]) for k in kbit}
         self.part_katoms: list[list[KAtom]] = [[] for _ in self.part_rules]
-        for k, j in self.part_of.items():
-            self.part_katoms[j].append(k)
+        for k in kbit:
+            self.part_katoms[part_of(index[k.inner.atom])].append(k)
         self.rejections: Counter[str] = Counter()
         self._parts: list[_Part | None] = [None] * len(self.part_rules)
 
@@ -678,13 +710,18 @@ class Engine:
             brave |= found[1]
         return cautious, brave
 
-    def check(self, known: int, part: int) -> str | None:
+    def guesses(self, part: int):
+        """Yield each candidate valuation of the part `part` as its
+        `kbit` mask, ascending, with an answer set (`_Part.guesses`)."""
+        return ((m >> self.width, m) for m in self._part(part).guesses())
+
+    def check(self, known: int, part: int, witness: int | None = None) -> str | None:
         """None if the valuation that makes exactly the subjective atoms
         of the `kbit` mask `known` true is reproduced by the answer sets
         of the independent part `part`, else the reason, also counted in
         `rejections`.  Only that part's rules and subjective atoms
-        count."""
-        reason = self._part(part).verdict(known << self.width)
+        count.  A `witness` from `guesses` saves the first search."""
+        reason = self._part(part).verdict(known << self.width, witness)
         if reason is not None:
             self.rejections[reason] += 1
         return reason
@@ -721,23 +758,6 @@ def answer_sets(program: GroundProgram) -> list[frozenset[Atom]]:
     """
     eng = Engine(program)
     return eng.answer_sets(eng.parts())
-
-
-def projected_components(program: GroundProgram, onto) -> list[list[frozenset[Atom]]] | None:
-    """Distinct projections onto the given atoms of the answer sets of
-    each part, which for a program without subjective literals is a
-    connected component, in the order of `Engine.parts`; None when
-    there is no answer set."""
-    eng = Engine(program)
-    parts = eng.parts()
-    if parts is None:
-        return None
-    onto_mask = 0
-    for a in onto:
-        if a in eng.index:
-            onto_mask |= 1 << eng.index[a]
-    return [[eng.to_interpretation(p) for p in dict.fromkeys(m & onto_mask for m in comp)]
-            for comp in parts]
 
 
 def consequences(program: GroundProgram) -> ConsequenceSets:

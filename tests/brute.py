@@ -8,14 +8,18 @@ proper subset.  `subjective_reduct` evaluates each subjective literal
 against a world by the definition.  `cross_product_ground` instantiates
 every rule over all ground terms of the program, derivable or not.  No
 sharing with the package internals beyond the AST, its walks and the
-`GroundProgram` container.
+`GroundProgram` container, except in `listing_world_views`, the oracle
+that lists every answer set of each valuation with the engine.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from epiworld.grounder import GroundProgram, rule_vars
+from epiworld.epistemic import (WorldView, apply_valuation, k15_transform, satisfies,
+                                subjective_atoms)
+from epiworld.grounder import GroundProgram, ground_program, rule_vars
+from epiworld.stable import Engine
 from epiworld.syntax import (Atom, Compound, ObjLiteral, Rule, SubjLiteral, Var,
                              print_atom, print_term, rule_atoms, substitute_rule,
                              term_vars)
@@ -144,6 +148,24 @@ def brute_consequences(rules):
     cautious = frozenset.intersection(*models)
     brave = frozenset.union(*models)
     return cautious, brave
+
+
+def listing_world_views(program, semantics: str = "g91") -> list[WorldView]:
+    """World views by the definition, listing answer sets: for every
+    valuation of the subjective atoms, in ascending bitmask order over
+    their sorted alphabet, the answer sets of its objective program,
+    kept when they satisfy the valuation.  The reference for
+    `oracle_world_views`, which decides from consequences instead."""
+    ground = ground_program(k15_transform(program) if semantics == "k15" else program)
+    katoms = subjective_atoms(ground)
+    views = []
+    for mask in range(1 << len(katoms)):
+        valuation = {k: bool(mask >> i & 1) for i, k in enumerate(katoms)}
+        view = WorldView(valuation, Engine(apply_valuation(ground, valuation)))
+        models = view.answer_sets
+        if models and all(satisfies(models, k) == v for k, v in valuation.items()):
+            views.append(view)
+    return views
 
 
 def subjective_reduct(program, world) -> GroundProgram:

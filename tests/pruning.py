@@ -1,10 +1,11 @@
 """Candidate sets of the guess program with and without its pruning passes.
 
-`solve` always runs both passes, so the unpruned guess is only reachable
-through the library layer: translate, optionally prune, enumerate the
-projected answer sets, and check each candidate on one engine of the
-ground program.  The same steps with one guess over the whole program
-give `unsplit_views`, the reference for `solve`'s split of the guess.
+`solve` guesses on the parts of the ground program's own index, so the
+guess program is only reachable through the library layer: translate,
+optionally prune, enumerate the projected answer sets, and check each
+candidate on one engine of the ground program.  The same steps with one
+guess over the whole program give `unsplit_views`, the reference for
+`solve`'s split of the guess.
 """
 
 from __future__ import annotations
@@ -14,7 +15,24 @@ import itertools
 from epiworld.epistemic import WorldView, translate_guess
 from epiworld.grounder import ground_program
 from epiworld.optimize import add_consistency_constraints, wfm_propagate
-from epiworld.stable import Engine, projected_components
+from epiworld.stable import Engine
+
+
+def projected_components(program, onto) -> list[list[frozenset]] | None:
+    """Distinct projections onto the given atoms of the answer sets of
+    each part of a ground `program`, which for a program without
+    subjective literals is a connected component, in the order of
+    `Engine.parts`; None when there is no answer set."""
+    eng = Engine(program)
+    parts = eng.parts()
+    if parts is None:
+        return None
+    onto_mask = 0
+    for a in onto:
+        if a in eng.index:
+            onto_mask |= 1 << eng.index[a]
+    return [[eng.to_interpretation(p) for p in dict.fromkeys(m & onto_mask for m in comp)]
+            for comp in parts]
 
 
 def projected_answer_sets(program, onto) -> list[frozenset]:

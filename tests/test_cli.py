@@ -114,17 +114,18 @@ def test_oracle_mode_prints_the_same_views(tmp_path):
     assert fast == slow
 
 
-def test_parts_print_in_order_of_their_first_guess_component(tmp_path):
-    # a and c form one part through z, b another; the last part varies
-    # fastest, so b changes before the shared a/c part.
+def test_parts_print_in_engine_part_order(tmp_path):
+    # a and c form one part through z, b another.  The a/c part comes
+    # first, as a1 is the lowest atom, and the last part varies fastest,
+    # so b changes before the shared a/c part, in which a changes first.
     source = ("a1 :- not &k{a2}. a2 :- not &k{a1}.\n"
               "b1 :- not &k{b2}. b2 :- not &k{b1}.\n"
               "c1 :- not &k{c2}. c2 :- not &k{c1}.\n"
               "z :- &k{a1}, &k{c1}, g.\n")
     code, text = run_text(tmp_path, source)
     assert code == SATISFIABLE
-    views = ["a1 b1 c1", "a1 b2 c1", "a1 b1 c2", "a1 b2 c2",
-             "a2 b1 c1", "a2 b2 c1", "a2 b1 c2", "a2 b2 c2"]
+    views = ["a1 b1 c1", "a1 b2 c1", "a2 b1 c1", "a2 b2 c1",
+             "a1 b1 c2", "a1 b2 c2", "a2 b1 c2", "a2 b2 c2"]
     want = "".join(f"Answer: {i}\n" + " ".join(f"&k{{ {a} }}" for a in view.split()) + "\n"
                    for i, view in enumerate(views, 1))
     assert after_banner(text) == f"Solving...\n{want}SATISFIABLE\n"

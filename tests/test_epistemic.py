@@ -7,9 +7,9 @@ import random
 
 import pytest
 
-from brute import subjective_reduct
+from brute import listing_world_views, subjective_reduct
 from corpus import random_epistemic_program
-from pruning import projected_answer_sets
+from pruning import projected_answer_sets, pruning_outcomes
 from epiworld.epistemic import (
     SolveStats,
     WorldView,
@@ -371,10 +371,10 @@ def shows_program(n):
 
 
 def test_solve_never_lists_the_answer_sets_of_a_candidate(monkeypatch):
-    # `Engine.parts` lists answer sets.  The guess enumeration still
-    # calls it on the guess program, which has no subjective atoms; on
-    # the tester only `answer_sets` may, and neither the check nor
-    # `cautious()`, so the `#show` display of a view never lists them.
+    # `Engine.parts` lists answer sets.  On an engine with subjective
+    # atoms only `answer_sets` may call it, and neither the guess, the
+    # check nor `cautious()`, so the `#show` display of a view never
+    # lists them.
     from epiworld.cli import apply_show, yale_source
     parts = Engine.parts
 
@@ -426,7 +426,7 @@ def test_check_candidate_matches_the_reduct_path():
                 assert got is None
 
 
-def test_solve_builds_one_guess_and_one_tester_engine(monkeypatch):
+def test_solve_builds_one_engine(monkeypatch):
     from epiworld.cli import yale_source
     built = []
     init = Engine.__init__
@@ -439,7 +439,7 @@ def test_solve_builds_one_guess_and_one_tester_engine(monkeypatch):
     stats = SolveStats()
     views = list(solve(parse_text(yale_source("yale01")), stats=stats))
     assert views and stats.candidates >= 2
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 def test_world_view_known_and_display_order():
@@ -626,6 +626,99 @@ def test_solver_matches_oracle_under_k15_when_heads_repeat():
         want = oracle_world_views(prog, semantics="k15")
         assert view_keys(got) == view_keys(want)
         assert view_models(got) == view_models(want)
+
+
+def ordered_listing(views):
+    """Each view's valuation, in order, with its answer sets."""
+    return [([(print_subjective(k), v) for k, v in wv.valuation.items()],
+             [sorted(map(print_atom, m)) for m in wv.answer_sets]) for wv in views]
+
+
+@pytest.mark.parametrize("semantics", ["g91", "k15"])
+def test_the_oracle_matches_the_listing_oracle(semantics):
+    rng = random.Random(1616)
+    for _ in range(200):
+        prog = random_epistemic_program(rng, max_atoms=5, max_rules=None, max_subjective=5)
+        assert ordered_listing(oracle_world_views(prog, semantics)) == \
+            ordered_listing(listing_world_views(prog, semantics)), print_program(prog)
+
+
+@pytest.mark.parametrize("semantics", ["g91", "k15"])
+def test_a_single_part_lists_its_views_in_the_oracles_order(semantics):
+    rng = random.Random(1617)
+    single = 0
+    for _ in range(200):
+        prog = random_epistemic_program(rng, max_atoms=5, max_rules=None, max_subjective=5)
+        stats = SolveStats()
+        got = ordered_listing(solve(prog, semantics, stats))
+        if stats.parts == 1:
+            single += 1
+            assert got == ordered_listing(oracle_world_views(prog, semantics)), \
+                print_program(prog)
+    assert single > 150
+
+
+def guessed(tester):
+    """Every part's guesses as (part, known, witness), in order."""
+    return [(j, known, witness) for j in range(len(tester.part_rules))
+            for known, witness in tester.guesses(j)]
+
+
+@pytest.mark.parametrize("semantics", ["g91", "k15"])
+def test_part_guesses_are_pruned_candidates_with_the_same_accepted_ones(semantics):
+    # The candidates of the parts, combined over the parts, against the
+    # guess program with both pruning passes; on non-tight programs the
+    # guess's answer sets pass the minimality test.
+    rng = random.Random(1618)
+    non_tight = accepted_some = 0
+    for _ in range(300):
+        prog = random_epistemic_program(rng, max_atoms=5, max_rules=None, max_subjective=5)
+        if semantics == "k15":
+            prog = k15_transform(prog)
+        tester = Engine(ground_program(prog))
+        non_tight += not tester.tight
+        parts = [[] for _ in tester.part_rules]
+        for j, known, witness in guessed(tester):
+            # The witness is an answer set of the part under `known`.
+            part = tester._part(j)
+            assert known == witness >> tester.width
+            assert witness & part.atoms in part.models(known << tester.width)
+            parts[j].append((known, tester.check(known, j, witness) is None))
+        candidates, accepted = set(), set()
+        for combo in itertools.product(*parts):
+            known = sum(k for k, _ in combo)
+            names = frozenset(aux_atom(k) for k, bit in tester.kbit.items() if known & bit)
+            candidates.add(names)
+            if all(ok for _, ok in combo):
+                accepted.add(names)
+        for found in parts:
+            assert [k for k, _ in found] == sorted({k for k, _ in found})
+        both, both_accepted = pruning_outcomes(prog)["both"]
+        assert candidates <= both and accepted == both_accepted, print_program(prog)
+        accepted_some += bool(accepted)
+    assert non_tight > 100 and accepted_some > 100
+
+
+def test_a_check_with_a_witness_decides_as_one_without():
+    # Witnesses from the guesses, and any answer set of the part under a
+    # random valuation, listed by `_Part.models`.
+    rng = random.Random(1619)
+    checked = accepted = 0
+    for _ in range(300):
+        prog = random_epistemic_program(rng, max_atoms=5, max_rules=None, max_subjective=5)
+        for ground in (ground_program(prog), ground_program(k15_transform(prog))):
+            tester = Engine(ground)
+            tests = guessed(tester)
+            for j in range(len(tester.part_rules)):
+                known = rng.getrandbits(len(tester.kbit))
+                tests += [(j, known, m)
+                          for m in tester._part(j).models(known << tester.width)]
+            for j, known, witness in tests:
+                want = tester.check(known, j) is None
+                assert (tester.check(known, j, witness) is None) == want, print_program(prog)
+                checked += 1
+                accepted += want
+    assert checked > 1000 and accepted > 300
 
 
 # Names the machinery prints its own atoms with; renaming program atoms

@@ -3,9 +3,10 @@
 Each seeded program below is a disjoint union of two or three
 `random_epistemic_program` outputs whose atoms are renamed apart so that
 the names of the sub-programs interleave in sort order (a0, a1, b0, ...).
-`solve` must find the same world views as the definitional oracle, and
-the same ones in the same order, answer sets included, as one guess over
-all subjective atoms (`unsplit_views`).
+`solve` must find the same world views, answer sets included, as the
+definitional oracle and as one guess over all subjective atoms
+(`unsplit_views`), in the order of the parts, the last varying fastest,
+and within a part in ascending order of the known mask.
 """
 
 import itertools
@@ -13,7 +14,7 @@ import random
 import weakref
 
 from corpus import random_epistemic_program
-from epiworld.epistemic import SolveStats, _product, oracle_world_views, solve
+from epiworld.epistemic import SolveStats, _product, k15_transform, oracle_world_views, solve
 from epiworld.grounder import ground_program
 from epiworld.stable import Engine
 from epiworld.syntax import (Atom, KAtom, ObjLiteral, Program, Rule, SubjLiteral,
@@ -63,13 +64,22 @@ def listing(views):
              [sorted(print_atom(a) for a in m) for m in wv.answer_sets]) for wv in views]
 
 
+def part_masks(tester, wv):
+    """The known mask of `wv` restricted to each part of `tester`."""
+    known = tester.known_mask(wv.valuation)
+    return [sum(tester.kbit[k] & known for k in katoms) for katoms in tester.part_katoms]
+
+
 def check(prog, semantics="g91"):
     stats = SolveStats()
     got = list(solve(prog, semantics, stats))
     want = oracle_world_views(prog, semantics)
-    assert sorted(listing(got)) == sorted(listing(want))
     if semantics == "g91":
-        assert listing(got) == listing(unsplit_views(prog))
+        assert sorted(listing(got)) == sorted(listing(unsplit_views(prog)))
+    # Parts in `Engine` part order, the last varying fastest, and each
+    # part's views in ascending order of its known mask.
+    tester = Engine(ground_program(k15_transform(prog) if semantics == "k15" else prog))
+    assert listing(got) == listing(sorted(want, key=lambda wv: part_masks(tester, wv)))
     return stats
 
 
@@ -173,9 +183,9 @@ def test_product_keeps_two_views_of_the_first_part():
         assert len(alive) == 100
 
 
-# `z` ties a and c into one part, and the wfm pass drops its rule from the
-# guess program (g heads no rule), so part (a, c) owns guess components on
-# both sides of part b's: the views no longer follow one unsplit guess.
+# `z` ties a and c into one part and b is the other.  The part of a and c
+# comes first, as a1 is the lowest atom, and part b varies fastest, so
+# the views do not follow the oracle's order over all six atoms.
 INTERLEAVED = """a1 :- not &k{a2}. a2 :- not &k{a1}.
 b1 :- not &k{b2}. b2 :- not &k{b1}.
 c1 :- not &k{c2}. c2 :- not &k{c1}.
@@ -187,12 +197,13 @@ def known(wv):
     return " ".join(print_atom(k.inner.atom) for k in wv.known())
 
 
-def test_parts_are_ordered_by_their_first_guess_component():
+def test_parts_come_in_engine_order_the_last_varying_fastest():
     stats = SolveStats()
     got = [known(wv) for wv in solve(parse_text(INTERLEAVED), stats=stats)]
     assert stats.parts == 2
-    assert got == ["a1 b1 c1", "a1 b2 c1", "a1 b1 c2", "a1 b2 c2",
-                   "a2 b1 c1", "a2 b2 c1", "a2 b1 c2", "a2 b2 c2"]
-    # One guess over the whole program swaps answers 2/3 and 6/7.
-    unsplit = [known(wv) for wv in unsplit_views(parse_text(INTERLEAVED))]
-    assert unsplit == [got[i] for i in (0, 2, 1, 3, 4, 6, 5, 7)]
+    assert got == ["a1 b1 c1", "a1 b2 c1", "a2 b1 c1", "a2 b2 c1",
+                   "a1 b1 c2", "a1 b2 c2", "a2 b1 c2", "a2 b2 c2"]
+    # The oracle's ascending order over all subjective atoms swaps
+    # answers 2/3 and 6/7.
+    oracle = [known(wv) for wv in oracle_world_views(parse_text(INTERLEAVED))]
+    assert oracle == [got[i] for i in (0, 2, 1, 3, 4, 6, 5, 7)]

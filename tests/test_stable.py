@@ -8,7 +8,7 @@ import pytest
 
 from brute import brute_answer_sets, brute_consequences
 from corpus import random_epistemic_program, random_ground_rules
-from pruning import projected_answer_sets
+from pruning import projected_answer_sets, projected_components
 from epiworld import stable
 from epiworld.grounder import GroundProgram, ground_program
 from epiworld.stable import (
@@ -21,7 +21,6 @@ from epiworld.stable import (
     _watch,
     answer_sets,
     consequences,
-    projected_components,
 )
 from epiworld.syntax import Atom, AuxAtom, Rule, parse_text, print_atom
 
