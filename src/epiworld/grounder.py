@@ -17,12 +17,13 @@ consequences of the input, its heads cover the brave ones).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
 from .syntax import (MAX_TERM_DEPTH, Atom, Compound, ObjLiteral, Program, Rule,
                      SubjLiteral, Term, Var, print_rule, rule_atoms, substitute_atom,
-                     substitute_rule, term_vars)
+                     substitute_rule, substitute_term, term_vars)
 
 
 class SafetyError(Exception):
@@ -40,34 +41,40 @@ class GroundingError(Exception):
 def atom_vars(a: Atom) -> set[str]:
     out: set[str] = set()
     for t in a.args:
-        out |= term_vars(t)
+        if isinstance(t, Var):
+            out.add(t.name)
+        elif isinstance(t, Compound):
+            out |= term_vars(t)
     return out
 
 
-def rule_vars(r: Rule) -> set[str]:
-    out: set[str] = set()
-    for a in rule_atoms(r):
-        out |= atom_vars(a)
-    return out
-
-
-def safety_check(rule: Rule) -> None:
+def safety_check(rule: Rule) -> set[str]:
     """Every variable must occur in a positive objective body literal.
 
     Occurrences inside subjective atoms do not make a variable safe.
+    Returns the variables of the rule.
     """
+    variables: set[str] = set()
     bound: set[str] = set()
+    for a in rule.head:
+        variables |= atom_vars(a)
     for lit in rule.body:
-        if isinstance(lit, ObjLiteral) and lit.negs == 0:
-            bound |= atom_vars(lit.atom)
-    unsafe = sorted(rule_vars(rule) - bound)
+        if isinstance(lit, ObjLiteral):
+            found = atom_vars(lit.atom)
+            if lit.negs == 0:
+                bound |= found
+        else:
+            found = atom_vars(lit.katom.inner.atom)
+        variables |= found
+    unsafe = variables - bound
     if unsafe:
-        raise SafetyError(f"unsafe variable {unsafe[0]!r} in rule: {print_rule(rule)}")
+        raise SafetyError(f"unsafe variable {min(unsafe)!r} in rule: {print_rule(rule)}")
+    return variables
 
 
-def program_safety_check(program: Program) -> None:
-    for r in program.rules:
-        safety_check(r)
+def program_safety_check(program: Program) -> list[set[str]]:
+    """`safety_check` on every rule; returns the variables of each."""
+    return [safety_check(r) for r in program.rules]
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +149,18 @@ class _Derivable:
     round of the semi-naive fixpoint can tell the atoms of earlier
     rounds, [0, lo), from those of the last round, [lo, hi), where lo
     and hi are the list lengths at the start of the last round and of
-    this one.
+    this one.  A body atom with some arguments bound is looked up
+    through an index on those argument positions, built on first use
+    and brought up to date at each lookup.
     """
 
     def __init__(self) -> None:
         self.atoms: dict[tuple, list[Atom]] = {}
         self.position: dict[Atom, int] = {}
+        # (key, argument positions) -> [the indices of the atoms of key
+        # by their arguments at those positions, ascending; how many
+        # atoms of key the index holds]
+        self.indexes: dict[tuple, list] = {}
 
     def add(self, a: Atom) -> bool:
         if a in self.position:
@@ -160,6 +173,22 @@ class _Derivable:
     def sizes(self) -> dict[tuple, int]:
         return {k: len(v) for k, v in self.atoms.items()}
 
+    def lookup(self, key: tuple, at: tuple[int, ...], values: tuple,
+               start: int, stop: int) -> list[Atom]:
+        """The atoms of `key` with index in [start, stop) whose
+        arguments at positions `at` equal `values`, in derivation
+        order."""
+        atoms = self.atoms[key]
+        entry = self.indexes.setdefault((key, at), [{}, 0])
+        table, held = entry
+        for n in range(held, len(atoms)):
+            args = atoms[n].args
+            table.setdefault(tuple([args[p] for p in at]), []).append(n)
+        entry[1] = len(atoms)
+        found = table.get(values, ())
+        first = bisect_left(found, start)
+        return [atoms[n] for n in found[first:bisect_left(found, stop, first)]]
+
     def join(self, body: list[Atom], lo: dict, hi: dict):
         """Substitutions that match every atom of `body` against a
         derived atom of a round before this one, at least one of them
@@ -170,28 +199,43 @@ class _Derivable:
         atom is scanned."""
         if any(_key(a) not in hi for a in body):
             return
+        # Per body atom: the argument positions that the atoms before it
+        # bind, the others, and whether it is ground once they are bound.
+        steps = []
+        bound: set[str] = set()
+        for pattern in body:
+            known = [term_vars(t) <= bound for t in pattern.args]
+            steps.append((tuple(p for p, k in enumerate(known) if k),
+                          tuple(p for p, k in enumerate(known) if not k), all(known)))
+            bound |= atom_vars(pattern)
         for i in range(len(body)):
             key = _key(body[i])
             if lo.get(key, 0) < hi.get(key, 0):
-                yield from self._extend(body, 0, i, {}, lo, hi)
+                yield from self._extend(body, steps, 0, i, {}, lo, hi)
 
-    def _extend(self, body, j, i, sub, lo, hi):
+    def _extend(self, body, steps, j, i, sub, lo, hi):
         if j == len(body):
             yield sub
             return
         pattern = body[j]
+        at, free, ground = steps[j]
         key = _key(pattern)
         start = lo.get(key, 0) if j == i else 0
         stop = lo.get(key, 0) if j < i else hi.get(key, 0)
-        if atom_vars(pattern) <= sub.keys():
-            at = self.position.get(substitute_atom(pattern, sub, Var), -1)
-            if start <= at < stop:
-                yield from self._extend(body, j + 1, i, sub, lo, hi)
+        if ground:
+            n = self.position.get(substitute_atom(pattern, sub, Var), -1)
+            if start <= n < stop:
+                yield from self._extend(body, steps, j + 1, i, sub, lo, hi)
             return
-        for a in self.atoms.get(key, [])[start:stop]:
+        if at:
+            values = tuple([substitute_term(pattern.args[p], sub, Var) for p in at])
+            candidates = self.lookup(key, at, values, start, stop)
+        else:
+            candidates = self.atoms[key][start:stop]
+        for a in candidates:
             s = dict(sub)
-            if all(_match(p, t, s) for p, t in zip(pattern.args, a.args)):
-                yield from self._extend(body, j + 1, i, s, lo, hi)
+            if all(_match(pattern.args[p], a.args[p], s) for p in free):
+                yield from self._extend(body, steps, j + 1, i, s, lo, hi)
 
 
 def ground_program(program: Program) -> GroundProgram:
@@ -210,10 +254,9 @@ def ground_program(program: Program) -> GroundProgram:
     instances, or a derived term nested deeper than `MAX_TERM_DEPTH`,
     raise `GroundingError`.
     """
-    program_safety_check(program)
+    variables = program_safety_check(program)
     rules = program.rules
-    variable = [bool(rule_vars(r)) for r in rules]
-    if not any(variable):
+    if not any(variables):
         return GroundProgram(rules)
     bodies = [[lit.atom for lit in r.body if isinstance(lit, ObjLiteral) and lit.negs == 0]
               for r in rules]
@@ -224,7 +267,7 @@ def ground_program(program: Program) -> GroundProgram:
     def fire(j: int, sub: dict[str, Term]) -> None:
         nonlocal count
         rule = rules[j]
-        if variable[j]:
+        if variables[j]:
             count += 1
             if count > MAX_INSTANCES:
                 raise GroundingError(f"grounding creates more than {MAX_INSTANCES} rule "
@@ -248,7 +291,7 @@ def ground_program(program: Program) -> GroundProgram:
         lo, hi = hi, derived.sizes()
     out: list[Rule] = []
     for j, rule in enumerate(rules):
-        if variable[j]:
+        if variables[j]:
             out.extend(substitute_rule(rule, sub, Var) for sub in found[j])
         else:
             out.append(rule)

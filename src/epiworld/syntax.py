@@ -26,6 +26,7 @@ negation and binds tighter than `~`.  `&m{l}` is sugar for
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -58,6 +59,30 @@ class ParseError(SourceError):
 # AST
 
 
+def _hash_once(cls):
+    """Class decorator: keep the dataclass hash of each node after its
+    first use.  Atoms and subjective atoms are dict and set keys
+    throughout the solver, and each hash would otherwise walk their
+    terms again.  The kept hash is not pickled, since str hashes are
+    salted per process."""
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls._hash = None  # until the first hash; not a dataclass field
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
 @dataclass(frozen=True)
 class Const:
     name: str
@@ -82,6 +107,7 @@ class Compound:
 Term = Const | Num | Var | Compound
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Atom:
     """Predicate atom.  An explicitly negated atom -p is a distinct atom."""
@@ -91,6 +117,7 @@ class Atom:
     strong_neg: bool = False
 
 
+@_hash_once
 @dataclass(frozen=True)
 class AuxAtom(Atom):
     """Atom the solver creates.  It prints like the `Atom` with the same
@@ -98,6 +125,7 @@ class AuxAtom(Atom):
     classes, so no user atom can collide with it."""
 
 
+@_hash_once
 @dataclass(frozen=True)
 class ObjLiteral:
     """Objective literal: an atom under 0..2 default negations."""
@@ -106,6 +134,7 @@ class ObjLiteral:
     negs: int = 0
 
 
+@_hash_once
 @dataclass(frozen=True)
 class KAtom:
     """Subjective atom K l; the inner literal carries at most one `~`."""
@@ -166,84 +195,85 @@ class Token:
     col: int
 
 
-_PUNCT = {",": ",", ".": ".", "(": "(", ")": ")", "{": "{", "}": "}",
-          "~": "~", ";": ";", "/": "/", "=": "=", "-": "-"}
+# One match per token: the blanks and comments in front of it, then the
+# token as group 1.  `\w` is `isalnum()` or "_" and `\d` is
+# `isdecimal()`, the classes the lexer is defined by; `\d+` comes before
+# `\w+`, so `12ab` is a number and a word.  A comment that ends the
+# input without a newline is the text of the end token, so the end is
+# reported where that comment starts.  Every position matches one
+# alternative, the last one any character, so the blanks in front are
+# never given back to a token.
+_TOKEN = re.compile(r"""
+    [ \t\r\n]* (?: %[^\n]*\n [ \t\r\n]* )*
+    ( [,.(){}~;/=-] | \d+ | \w+ | :-? | [&#]\w* | (?:%[^\n]*)?\Z | . )
+""", re.VERBOSE)
+
+# Kinds by whole token text, then by first character; a token found in
+# neither gets the empty kind until `_words` checks it.
+_KIND = {t: t for t in (",", ".", "(", ")", "{", "}", "~", ";", "/", "=", "-", ":-",
+                        "not", "&k", "&m", "#show", "#const")} | {"": "eof"}
+_FIRST = ({c: "ident" for c in "abcdefghijklmnopqrstuvwxyz"}
+          | {c: "var" for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ"}
+          | {c: "num" for c in "0123456789"})
+
+
+def _lex(source: str) -> tuple[list[str], list[str]]:
+    """The kinds and texts of the tokens of `source`, ending with the
+    end token, whose text is empty."""
+    texts = _TOKEN.findall(source)
+    if len(texts) > 1 and texts[-2][:1] in ("", "%"):
+        texts.pop()  # the empty match findall adds after a match that ends the input
+    texts[-1] = ""
+    kinds = [_KIND.get(t) or _FIRST.get(t[0], "") for t in texts]
+    if "" in kinds:
+        _words(source, kinds, texts)
+    return kinds, texts
+
+
+def _words(source: str, kinds: list[str], texts: list[str]) -> None:
+    """Give its kind to each token that `_lex` left without one (a word
+    or number that does not start with an ASCII character), or refuse
+    the first that is no token."""
+    for i, kind in enumerate(kinds):
+        if kind:
+            continue
+        text = texts[i]
+        c = text[0]
+        if c.isdecimal():
+            kinds[i] = "num"
+        elif c.isalpha():
+            kinds[i] = "var" if c.isupper() else "ident"
+        elif c == ":":
+            raise LexError("expected ':-'", *_position(source, i))
+        elif c in "&#":
+            raise LexError(f"unknown token {text!r}", *_position(source, i))
+        else:
+            raise LexError(f"unrecognized character {c!r}", *_position(source, i))
+
+
+def _starts(source: str) -> list[int]:
+    """The offset of each token of `source`, as `_lex` splits it."""
+    return [m.start(1) for m in _TOKEN.finditer(source)]
+
+
+def _position(source: str, token: int) -> tuple[int, int]:
+    """Line and column of token number `token` of `source`."""
+    offset = _starts(source)[token]
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 def tokenize(source: str) -> list[Token]:
+    """The tokens of `source` with their positions, the end token last."""
+    kinds, texts = _lex(source)
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-
-    def push(kind: str, text: str, ln: int, cl: int) -> None:
-        tokens.append(Token(kind, text, ln, cl))
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        ln, cl = line, col
-        if c == ":":
-            if source[i:i + 2] == ":-":
-                push(":-", ":-", ln, cl)
-                i += 2
-                col += 2
-                continue
-            raise LexError("expected ':-'", ln, cl)
-        if c in _PUNCT:
-            push(_PUNCT[c], c, ln, cl)
-            i += 1
-            col += 1
-            continue
-        if c in "&#":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i + 1:j]
-            if c == "&" and word in ("k", "m"):
-                push("&" + word, source[i:j], ln, cl)
-            elif c == "#" and word in ("show", "const"):
-                push("#" + word, source[i:j], ln, cl)
-            else:
-                raise LexError(f"unknown token {source[i:j]!r}", ln, cl)
-            col += j - i
-            i = j
-            continue
-        if c.isdecimal():
-            j = i
-            while j < n and source[j].isdecimal():
-                j += 1
-            push("num", source[i:j], ln, cl)
-            col += j - i
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            if word == "not":
-                push("not", word, ln, cl)
-            elif word[0].isupper():
-                push("var", word, ln, cl)
-            else:
-                push("ident", word, ln, cl)
-            col += j - i
-            i = j
-            continue
-        raise LexError(f"unrecognized character {c!r}", ln, cl)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start, last = 1, 0, 0
+    for kind, text, start in zip(kinds, texts, _starts(source)):
+        newlines = source.count("\n", last, start)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", last, start) + 1
+        tokens.append(Token(kind, text, line, start - line_start + 1))
+        last = start
     return tokens
 
 
@@ -252,172 +282,218 @@ def tokenize(source: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Recursive descent over the token kinds of one source, read by
+    index: `pos` is the next token.  The rule grammar compares kinds
+    inline; positions are worked out only for an error."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.kinds, self.texts = _lex(source)
         self.pos = 0
 
-    # -- token helpers
+    # -- errors, and the token helper of the directives
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, token: int) -> ParseError:
+        return ParseError(message, *_position(self.source, token))
 
-    def at(self, kind: str) -> bool:
-        return self.tokens[self.pos].kind == kind
+    def expected(self, kind: str, token: int) -> ParseError:
+        shown = self.texts[token] or "end of input"
+        return self.error(f"expected {kind!r}, found {shown!r}", token)
 
-    def take(self, kind: str) -> Token | None:
-        if self.at(kind):
-            tok = self.tokens[self.pos]
-            self.pos += 1
-            return tok
-        return None
-
-    def expect(self, kind: str) -> Token:
-        tok = self.take(kind)
-        if tok is None:
-            got = self.peek()
-            shown = got.text or "end of input"
-            raise ParseError(f"expected {kind!r}, found {shown!r}", got.line, got.col)
-        return tok
-
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def expect(self, kind: str) -> str:
+        i = self.pos
+        if self.kinds[i] != kind:
+            raise self.expected(kind, i)
+        self.pos = i + 1
+        return self.texts[i]
 
     # -- grammar
 
     def statements(self, rules: list[Rule], shows: list[ShowDirective],
-                   consts: list[tuple[ConstDirective, Token]]) -> None:
-        while not self.at("eof"):
-            if self.at("#show"):
+                   consts: list[tuple[ConstDirective, int]]) -> None:
+        """Parse every statement.  Each `#const` comes with the number
+        of its token."""
+        kinds = self.kinds
+        while (kind := kinds[self.pos]) != "eof":
+            if kind == "#show":
                 shows.append(self.show_directive())
-            elif self.at("#const"):
-                consts.append(self.const_directive())
+            elif kind == "#const":
+                start = self.pos
+                consts.append((self.const_directive(), start))
             else:
                 rules.append(self.rule())
 
     def show_directive(self) -> ShowDirective:
         self.expect("#show")
-        strong = self.take("-") is not None
-        name = self.expect("ident").text
+        strong = self.kinds[self.pos] == "-"
+        self.pos += strong
+        name = self.expect("ident")
         self.expect("/")
         arity = self.number()
         self.expect(".")
         return ShowDirective(name, arity, strong)
 
-    def const_directive(self) -> tuple[ConstDirective, Token]:
-        tok = self.expect("#const")
-        name = self.expect("ident").text
+    def const_directive(self) -> ConstDirective:
+        start = self.pos
+        self.expect("#const")
+        name = self.expect("ident")
         self.expect("=")
         value = self.term()
         if term_vars(value):
-            raise ParseError("constant definitions must be ground", tok.line, tok.col)
+            raise self.error("constant definitions must be ground", start)
         self.expect(".")
-        return ConstDirective(name, value), tok
+        return ConstDirective(name, value)
 
     def rule(self) -> Rule:
-        if self.take("{"):
+        kinds = self.kinds
+        i = self.pos
+        if kinds[i] == "{":
+            self.pos = i + 1
             atom = self.head_atom()
-            self.expect("}")
-            self.expect(".")
+            i = self.pos
+            if kinds[i] != "}":
+                raise self.expected("}", i)
+            if kinds[i + 1] != ".":
+                raise self.expected(".", i + 1)
+            self.pos = i + 2
             return Rule((atom,), (), is_choice=True)
         head: tuple[Atom, ...] = ()
-        if not self.at(":-"):
+        if kinds[i] != ":-":
             head = self.head()
+            i = self.pos
         body: tuple[BodyLiteral, ...] = ()
-        if self.take(":-") and not self.at("."):
-            body = self.body()
-        self.expect(".")
+        if kinds[i] == ":-":
+            i += 1
+            if kinds[i] != ".":
+                self.pos = i
+                body = self.body()
+                i = self.pos
+        if kinds[i] != ".":
+            raise self.expected(".", i)
+        self.pos = i + 1
         return Rule(head, body)
 
     def head(self) -> tuple[Atom, ...]:
+        kinds = self.kinds
         atoms = [self.head_atom()]
-        while self.take(",") or self.take(";"):
+        while kinds[self.pos] in (",", ";"):
+            self.pos += 1
             atoms.append(self.head_atom())
         return tuple(atoms)
 
     def head_atom(self) -> Atom:
-        strong = self.take("-") is not None
-        atom = self.atom()
-        return Atom(atom.name, atom.args, strong)
+        strong = self.kinds[self.pos] == "-"
+        self.pos += strong
+        return self.atom(strong)
 
     def body(self) -> tuple[BodyLiteral, ...]:
+        kinds = self.kinds
         literals = [self.body_literal()]
-        while self.take(","):
+        while kinds[self.pos] == ",":
+            self.pos += 1
             literals.append(self.body_literal())
         return tuple(literals)
 
     def body_literal(self) -> BodyLiteral:
+        kinds = self.kinds
+        i = self.pos
         negs = 0
-        while self.at("not"):
+        while kinds[i] == "not":
             if negs == 2:
-                raise self.error("at most two 'not' may stack on a literal")
-            self.take("not")
+                raise self.error("at most two 'not' may stack on a literal", i)
+            i += 1
             negs += 1
-        if self.at("&k") or self.at("&m"):
+        kind = kinds[i]
+        if kind == "&k" or kind == "&m":
             if negs > 1:
-                raise self.error("at most one 'not' may precede a subjective atom")
-            sugar = self.at("&m")
-            self.pos += 1
+                raise self.error("at most one 'not' may precede a subjective atom", i)
+            self.pos = i + 1
             inner = self.subjective_inner()
             negated = negs == 1
-            if sugar:
+            if kind == "&m":
                 # &m{l} abbreviates not &k{~l}
                 inner = ObjLiteral(inner.atom, 1 - inner.negs)
                 negated = not negated
             return SubjLiteral(KAtom(inner), negated)
-        strong = self.take("-") is not None
-        atom = self.atom()
-        return ObjLiteral(Atom(atom.name, atom.args, strong), negs)
+        strong = kind == "-"
+        self.pos = i + strong
+        return ObjLiteral(self.atom(strong), negs)
 
     def subjective_inner(self) -> ObjLiteral:
-        self.expect("{")
-        if self.at("not"):
-            raise self.error("default negation inside a subjective atom is written '~'")
-        negs = 1 if self.take("~") else 0
-        if self.at("~"):
-            raise self.error("at most one '~' may occur inside a subjective atom")
-        if self.at("&k") or self.at("&m"):
-            raise self.error("subjective atoms cannot be nested")
-        strong = self.take("-") is not None
-        atom = self.atom()
-        self.expect("}")
-        return ObjLiteral(Atom(atom.name, atom.args, strong), negs)
+        kinds = self.kinds
+        i = self.pos
+        if kinds[i] != "{":
+            raise self.expected("{", i)
+        i += 1
+        if kinds[i] == "not":
+            raise self.error("default negation inside a subjective atom is written '~'", i)
+        negs = 0
+        if kinds[i] == "~":
+            i += 1
+            negs = 1
+            if kinds[i] == "~":
+                raise self.error("at most one '~' may occur inside a subjective atom", i)
+        kind = kinds[i]
+        if kind == "&k" or kind == "&m":
+            raise self.error("subjective atoms cannot be nested", i)
+        strong = kind == "-"
+        self.pos = i + strong
+        atom = self.atom(strong)
+        i = self.pos
+        if kinds[i] != "}":
+            raise self.expected("}", i)
+        self.pos = i + 1
+        return ObjLiteral(atom, negs)
 
-    def atom(self) -> Atom:
-        tok = self.expect("ident")
-        args: tuple[Term, ...] = ()
-        if self.take("("):
-            parts = [self.term()]
-            while self.take(","):
-                parts.append(self.term())
-            self.expect(")")
-            args = tuple(parts)
-        return Atom(tok.text, args)
+    def atom(self, strong: bool) -> Atom:
+        kinds = self.kinds
+        i = self.pos
+        if kinds[i] != "ident":
+            raise self.expected("ident", i)
+        if kinds[i + 1] != "(":
+            self.pos = i + 1
+            return Atom(self.texts[i], (), strong)
+        self.pos = i + 2
+        return Atom(self.texts[i], self.arguments(0), strong)
+
+    def arguments(self, depth: int) -> tuple[Term, ...]:
+        """The terms after a "(", through the closing ")"."""
+        kinds = self.kinds
+        parts = [self.term(depth)]
+        while kinds[self.pos] == ",":
+            self.pos += 1
+            parts.append(self.term(depth))
+        i = self.pos
+        if kinds[i] != ")":
+            raise self.expected(")", i)
+        self.pos = i + 1
+        return tuple(parts)
 
     def term(self, depth: int = 0) -> Term:
+        i = self.pos
         if depth > MAX_TERM_DEPTH:
-            raise self.error(f"terms may nest at most {MAX_TERM_DEPTH} deep")
-        if self.at("ident"):
-            name = self.take("ident").text
-            if self.take("("):
-                parts = [self.term(depth + 1)]
-                while self.take(","):
-                    parts.append(self.term(depth + 1))
-                self.expect(")")
-                return Compound(name, tuple(parts))
-            return Const(name)
-        if self.at("var"):
-            return Var(self.take("var").text)
-        if self.at("num"):
+            raise self.error(f"terms may nest at most {MAX_TERM_DEPTH} deep", i)
+        kind = self.kinds[i]
+        if kind == "ident":
+            if self.kinds[i + 1] == "(":
+                self.pos = i + 2
+                return Compound(self.texts[i], self.arguments(depth + 1))
+            self.pos = i + 1
+            return Const(self.texts[i])
+        if kind == "var":
+            self.pos = i + 1
+            return Var(self.texts[i])
+        if kind == "num":
             return Num(self.number())
-        raise self.error(f"expected a term, found {self.peek().text!r}")
+        raise self.error(f"expected a term, found {self.texts[i]!r}", i)
 
     def number(self) -> int:
-        tok = self.expect("num")
+        i = self.pos
+        text = self.expect("num")
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:  # past Python's limit on digits of an int
-            raise ParseError("number too long", tok.line, tok.col) from None
+            raise self.error("number too long", i) from None
 
 
 def term_vars(t: Term, leaf: type[Var] | type[Const] = Var) -> set[str]:
@@ -482,30 +558,36 @@ def parse_text(*sources: str, names: Sequence[str] | None = None) -> Program:
     that text."""
     rules: list[Rule] = []
     shows: list[ShowDirective] = []
-    consts: list[tuple[ConstDirective, Token]] = []
-    origin: list[str | None] = []  # name of the text of each entry of consts
-    for i, source in enumerate(sources):
-        name = None if names is None else names[i]
+    consts: list[tuple[ConstDirective, int]] = []  # with the number of its token
+    origin: list[int] = []  # the number of the text of each entry of consts
+
+    def name(k: int) -> str | None:
+        return None if names is None else names[k]
+
+    def const_error(message: str, entry: int) -> ParseError:
+        k = origin[entry]
+        return ParseError(message, *_position(sources[k], consts[entry][1]), name(k))
+
+    for k, source in enumerate(sources):
         try:
-            _Parser(tokenize(source)).statements(rules, shows, consts)
+            _Parser(source).statements(rules, shows, consts)
         except SourceError as exc:
-            raise type(exc)(exc.message, exc.line, exc.col, name) from None
-        origin += [name] * (len(consts) - len(origin))
+            raise type(exc)(exc.message, exc.line, exc.col, name(k)) from None
+        origin += [k] * (len(consts) - len(origin))
     mapping: dict[str, Term] = {}
-    for (directive, tok), name in zip(consts, origin):
+    for entry, (directive, _) in enumerate(consts):
         if directive.name in mapping:
-            raise ParseError(f"constant {directive.name!r} defined twice",
-                             tok.line, tok.col, name)
+            raise const_error(f"constant {directive.name!r} defined twice", entry)
         mapping[directive.name] = directive.value
     # A value naming a defined constant is refused, not expanded: chains
     # could expand to terms of any size.
-    for (directive, tok), name in zip(consts, origin):
+    for entry, (directive, _) in enumerate(consts):
         chained = sorted(c for c in term_vars(directive.value, Const)
                          if mapping.get(c, Const(c)) != Const(c))
         if chained:
-            raise ParseError(f"the value of constant {directive.name!r} names constant "
-                             f"{chained[0]!r}; chained #const definitions are refused",
-                             tok.line, tok.col, name)
+            raise const_error(f"the value of constant {directive.name!r} names constant "
+                              f"{chained[0]!r}; chained #const definitions are refused",
+                              entry)
     if mapping:
         rules = [substitute_rule(r, mapping, Const) for r in rules]
     return Program(tuple(rules), tuple(shows), tuple(d for d, _ in consts))

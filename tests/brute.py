@@ -18,7 +18,7 @@ import itertools
 
 from epiworld.epistemic import (WorldView, apply_valuation, k15_transform, satisfies,
                                 subjective_atoms)
-from epiworld.grounder import GroundProgram, ground_program, rule_vars
+from epiworld.grounder import GroundProgram, ground_program
 from epiworld.stable import Engine
 from epiworld.syntax import (Atom, Compound, ObjLiteral, Rule, SubjLiteral, Var,
                              print_atom, print_term, rule_atoms, substitute_rule,
@@ -223,7 +223,7 @@ def cross_product_ground(program) -> GroundProgram:
     terms = ground_terms(program)
     out = []
     for rule in program.rules:
-        vs = sorted(rule_vars(rule))
+        vs = sorted({v for a in rule_atoms(rule) for t in a.args for v in term_vars(t)})
         if not vs:
             out.append(rule)
             continue

@@ -67,6 +67,12 @@ def test_program_safety_check_scans_all_rules():
         program_safety_check(program)
 
 
+def test_safety_checks_return_the_variables_of_each_rule():
+    program = parse_text("p(a). q(X) :- p(X), not r(f(Y)), p(Y), &k{ s(Z) }, p(Z).")
+    assert program_safety_check(program) == [set(), {"X", "Y", "Z"}]
+    assert safety_check(program.rules[1]) == {"X", "Y", "Z"}
+
+
 # ---------------------------------------------------------------------------
 # Ground terms and the reference grounder
 
@@ -183,6 +189,47 @@ def test_grounding_scans_nothing_for_a_body_atom_that_cannot_be_derived(monkeypa
     ground = ground_program(parse_text(facts + "s(X,Y) :- a(X), b(Y), c(X,Y)."))
     assert len(ground.rules) == 2000 and not any(r.body for r in ground.rules)
     assert calls == []
+
+
+def test_grounding_looks_up_body_atoms_by_their_bound_arguments(monkeypatch):
+    n = 300
+    facts = "".join(f"e(c{i},c{i + 1}). " for i in range(n))
+    match, calls = grounder._match, []
+    monkeypatch.setattr(grounder, "_match", lambda *args: calls.append(None) or match(*args))
+    ground = ground_program(parse_text(facts + "p(X,Y,Z) :- e(X,Y), e(Y,Z)."))
+    assert len(ground.rules) == 2 * n - 1
+    # Each edge is matched once as e(X,Y) and at most once as e(Y,Z),
+    # never against every edge.
+    assert len(calls) <= 3 * n
+
+
+def _scan(derived, key, at, values, start, stop):
+    """`_Derivable.lookup` without the index."""
+    return [a for a in derived.atoms[key][start:stop]
+            if tuple(a.args[p] for p in at) == values]
+
+
+def _random_join_program(rng):
+    """Random edges over four nodes with recursive and three-atom joins,
+    repeated variables, constants and function terms in bodies."""
+    nodes = [f"n{i}" for i in range(4)]
+    facts = "".join(f"e({rng.choice(nodes)},{rng.choice(nodes)}). "
+                    for _ in range(rng.randint(0, 8)))
+    rules = ["t(X,Y) :- e(X,Y).", "t(X,Z) :- e(X,Y), t(Y,Z).",
+             "tri(X,Y,Z) :- e(X,Y), e(Y,Z), e(Z,X).", "loop(X) :- e(X,X), t(X,X).",
+             "to(X) :- e(X,n0), t(n1,X).", "f(g(X),Y) :- t(X,Y).", "h(X) :- f(g(X),X), e(X,Y).",
+             "q(Y) :- e(X,Y), not t(Y,X), &k{ t(X,X) }."]
+    return parse_text(facts + " ".join(rng.sample(rules, rng.randint(1, len(rules)))))
+
+
+def test_indexed_joins_ground_what_scans_ground_in_the_same_order(monkeypatch):
+    rng = random.Random(903)
+    programs = [_random_join_program(rng) for _ in range(150)]
+    programs += [random_safe_program(rng, max_rules=6) for _ in range(150)]
+    got = [ground_program(p).text() for p in programs]
+    monkeypatch.setattr(grounder._Derivable, "lookup", _scan)
+    assert got == [ground_program(p).text() for p in programs]
+    assert sum(text.count(":-") for text in got) > 1000
 
 
 def test_grounding_checks_safety():

@@ -1,9 +1,16 @@
 """Lexer, parser, AST, and printer behavior."""
 
+import pickle
+import random
+import re
+import sys
+
 import hypothesis.strategies as st
 import pytest
+import reference_lexer
 from hypothesis import given, settings
 
+from epiworld import syntax
 from epiworld.syntax import (
     Atom,
     Compound,
@@ -19,6 +26,7 @@ from epiworld.syntax import (
     ShowDirective,
     SourceError,
     SubjLiteral,
+    Token,
     Var,
     parse_text,
     print_atom,
@@ -71,6 +79,23 @@ def test_tokenize_rejects_unknown_ampersand_word():
 def test_tokenize_rejects_unknown_character():
     with pytest.raises(LexError, match=r"unrecognized character '\$'"):
         tokenize("p :- $q.")
+
+
+def test_the_regex_classes_are_the_str_predicates_the_lexer_is_defined_by():
+    # The lexer's regular expression relies on these two identities.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\w", every) == [c for c in every if c.isalnum() or c == "_"]
+    assert re.findall(r"\d", every) == [c for c in every if c.isdecimal()]
+
+
+def test_the_end_after_a_trailing_comment_is_at_the_comment():
+    # A comment does not move the column, so an input that ends in one
+    # without a newline ends where the comment starts.
+    with pytest.raises(ParseError, match="^1:8: expected '.', found 'end of input'$"):
+        parse_text("p :- q %c")
+    assert tokenize("p. %c")[-1] == Token("eof", "", 1, 4)
+    assert tokenize("p. %c\n")[-1] == Token("eof", "", 2, 1)
+    assert tokenize("%c")[-1] == Token("eof", "", 1, 1)
 
 
 def test_number_literals_int_refuses_are_source_errors():
@@ -323,9 +348,9 @@ def test_printer_output_parses_back_to_same_ast(program):
     assert parse_text(print_program(program)) == program
 
 
-_pieces = st.sampled_from([":-", "&k", "&m", "{", "}", "~", "-", "not ", "#show ", "#const ",
-                           "p(", ")", ",", ";", ".", "/", "=", "p", "X", "7", "²", " ", "\n",
-                           "%"])
+_PIECES = [":-", "&k", "&m", "{", "}", "~", "-", "not ", "#show ", "#const ", "p(", ")", ",",
+           ";", ".", "/", "=", "p", "X", "7", "²", " ", "\n", "%"]
+_pieces = st.sampled_from(_PIECES)
 
 
 @settings(max_examples=300, deadline=None)
@@ -335,3 +360,63 @@ def test_parse_text_raises_only_source_errors(text):
         parse_text(text)
     except SourceError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# The regular-expression lexer against the character-at-a-time reference
+
+
+def _reference_kinds_and_texts(source):
+    tokens = reference_lexer.tokenize(source)
+    return [t.kind for t in tokens], [t.text for t in tokens]
+
+
+def _reference_starts(source):
+    line_starts = [0] + [i + 1 for i, c in enumerate(source) if c == "\n"]
+    return [line_starts[t.line - 1] + t.col - 1 for t in reference_lexer.tokenize(source)]
+
+
+def _outcome(function, text):
+    try:
+        return function(text)
+    except SourceError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_texts(rng, count):
+    """Texts of up to 14 pieces, a tenth of them arbitrary code points."""
+    pieces = _PIECES + ["²", "٣", "É", "_a", "\x0b", "%c", ":", "&", "#", "q", "\t", "\r",
+                        "f(", "1", "n"]
+    for _ in range(count):
+        yield "".join(chr(rng.randrange(sys.maxunicode + 1)) if rng.random() < 0.1
+                      else rng.choice(pieces) for _ in range(rng.randint(0, 14)))
+
+
+def test_tokens_and_parses_agree_with_the_reference_lexer(monkeypatch):
+    texts = list(_random_texts(random.Random(1701), 3000))
+    texts += ["", "   ", " \t\r\n%a\n%b\np  %c\n", "p :- q %c", "p(²).", "p(٣).", "É :- p.",
+              "_a.", "p.\x0b", "p :- &know{q}.", "p : q.",
+              "a :- &k{ b }, not &m{~-c(X, f(1))}. #show -a/0. #const n = 3."]
+    tokens = [_outcome(tokenize, t) for t in texts]
+    parses = [_outcome(parse_text, t) for t in texts]
+    assert tokens == [_outcome(reference_lexer.tokenize, t) for t in texts]
+    monkeypatch.setattr(syntax, "_lex", _reference_kinds_and_texts)
+    monkeypatch.setattr(syntax, "_starts", _reference_starts)
+    assert parses == [_outcome(parse_text, t) for t in texts]
+    # Both outcomes occur often enough to compare.
+    assert sum(isinstance(p, Program) for p in parses) > 100
+    assert len({p[1].split(": ", 1)[1] for p in parses if isinstance(p, tuple)}) > 10
+
+
+# ---------------------------------------------------------------------------
+# Hashes kept after first use
+
+
+def test_atoms_keep_their_dataclass_hash_and_do_not_pickle_it():
+    atom = Atom("p", (Const("a"), Compound("f", (Num(1), Var("X")))), True)
+    katom = KAtom(ObjLiteral(atom, 1))
+    assert hash(atom) == hash((atom.name, atom.args, atom.strong_neg))
+    assert hash(katom) == hash((ObjLiteral(atom, 1),)) == hash(katom)
+    copy = pickle.loads(pickle.dumps(katom))
+    assert "_hash" not in vars(copy) and "_hash" not in vars(copy.inner.atom)
+    assert copy == katom and hash(copy) == hash(katom)
