@@ -12,7 +12,7 @@ from .grounder import (GroundingError, GroundProgram, SafetyError,
                        ground_program, program_safety_check, safety_check,
                        simplify)
 from .optimize import add_consistency_constraints, wfm_propagate
-from .stable import ConsequenceSets, Engine, answer_sets, consequences
+from .stable import Engine
 from .syntax import (Atom, AuxAtom, Const, KAtom, LexError, Num, ObjLiteral,
                      ParseError, Program, Rule, SourceError, SubjLiteral, Var,
                      parse_text, print_atom, print_program, print_rule,
@@ -21,11 +21,10 @@ from .syntax import (Atom, AuxAtom, Const, KAtom, LexError, Num, ObjLiteral,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom", "AuxAtom", "Const", "ConsequenceSets", "Engine", "GroundProgram",
-    "GroundingError", "KAtom", "LexError", "Num", "ObjLiteral",
-    "ParseError", "Program", "Rule", "SafetyError", "SolveStats", "SourceError",
-    "SubjLiteral", "Var", "WorldView", "add_consistency_constraints",
-    "answer_sets", "apply_valuation", "aux_atom", "consequences",
+    "Atom", "AuxAtom", "Const", "Engine", "GroundProgram", "GroundingError",
+    "KAtom", "LexError", "Num", "ObjLiteral", "ParseError", "Program", "Rule",
+    "SafetyError", "SolveStats", "SourceError", "SubjLiteral", "Var",
+    "WorldView", "add_consistency_constraints", "apply_valuation", "aux_atom",
     "expand_world_view", "ground_program", "k15_transform",
     "oracle_world_views", "parse_text", "print_atom", "print_program",
     "print_rule", "print_subjective", "program_safety_check", "safety_check",

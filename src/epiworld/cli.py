@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import math
 import random
 import sys
 import time
@@ -261,6 +262,9 @@ def main(argv=None) -> int:
             if value < 1:
                 print(f"error: {name} must be positive", file=sys.stderr)
                 return INPUT_ERROR
+        if not 0 < args.timeout < math.inf:  # nan fails both comparisons
+            print("error: --timeout must be finite and positive", file=sys.stderr)
+            return INPUT_ERROR
         bench(args.domain, args.max_n, args.seed, args.timeout, args.reps,
               args.semantics, args.out)
         return 0

@@ -40,7 +40,8 @@ from .syntax import (Atom, AuxAtom, KAtom, ObjLiteral, Program, Rule,
 class WorldView:
     """A subjective valuation with the engine of its program.
 
-    Nothing is computed until asked, and every query goes to the
+    Nothing is computed until asked.  The valuation becomes the
+    engine's `kbit` mask once, and every query goes with it to the
     engine's index of each independent part.  `answer_sets` lists the
     answer sets of every part and expands their product, which for a
     program of many independent parts can be far more than memory
@@ -56,14 +57,19 @@ class WorldView:
         return sorted(true, key=print_subjective)
 
     @cached_property
+    def known_mask(self) -> int:
+        """The valuation as the engine's `kbit` mask."""
+        return self.engine.known_mask(self.valuation)
+
+    @cached_property
     def answer_sets(self) -> tuple[frozenset[Atom], ...]:
         """The answer sets, in ascending order of the bitmask."""
-        return tuple(self.engine.answer_sets(self.engine.parts(self.valuation)))
+        return tuple(self.engine.answer_sets(self.known_mask))
 
     def cautious(self) -> frozenset[Atom]:
         """Program atoms true in every answer set; machinery atoms are
         projected away, as in `expand_world_view`."""
-        cautious, _ = self.engine.consequences(self.valuation)
+        cautious, _ = self.engine.consequences(self.known_mask)
         return _program_atoms(self.engine.to_interpretation(cautious))
 
 
@@ -72,9 +78,9 @@ class SolveStats:
     """Counts of one `solve` call.  `parts` is the number of independent
     parts of the ground program; `candidates` and `accepted` count the
     guessed valuations of single parts, checked and confirmed.
-    `rejections` counts the others by the first reason the check meets
-    (see `Engine.check`): "no answer set", "known atom not cautious",
-    "unknown atom cautious" or "~-form brave failure"."""
+    `rejections` counts the others by the first reason the check of
+    their part meets (`_Part.verdict`): "no answer set", "known atom
+    not cautious", "unknown atom cautious" or "~-form brave failure"."""
     parts: int = 0
     candidates: int = 0
     accepted: int = 0
@@ -295,14 +301,14 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     Grounds the program and indexes it once (`Engine`), which splits it
     into independent parts that share no atom, subjective atoms
     included.  Each part guesses its own candidate valuations
-    (`Engine.guesses`: its answer sets with the subjective atoms open,
+    (`_Part.guesses`: its answer sets with the subjective atoms open,
     under the consistency constraints and the root-closure rule that
     stands in for wfm propagation, projected onto the subjective atoms)
     in ascending order of the known mask, each with one of its answer
-    sets.  The consequence check (`Engine.check`) confirms each against
-    the part's own rules only, taking that answer set as its first, and
-    counts into `stats`.  No candidate is checked unless every part has
-    one.  The world views are the lazy product of the parts' confirmed
+    sets.  The consequence check (`_Part.verdict`) confirms each against
+    the part's own rules only, taking that answer set as its first.
+    Both count into `stats`.  No candidate is checked unless every part
+    has one.  The world views are the lazy product of the parts' confirmed
     masks, parts in `Engine` part order and the last part varying
     fastest, so a program of one part lists its views in the oracle's
     order.  Each view is built from the sum of its masks when it is
@@ -319,20 +325,23 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     """
     stats = SolveStats() if stats is None else stats
     tester = Engine(_ground(program, semantics))
-    tester.rejections = stats.rejections
-    stats.parts = len(tester.part_rules)
+    stats.parts = len(tester.parts)
     # Without a guess in every part there is no view: find them first.
-    guesses = [tester.guesses(j) for j in range(stats.parts)]
+    guesses = [part.guesses() for part in tester.parts]
     firsts = [next(g, None) for g in guesses]
     if None in firsts:
         return
 
     def part_views(j: int):
+        part = tester.parts[j]
         for known, witness in itertools.chain((firsts[j],), guesses[j]):
             stats.candidates += 1
-            if tester.check(known, j, witness) is None:
+            reason = part.verdict(known, witness)
+            if reason is None:
                 stats.accepted += 1
                 yield known
+            else:
+                stats.rejections[reason] += 1
 
     # Parts share no subjective atom, so their known masks add up.
     for masks in _product([part_views(j) for j in range(stats.parts)]):

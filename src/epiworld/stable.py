@@ -2,8 +2,9 @@
 
 `Engine` indexes a ground program once.  Interpretations are bitmasks
 over its atom universe sorted by printed form, and results come back in
-ascending bitmask order.  Subjective literals stay in the index as rule
-guards over a separate bit space, so one index serves every valuation.
+ascending bitmask order.  Each subjective atom has one more bit, above
+the atoms, and a rule's subjective literals are literals over these
+bits, so one index serves every valuation, the mask of its known bits.
 One union-find over atom bits (`_group`) splits the program into
 independent parts, which share no atom under any valuation; in a
 program without subjective literals they are its connected components.
@@ -56,19 +57,8 @@ becomes the constraint `:- a, -a.`
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
-from dataclasses import dataclass
-
 from .grounder import GroundProgram
 from .syntax import Atom, AuxAtom, KAtom, SubjLiteral, print_atom, print_subjective
-
-
-@dataclass(frozen=True)
-class ConsequenceSets:
-    cautious: frozenset[Atom]
-    brave: frozenset[Atom]
-    has_answer_set: bool
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +336,7 @@ def _tight(rules: list[tuple[int, int, int, int]], width: int) -> bool:
     return True
 
 
-# Why `Engine.check` rejects a valuation, in the order the check meets them.
+# Why `_Part.verdict` rejects a valuation, in the order the check meets them.
 NO_ANSWER_SET = "no answer set"
 KNOWN_NOT_CAUTIOUS = "known atom not cautious"
 UNKNOWN_CAUTIOUS = "unknown atom cautious"
@@ -356,36 +346,36 @@ BRAVE_FAILURE = "~-form brave failure"
 class _Part:
     """The index of one independent part, prepared for every valuation.
 
-    Each subjective atom of the part has an assumption bit above the
-    atoms, and a rule's guard enters its clause as a literal over it:
-    `&k{l}` as `not not g` and `not &k{l}` as `not g`.  A valuation, the
-    mask of its known assumption bits, fixes every assumption bit, which
-    keeps exactly the rules whose guard it satisfies.  Assumption bits
-    need no support, so they are no keys of `supports`, and `_minimal`
-    never minimises them.  The clauses, supports and the root closure,
-    with every assumption bit open, are built with the part, and the
-    watch lists when a search first branches or adds a clause.  With
-    `tight`, the rules must be tight, and every model a search finds is
-    an answer set.
+    The rules are masks (head, pos, neg, negneg) as `Engine` builds
+    them, in which a subjective atom's bit, its assumption bit, is a
+    `not not` literal for `&k{l}` and a `not` literal for `not &k{l}`.
+    `katoms` holds (assumption bit, bit of the inner atom, whether the
+    inner literal is `~a`) for each subjective atom of the part.  A
+    valuation, a mask of known assumption bits, fixes every assumption
+    bit, which keeps exactly the rules whose guard it satisfies.
+    Assumption bits need no support, so they are no keys of `supports`,
+    and `_minimal` never minimises them.  The clauses, supports and the
+    root closure, with every assumption bit open, are built with the
+    part, and the watch lists when a search first branches or adds a
+    clause.  With `tight`, the rules must be tight, and every model a
+    search finds is an answer set.
     """
 
-    def __init__(self, rules: list[tuple], width: int,
+    def __init__(self, rules: list[tuple[int, int, int, int]],
                  katoms: list[tuple[int, int, bool]], tight: bool):
-        # katoms: (assumption bit, bit of the inner atom, whether `~l`)
+        self.rules = rules
         self.katoms = katoms
         self.tight = tight
-        self.rules: list[tuple[int, int, int, int]] = []
-        atoms = assume = 0
-        for (head, pos, neg, negneg), kpos, kneg, _ in rules:
-            atoms |= head | pos | neg | negneg
-            self.rules.append((head, pos, neg | kneg << width, negneg | kpos << width))
+        used = assume = 0
+        for head, pos, neg, negneg in rules:
+            used |= head | pos | neg | negneg
         for a, b, _ in katoms:
             assume |= a
-            atoms |= b
-        self.atoms = atoms
+            used |= b  # the inner atom, which may occur only inside `&k{}`
+        self.atoms = used & ~assume
         self.assume = assume
-        self.scope = atoms | assume
-        self.clauses, self.supports = _clauses(self.rules, atoms)
+        self.scope = used | assume
+        self.clauses, self.supports = _clauses(rules, self.atoms)
         self.watch: dict[int, tuple[list, list]] = {}
         self.root = _propagate(self.clauses, self.supports, self.scope, 0, 0)
 
@@ -410,8 +400,9 @@ class _Part:
         return sorted(m & self.atoms for m in self._search(start, self.clauses, self.watch))
 
     def guesses(self):
-        """Yield one answer set of the guess per valuation it has, in
-        ascending order of the assumption bits.  The guess is the part
+        """Yield each valuation the guess has, as the mask of its known
+        assumption bits, in ascending order, with one answer set of the
+        guess under it: (known, answer set).  The guess is the part
         with its assumption bits open and the consistency constraints (a
         known `&k{a}` needs a, a known `&k{~a}` needs a false) as clauses
         the check never sees.  If a holds (fails) in its root closure, so
@@ -441,7 +432,9 @@ class _Part:
                 true_m, false_m = state
             open_ = self.assume & ~(true_m | false_m)
             if not open_:
-                yield from itertools.islice(self._search((true_m, false_m, 0), clauses, watch), 1)
+                m = next(iter(self._search((true_m, false_m, 0), clauses, watch)), None)
+                if m is not None:
+                    yield m & self.assume, m
                 continue
             if not watch:
                 watch.update(_watch(clauses, self.supports, self.scope))
@@ -548,31 +541,28 @@ class _Part:
 class Engine:
     """Bit index of a ground program, subjective literals included.
 
-    Each rule is stored as its objective masks (head, pos, neg, negneg),
-    a guard (kpos, kneg) over a separate bit space of subjective atoms
-    (`&k{l}` sets a kpos bit, `not &k{l}` a kneg bit) and the bit
-    indices of its atoms.  A valuation keeps the rules whose guard it
-    satisfies, which are the rules `apply_valuation` keeps, so one index
-    serves every candidate.  The inner atom of every subjective atom
-    has a bit, even if no rule mentions it outside `&k{}`.
+    Atom i has bit `1 << i`, for i below `width`, and each subjective
+    atom k the bit `kbit[k]` above them, in the order of their printed
+    forms.  A rule is stored as masks (head, pos, neg, negneg), with
+    `&k{l}` as a `not not` literal over its bit and `not &k{l}` as a
+    `not` literal.  A valuation is the mask of its known bits, and it
+    keeps the rules whose subjective literals it satisfies, which are
+    the rules `apply_valuation` keeps, so one index serves every
+    candidate.  The inner atom of every subjective atom has a bit, even
+    if no rule mentions it outside `&k{}`.
 
     The index splits the program once into independent parts, groups
     of rules that share no atom and no subjective atom whatever the
     valuation: a rule ties together every atom it uses and the inner
-    atom of each subjective atom of its guard, so a subjective atom
-    `&k{l}` lies in the part of the atom of l.  Parts come in ascending
-    order of their lowest atom bit; rules without atoms or guard
-    (`:- .`) form one part of their own, which comes first.
-    `part_rules[j]` holds the rules of part j and `part_katoms[j]` its
-    subjective atoms.
-
-    Every query is answered from the parts' `_Part`s, each built at the
-    part's first query: `parts` lists answer sets, `guesses` yields a
-    part's candidate valuations, `consequences` gives the cautious and
-    brave consequences and `check` decides a valuation of one part, both
-    without listing them, `check` counting rejections by reason in
-    `rejections`.  `tight` tells whether the program is tight
-    (`_tight`): then no search of the engine runs the minimality test.
+    atom of each of its subjective atoms, so a subjective atom `&k{l}`
+    lies in the part of the atom of l.  `parts` holds one `_Part` per
+    part, in ascending order of its lowest atom bit; rules without atoms
+    or subjective literals (`:- .`) form one part of their own, which
+    comes first.  Every query goes to the parts: `answer_sets` lists the
+    answer sets and `consequences` gives the cautious and brave
+    consequences, and `solve` guesses and checks each part on its own.
+    `tight` tells whether the program is tight (`_tight`): then no
+    search of the engine runs the minimality test.
     """
 
     def __init__(self, program: GroundProgram):
@@ -593,35 +583,33 @@ class Engine:
         # never decides between them.
         self.atom_of = sorted(base, key=lambda a: (print_atom(a), isinstance(a, AuxAtom)))
         self.index = index = {a: i for i, a in enumerate(self.atom_of)}
-        self.width = len(index)
-        self.kbit = kbit = {k: 1 << i
+        self.width = width = len(index)
+        self.kbit = kbit = {k: 1 << (width + i)
                             for i, k in enumerate(sorted(katoms, key=print_subjective))}
 
-        # (masks, kpos, kneg, atom indices)
-        self.rules: list[tuple[tuple[int, int, int, int], int, int, tuple[int, ...]]] = []
-        # The nodes that tie each rule into its part: its atoms and, for a
-        # guarded rule, the inner atom of each subjective atom of its guard.
-        ties: list[tuple[int, ...]] = []
+        rules: list[tuple[int, int, int, int]] = []
+        # The nodes that tie each rule into its part: its atoms and the
+        # inner atom of each of its subjective atoms.
+        ties: list[list[int]] = []
         for r in program.rules:
-            head = pos = neg = negneg = kpos = kneg = 0
-            atoms: list[int] = []
-            inner: tuple[int, ...] = ()
+            head = pos = neg = negneg = 0
+            nodes: list[int] = []
             for a in r.head:
                 i = index[a]
-                atoms.append(i)
+                nodes.append(i)
                 head |= 1 << i
             if r.is_choice:  # {a}. is a :- not not a.
                 negneg = head
             for lit in r.body:
                 if isinstance(lit, SubjLiteral):
-                    inner += (index[lit.katom.inner.atom],)
+                    nodes.append(index[lit.katom.inner.atom])
                     if lit.negated:
-                        kneg |= kbit[lit.katom]
+                        neg |= kbit[lit.katom]
                     else:
-                        kpos |= kbit[lit.katom]
+                        negneg |= kbit[lit.katom]
                     continue
                 i = index[lit.atom]
-                atoms.append(i)
+                nodes.append(i)
                 b = 1 << i
                 if lit.negs == 0:
                     pos |= b
@@ -629,29 +617,26 @@ class Engine:
                     neg |= b
                 else:
                     negneg |= b
-            rule = ((head, pos, neg, negneg), kpos, kneg, tuple(atoms))
-            self.rules.append(rule)
-            ties.append(rule[3] + inner if inner else rule[3])
+            rules.append((head, pos, neg, negneg))
+            ties.append(nodes)
         # a and -a never hold together: `:- a, -a.`
         for a, i in index.items():
             if a.strong_neg:
                 twin = index.get(Atom(a.name, a.args, False))
                 if twin is not None:
-                    self.rules.append(((0, (1 << i) | (1 << twin), 0, 0), 0, 0, (i, twin)))
-                    ties.append(self.rules[-1][3])
+                    rules.append((0, (1 << i) | (1 << twin), 0, 0))
+                    ties.append([i, twin])
 
         # Every subset of a tight program's rules is tight, so one flag
         # serves every part and valuation.
-        self.tight = _tight([rule[0] for rule in self.rules], self.width)
+        self.tight = _tight(rules, width)
 
-        groups, part_of = _group(self.rules, ties, self.width)
-        # With one part, share the rule list instead of copying it.
-        self.part_rules: list[list] = [self.rules] if len(groups) == 1 else groups
-        self.part_katoms: list[list[KAtom]] = [[] for _ in self.part_rules]
-        for k in kbit:
-            self.part_katoms[part_of(index[k.inner.atom])].append(k)
-        self.rejections: Counter[str] = Counter()
-        self._parts: list[_Part | None] = [None] * len(self.part_rules)
+        groups, part_of = _group(rules, ties, width)
+        part_katoms: list[list[tuple[int, int, bool]]] = [[] for _ in groups]
+        for k, bit in kbit.items():
+            i = index[k.inner.atom]
+            part_katoms[part_of(i)].append((bit, 1 << i, k.inner.negs == 1))
+        self.parts = [_Part(group, ks, self.tight) for group, ks in zip(groups, part_katoms)]
 
     def known_mask(self, valuation: dict[KAtom, bool]) -> int:
         """The `kbit` mask of the subjective atoms `valuation` makes
@@ -662,80 +647,44 @@ class Engine:
                 known |= bit
         return known
 
-    def _part(self, j: int) -> _Part:
-        part = self._parts[j]
-        if part is None:
-            part = self._parts[j] = _Part(
-                self.part_rules[j], self.width,
-                [(self.kbit[k] << self.width, 1 << self.index[k.inner.atom], k.inner.negs == 1)
-                 for k in self.part_katoms[j]], self.tight)
-        return part
-
-    def _assumed(self, valuation: dict[KAtom, bool] | None) -> int:
-        """The assumption bits of the subjective atoms `valuation` makes
-        true.  Atoms missing from it count as false; None stands for the
-        empty valuation and is refused when the program has subjective
-        literals."""
-        if valuation is None:
+    def _known(self, known: int | None) -> int:
+        """`known`, a `kbit` mask; None stands for the empty valuation
+        and is refused when the program has subjective literals."""
+        if known is None:
             if self.kbit:
                 raise ValueError("the program has subjective literals: its answer sets "
                                  "depend on a valuation of them")
             return 0
-        return self.known_mask(valuation) << self.width
+        return known
 
-    def parts(self, valuation: dict[KAtom, bool] | None = None) -> list[list[int]] | None:
-        """Sorted answer-set masks of each part under `valuation` (see
-        `_assumed`), or None when there is no answer set."""
-        known = self._assumed(valuation)
-        out = []
-        for j in range(len(self.part_rules)):
-            masks = self._part(j).models(known)
-            if not masks:
-                return None
-            out.append(masks)
-        return out
+    def answer_sets(self, known: int | None = None) -> list[frozenset[Atom]]:
+        """All answer sets under the valuation `known` (see `_known`),
+        in ascending order of the bitmask: one per choice of an answer
+        set of each part."""
+        known = self._known(known)
+        masks = [0]
+        for part in self.parts:
+            found = part.models(known)
+            if not found:
+                return []
+            masks = [m | c for m in masks for c in found]
+        masks.sort()
+        return [self.to_interpretation(m) for m in masks]
 
-    def consequences(self, valuation: dict[KAtom, bool] | None = None) -> tuple[int, int] | None:
-        """Cautious and brave consequences as masks under `valuation`
-        (see `_assumed`), or None when there is no answer set.  An
+    def consequences(self, known: int | None = None) -> tuple[int, int] | None:
+        """Cautious and brave consequences as masks under the valuation
+        `known` (see `_known`), or None when there is no answer set.  An
         answer set is a union of one answer set per part, so the parts'
         consequences add up."""
-        known = self._assumed(valuation)
+        known = self._known(known)
         cautious = brave = 0
-        for j in range(len(self.part_rules)):
-            found = self._part(j).consequences(known)
+        for part in self.parts:
+            found = part.consequences(known)
             if found is None:
                 return None
             cautious |= found[0]
             brave |= found[1]
         return cautious, brave
-
-    def guesses(self, part: int):
-        """Yield each candidate valuation of the part `part` as its
-        `kbit` mask, ascending, with an answer set (`_Part.guesses`)."""
-        return ((m >> self.width, m) for m in self._part(part).guesses())
-
-    def check(self, known: int, part: int, witness: int | None = None) -> str | None:
-        """None if the valuation that makes exactly the subjective atoms
-        of the `kbit` mask `known` true is reproduced by the answer sets
-        of the independent part `part`, else the reason, also counted in
-        `rejections`.  Only that part's rules and subjective atoms
-        count.  A `witness` from `guesses` saves the first search."""
-        reason = self._part(part).verdict(known << self.width, witness)
-        if reason is not None:
-            self.rejections[reason] += 1
-        return reason
-
-    def answer_sets(self, parts: list[list[int]] | None) -> list[frozenset[Atom]]:
-        """All answer sets, one per choice of a mask from each part of a
-        result of `parts`, in ascending order of the bitmask."""
-        if parts is None:
-            return []
-        masks = [0]
-        for part in parts:
-            masks = [m | c for m in masks for c in part]
-        masks.sort()
-        return [self.to_interpretation(m) for m in masks]
 
     def to_interpretation(self, m: int) -> frozenset[Atom]:
         atoms = []
@@ -744,28 +693,3 @@ class Engine:
             atoms.append(self.atom_of[i])
             m ^= 1 << i
         return frozenset(atoms)
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-
-
-def answer_sets(program: GroundProgram) -> list[frozenset[Atom]]:
-    """All answer sets, in ascending order of the universe bitmask.
-
-    Interpretations containing a complementary pair a / -a are not
-    answer sets.
-    """
-    eng = Engine(program)
-    return eng.answer_sets(eng.parts())
-
-
-def consequences(program: GroundProgram) -> ConsequenceSets:
-    """Cautious and brave consequences (intersection and union of the
-    answer sets)."""
-    eng = Engine(program)
-    found = eng.consequences()
-    if found is None:
-        return ConsequenceSets(frozenset(), frozenset(), False)
-    return ConsequenceSets(eng.to_interpretation(found[0]),
-                           eng.to_interpretation(found[1]), True)

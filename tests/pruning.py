@@ -24,8 +24,8 @@ def projected_components(program, onto) -> list[list[frozenset]] | None:
     subjective literals is a connected component, in the order of
     `Engine.parts`; None when there is no answer set."""
     eng = Engine(program)
-    parts = eng.parts()
-    if parts is None:
+    parts = [part.models(0) for part in eng.parts]
+    if [] in parts:
         return None
     onto_mask = 0
     for a in onto:
@@ -49,7 +49,7 @@ def _accepts(tester, mapping, candidate) -> bool:
     subjective atoms whose auxiliary atoms it holds are known, and
     every independent part accepts its share."""
     known = tester.known_mask({k: mapping[k] in candidate for k in mapping})
-    return all(tester.check(known, j) is None for j in range(len(tester.part_rules)))
+    return all(part.verdict(known) is None for part in tester.parts)
 
 
 def pruning_outcomes(program) -> dict[str, tuple[set, set]]:

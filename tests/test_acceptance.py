@@ -28,7 +28,7 @@ from epiworld.epistemic import (
 )
 from epiworld.grounder import GroundProgram, ground_program, simplify
 from epiworld.optimize import wfm_propagate
-from epiworld.stable import answer_sets, consequences
+from epiworld.stable import Engine
 from epiworld.syntax import (
     Atom,
     AuxAtom,
@@ -196,19 +196,20 @@ def test_criterion_07_consequences_match_brute_force():
     for _ in range(500):
         rules = random_ground_rules(rng, max_atoms=6, max_rules=6, choices=False)
         g = GroundProgram(tuple(rules))
-        got = answer_sets(g)
+        eng = Engine(g)
+        got = eng.answer_sets()
         want = brute_answer_sets(rules)
         if sorted(map(sorted, (map(print_atom, m) for m in got))) != \
                 sorted(map(sorted, (map(print_atom, m) for m in want))):
             ok, detail = False, "answer sets diverge from brute force"
             break
-        c = consequences(g)
+        found = eng.consequences()
         expected = brute_consequences(rules)
         if expected is None:
-            if c.has_answer_set:
+            if found is not None:
                 ok, detail = False, "phantom answer set"
                 break
-        elif (c.cautious, c.brave) != expected:
+        elif found is None or tuple(map(eng.to_interpretation, found)) != expected:
             ok, detail = False, "consequence sets diverge"
             break
         for m in got:
@@ -230,11 +231,13 @@ def test_criterion_08_simplification_bounds_consequences():
     for _ in range(500):
         rules = random_ground_rules(rng, max_atoms=6, max_rules=6, choices=False)
         g = GroundProgram(tuple(rules))
-        c = consequences(g)
-        if not c.has_answer_set:
+        eng = Engine(g)
+        found = eng.consequences()
+        if found is None:
             continue
+        cautious, brave = map(eng.to_interpretation, found)
         s = simplify(g)
-        if not (s.facts <= c.cautious and c.brave <= s.heads):
+        if not (s.facts <= cautious and brave <= s.heads):
             ok = False
             detail = s.text().replace("\n", " ")
             break

@@ -281,6 +281,9 @@ def test_main_validates_bench_arguments(capsys):
     assert "--max-n" in capsys.readouterr().err
     assert main(["bench", "--domain", "yale", "--reps", "0"]) == INPUT_ERROR
     assert "--reps" in capsys.readouterr().err
+    for timeout in ("nan", "inf", "0", "-1"):
+        assert main(["bench", "--domain", "yale", "--timeout", timeout]) == INPUT_ERROR
+        assert "error: --timeout" in capsys.readouterr().err
 
 
 def test_installed_entry_point(tmp_path):

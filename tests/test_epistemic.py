@@ -24,7 +24,7 @@ from epiworld.epistemic import (
     translate_guess,
 )
 from epiworld.grounder import ground_program
-from epiworld.stable import Engine, answer_sets
+from epiworld.stable import Engine, _Part
 from epiworld.syntax import (
     Atom,
     AuxAtom,
@@ -210,7 +210,7 @@ def test_guess_candidates_cover_all_valuations():
 def check_candidate(tester, known):
     """The view of the valuation `known`, a mask over `tester.kbit`, if
     every independent part of the tester accepts it, else None."""
-    if any(tester.check(known, j) is not None for j in range(len(tester.part_rules))):
+    if any(part.verdict(known) is not None for part in tester.parts):
         return None
     return WorldView({k: bool(known & bit) for k, bit in tester.kbit.items()}, tester)
 
@@ -219,11 +219,11 @@ def test_check_candidate_two_cycle_accepts_exactly_two():
     g = Engine(ground_program(parse_text(TWO_CYCLE)))
     kq, kp = katom("q"), katom("p")
     q, p = g.kbit[kq], g.kbit[kp]
-    assert len(g.part_rules) == 1
-    assert g.check(q | p, 0) is not None
-    assert g.check(0, 0) is not None
-    assert g.check(p, 0) is None
-    assert g.check(q, 0) is None
+    [part] = g.parts
+    assert part.verdict(q | p) is not None
+    assert part.verdict(0) is not None
+    assert part.verdict(p) is None
+    assert part.verdict(q) is None
     wv = check_candidate(g, p)
     assert wv is not None and view_models([wv]) == [[["p"]]]
     assert wv.valuation == {kq: False, kp: True}
@@ -233,8 +233,9 @@ def test_check_candidate_two_cycle_accepts_exactly_two():
 
 def test_check_candidate_tilde_uses_brave_consequences():
     g = Engine(ground_program(parse_text("d :- not &k{~e}.")))
-    assert g.check(g.kbit[katom("e", negs=1)], 0) is None
-    assert g.check(0, 0) == "~-form brave failure"
+    [part] = g.parts
+    assert part.verdict(g.kbit[katom("e", negs=1)]) is None
+    assert part.verdict(0) == "~-form brave failure"
     wv = check_candidate(g, g.kbit[katom("e", negs=1)])
     assert wv is not None and view_models([wv]) == [[[]]]
 
@@ -242,9 +243,9 @@ def test_check_candidate_tilde_uses_brave_consequences():
 def test_check_candidate_rejects_when_no_answer_sets_remain():
     # The constraint forces the assumption of &k{p} at the root.
     g = Engine(ground_program(parse_text(":- not &k{p}.")))
-    assert g.check(g.kbit[katom("p")], 0) == "known atom not cautious"
-    assert g.check(0, 0) == "no answer set"  # reduct is inconsistent
-    assert g.rejections == {"known atom not cautious": 1, "no answer set": 1}
+    [part] = g.parts
+    assert part.verdict(g.kbit[katom("p")]) == "known atom not cautious"
+    assert part.verdict(0) == "no answer set"  # reduct is inconsistent
 
 
 def test_rejections_are_counted_by_the_first_reason_the_check_meets():
@@ -262,15 +263,16 @@ def test_rejections_are_counted_by_the_first_reason_the_check_meets():
                                 "~-form brave failure": 1}
 
 
-def fold(parts):
-    """Cautious and brave masks of the answer sets that a result of
-    `Engine.parts` lists, or None when it lists none: an answer set is
-    a union of one answer set per part, so the intersections and
-    unions of the parts' lists add up."""
-    if parts is None:
-        return None
+def fold(tester, known):
+    """Cautious and brave masks of the answer sets that the parts of
+    `tester` list under the valuation `known`, or None when one lists
+    none: an answer set is a union of one answer set per part, so the
+    intersections and unions of the parts' lists add up."""
     cautious = brave = 0
-    for masks in parts:
+    for part in tester.parts:
+        masks = part.models(known)
+        if not masks:
+            return None
         meet = masks[0]
         for m in masks:
             meet &= m
@@ -280,9 +282,9 @@ def fold(parts):
 
 
 def _enumeration_accepts(tester, valuation) -> bool:
-    """The check by listing answer sets: `Engine.parts`, folded into
+    """The check by listing answer sets: each part's, folded into
     cautious and brave masks, compared subjective atom by atom."""
-    folded = fold(tester.parts(valuation))
+    folded = fold(tester, tester.known_mask(valuation))
     if folded is None:
         return False
     cautious, brave = folded
@@ -329,14 +331,16 @@ def test_prepared_check_matches_the_enumeration():
     for prog in programs:
         for ground in (ground_program(prog), ground_program(k15_transform(prog))):
             tester = Engine(ground)
-            tester.rejections = reasons
             katoms = subjective_atoms(ground)
             for values in itertools.product((False, True), repeat=len(katoms)):
                 valuation = dict(zip(katoms, values))
                 known = tester.known_mask(valuation)
                 want = _enumeration_accepts(tester, valuation)
-                got = all(tester.check(known, j) is None for j in range(len(tester.part_rules)))
-                assert got == want, (print_program(prog), valuation)
+                # The first part that rejects decides, as in `solve`.
+                reason = next((r for part in tester.parts if (r := part.verdict(known))), None)
+                assert (reason is None) == want, (print_program(prog), valuation)
+                if reason is not None:
+                    reasons[reason] += 1
                 checked += 1
                 accepted += want
     assert checked > 8000 and accepted > 1000
@@ -353,9 +357,9 @@ def test_consequences_match_the_fold_of_the_listed_answer_sets():
         for ground in (ground_program(prog), ground_program(k15_transform(prog))):
             tester = Engine(ground)
             for _ in range(3):
-                valuation = {k: rng.random() < 0.5 for k in tester.kbit}
-                want = fold(tester.parts(valuation))
-                assert tester.consequences(valuation) == want, (print_program(prog), valuation)
+                known = sum(bit for bit in tester.kbit.values() if rng.random() < 0.5)
+                want = fold(tester, known)
+                assert tester.consequences(known) == want, (print_program(prog), known)
                 consistent += want is not None
                 inconsistent += want is None
     assert consistent > 1000 and inconsistent > 500
@@ -371,26 +375,26 @@ def shows_program(n):
 
 
 def test_solve_never_lists_the_answer_sets_of_a_candidate(monkeypatch):
-    # `Engine.parts` lists answer sets.  On an engine with subjective
-    # atoms only `answer_sets` may call it, and neither the guess, the
-    # check nor `cautious()`, so the `#show` display of a view never
-    # lists them.
+    # `_Part.models` is the one method that lists answer sets.  On a
+    # part with assumption bits only `Engine.answer_sets` may call it,
+    # and neither the guess, the check nor `cautious()`, so the `#show`
+    # display of a view never lists them.
     from epiworld.cli import apply_show, yale_source
-    parts = Engine.parts
+    models = _Part.models
 
-    def refuse(self, valuation=None):
-        if self.kbit:
+    def refuse(self, known):
+        if self.assume:
             raise AssertionError("a candidate's answer sets were listed")
-        return parts(self, valuation)
+        return models(self, known)
 
     programs = [parse_text(yale_source(f"yale0{i}")) for i in (1, 2, 3)]
-    monkeypatch.setattr(Engine, "parts", refuse)
+    monkeypatch.setattr(_Part, "models", refuse)
     solved = [list(solve(prog)) for prog in programs]
     known = [[[print_subjective(k) for k in wv.known()] for wv in views] for views in solved]
     cautious = [[sorted(map(print_atom, wv.cautious())) for wv in views] for views in solved]
     # The display does not depend on n; the oracle lists 2^6 answer sets.
     shows = [apply_show(wv, shows_program(10).shows) for wv in solve(shows_program(10))]
-    monkeypatch.setattr(Engine, "parts", parts)
+    monkeypatch.setattr(_Part, "models", models)
     expected = shows_program(3)
     assert shows == [apply_show(wv, expected.shows) for wv in oracle_world_views(expected)]
     assert shows == [["&k{ d }"]]
@@ -417,7 +421,7 @@ def test_check_candidate_matches_the_reduct_path():
         katoms = subjective_atoms(g)
         for values in itertools.product((False, True), repeat=len(katoms)):
             valuation = dict(zip(katoms, values))
-            models = answer_sets(apply_valuation(g, valuation))
+            models = Engine(apply_valuation(g, valuation)).answer_sets()
             got = check_candidate(tester, tester.known_mask(valuation))
             if models and all(satisfies(models, k) == v for k, v in valuation.items()):
                 assert got is not None and got.valuation == valuation
@@ -581,7 +585,8 @@ def test_a_head_atom_under_not_in_its_own_body_is_never_supported():
     views = list(solve(prog))
     assert view_keys(views) == [[("&k{ a }", False), ("&k{ b }", False)]]
     assert view_models(views) == [[[]]]
-    assert answer_sets(ground_program(parse_text("a ; b :- not not b, not b."))) == [frozenset()]
+    g = ground_program(parse_text("a ; b :- not not b, not b."))
+    assert Engine(g).answer_sets() == [frozenset()]
 
 
 def test_world_views_satisfy_their_own_valuation_and_fixpoint():
@@ -592,7 +597,7 @@ def test_world_views_satisfy_their_own_valuation_and_fixpoint():
         for wv in solve(prog):
             assert wv.answer_sets
             red = subjective_reduct(g, wv.answer_sets)
-            assert list(answer_sets(red)) == list(wv.answer_sets)
+            assert list(Engine(red).answer_sets()) == list(wv.answer_sets)
             for k, v in wv.valuation.items():
                 assert satisfies(wv.answer_sets, SubjLiteral(k)) == v
 
@@ -660,8 +665,8 @@ def test_a_single_part_lists_its_views_in_the_oracles_order(semantics):
 
 def guessed(tester):
     """Every part's guesses as (part, known, witness), in order."""
-    return [(j, known, witness) for j in range(len(tester.part_rules))
-            for known, witness in tester.guesses(j)]
+    return [(j, known, witness) for j, part in enumerate(tester.parts)
+            for known, witness in part.guesses()]
 
 
 @pytest.mark.parametrize("semantics", ["g91", "k15"])
@@ -677,13 +682,14 @@ def test_part_guesses_are_pruned_candidates_with_the_same_accepted_ones(semantic
             prog = k15_transform(prog)
         tester = Engine(ground_program(prog))
         non_tight += not tester.tight
-        parts = [[] for _ in tester.part_rules]
+        parts = [[] for _ in tester.parts]
         for j, known, witness in guessed(tester):
-            # The witness is an answer set of the part under `known`.
-            part = tester._part(j)
-            assert known == witness >> tester.width
-            assert witness & part.atoms in part.models(known << tester.width)
-            parts[j].append((known, tester.check(known, j, witness) is None))
+            # The witness is an answer set of the part under `known`,
+            # which holds exactly the witness's assumption bits.
+            part = tester.parts[j]
+            assert known == witness & ~part.atoms
+            assert witness & part.atoms in part.models(known)
+            parts[j].append((known, part.verdict(known, witness) is None))
         candidates, accepted = set(), set()
         for combo in itertools.product(*parts):
             known = sum(k for k, _ in combo)
@@ -709,13 +715,14 @@ def test_a_check_with_a_witness_decides_as_one_without():
         for ground in (ground_program(prog), ground_program(k15_transform(prog))):
             tester = Engine(ground)
             tests = guessed(tester)
-            for j in range(len(tester.part_rules)):
-                known = rng.getrandbits(len(tester.kbit))
-                tests += [(j, known, m)
-                          for m in tester._part(j).models(known << tester.width)]
+            for j, part in enumerate(tester.parts):
+                draw = rng.getrandbits(len(tester.kbit))
+                known = sum(bit for i, bit in enumerate(tester.kbit.values()) if draw >> i & 1)
+                tests += [(j, known, m) for m in part.models(known)]
             for j, known, witness in tests:
-                want = tester.check(known, j) is None
-                assert (tester.check(known, j, witness) is None) == want, print_program(prog)
+                want = tester.parts[j].verdict(known) is None
+                assert (tester.parts[j].verdict(known, witness) is None) == want, \
+                    print_program(prog)
                 checked += 1
                 accepted += want
     assert checked > 1000 and accepted > 300

@@ -21,7 +21,7 @@ from epiworld.grounder import (
     safety_check,
     simplify,
 )
-from epiworld.stable import answer_sets
+from epiworld.stable import Engine
 from epiworld.syntax import (Atom, Compound, Const, Num, ObjLiteral, Program, parse_text,
                              print_atom, print_subjective)
 
@@ -338,8 +338,8 @@ def test_simplify_is_idempotent_and_preserves_answer_sets():
         g = GroundProgram(tuple(rules))
         s = simplify(g)
         assert simplify(s) == s
-        before = sorted(sorted(map(print_atom, m)) for m in answer_sets(g))
-        after = sorted(sorted(map(print_atom, m)) for m in answer_sets(s))
+        before = sorted(sorted(map(print_atom, m)) for m in Engine(g).answer_sets())
+        after = sorted(sorted(map(print_atom, m)) for m in Engine(s).answer_sets())
         assert before == after
 
 
@@ -348,6 +348,6 @@ def test_simplify_agrees_with_brute_force_after_rewriting():
     for _ in range(150):
         rules = random_ground_rules(rng, max_atoms=4, max_rules=5)
         s = simplify(GroundProgram(tuple(rules)))
-        got = sorted(sorted(map(print_atom, m)) for m in answer_sets(s))
+        got = sorted(sorted(map(print_atom, m)) for m in Engine(s).answer_sets())
         want = sorted(sorted(map(print_atom, m)) for m in brute_answer_sets(rules))
         assert got == want

@@ -67,7 +67,7 @@ def listing(views):
 def part_masks(tester, wv):
     """The known mask of `wv` restricted to each part of `tester`."""
     known = tester.known_mask(wv.valuation)
-    return [sum(tester.kbit[k] & known for k in katoms) for katoms in tester.part_katoms]
+    return [known & part.assume for part in tester.parts]
 
 
 def check(prog, semantics="g91"):
@@ -105,13 +105,13 @@ def test_an_atom_and_its_complement_stay_in_one_part():
         check(prog)
     assert linked >= 60
     g = ground_program(parse_text("a :- not c. -a :- not d."))
-    assert len(Engine(g).part_rules) == 1
+    assert len(Engine(g).parts) == 1
 
 
 def test_atoms_only_inside_subjective_atoms():
     # z occurs nowhere but inside &k{}; both uses share its part.
     g = ground_program(parse_text("p :- &k{z}. q :- not &k{~z}."))
-    assert len(Engine(g).part_rules) == 1
+    assert len(Engine(g).parts) == 1
     rng = random.Random(64)
     z = KAtom(ObjLiteral(Atom("z"), 0))
     not_z = KAtom(ObjLiteral(Atom("z"), 1))

@@ -19,8 +19,6 @@ from epiworld.stable import (
     _propagate,
     _tight,
     _watch,
-    answer_sets,
-    consequences,
 )
 from epiworld.syntax import Atom, AuxAtom, Rule, parse_text, print_atom
 
@@ -31,6 +29,19 @@ def ground(source):
 
 def names(models):
     return [sorted(map(print_atom, m)) for m in models]
+
+
+def consequence_atoms(g):
+    """The cautious and brave atoms of a ground program, or None when
+    it has no answer set."""
+    eng = Engine(g)
+    found = eng.consequences()
+    return None if found is None else tuple(map(eng.to_interpretation, found))
+
+
+def all_rules(eng):
+    """The rule masks of every part of `eng`."""
+    return [rule for part in eng.parts for rule in part.rules]
 
 
 def bitmask_order(models):
@@ -45,11 +56,11 @@ def bitmask_order(models):
 
 
 def test_choice_program_has_both_answers():
-    assert names(answer_sets(ground("{aux_p}."))) == [[], ["aux_p"]]
+    assert names(Engine(ground("{aux_p}.")).answer_sets()) == [[], ["aux_p"]]
 
 
 def test_two_choices_give_four_answers():
-    got = names(answer_sets(ground("{aux_p}. {aux_q}.")))
+    got = names(Engine(ground("{aux_p}. {aux_q}.")).answer_sets())
     assert got == [[], ["aux_p"], ["aux_q"], ["aux_p", "aux_q"]]
 
 
@@ -70,64 +81,64 @@ def test_choice_answer_sets_ascend_over_the_program_atoms():
 
 
 def test_empty_program_has_the_empty_answer_set():
-    assert answer_sets(GroundProgram(())) == [frozenset()]
+    assert Engine(GroundProgram(())).answer_sets() == [frozenset()]
 
 
 def test_negation_cycle():
-    assert names(answer_sets(ground("p :- not q. q :- not p."))) == [["p"], ["q"]]
+    assert names(Engine(ground("p :- not q. q :- not p.")).answer_sets()) == [["p"], ["q"]]
 
 
 def test_positive_loops_stay_false():
-    assert answer_sets(ground("p :- p.")) == [frozenset()]
-    assert answer_sets(ground("p :- q. q :- p.")) == [frozenset()]
+    assert Engine(ground("p :- p.")).answer_sets() == [frozenset()]
+    assert Engine(ground("p :- q. q :- p.")).answer_sets() == [frozenset()]
 
 
 def test_odd_loop_kills_the_program():
-    assert answer_sets(ground("p :- not p.")) == []
+    assert Engine(ground("p :- not p.")).answer_sets() == []
 
 
 def test_double_negation_supports_itself():
-    got = names(answer_sets(ground("p :- not not p.")))
+    got = names(Engine(ground("p :- not not p.")).answer_sets())
     assert got == [[], ["p"]]
 
 
 def test_disjunctive_fact_is_minimal():
-    assert names(answer_sets(ground("p, q."))) == [["p"], ["q"]]
+    assert names(Engine(ground("p, q.")).answer_sets()) == [["p"], ["q"]]
 
 
 def test_disjunction_with_shared_support():
-    got = names(answer_sets(ground("p, q. p :- q.")))
+    got = names(Engine(ground("p, q. p :- q.")).answer_sets())
     assert got == [["p"]]
 
 
 def test_constraints_filter_models():
-    assert names(answer_sets(ground("p, q. :- p."))) == [["q"]]
-    assert answer_sets(ground("p. :- p.")) == []
-    assert answer_sets(ground(":- .")) == []
+    assert names(Engine(ground("p, q. :- p.")).answer_sets()) == [["q"]]
+    assert Engine(ground("p. :- p.")).answer_sets() == []
+    assert Engine(ground(":- .")).answer_sets() == []
 
 
 def test_strong_negation_consistency_filter():
-    assert answer_sets(ground("a. -a.")) == []
-    assert names(answer_sets(ground("a, -a."))) == [["-a"], ["a"]]
-    assert names(answer_sets(ground("-a. b :- -a."))) == [["-a", "b"]]
+    assert Engine(ground("a. -a.")).answer_sets() == []
+    assert names(Engine(ground("a, -a.")).answer_sets()) == [["-a"], ["a"]]
+    assert names(Engine(ground("-a. b :- -a.")).answer_sets()) == [["-a", "b"]]
 
 
 def test_answer_sets_are_ordered_by_universe_bitmask():
-    got = names(answer_sets(ground("a, b, c.")))
+    got = names(Engine(ground("a, b, c.")).answer_sets())
     assert got == [["a"], ["b"], ["c"]]
 
 
 def test_choice_complements_do_not_collide_with_program_atoms():
     for src in ("{aux_p}. naux_p.", "{a}. na."):
         g = ground(src)
-        assert answer_sets(g) == bitmask_order(brute_answer_sets(g.rules))
+        assert Engine(g).answer_sets() == bitmask_order(brute_answer_sets(g.rules))
 
 
 def test_program_atom_sorts_before_the_aux_atom_printed_alike():
     user, aux = Atom("x"), AuxAtom("x")
     for first, second in ((user, aux), (aux, user)):
         g = GroundProgram((Rule((first, second), ()), Rule((second,), (), True)))
-        assert answer_sets(g) == [frozenset({user}), frozenset({aux})]
+        assert Engine(g).answer_sets() == [frozenset({user}), frozenset({aux})]
 
 
 def test_long_component_needs_no_recursion():
@@ -136,12 +147,12 @@ def test_long_component_needs_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        models = answer_sets(g)
-        c = consequences(g)
+        models = Engine(g).answer_sets()
+        found = consequence_atoms(g)
     finally:
         sys.setrecursionlimit(limit)
     assert len(models) == 1 and len(models[0]) == 401
-    assert c.has_answer_set and c.cautious == c.brave == models[0]
+    assert found == (models[0], models[0])
 
 
 # ---------------------------------------------------------------------------
@@ -149,27 +160,20 @@ def test_long_component_needs_no_recursion():
 
 
 def test_consequences_of_single_answer_set():
-    c = consequences(ground("p. q :- p."))
-    assert c.cautious == c.brave == {Atom("p"), Atom("q")}
-    assert c.has_answer_set
+    assert consequence_atoms(ground("p. q :- p.")) == ({Atom("p"), Atom("q")},) * 2
 
 
 def test_consequences_meet_and_join():
-    c = consequences(ground("p, q. r."))
-    assert c.cautious == {Atom("r")}
-    assert c.brave == {Atom("p"), Atom("q"), Atom("r")}
+    assert consequence_atoms(ground("p, q. r.")) == \
+        ({Atom("r")}, {Atom("p"), Atom("q"), Atom("r")})
 
 
 def test_consequences_without_answer_sets():
-    c = consequences(ground("p :- not p."))
-    assert not c.has_answer_set
-    assert c.cautious == c.brave == frozenset()
+    assert consequence_atoms(ground("p :- not p.")) is None
 
 
 def test_consequences_exclude_choice_complements():
-    c = consequences(ground("{aux_p}."))
-    assert c.cautious == frozenset()
-    assert c.brave == {Atom("aux_p")}
+    assert consequence_atoms(ground("{aux_p}.")) == (frozenset(), {Atom("aux_p")})
 
 
 def test_projected_answer_sets_cover_all_combinations():
@@ -188,11 +192,11 @@ def test_projected_answer_sets_on_empty_program():
 
 
 def test_subjective_programs_are_refused_without_a_valuation():
-    g = ground("p :- &k{q}. q.")
-    for query in (answer_sets, consequences,
-                  lambda program: projected_components(program, {Atom("p")})):
+    eng = Engine(ground("p :- &k{q}. q."))
+    for query in (eng.answer_sets, eng.consequences):
         with pytest.raises(ValueError, match="depend on a valuation"):
-            query(g)
+            query()
+    assert eng.answer_sets(0) == [frozenset({Atom("q")})]
 
 
 # ---------------------------------------------------------------------------
@@ -275,28 +279,30 @@ def test_minimality_tests_of_a_normal_program_build_no_watch_lists(monkeypatch):
 
     monkeypatch.setattr(stable, "_watch", counted)
     g = ground("p :- not q. q :- not p. r :- p. s :- r, not q.")
-    eng = Engine(g)
-    [models] = eng.parts()
+    [part] = Engine(g).parts
+    models = part.models(0)
     assert len(models) == 2
     assert len(built) == 1  # the part's search, which branches on p
     # The part keeps its lists for every later query.
-    assert eng.parts() == [models] and eng.consequences() is not None
+    assert part.models(0) == models and part.consequences(0) is not None
     assert len(built) == 1
-    rules = [rule[0] for rule in eng.rules]
-    assert all(_minimal(m, rules) for m in models)
+    assert all(_minimal(m, part.rules) for m in models)
     assert len(built) == 1
     # Listing the answer set of a part that its root closure decides
     # builds none.
-    assert Engine(ground("p. q :- p, not r. :- r.")).parts() == [[0b11]]
+    [part] = Engine(ground("p. q :- p, not r. :- r.")).parts
+    assert part.models(0) == [0b11]
     assert len(built) == 1
 
 
 def test_parts_ascend_by_their_lowest_atom_with_the_atom_free_part_first():
     eng = Engine(ground("d :- not c. c :- not d. b. a :- e. e :- not a. :- ."))
     assert eng.atom_of == [Atom(n) for n in "abcde"]
-    assert [[rule[3] for rule in rules] for rules in eng.part_rules] == \
-        [[()], [(0, 4), (4, 0)], [(1,)], [(3, 2), (2, 3)]]
-    assert eng.parts() is None and eng.consequences() is None
+    # (head, pos, neg, negneg) over the bits a=1, b=2, c=4, d=8, e=16
+    assert [part.rules for part in eng.parts] == \
+        [[(0, 0, 0, 0)], [(1, 16, 0, 0), (16, 0, 1, 0)], [(2, 0, 0, 0)],
+         [(8, 0, 4, 0), (4, 0, 8, 0)]]
+    assert eng.answer_sets() == [] and eng.consequences() is None
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +313,8 @@ def search(source):
     """The masks `_models` yields over the whole of a ground program,
     with its `Engine`."""
     eng = Engine(ground(source))
-    rules = [rule[0] for rule in eng.rules]
     scope = (1 << eng.width) - 1
-    return list(_models(*_clauses(rules, scope), scope)), eng
+    return list(_models(*_clauses(all_rules(eng), scope), scope)), eng
 
 
 def test_a_rule_with_not_of_its_head_atom_supports_nothing():
@@ -323,7 +328,7 @@ def test_a_rule_with_not_of_its_head_atom_supports_nothing():
 def test_a_positive_loop_is_not_tight_and_keeps_the_minimality_test():
     g = ground("{c}. p :- q. q :- p. p :- c.")
     assert not Engine(g).tight
-    assert names(answer_sets(g)) == [[], ["c", "p", "q"]]
+    assert names(Engine(g).answer_sets()) == [[], ["c", "p", "q"]]
     # {p, q} is a model whose atoms support each other: only the
     # minimality test rules it out.
     models, eng = search("{c}. p :- q. q :- p. p :- c.")
@@ -343,7 +348,7 @@ def test_a_positive_loop_is_not_tight_and_keeps_the_minimality_test():
 def test_tight_means_no_cycle_through_positive_bodies(source, tight):
     eng = Engine(ground(source))
     assert eng.tight is tight
-    assert _tight([rule[0] for rule in eng.rules], eng.width) is tight
+    assert _tight(all_rules(eng), eng.width) is tight
 
 
 def test_a_tight_program_never_runs_the_minimality_test(monkeypatch):
@@ -358,16 +363,16 @@ def test_a_tight_program_never_runs_the_minimality_test(monkeypatch):
     eng = Engine(g)
     assert eng.tight
     # r is not cautious: {q} is an answer set.
-    assert len(eng.part_rules) == 1
-    assert eng.check(0, 0) is None
-    assert eng.check(sum(eng.kbit.values()), 0) == stable.KNOWN_NOT_CAUTIOUS
-    cautious, brave = eng.consequences({})
+    [part] = eng.parts
+    assert part.verdict(0) is None
+    assert part.verdict(sum(eng.kbit.values())) == stable.KNOWN_NOT_CAUTIOUS
+    cautious, brave = eng.consequences(0)
     assert cautious == 0 and brave
-    assert eng.answer_sets(eng.parts({})) == answer_sets(ground(
-        "p :- not q. q :- not p. r :- p. s ; t :- r, not q. {u}."))
+    assert eng.answer_sets(0) == Engine(ground(
+        "p :- not q. q :- not p. r :- p. s ; t :- r, not q. {u}.")).answer_sets()
     assert calls == []
     g = ground("p :- q. q :- p. p :- not r. r :- not p.")
-    assert names(answer_sets(g)) == [["p", "q"], ["r"]]
+    assert names(Engine(g).answer_sets()) == [["p", "q"], ["r"]]
     assert calls
 
 
@@ -377,9 +382,9 @@ def test_tight_and_non_tight_programs_match_brute_force():
     for n in range(3000):
         rules = random_ground_rules(rng, max_atoms=rng.choice((3, 4, 5)),
                                     max_rules=rng.choice((4, 6, 9)))
-        g = GroundProgram(tuple(rules))
-        tight += Engine(g).tight
-        assert answer_sets(g) == bitmask_order(brute_answer_sets(rules))
+        eng = Engine(GroundProgram(tuple(rules)))
+        tight += eng.tight
+        assert eng.answer_sets() == bitmask_order(brute_answer_sets(rules))
     assert 500 < tight < 2500
 
 
@@ -429,10 +434,10 @@ def test_watched_search_matches_full_scans_at_every_node(monkeypatch):
     rng = random.Random(4242)
     for _ in range(2500):
         rules = random_ground_rules(rng, max_atoms=6, max_rules=12)
-        answer_sets(GroundProgram(tuple(rules)))
+        Engine(GroundProgram(tuple(rules))).answer_sets()
     for _ in range(300):
         tester = Engine(ground_program(random_epistemic_program(rng, max_atoms=5)))
-        tester.parts({k: rng.random() < 0.5 for k in tester.kbit})
+        tester.answer_sets(sum(bit for bit in tester.kbit.values() if rng.random() < 0.5))
     assert sum(start[2] != 0 for *_, start in searches) > 100
     counts = [0, 0]
     for clauses, supports, scope, start in searches:
@@ -446,7 +451,8 @@ def test_both_paths_agree_on_a_large_random_corpus():
     rng = random.Random(2024)
     for _ in range(1000):
         rules = random_ground_rules(rng)
-        assert answer_sets(GroundProgram(tuple(rules))) == bitmask_order(brute_answer_sets(rules))
+        got = Engine(GroundProgram(tuple(rules))).answer_sets()
+        assert got == bitmask_order(brute_answer_sets(rules))
 
 
 def test_engine_matches_brute_force_when_heads_repeat():
@@ -455,7 +461,8 @@ def test_engine_matches_brute_force_when_heads_repeat():
     rng = random.Random(2026)
     for _ in range(600):
         rules = random_ground_rules(rng, max_atoms=3, max_rules=9)
-        assert answer_sets(GroundProgram(tuple(rules))) == bitmask_order(brute_answer_sets(rules))
+        got = Engine(GroundProgram(tuple(rules))).answer_sets()
+        assert got == bitmask_order(brute_answer_sets(rules))
 
 
 def test_search_path_handles_one_large_component():
@@ -463,7 +470,7 @@ def test_search_path_handles_one_large_component():
     lines += [f"p{i} :- p{i - 2}, not p{i - 1}." for i in range(2, 14)]
     g = ground(" ".join(lines))
     assert len(g.atoms) == 14
-    got = answer_sets(g)
+    got = Engine(g).answer_sets()
     assert got == bitmask_order(brute_answer_sets(g.rules))
     assert len(got) >= 1
 
@@ -473,15 +480,12 @@ def test_engine_matches_brute_force_and_definitional_properties():
     for _ in range(300):
         rules = random_ground_rules(rng, max_atoms=4, max_rules=5)
         g = GroundProgram(tuple(rules))
-        got = answer_sets(g)
+        got = Engine(g).answer_sets()
         assert sorted(map(sorted, (map(print_atom, m) for m in got))) == \
             sorted(map(sorted, (map(print_atom, m) for m in brute_answer_sets(rules))))
         want = brute_consequences(rules)
-        c = consequences(g)
-        if want is None:
-            assert not c.has_answer_set
-        else:
-            assert (c.cautious, c.brave) == want
+        assert consequence_atoms(g) == want
+        if want is not None:
             for m in got:
                 assert want[0] <= m <= want[1]
         for m in got:
