@@ -14,6 +14,7 @@ instances shipped with the package, writing one CSV row per instance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import math
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from importlib import resources
 from multiprocessing import Pipe, Process
 from pathlib import Path
+from typing import TextIO
 
 from .epistemic import WorldView, oracle_world_views, solve
 from .grounder import GroundingError, SafetyError
@@ -200,7 +202,12 @@ def bench_instances(domain: str, max_n: int, seed: int):
 
 
 def bench(domain: str, max_n: int, seed: int, timeout: float, reps: int,
-          semantics: str, out_path: str | None) -> list[dict]:
+          semantics: str, out: TextIO) -> list[dict]:
+    """Time each instance and write its CSV row to the text stream
+    `out` as soon as it is timed."""
+    writer = csv.DictWriter(out, fieldnames=["instance", "semantics", "world_views",
+                                             "avg_seconds", "timed_out"])
+    writer.writeheader()
     rows = []
     for name, text in bench_instances(domain, max_n, seed):
         count, avg, timed_out = _time_instance(text, semantics, timeout, reps)
@@ -211,17 +218,7 @@ def bench(domain: str, max_n: int, seed: int, timeout: float, reps: int,
             "avg_seconds": "" if timed_out else f"{avg:.6f}",
             "timed_out": "true" if timed_out else "false",
         })
-
-    fields = ["instance", "semantics", "world_views", "avg_seconds", "timed_out"]
-    if out_path is None or out_path == "-":
-        writer = csv.DictWriter(sys.stdout, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-    else:
-        with open(out_path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=fields)
-            writer.writeheader()
-            writer.writerows(rows)
+        writer.writerow(rows[-1])
     return rows
 
 
@@ -265,8 +262,17 @@ def main(argv=None) -> int:
         if not 0 < args.timeout < math.inf:  # nan fails both comparisons
             print("error: --timeout must be finite and positive", file=sys.stderr)
             return INPUT_ERROR
-        bench(args.domain, args.max_n, args.seed, args.timeout, args.reps,
-              args.semantics, args.out)
+        # Open the output first: a path that cannot be written is refused
+        # before any instance is timed.
+        try:
+            out = (contextlib.nullcontext(sys.stdout) if args.out in (None, "-")
+                   else open(args.out, "w", newline="", encoding="utf-8"))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return INPUT_ERROR
+        with out as handle:
+            bench(args.domain, args.max_n, args.seed, args.timeout, args.reps,
+                  args.semantics, handle)
         return 0
     if argv[:1] == ["solve"]:
         argv = argv[1:]

@@ -19,25 +19,26 @@ refine one answer set at a time, as clasp's cautious and brave modes do
 via minimal models and unsatisfiable cores", TPLP 2018): each further
 search adds a clause asking for an answer set that changes the result.
 
-Each search is a branch-and-propagate loop on an explicit stack that
-enumerates the assignments that survive unit propagation and support
-checks.  Support propagates both ways, as the support nogoods of Clark's
-completion do in CDNL (Gebser, Kaufmann, Schaub, "Conflict-driven answer
-set solving: From theory to practice", AIJ 2012): an atom that no rule
-can still support is false, and a true atom with one rule left that can
-support it makes that rule's body true and its other head atoms false.
-A rule with `not b` in its body never supports its head atom b, so it
-is not filed as one of b's supporters.  Each total assignment the loop
-reaches is then a supported model, a model of the completion.  If the
-program is tight, with no cycle through positive bodies, its supported
-models are its answer sets (Fages, "Consistency of Clark's completion
-and existence of stable models", 1994; Lee, Lifschitz, "Loop formulas
-for disjunctive logic programs", ICLP 2003), and every one is kept, as
-clasp runs no unfounded-set check on a tight program.  `Engine` decides
-tightness once, and any subset of a tight program's rules is tight, so
-the one flag serves every part and valuation.  Otherwise a model is
-kept if the minimality test, the same loop on the reduct's clauses
-stopped at the first model, finds no smaller model.
+Every search is one function, `_models`: a branch-and-propagate loop on
+an explicit stack that enumerates the assignments that survive unit
+propagation and support checks, or one per projection of them.  Support
+propagates both ways, as the support nogoods of Clark's completion do in
+CDNL (Gebser, Kaufmann, Schaub, "Conflict-driven answer set solving:
+From theory to practice", AIJ 2012): an atom that no rule can still
+support is false, and a true atom with one rule left that can support it
+makes that rule's body true and its other head atoms false.  A rule with
+`not b` in its body never supports its head atom b, so it is not filed
+as one of b's supporters.  Each total assignment the loop reaches is
+then a supported model, a model of the completion.  If the program is
+tight, with no cycle through positive bodies, its supported models are
+its answer sets (Fages, "Consistency of Clark's completion and existence
+of stable models", 1994; Lee, Lifschitz, "Loop formulas for disjunctive
+logic programs", ICLP 2003), and every one is kept, as clasp runs no
+unfounded-set check on a tight program.  `Engine` decides tightness
+once, and any subset of a tight program's rules is tight, so the one
+flag serves every part and valuation.  Otherwise a model is kept if the
+minimality test, the same loop on the reduct's clauses stopped at the
+first model, finds no smaller model.
 Propagation scans every clause and atom until the search has watch
 lists: for each bit, the clauses that mention it and the atoms whose
 supporting rules mention it.  Then each node starts from its parent's
@@ -56,6 +57,8 @@ becomes the constraint `:- a, -a.`
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 from .grounder import GroundProgram
 from .syntax import Atom, AuxAtom, KAtom, SubjLiteral, print_atom, print_subjective
@@ -194,20 +197,29 @@ def _watch(clauses: list[tuple[int, int]],
 def _models(clauses: list[tuple[int, int]],
             supports: dict[int, list[tuple[int, int]]], scope: int,
             start: tuple[int, int, int] = (0, 0, 0),
-            watch: dict[int, tuple[list, list]] | None = None):
+            watch: dict[int, tuple[list, list]] | None = None,
+            keep: Callable[[int], bool] | None = None, project: int | None = None):
     """Yield, as true-masks, every total assignment over `scope` that
-    `_propagate` leaves without conflict.  Branches on the lowest open
-    bit, false first.  `start` is a partial assignment (true, false)
-    and the bits to propagate from; each child propagates from its
-    parent's closed state and its branch bit.  Until the dict `watch`
-    holds the lists of `_watch`, propagation scans everything, and the
-    first branch files them there, so a caller that passes its own dict
-    keeps them for its next search.  With the lists, `start` must be a
-    closed assignment plus the bits to propagate from, as for
-    `_propagate`."""
+    `_propagate` leaves without conflict and the test `keep`, if given,
+    accepts.  `start` is a partial assignment (true, false) and the
+    bits to propagate from; each child propagates from its parent's
+    closed state and its branch bit, false first.  Until the dict
+    `watch` holds the lists of `_watch`, propagation scans everything,
+    and the first branch files them there, so a caller that passes its
+    own dict keeps them for its next search.  With the lists, `start`
+    must be a closed assignment plus the bits to propagate from, as for
+    `_propagate`.
+
+    The search branches on the highest open bit of the mask `project`
+    while there is one, else on the lowest open bit.  With `project`, it
+    yields the first model of each projection `m & project`, in
+    ascending order, and then drops the rest of the subtree in which the
+    last projected bit was set (projected enumeration: Gebser, Kaufmann,
+    Schaub, CPAIOR 2009); `project=0` yields one model."""
     if watch is None:
         watch = {}
     stack = [start]
+    floor = 0  # stack height under the subtree in which every projected bit is set
     while stack:
         true_m, false_m, b = stack.pop()
         state = _propagate(clauses, supports, scope, true_m, false_m, watch or None, b)
@@ -215,12 +227,18 @@ def _models(clauses: list[tuple[int, int]],
             continue
         true_m, false_m = state
         und = scope & ~(true_m | false_m)
+        if project is not None and b & project and not und & project:
+            floor = len(stack)
         if und == 0:
-            yield true_m
+            if keep is None or keep(true_m):
+                yield true_m
+                if project is not None:
+                    del stack[floor:]
             continue
         if not watch:
             watch.update(_watch(clauses, supports, scope))
-        b = und & -und
+        b = und & project if project else 0
+        b = 1 << (b.bit_length() - 1) if b else und & -und
         stack.append((true_m | b, false_m, b))
         stack.append((true_m, false_m | b, b))
 
@@ -407,39 +425,20 @@ class _Part:
         known `&k{a}` needs a, a known `&k{~a}` needs a false) as clauses
         the check never sees.  If a holds (fails) in its root closure, so
         in every answer set, a world view knows `&k{a}` (`&k{~a}`): that
-        bit is fixed true and the root closed again.  The search branches
-        on the open assumption bits, highest and false first; where all
-        are set, one ordinary search runs, and it goes back to its last
-        branch (projected enumeration: Gebser, Kaufmann, Schaub, CPAIOR
-        2009), so no answer set is listed."""
+        bit is fixed true and the root closed again.  Then one search of
+        `_models`, projected onto the assumption bits, yields the first
+        answer set of each valuation and lists no other."""
         clauses = self.clauses + [(0, g | b) if tilde else (b, g) for g, b, tilde in self.katoms]
-        watch: dict[int, tuple[list, list]] = {}
         state = _propagate(clauses, self.supports, self.scope, 0, 0)
         while state is not None:
             # state[tilde] is the true mask for `&k{a}`, the false one for `&k{~a}`.
             fix = sum(g for g, b, tilde in self.katoms if b & state[tilde]) & ~state[0]
             if not fix:
-                break
+                for m in self._search((*state, 0), clauses, {}, self.assume):
+                    yield m & self.assume, m
+                return
             state = None if fix & state[1] else _propagate(
                 clauses, self.supports, self.scope, state[0] | fix, state[1])
-        stack = [] if state is None else [(*state, 0)]
-        while stack:
-            true_m, false_m, g = stack.pop()
-            if g:
-                state = _propagate(clauses, self.supports, self.scope, true_m, false_m, watch, g)
-                if state is None:
-                    continue
-                true_m, false_m = state
-            open_ = self.assume & ~(true_m | false_m)
-            if not open_:
-                m = next(iter(self._search((true_m, false_m, 0), clauses, watch)), None)
-                if m is not None:
-                    yield m & self.assume, m
-                continue
-            if not watch:
-                watch.update(_watch(clauses, self.supports, self.scope))
-            g = 1 << (open_.bit_length() - 1)
-            stack += [(true_m | g, false_m, g), (true_m, false_m | g, g)]
 
     def verdict(self, known: int, witness: int | None = None) -> str | None:
         """None if the valuation `known` passes, else the first reason
@@ -489,7 +488,7 @@ class _Part:
         finds an answer set that no earlier search found.  It stops once
         both are empty or a search fails."""
         if m is None and start is not None:
-            m = next(iter(self._search(start, self.clauses, self.watch)), None)
+            m = next(self._search(start, self.clauses, self.watch), None)
         while m is not None:
             cautious &= m
             absent &= ~m
@@ -512,7 +511,7 @@ class _Part:
             rest ^= b
         start = (start[0], start[1], start[2] | bits)
         try:
-            return next(iter(self._search(start, self.clauses, self.watch)), None)
+            return next(self._search(start, self.clauses, self.watch), None)
         finally:
             rest = bits
             while rest:
@@ -520,22 +519,13 @@ class _Part:
                 self.watch[b][0].pop()
                 rest ^= b
 
-    def _search(self, start: tuple[int, int, int], clauses: list, watch: dict):
-        """The answer sets, with the assumption bits, that the search
-        over `clauses` and their lists `watch` from `start` reaches,
-        lazily.  A start with no bits to propagate from is closed: if it
-        is total it is the only candidate, and otherwise the search
-        branches at once, so the lists are built first."""
-        true_m, false_m, todo = start
-        if todo or watch or self.scope & ~(true_m | false_m):
-            if not (todo or watch):
-                watch.update(_watch(clauses, self.supports, self.scope))
-            found = _models(clauses, self.supports, self.scope, start, watch)
-        else:
-            found = (true_m,)
-        if self.tight:
-            return found
-        return (m for m in found if _minimal(m, self.rules, self.assume))
+    def _search(self, start: tuple[int, int, int], clauses: list, watch: dict,
+                project: int | None = None):
+        """The answer sets, with the assumption bits, that `_models`
+        reaches over `clauses` and their lists `watch` from `start`,
+        lazily, the first of each projection onto `project` if given."""
+        keep = None if self.tight else lambda m: _minimal(m, self.rules, self.assume)
+        return _models(clauses, self.supports, self.scope, start, watch, keep, project)
 
 
 class Engine:

@@ -5,7 +5,9 @@ guess program is only reachable through the library layer: translate,
 optionally prune, enumerate the projected answer sets, and check each
 candidate on one engine of the ground program.  The same steps with one
 guess over the whole program give `unsplit_views`, the reference for
-`solve`'s split of the guess.
+`solve`'s split of the guess.  `reference_guesses` is the guess of a
+part as a depth-first loop of its own over the assumption bits, with an
+ordinary search at each leaf, the reference for `_Part.guesses`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 from epiworld.epistemic import WorldView, translate_guess
 from epiworld.grounder import ground_program
 from epiworld.optimize import add_consistency_constraints, wfm_propagate
-from epiworld.stable import Engine
+from epiworld.stable import Engine, _minimal, _models, _propagate, _watch
 
 
 def projected_components(program, onto) -> list[list[frozenset]] | None:
@@ -88,3 +90,56 @@ def unsplit_views(program) -> list:
     return [WorldView({k: mapping[k] in candidate for k in tester.kbit}, tester)
             for candidate in projected_answer_sets(guess, frozenset(mapping.values()))
             if _accepts(tester, mapping, candidate)]
+
+
+def reference_guesses(part):
+    """(known, answer set) for each valuation of the guess of a `_Part`,
+    in ascending order of `known`, as `_Part.guesses` yields them: a
+    branch on the open assumption bits, highest and false first, and,
+    where all are set, the first answer set of one ordinary search."""
+    clauses = part.clauses + [(0, g | b) if tilde else (b, g) for g, b, tilde in part.katoms]
+    watch: dict[int, tuple[list, list]] = {}
+    state = _propagate(clauses, part.supports, part.scope, 0, 0)
+    while state is not None:
+        # state[tilde] is the true mask for `&k{a}`, the false one for `&k{~a}`.
+        fix = sum(g for g, b, tilde in part.katoms if b & state[tilde]) & ~state[0]
+        if not fix:
+            break
+        state = None if fix & state[1] else _propagate(
+            clauses, part.supports, part.scope, state[0] | fix, state[1])
+    stack = [] if state is None else [(*state, 0)]
+    while stack:
+        true_m, false_m, g = stack.pop()
+        if g:
+            state = _propagate(clauses, part.supports, part.scope, true_m, false_m, watch, g)
+            if state is None:
+                continue
+            true_m, false_m = state
+        open_ = part.assume & ~(true_m | false_m)
+        if not open_:
+            m = next(iter(_reference_search(part, (true_m, false_m, 0), clauses, watch)), None)
+            if m is not None:
+                yield m & part.assume, m
+            continue
+        if not watch:
+            watch.update(_watch(clauses, part.supports, part.scope))
+        g = 1 << (open_.bit_length() - 1)
+        stack += [(true_m | g, false_m, g), (true_m, false_m | g, g)]
+
+
+def _reference_search(part, start: tuple[int, int, int], clauses: list, watch: dict):
+    """The answer sets, with the assumption bits, that the search
+    over `clauses` and their lists `watch` from `start` reaches,
+    lazily.  A start with no bits to propagate from is closed: if it
+    is total it is the only candidate, and otherwise the search
+    branches at once, so the lists are built first."""
+    true_m, false_m, todo = start
+    if todo or watch or part.scope & ~(true_m | false_m):
+        if not (todo or watch):
+            watch.update(_watch(clauses, part.supports, part.scope))
+        found = _models(clauses, part.supports, part.scope, start, watch)
+    else:
+        found = (true_m,)
+    if part.tight:
+        return found
+    return (m for m in found if _minimal(m, part.rules, part.assume))

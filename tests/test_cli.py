@@ -419,8 +419,9 @@ def test_bench_instances_lists_both_domains():
 
 def test_bench_writes_csv_rows(tmp_path):
     out = tmp_path / "bench.csv"
-    rows = bench("eligibility", max_n=2, seed=1, timeout=120.0, reps=1,
-                 semantics="g91", out_path=str(out))
+    with out.open("w", newline="", encoding="utf-8") as handle:
+        rows = bench("eligibility", max_n=2, seed=1, timeout=120.0, reps=1,
+                     semantics="g91", out=handle)
     assert [r["instance"] for r in rows] == ["eligible01", "eligible02"]
     assert all(r["world_views"] == 1 and r["timed_out"] == "false" for r in rows)
     with out.open() as handle:
@@ -431,9 +432,8 @@ def test_bench_writes_csv_rows(tmp_path):
 
 
 def test_bench_marks_timeouts(tmp_path):
-    out = tmp_path / "bench.csv"
     rows = bench("eligibility", max_n=1, seed=1, timeout=1e-4, reps=1,
-                 semantics="g91", out_path=str(out))
+                 semantics="g91", out=io.StringIO())
     assert rows[0]["world_views"] == ""
     assert rows[0]["avg_seconds"] == ""
     assert rows[0]["timed_out"] == "true"
@@ -454,3 +454,31 @@ def test_reported_time_decides_a_timeout(monkeypatch, elapsed, timeout, want):
     # the time it reports can mark the slow one as timed out.
     monkeypatch.setattr(cli, "_bench_worker", _report_elapsed)
     assert _time_instance(elapsed, "g91", timeout, reps=1) == want
+
+
+@pytest.mark.parametrize("out", ["", "missing/bench.csv"])
+def test_bench_refuses_an_unwritable_output_before_timing(monkeypatch, tmp_path, capsys, out):
+    # A directory and a path under a missing directory cannot be opened
+    # for writing; no instance is timed first.
+    def untimed(*args):
+        raise AssertionError("an instance was timed")
+
+    monkeypatch.setattr(cli, "_time_instance", untimed)
+    argv = ["bench", "--domain", "yale", "--max-n", "1", "--reps", "1",
+            "--out", str(tmp_path / out)]
+    assert main(argv) == INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_bench_writes_the_same_csv_to_stdout_and_to_a_file(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "_time_instance", lambda *args: (1, 0.5, False))
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--domain", "yale", "--max-n", "1", "--out"]
+    assert main(argv + [str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv + ["-"]) == 0
+    assert capsys.readouterr().out == out.read_bytes().decode("utf-8") == (
+        "instance,semantics,world_views,avg_seconds,timed_out\r\n"
+        "yale01,g91,1,0.500000,false\r\n"
+        "yale_unsat,g91,1,0.500000,false\r\n")

@@ -3,13 +3,16 @@
 import inspect
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from brute import brute_answer_sets, brute_consequences
 from corpus import random_epistemic_program, random_ground_rules
-from pruning import projected_answer_sets, projected_components
+from pruning import projected_answer_sets, projected_components, reference_guesses
 from epiworld import stable
+from epiworld.cli import YALE_INSTANCES, yale_source
+from epiworld.epistemic import _ground
 from epiworld.grounder import GroundProgram, ground_program
 from epiworld.stable import (
     Engine,
@@ -392,12 +395,14 @@ def test_tight_and_non_tight_programs_match_brute_force():
 # Differential checks
 
 
-def _full_scan_models(clauses, supports, scope, start, counts):
+def _full_scan_models(clauses, supports, scope, start, counts, keep=None, project=None):
     """The search of `_models` from `start` with a full scan at every
     node.  Each node with bits to propagate from, a child or a start
     closed but for those bits, is also propagated from its watch lists
     and must close the same way; counts[0] counts such nodes and
-    counts[1] their conflicts."""
+    counts[1] their conflicts.  Under `project`, each model `keep`
+    accepts pops the stack entries whose projected bits are all set and
+    agree with it: the branches left above the last projected branch."""
     watch = _watch(clauses, supports, scope)
     stack = [start]
     while stack:
@@ -412,23 +417,31 @@ def _full_scan_models(clauses, supports, scope, start, counts):
         true_m, false_m = state
         und = scope & ~(true_m | false_m)
         if und == 0:
-            yield true_m
+            if keep is None or keep(true_m):
+                yield true_m
+                if project is not None:
+                    seen = (true_m & project, project & ~true_m)
+                    while stack and (stack[-1][0] & project, stack[-1][1] & project) == seen:
+                        stack.pop()
             continue
-        b = und & -und
+        open_ = und & project if project else 0
+        b = 1 << (open_.bit_length() - 1) if open_ else und & -und
         stack.append((true_m | b, false_m, b))
         stack.append((true_m, false_m | b, b))
 
 
 def test_watched_search_matches_full_scans_at_every_node(monkeypatch):
-    # Every search the engine makes, part searches and minimality tests
-    # alike, is recorded and then replayed both ways.  The parts of the
-    # epistemic programs start from their root closure with a
-    # valuation's assumption bits to propagate from.
+    # Every search the engine makes, part searches, minimality tests and
+    # the guesses' projected searches alike, is recorded and then
+    # replayed both ways.  The parts of the epistemic programs start
+    # from their root closure with a valuation's assumption bits to
+    # propagate from.
     searches = []
 
-    def recorded(clauses, supports, scope, start=(0, 0, 0), watch=None):
-        searches.append((clauses, supports, scope, start))
-        return _models(clauses, supports, scope, start, watch)
+    def recorded(clauses, supports, scope, start=(0, 0, 0), watch=None, keep=None,
+                 project=None):
+        searches.append((clauses, supports, scope, start, keep, project))
+        return _models(clauses, supports, scope, start, watch, keep, project)
 
     monkeypatch.setattr(stable, "_models", recorded)
     rng = random.Random(4242)
@@ -438,12 +451,65 @@ def test_watched_search_matches_full_scans_at_every_node(monkeypatch):
     for _ in range(300):
         tester = Engine(ground_program(random_epistemic_program(rng, max_atoms=5)))
         tester.answer_sets(sum(bit for bit in tester.kbit.values() if rng.random() < 0.5))
-    assert sum(start[2] != 0 for *_, start in searches) > 100
+        for part in tester.parts:
+            list(part.guesses())
+    # The minimality tests of the replayed searches are not recorded.
+    monkeypatch.undo()
+    assert sum(start[2] != 0 for _, _, _, start, _, _ in searches) > 100
+    assert sum(project is not None for *_, project in searches) > 200
+    assert any(keep is not None and project for *_, keep, project in searches)
     counts = [0, 0]
-    for clauses, supports, scope, start in searches:
-        assert list(_models(clauses, supports, scope, start)) == \
-            list(_full_scan_models(clauses, supports, scope, start, counts))
+    for clauses, supports, scope, start, keep, project in searches:
+        assert list(_models(clauses, supports, scope, start, None, keep, project)) == \
+            list(_full_scan_models(clauses, supports, scope, start, counts, keep, project))
     assert counts[0] > 3000 and 0 < counts[1] < counts[0]
+
+
+def test_a_projected_search_yields_the_first_model_of_each_projection():
+    # The unprojected listing finds the models in the order of their
+    # lowest differing bit, false first, and a projected search orders
+    # the models of one projection the same way.
+    rng = random.Random(2009)
+    uncut = 0
+    for _ in range(1500):
+        rules = random_ground_rules(rng, max_atoms=5, max_rules=8)
+        eng = Engine(GroundProgram(tuple(rules)))
+        scope = (1 << eng.width) - 1
+        clauses, supports = _clauses(all_rules(eng), scope)
+        listed = list(_models(clauses, supports, scope))
+        assert list(_models(clauses, supports, scope, project=0)) == listed[:1]
+        project = rng.randrange(scope + 1)
+        rejected = set(rng.sample(listed, len(listed) // 2))
+        firsts = []
+        for keep in (None, lambda m: m not in rejected):
+            first: dict[int, int] = {}
+            for m in listed:
+                if keep is None or keep(m):
+                    first.setdefault(m & project, m)
+            firsts.append(first)
+            assert list(_models(clauses, supports, scope, keep=keep, project=project)) == \
+                [first[key] for key in sorted(first)]
+        # A rejected model leaves the rest of its projection to search.
+        uncut += sum(key in firsts[1] for key, m in firsts[0].items() if m in rejected)
+    assert uncut > 100
+
+
+def test_the_projected_guess_matches_the_reference_loop():
+    # Each part's guesses, pair for pair, against the guess as a loop
+    # of its own over the assumption bits (tests/pruning.py).
+    programs = [(parse_text(yale_source(name)), "g91") for name in YALE_INSTANCES]
+    programs += [(parse_text(yale_source(name)), "k15") for name in YALE_INSTANCES[:5]]
+    rng = random.Random(2009)
+    for _ in range(300):
+        program = random_epistemic_program(rng, max_atoms=5, max_rules=8)
+        programs += [(program, "g91"), (program, "k15")]
+    tight = Counter()
+    for program, semantics in programs:
+        for part in Engine(_ground(program, semantics)).parts:
+            tight[part.tight, bool(part.katoms)] += 1
+            assert list(part.guesses()) == list(reference_guesses(part))
+    # Parts with assumption bits, tight and not.
+    assert tight[True, True] > 100 and tight[False, True] > 100
 
 
 def test_both_paths_agree_on_a_large_random_corpus():
