@@ -39,15 +39,15 @@ once, and any subset of a tight program's rules is tight, so the one
 flag serves every part and valuation.  Otherwise a model is kept if the
 minimality test, the same loop on the reduct's clauses stopped at the
 first model, finds no smaller model.
-Propagation scans every clause and atom until the search has watch
-lists: for each bit, the clauses that mention it and the atoms whose
-supporting rules mention it.  Then each node starts from its parent's
-closed state and looks only at the lists of the bits set since.  clasp
-watches two literals per clause; these lists file a clause under each
-of its bits, which costs more visits but nothing to keep up on a
-backtrack.  They are built at the first branch or added clause, so a
-search that ends at its root, as most minimality tests do, never builds
-them, and a `_Part` keeps them for its later searches.
+Propagation scans every clause and atom only at the two roots that
+start empty, a part's root closure and a minimality test's root.  Below
+them it reads watch lists: for each bit, the clauses that mention it and
+the atoms whose supporting rules mention it.  Each node starts from its
+parent's closed state and looks only at the lists of the bits set since.
+clasp watches two literals per clause; these lists file a clause under
+each of its bits, which costs more visits but nothing to keep up on a
+backtrack.  A `_Part` builds its lists once, with the part, and a
+minimality test only if its root closure neither conflicts nor is total.
 
 A choice rule `{a}` becomes `a :- not not a.` (Lifschitz, Tang, Turner
 1999), so every bit is an atom.  Its clause `a or not a` never
@@ -196,19 +196,15 @@ def _watch(clauses: list[tuple[int, int]],
 
 def _models(clauses: list[tuple[int, int]],
             supports: dict[int, list[tuple[int, int]]], scope: int,
-            start: tuple[int, int, int] = (0, 0, 0),
-            watch: dict[int, tuple[list, list]] | None = None,
+            start: tuple[int, int, int], watch: dict[int, tuple[list, list]],
             keep: Callable[[int], bool] | None = None, project: int | None = None):
     """Yield, as true-masks, every total assignment over `scope` that
     `_propagate` leaves without conflict and the test `keep`, if given,
-    accepts.  `start` is a partial assignment (true, false) and the
-    bits to propagate from; each child propagates from its parent's
-    closed state and its branch bit, false first.  Until the dict
-    `watch` holds the lists of `_watch`, propagation scans everything,
-    and the first branch files them there, so a caller that passes its
-    own dict keeps them for its next search.  With the lists, `start`
-    must be a closed assignment plus the bits to propagate from, as for
-    `_propagate`.
+    accepts.  `start` is a closed partial assignment (true, false) plus
+    the bits to propagate from, and `watch` holds the lists of `_watch`;
+    each child propagates from its parent's closed state and its branch
+    bit, false first.  A node with no bits to propagate from is closed
+    as it is.
 
     The search branches on the highest open bit of the mask `project`
     while there is one, else on the lowest open bit.  With `project`, it
@@ -216,16 +212,15 @@ def _models(clauses: list[tuple[int, int]],
     ascending order, and then drops the rest of the subtree in which the
     last projected bit was set (projected enumeration: Gebser, Kaufmann,
     Schaub, CPAIOR 2009); `project=0` yields one model."""
-    if watch is None:
-        watch = {}
     stack = [start]
     floor = 0  # stack height under the subtree in which every projected bit is set
     while stack:
         true_m, false_m, b = stack.pop()
-        state = _propagate(clauses, supports, scope, true_m, false_m, watch or None, b)
-        if state is None:
-            continue
-        true_m, false_m = state
+        if b:
+            state = _propagate(clauses, supports, scope, true_m, false_m, watch, b)
+            if state is None:
+                continue
+            true_m, false_m = state
         und = scope & ~(true_m | false_m)
         if project is not None and b & project and not und & project:
             floor = len(stack)
@@ -235,8 +230,6 @@ def _models(clauses: list[tuple[int, int]],
                 if project is not None:
                     del stack[floor:]
             continue
-        if not watch:
-            watch.update(_watch(clauses, supports, scope))
         b = und & project if project else 0
         b = 1 << (b.bit_length() - 1) if b else und & -und
         stack.append((true_m | b, false_m, b))
@@ -256,7 +249,10 @@ def _minimal(m: int, rules: list[tuple[int, int, int, int]], assumed: int = 0) -
                if pos & m == pos and neg & m == 0 and negneg & m == negneg]
     m &= ~assumed
     clauses.append((0, m))  # rules out m itself
-    return next(_models(clauses, {}, m), None) is None
+    state = _propagate(clauses, {}, m, 0, 0)
+    if state is None or not m & ~(state[0] | state[1]):  # no smaller model, or one
+        return state is None
+    return next(_models(clauses, {}, m, (*state, 0), _watch(clauses, {}, m)), None) is None
 
 
 def _group(items, nodes: list[tuple[int, ...]], width: int):
@@ -372,11 +368,15 @@ class _Part:
     valuation, a mask of known assumption bits, fixes every assumption
     bit, which keeps exactly the rules whose guard it satisfies.
     Assumption bits need no support, so they are no keys of `supports`,
-    and `_minimal` never minimises them.  The clauses, supports and the
-    root closure, with every assumption bit open, are built with the
-    part, and the watch lists when a search first branches or adds a
-    clause.  With `tight`, the rules must be tight, and every model a
-    search finds is an answer set.
+    and `_minimal` never minimises them.  The guess's consistency
+    constraints (a known `&k{a}` needs a, a known `&k{~a}` needs a
+    false) are clauses guarded by `guess`, an activation bit above the
+    part's bits (Eén, Sörensson, "Temporal induction by incremental SAT
+    solving", 2003), which `guesses` sets true and every other query
+    false.  The clauses, supports, watch lists and root closure, with
+    the assumption bits and the guess bit open, are built with the part.
+    With `tight`, the rules must be tight, and every model a search
+    finds is an answer set.
     """
 
     def __init__(self, rules: list[tuple[int, int, int, int]],
@@ -392,15 +392,17 @@ class _Part:
             used |= b  # the inner atom, which may occur only inside `&k{}`
         self.atoms = used & ~assume
         self.assume = assume
-        self.scope = used | assume
+        self.guess = guess = 1 << (used | assume).bit_length()
+        self.scope = used | assume | guess
         self.clauses, self.supports = _clauses(rules, self.atoms)
-        self.watch: dict[int, tuple[list, list]] = {}
+        self.clauses += [(0, g | b | guess) if tilde else (b, g | guess) for g, b, tilde in katoms]
+        self.watch = _watch(self.clauses, self.supports, self.scope)
         self.root = _propagate(self.clauses, self.supports, self.scope, 0, 0)
 
     def start(self, known: int) -> tuple[int, int, int] | None:
-        """The root closure with the assumption bits of `known` true and
-        the others false, and the bits to propagate from, as `_models`
-        takes them; None if the closure rules the valuation out."""
+        """The root closure with the assumption bits of `known` true, the
+        others and the guess bit false, and the bits to propagate from,
+        as `_models` takes it; None if the closure rules the valuation out."""
         if self.root is None:
             return None
         true_m, false_m = self.root
@@ -408,37 +410,36 @@ class _Part:
         unknown = self.assume & ~known
         if known & false_m or unknown & true_m:
             return None
-        return true_m | known, false_m | unknown, self.assume & ~(true_m | false_m)
+        return true_m | known, false_m | unknown | self.guess, self.assume & ~(true_m | false_m)
 
     def models(self, known: int) -> list[int]:
         """The sorted answer sets under `known`, atom bits only."""
         start = self.start(known)
         if start is None:
             return []
-        return sorted(m & self.atoms for m in self._search(start, self.clauses, self.watch))
+        return sorted(m & self.atoms for m in self._search(start))
 
     def guesses(self):
         """Yield each valuation the guess has, as the mask of its known
         assumption bits, in ascending order, with one answer set of the
-        guess under it: (known, answer set).  The guess is the part
-        with its assumption bits open and the consistency constraints (a
-        known `&k{a}` needs a, a known `&k{~a}` needs a false) as clauses
-        the check never sees.  If a holds (fails) in its root closure, so
-        in every answer set, a world view knows `&k{a}` (`&k{~a}`): that
-        bit is fixed true and the root closed again.  Then one search of
-        `_models`, projected onto the assumption bits, yields the first
-        answer set of each valuation and lists no other."""
-        clauses = self.clauses + [(0, g | b) if tilde else (b, g) for g, b, tilde in self.katoms]
-        state = _propagate(clauses, self.supports, self.scope, 0, 0)
-        while state is not None:
-            # state[tilde] is the true mask for `&k{a}`, the false one for `&k{~a}`.
-            fix = sum(g for g, b, tilde in self.katoms if b & state[tilde]) & ~state[0]
+        guess under it: (known, answer set), without the guess bit.  The
+        guess is the part with its assumption bits open and the guess bit
+        true, unless the root closure sets that bit false.  If a holds
+        (fails) in the closure, so in every answer set, a world view knows
+        `&k{a}` (`&k{~a}`): that bit is fixed true and propagated from.
+        Then one search of `_models`, projected onto the assumption bits,
+        yields the first answer set of each valuation and lists no other."""
+        state, fix = self.root, self.guess
+        while state is not None and not fix & state[1]:
             if not fix:
-                for m in self._search((*state, 0), clauses, {}, self.assume):
-                    yield m & self.assume, m
+                for m in self._search((*state, 0), self.assume):
+                    yield m & self.assume, m & ~self.guess
                 return
-            state = None if fix & state[1] else _propagate(
-                clauses, self.supports, self.scope, state[0] | fix, state[1])
+            state = _propagate(self.clauses, self.supports, self.scope,
+                               state[0] | fix, state[1], self.watch, fix)
+            if state is not None:
+                # state[tilde] is the true mask for `&k{a}`, the false one for `&k{~a}`.
+                fix = sum(g for g, b, tilde in self.katoms if b & state[tilde]) & ~state[0]
 
     def verdict(self, known: int, witness: int | None = None) -> str | None:
         """None if the valuation `known` passes, else the first reason
@@ -488,7 +489,7 @@ class _Part:
         finds an answer set that no earlier search found.  It stops once
         both are empty or a search fails."""
         if m is None and start is not None:
-            m = next(self._search(start, self.clauses, self.watch), None)
+            m = next(self._search(start), None)
         while m is not None:
             cautious &= m
             absent &= ~m
@@ -502,8 +503,6 @@ class _Part:
         `start` that also satisfies the clause `extra`, or None.  The
         clause is filed in the watch lists for this search only, and
         its bits are propagated from at once."""
-        if not self.watch:
-            self.watch.update(_watch(self.clauses, self.supports, self.scope))
         bits = rest = extra[0] | extra[1]
         while rest:
             b = rest & -rest
@@ -511,7 +510,7 @@ class _Part:
             rest ^= b
         start = (start[0], start[1], start[2] | bits)
         try:
-            return next(self._search(start, self.clauses, self.watch), None)
+            return next(self._search(start), None)
         finally:
             rest = bits
             while rest:
@@ -519,13 +518,13 @@ class _Part:
                 self.watch[b][0].pop()
                 rest ^= b
 
-    def _search(self, start: tuple[int, int, int], clauses: list, watch: dict,
-                project: int | None = None):
+    def _search(self, start: tuple[int, int, int], project: int | None = None):
         """The answer sets, with the assumption bits, that `_models`
-        reaches over `clauses` and their lists `watch` from `start`,
-        lazily, the first of each projection onto `project` if given."""
-        keep = None if self.tight else lambda m: _minimal(m, self.rules, self.assume)
-        return _models(clauses, self.supports, self.scope, start, watch, keep, project)
+        reaches from `start`, lazily, the first of each projection onto
+        `project` if given.  The minimality test leaves the assumption
+        bits and the guess bit alone."""
+        keep = None if self.tight else lambda m: _minimal(m, self.rules, self.assume | self.guess)
+        return _models(self.clauses, self.supports, self.scope, start, self.watch, keep, project)
 
 
 class Engine:

@@ -6,8 +6,9 @@ optionally prune, enumerate the projected answer sets, and check each
 candidate on one engine of the ground program.  The same steps with one
 guess over the whole program give `unsplit_views`, the reference for
 `solve`'s split of the guess.  `reference_guesses` is the guess of a
-part as a depth-first loop of its own over the assumption bits, with an
-ordinary search at each leaf, the reference for `_Part.guesses`.
+part as a depth-first loop of its own over the assumption bits, on the
+part's rules and its consistency constraints as unguarded clauses, with
+an ordinary search at each leaf, the reference for `_Part.guesses`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 from epiworld.epistemic import WorldView, translate_guess
 from epiworld.grounder import ground_program
 from epiworld.optimize import add_consistency_constraints, wfm_propagate
-from epiworld.stable import Engine, _minimal, _models, _propagate, _watch
+from epiworld.stable import Engine, _clauses, _minimal, _models, _propagate, _watch
 
 
 def projected_components(program, onto) -> list[list[frozenset]] | None:
@@ -57,8 +58,10 @@ def _accepts(tester, mapping, candidate) -> bool:
 def pruning_outcomes(program) -> dict[str, tuple[set, set]]:
     """(candidates, accepted candidates) of the guess program of a ground
     `program`, keyed by the passes applied: "plain", "constraints",
-    "wfm", and "both" (constraints then wfm, as `solve` runs them).
-    Candidates are projections onto the auxiliary atoms."""
+    "wfm", and "both" (constraints, then wfm).  Candidates are
+    projections onto the auxiliary atoms.  `solve` runs neither pass:
+    each part guesses under the same constraints, and its root-closure
+    rule stands in for wfm, so its candidates lie within "both"."""
     ground = ground_program(program)
     guess, mapping = translate_guess(ground)
     constrained = add_consistency_constraints(guess, mapping)
@@ -96,50 +99,46 @@ def reference_guesses(part):
     """(known, answer set) for each valuation of the guess of a `_Part`,
     in ascending order of `known`, as `_Part.guesses` yields them: a
     branch on the open assumption bits, highest and false first, and,
-    where all are set, the first answer set of one ordinary search."""
-    clauses = part.clauses + [(0, g | b) if tilde else (b, g) for g, b, tilde in part.katoms]
-    watch: dict[int, tuple[list, list]] = {}
-    state = _propagate(clauses, part.supports, part.scope, 0, 0)
+    where all are set, the first answer set of one ordinary search.
+    The consistency constraints are clauses of the guess alone, and it
+    has no guess bit."""
+    clauses, supports = _clauses(part.rules, part.atoms)
+    clauses += [(0, g | b) if tilde else (b, g) for g, b, tilde in part.katoms]
+    scope = part.atoms | part.assume
+    watch = _watch(clauses, supports, scope)
+    state = _propagate(clauses, supports, scope, 0, 0)
     while state is not None:
         # state[tilde] is the true mask for `&k{a}`, the false one for `&k{~a}`.
         fix = sum(g for g, b, tilde in part.katoms if b & state[tilde]) & ~state[0]
         if not fix:
             break
         state = None if fix & state[1] else _propagate(
-            clauses, part.supports, part.scope, state[0] | fix, state[1])
+            clauses, supports, scope, state[0] | fix, state[1])
     stack = [] if state is None else [(*state, 0)]
     while stack:
         true_m, false_m, g = stack.pop()
         if g:
-            state = _propagate(clauses, part.supports, part.scope, true_m, false_m, watch, g)
+            state = _propagate(clauses, supports, scope, true_m, false_m, watch, g)
             if state is None:
                 continue
             true_m, false_m = state
         open_ = part.assume & ~(true_m | false_m)
         if not open_:
-            m = next(iter(_reference_search(part, (true_m, false_m, 0), clauses, watch)), None)
+            m = next(_reference_search(part, (true_m, false_m, 0), clauses, supports,
+                                       scope, watch), None)
             if m is not None:
                 yield m & part.assume, m
             continue
-        if not watch:
-            watch.update(_watch(clauses, part.supports, part.scope))
         g = 1 << (open_.bit_length() - 1)
         stack += [(true_m | g, false_m, g), (true_m, false_m | g, g)]
 
 
-def _reference_search(part, start: tuple[int, int, int], clauses: list, watch: dict):
-    """The answer sets, with the assumption bits, that the search
-    over `clauses` and their lists `watch` from `start` reaches,
-    lazily.  A start with no bits to propagate from is closed: if it
-    is total it is the only candidate, and otherwise the search
-    branches at once, so the lists are built first."""
-    true_m, false_m, todo = start
-    if todo or watch or part.scope & ~(true_m | false_m):
-        if not (todo or watch):
-            watch.update(_watch(clauses, part.supports, part.scope))
-        found = _models(clauses, part.supports, part.scope, start, watch)
-    else:
-        found = (true_m,)
+def _reference_search(part, start: tuple[int, int, int], clauses: list, supports: dict,
+                      scope: int, watch: dict):
+    """The answer sets, with the assumption bits, that the search over
+    `clauses` and their lists `watch` reaches from the closed `start`,
+    lazily."""
+    found = _models(clauses, supports, scope, start, watch)
     if part.tight:
         return found
     return (m for m in found if _minimal(m, part.rules, part.assume))

@@ -24,7 +24,7 @@ from epiworld.epistemic import (
     translate_guess,
 )
 from epiworld.grounder import ground_program
-from epiworld.stable import Engine, _Part
+from epiworld.stable import BRAVE_FAILURE, KNOWN_NOT_CAUTIOUS, Engine, _Part
 from epiworld.syntax import (
     Atom,
     AuxAtom,
@@ -726,6 +726,41 @@ def test_a_check_with_a_witness_decides_as_one_without():
                 checked += 1
                 accepted += want
     assert checked > 1000 and accepted > 300
+
+
+@pytest.mark.parametrize("source, reason, kept", [
+    ("a :- not b. b :- not a. c :- &k{a}.", KNOWN_NOT_CAUTIOUS, "a"),
+    ("a :- not b. b :- not a. c :- &k{~a}.", BRAVE_FAILURE, "b"),
+])
+def test_the_check_never_sees_the_consistency_constraints(source, reason, kept):
+    # Under the known subjective atom the guess's constraint keeps only
+    # the answer set with `kept`; the check must see both and reject.
+    tester = Engine(ground_program(parse_text(source)))
+    [part] = tester.parts
+    [known] = tester.kbit.values()
+    a, b, c = (1 << tester.index[Atom(name)] for name in "abc")
+    assert part.models(known) == [a | c, b | c]
+    assert part.consequences(known) == (c, a | b | c)
+    assert part.verdict(known) == reason
+    kept = 1 << tester.index[Atom(kept)]
+    assert list(part.guesses()) == [(0, b), (known, known | kept | c)]
+
+
+@pytest.mark.parametrize("source, views", [(":- not &k{a}.", 0), ("b. :- not &k{a}.", 0),
+                                           ("a. :- not &k{~a}.", 0), ("a. :- not &k{a}.", 1)])
+def test_a_root_closure_that_rules_out_the_guess_yields_no_guess(source, views):
+    # The constraint fixes the subjective atom known, and in all but the
+    # last program the root closure fixes its atom against it, which
+    # sets the guess bit false.
+    prog = parse_text(source)
+    tester = Engine(ground_program(prog))
+    [part] = [part for part in tester.parts if part.katoms]
+    assert bool(part.root[1] & part.guess) == (views == 0)
+    guesses = list(part.guesses())
+    assert len(guesses) == views
+    for known, witness in guesses:
+        assert not (known | witness) & part.guess
+    assert len(list(solve(prog))) == len(oracle_world_views(prog)) == views
 
 
 # Names the machinery prints its own atoms with; renaming program atoms

@@ -270,7 +270,8 @@ def test_an_atom_free_clause_is_a_conflict_at_the_root():
     # `:- .` is filed under no bit, so only the root's full scan sees it.
     assert _watch([(0, 0)], {}, X) == {X: ([], [])}
     assert _propagate([(0, 0)], {}, X, 0, 0) is None
-    assert list(_models([(0, 0), (X | Y, 0)], {}, X | Y)) == []
+    part = stable._Part([(0, 0, 0, 0), (X | Y, 0, 0, 0)], [], True)
+    assert part.root is None and part.models(0) == [] and list(part.guesses()) == []
 
 
 def test_minimality_tests_of_a_normal_program_build_no_watch_lists(monkeypatch):
@@ -281,21 +282,28 @@ def test_minimality_tests_of_a_normal_program_build_no_watch_lists(monkeypatch):
         return _watch(*args)
 
     monkeypatch.setattr(stable, "_watch", counted)
-    g = ground("p :- not q. q :- not p. r :- p. s :- r, not q.")
-    [part] = Engine(g).parts
+    eng = Engine(ground("p :- not q. q :- not p. r :- p. s :- r, not q. t :- &k{r}."))
+    [part] = eng.parts
+    [known_r] = eng.kbit.values()
+    assert len(built) == 1  # the part's lists, built with it
+    # No query builds more: every search reads the part's lists.
     models = part.models(0)
     assert len(models) == 2
-    assert len(built) == 1  # the part's search, which branches on p
-    # The part keeps its lists for every later query.
+    assert [known for known, _ in part.guesses()] == [0, known_r]
+    assert part.verdict(known_r) == stable.KNOWN_NOT_CAUTIOUS
     assert part.models(0) == models and part.consequences(0) is not None
     assert len(built) == 1
+    # A minimality test whose root closure conflicts (m is minimal) or
+    # is total (a smaller model is found) builds none.
     assert all(_minimal(m, part.rules) for m in models)
+    t = 1 << eng.index[Atom("t")]
+    assert not _minimal(max(models) | t, part.rules)
     assert len(built) == 1
-    # Listing the answer set of a part that its root closure decides
-    # builds none.
-    [part] = Engine(ground("p. q :- p, not r. :- r.")).parts
-    assert part.models(0) == [0b11]
-    assert len(built) == 1
+    # One that has to branch builds its own.
+    [part] = Engine(ground("p ; q.")).parts
+    assert len(built) == 2
+    assert not _minimal(0b11, part.rules)
+    assert len(built) == 3
 
 
 def test_parts_ascend_by_their_lowest_atom_with_the_atom_free_part_first():
@@ -312,12 +320,22 @@ def test_parts_ascend_by_their_lowest_atom_with_the_atom_free_part_first():
 # Supports and tight programs
 
 
+def root_models(clauses, supports, scope, keep=None, project=None) -> list[int]:
+    """The masks `_models` yields from the root closure of `clauses`,
+    with their watch lists, as a part starts its searches."""
+    root = _propagate(clauses, supports, scope, 0, 0)
+    if root is None:
+        return []
+    watch = _watch(clauses, supports, scope)
+    return list(_models(clauses, supports, scope, (*root, 0), watch, keep, project))
+
+
 def search(source):
     """The masks `_models` yields over the whole of a ground program,
     with its `Engine`."""
     eng = Engine(ground(source))
     scope = (1 << eng.width) - 1
-    return list(_models(*_clauses(all_rules(eng), scope), scope)), eng
+    return root_models(*_clauses(all_rules(eng), scope), scope), eng
 
 
 def test_a_rule_with_not_of_its_head_atom_supports_nothing():
@@ -438,8 +456,7 @@ def test_watched_search_matches_full_scans_at_every_node(monkeypatch):
     # propagate from.
     searches = []
 
-    def recorded(clauses, supports, scope, start=(0, 0, 0), watch=None, keep=None,
-                 project=None):
+    def recorded(clauses, supports, scope, start, watch, keep=None, project=None):
         searches.append((clauses, supports, scope, start, keep, project))
         return _models(clauses, supports, scope, start, watch, keep, project)
 
@@ -460,7 +477,8 @@ def test_watched_search_matches_full_scans_at_every_node(monkeypatch):
     assert any(keep is not None and project for *_, keep, project in searches)
     counts = [0, 0]
     for clauses, supports, scope, start, keep, project in searches:
-        assert list(_models(clauses, supports, scope, start, None, keep, project)) == \
+        watch = _watch(clauses, supports, scope)
+        assert list(_models(clauses, supports, scope, start, watch, keep, project)) == \
             list(_full_scan_models(clauses, supports, scope, start, counts, keep, project))
     assert counts[0] > 3000 and 0 < counts[1] < counts[0]
 
@@ -476,8 +494,8 @@ def test_a_projected_search_yields_the_first_model_of_each_projection():
         eng = Engine(GroundProgram(tuple(rules)))
         scope = (1 << eng.width) - 1
         clauses, supports = _clauses(all_rules(eng), scope)
-        listed = list(_models(clauses, supports, scope))
-        assert list(_models(clauses, supports, scope, project=0)) == listed[:1]
+        listed = root_models(clauses, supports, scope)
+        assert root_models(clauses, supports, scope, project=0) == listed[:1]
         project = rng.randrange(scope + 1)
         rejected = set(rng.sample(listed, len(listed) // 2))
         firsts = []
@@ -487,7 +505,7 @@ def test_a_projected_search_yields_the_first_model_of_each_projection():
                 if keep is None or keep(m):
                     first.setdefault(m & project, m)
             firsts.append(first)
-            assert list(_models(clauses, supports, scope, keep=keep, project=project)) == \
+            assert root_models(clauses, supports, scope, keep, project) == \
                 [first[key] for key in sorted(first)]
         # A rejected model leaves the rest of its projection to search.
         uncut += sum(key in firsts[1] for key, m in firsts[0].items() if m in rejected)
