@@ -4,7 +4,8 @@ Output mimics the classic ASP solver convention: a version banner,
 `Solving...`, one `Answer: i` block per world view listing the
 subjective atoms that hold in it, then a SATISFIABLE or UNSATISFIABLE
 verdict.  Exit status is 10 when at least one world view exists, 20
-when none does, and 65 on bad input.
+when none does, and 65 on bad input.  With `--stats`, the solve's
+counts follow on stderr.
 
 The `bench` subcommand times the solver on two generated families, the
 scholarship-eligibility programs and the ground Yale-shooting planning
@@ -27,8 +28,9 @@ from multiprocessing import Pipe, Process
 from pathlib import Path
 from typing import TextIO
 
-from .epistemic import WorldView, oracle_world_views, solve
+from .epistemic import SolveStats, WorldView, oracle_world_views, solve
 from .grounder import GroundingError, SafetyError
+from .stable import REJECTIONS
 from .syntax import (KAtom, ObjLiteral, Program, SourceError, parse_text,
                      print_atom, print_subjective)
 
@@ -46,6 +48,7 @@ class RunConfig:
     n_models: int = 0
     semantics: str = "g91"
     mode: str = "solve"
+    stats: bool = False
 
 
 def load_program(paths) -> Program:
@@ -77,7 +80,14 @@ def apply_show(wv: WorldView, shows) -> list[str]:
 
 
 def run(config: RunConfig, out=None) -> int:
+    """Print the world views of `config.files` to `out`.  With
+    `config.stats`, the solve's counts follow the verdict on stderr, one
+    `name: count` line each, the rejections by reason in the order the
+    check meets them."""
     out = sys.stdout if out is None else out
+    if config.stats and config.mode == "oracle":
+        print("error: --stats needs --mode solve: the oracle keeps no counts", file=sys.stderr)
+        return INPUT_ERROR
     out.write(BANNER + "\n")
     try:
         program = load_program(config.files)
@@ -86,9 +96,12 @@ def run(config: RunConfig, out=None) -> int:
         return INPUT_ERROR
     out.write("Solving...\n")
     count = 0
+    stats = SolveStats()
     try:
-        source = oracle_world_views if config.mode == "oracle" else solve
-        views = source(program, config.semantics)
+        if config.mode == "oracle":
+            views = oracle_world_views(program, config.semantics)
+        else:
+            views = solve(program, config.semantics, stats)
         for view in itertools.islice(views, config.n_models or None):
             count += 1
             out.write(f"Answer: {count}\n")
@@ -97,6 +110,12 @@ def run(config: RunConfig, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     out.write("SATISFIABLE\n" if count else "UNSATISFIABLE\n")
+    if config.stats:
+        out.flush()  # so the counts follow the verdict when both streams share a file
+        print(f"Parts: {stats.parts}\nCandidates: {stats.candidates}\n"
+              f"Accepted: {stats.accepted}", file=sys.stderr)
+        for reason in REJECTIONS:
+            print(f"Rejected, {reason}: {stats.rejections[reason]}", file=sys.stderr)
     return SATISFIABLE if count else UNSATISFIABLE
 
 
@@ -234,6 +253,8 @@ def _solve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--semantics", choices=("g91", "k15"), default="g91")
     parser.add_argument("--mode", choices=("solve", "oracle"), default="solve",
                         help="oracle checks all valuations by definition (slow)")
+    parser.add_argument("--stats", action="store_true",
+                        help="print the solve's counts to stderr after the verdict")
     parser.add_argument("files", nargs="+", metavar="FILE")
     return parser
 
@@ -281,7 +302,7 @@ def main(argv=None) -> int:
         print("error: -n must be non-negative", file=sys.stderr)
         return INPUT_ERROR
     config = RunConfig(files=tuple(args.files), n_models=args.n_models,
-                       semantics=args.semantics, mode=args.mode)
+                       semantics=args.semantics, mode=args.mode, stats=args.stats)
     return run(config)
 
 

@@ -41,13 +41,17 @@ minimality test, the same loop on the reduct's clauses stopped at the
 first model, finds no smaller model.
 Propagation scans every clause and atom only at the two roots that
 start empty, a part's root closure and a minimality test's root.  Below
-them it reads watch lists: for each bit, the clauses that mention it and
-the atoms whose supporting rules mention it.  Each node starts from its
-parent's closed state and looks only at the lists of the bits set since.
-clasp watches two literals per clause; these lists file a clause under
-each of its bits, which costs more visits but nothing to keep up on a
-backtrack.  A `_Part` builds its lists once, with the part, and a
-minimality test only if its root closure neither conflicts nor is total.
+them it reads watch lists, two for each bit, one for each value it can
+take (`_watch`).  A clause is filed under the value of each of its bits
+that makes its literal fail, since only that can make it unit or
+conflicting; an atom's supports under the values that make the atom
+true or a supporting rule stop supporting it.  Each node starts from
+its parent's closed state and looks only at the lists of the bits set
+since, under the values they took.  clasp watches two literals per
+clause; these lists file a clause under every literal, which costs more
+visits but nothing to keep up on a backtrack.  A `_Part` builds its
+lists once, with the part, and a minimality test only if its root
+closure neither conflicts nor is total.
 
 A choice rule `{a}` becomes `a :- not not a.` (Lifschitz, Tang, Turner
 1999), so every bit is an atom.  Its clause `a or not a` never
@@ -67,11 +71,13 @@ from .syntax import Atom, AuxAtom, KAtom, SubjLiteral, print_atom, print_subject
 # ---------------------------------------------------------------------------
 # Search core
 
+_Watch = dict[int, tuple[tuple[list, list], tuple[list, list]]]
+
 
 def _propagate(clauses: list[tuple[int, int]],
                supports: dict[int, list[tuple[int, int]]],
                scope: int, true_m: int, false_m: int,
-               watch: dict[int, tuple[list, list]] | None = None,
+               watch: _Watch | None = None,
                todo: int = 0) -> tuple[int, int] | None:
     """Close a partial assignment over `scope`; None on a conflict.
 
@@ -95,9 +101,12 @@ def _propagate(clauses: list[tuple[int, int]],
     Propagation goes in rounds until a round sets no bit.  Without
     `watch`, each round looks at every clause and atom.  With the watch
     lists of `_watch`, the assignment must be a closed one plus the bits
-    of `todo`, and each round looks only at what is filed under the bits
-    set since the round before, the first round under `todo`: a clause
-    or an atom's support can change only when one of its bits is set.
+    of `todo`, and each round looks, for each bit set since the round
+    before (the first round: each bit of `todo`), only at the lists
+    filed under the value that bit now has.  Those are the clauses and
+    atom supports that this value can make unit, conflicting or
+    unsupported (see `_watch`); the value can only satisfy the others,
+    or leave them as they were.
     Every rule is monotone, so both ways reach the same closed state, or
     both a conflict.
     """
@@ -110,7 +119,7 @@ def _propagate(clauses: list[tuple[int, int]],
             while todo:
                 b = todo & -todo
                 todo ^= b
-                on = watch[b]
+                on = watch[b][1 if b & true_m else 0]
                 visit += on[0]
                 atoms += on[1]
         before = true_m | false_m
@@ -165,38 +174,55 @@ def _propagate(clauses: list[tuple[int, int]],
 
 def _watch(clauses: list[tuple[int, int]],
            supports: dict[int, list[tuple[int, int]]],
-           scope: int) -> dict[int, tuple[list, list]]:
-    """Watch lists for `_propagate`: each bit of `scope` maps to the
-    clauses that mention it and to the (atom, supporting clauses)
-    entries of `supports` whose atom or supporting clauses mention it.
-    Every bit that the clauses and `supports` mention must lie in
-    `scope`."""
-    watch: dict[int, tuple[list, list]] = {}
+           scope: int) -> _Watch:
+    """Watch lists for `_propagate`: each bit of `scope` maps to two
+    pairs (clauses, (atom, supporting clauses) entries of `supports`),
+    the first read when the bit is false, the second when it is true.
+    A clause (p, n) can become unit or conflicting only when one of its
+    literals fails, so it is filed under false for each bit of p and
+    under true for each bit of n (Moskewicz et al., "Chaff", DAC 2001,
+    watch literals for the same reason).  A rule stops supporting an
+    atom only when an atom of its p other than the atom holds or an
+    atom of its n fails, and only a true atom needs a supporter, so an
+    atom's entry is filed under true for the atom and every bit of its
+    supporters' p, and under false for every bit of their n.  Every bit
+    that the clauses and `supports` mention must lie in `scope`."""
+    watch: _Watch = {}
     rest = scope
     while rest:
         b = rest & -rest
-        watch[b] = ([], [])
+        watch[b] = (([], []), ([], []))
         rest ^= b
     for clause in clauses:
-        rest = clause[0] | clause[1]
+        rest = clause[0]
         while rest:
             b = rest & -rest
-            watch[b][0].append(clause)
+            watch[b][0][0].append(clause)
+            rest ^= b
+        rest = clause[1]
+        while rest:
+            b = rest & -rest
+            watch[b][1][0].append(clause)
             rest ^= b
     for entry in supports.items():
-        rest = entry[0]
+        on_false, on_true = 0, entry[0]
         for p_mask, n_mask in entry[1]:
-            rest |= p_mask | n_mask
-        while rest:
-            b = rest & -rest
-            watch[b][1].append(entry)
-            rest ^= b
+            on_false |= n_mask
+            on_true |= p_mask
+        while on_false:
+            b = on_false & -on_false
+            watch[b][0][1].append(entry)
+            on_false ^= b
+        while on_true:
+            b = on_true & -on_true
+            watch[b][1][1].append(entry)
+            on_true ^= b
     return watch
 
 
 def _models(clauses: list[tuple[int, int]],
             supports: dict[int, list[tuple[int, int]]], scope: int,
-            start: tuple[int, int, int], watch: dict[int, tuple[list, list]],
+            start: tuple[int, int, int], watch: _Watch,
             keep: Callable[[int], bool] | None = None, project: int | None = None):
     """Yield, as true-masks, every total assignment over `scope` that
     `_propagate` leaves without conflict and the test `keep`, if given,
@@ -355,6 +381,7 @@ NO_ANSWER_SET = "no answer set"
 KNOWN_NOT_CAUTIOUS = "known atom not cautious"
 UNKNOWN_CAUTIOUS = "unknown atom cautious"
 BRAVE_FAILURE = "~-form brave failure"
+REJECTIONS = (NO_ANSWER_SET, KNOWN_NOT_CAUTIOUS, UNKNOWN_CAUTIOUS, BRAVE_FAILURE)
 
 
 class _Part:
@@ -502,11 +529,14 @@ class _Part:
         """The first answer set, with the assumption bits, reached from
         `start` that also satisfies the clause `extra`, or None.  The
         clause is filed in the watch lists for this search only, and
-        its bits are propagated from at once."""
+        its bits are propagated from at once.  `_propagate` reads an
+        open bit's lists for false, and some of them may be open, so the
+        clause is filed under both values of each."""
         bits = rest = extra[0] | extra[1]
         while rest:
             b = rest & -rest
-            self.watch[b][0].append(extra)
+            for side in self.watch[b]:
+                side[0].append(extra)
             rest ^= b
         start = (start[0], start[1], start[2] | bits)
         try:
@@ -515,7 +545,8 @@ class _Part:
             rest = bits
             while rest:
                 b = rest & -rest
-                self.watch[b][0].pop()
+                for side in self.watch[b]:
+                    side[0].pop()
                 rest ^= b
 
     def _search(self, start: tuple[int, int, int], project: int | None = None):

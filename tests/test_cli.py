@@ -276,6 +276,32 @@ def test_main_routes_solve_with_and_without_subcommand(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_stats_go_to_stderr_after_the_verdict_and_leave_stdout_alone(tmp_path, capsys):
+    path = tmp_path / "yale05.lp"
+    path.write_text(yale_source("yale05"))
+    assert main([str(path)]) == SATISFIABLE
+    plain = capsys.readouterr()
+    assert main(["--stats", str(path)]) == SATISFIABLE
+    counted = capsys.readouterr()
+    assert counted.out == plain.out and plain.err == ""
+    assert counted.out.count("Answer:") == 131
+    assert counted.err.splitlines() == [
+        "Parts: 1", "Candidates: 211", "Accepted: 131",
+        "Rejected, no answer set: 0", "Rejected, known atom not cautious: 80",
+        "Rejected, unknown atom cautious: 0", "Rejected, ~-form brave failure: 0",
+    ]
+
+
+def test_stats_with_the_oracle_are_refused(tmp_path, capsys):
+    path = tmp_path / "p.lp"
+    path.write_text(TWO_CYCLE)
+    assert main(["--stats", "--mode", "oracle", str(path)]) == INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --stats") and captured.err.count("\n") == 1
+    assert main(["--mode", "oracle", str(path)]) == SATISFIABLE
+
+
 def test_main_validates_bench_arguments(capsys):
     assert main(["bench", "--domain", "eligibility", "--max-n", "0"]) == INPUT_ERROR
     assert "--max-n" in capsys.readouterr().err

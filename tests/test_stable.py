@@ -238,12 +238,20 @@ def test_a_last_supporter_that_needs_an_atom_both_ways_is_a_conflict():
 
 
 def test_watch_files_clauses_and_atoms_under_every_bit_they_mention():
+    # Each bit maps to (clauses, entries) read when it is false, then
+    # when it is true.  A clause is filed under the value that makes
+    # its literal fail: false for b, w, y, true for x, z, v.  b's entry
+    # is filed under true for b and the other atoms of the rules' p
+    # (w, y), and under false for the atoms of their n (x, z, v).
     supports = {B: [FIRST, SECOND]}
     entry = (B, [FIRST, SECOND])
     assert _watch([FIRST, SECOND], supports, ALL) == {
-        B: ([FIRST, SECOND], [entry]),
-        X: ([FIRST], [entry]), Y: ([FIRST], [entry]), Z: ([FIRST], [entry]),
-        W: ([FIRST], [entry]), V: ([SECOND], [entry]),
+        B: (([FIRST, SECOND], []), ([], [entry])),
+        X: (([], [entry]), ([FIRST], [])),
+        Y: (([FIRST], []), ([], [entry])),
+        Z: (([], [entry]), ([FIRST], [])),
+        W: (([FIRST], []), ([], [entry])),
+        V: (([], [entry]), ([SECOND], [])),
     }
 
 
@@ -259,16 +267,48 @@ def test_a_branch_bit_that_touches_nothing_leaves_the_state_as_it_is():
     U = 64  # in scope, but in no clause and no supporting rule
     supports = {B: [FIRST, SECOND]}
     watch = _watch([FIRST, SECOND], supports, ALL | U)
-    assert watch[U] == ([], [])
+    assert watch[U] == (([], []), ([], []))
     assert _propagate([FIRST, SECOND], supports, ALL | U, B, U, watch, U) == (B, U)
     # Only the new bit's lists are looked at: the state (b, v) is not
     # closed, and a full scan would force the first rule.
     assert _propagate([FIRST, SECOND], supports, ALL | U, B, V | U, watch, U) == (B, V | U)
 
 
+def test_a_bit_is_propagated_from_only_under_the_value_it_took():
+    # `x or not y` and `x or z`: from (-, z), which is not closed (a
+    # full scan sets x), y false only satisfies the first clause, so
+    # nothing is looked at; y true leaves it one literal, x, and sets it.
+    clauses = [(X, Y), (X | Z, 0)]
+    watch = _watch(clauses, {}, X | Y | Z)
+    assert _propagate(clauses, {}, X | Y | Z, 0, Z | Y, watch, Y) == (0, Z | Y)
+    assert _propagate(clauses, {}, X | Y | Z, Y, Z, watch, Y) == (X | Y, Z)
+    # From (b, v), which is not closed (a full scan forces the first
+    # rule), x true takes no supporter from b and satisfies the first
+    # clause, while x false fails the first rule's body: b has no
+    # supporter left.
+    supports = {B: [FIRST, SECOND]}
+    watch = _watch([FIRST, SECOND], supports, ALL)
+    assert _propagate([FIRST, SECOND], supports, ALL, B | X, V, watch, X) == (B | X, V)
+    assert _propagate([FIRST, SECOND], supports, ALL, B, V | X, watch, X) is None
+
+
+def test_a_search_clause_is_seen_whatever_its_bits_hold_at_the_start():
+    # In `b. {a}. :- a, not b.`, b holds at the part's start and a is open.  The
+    # clause a search adds is propagated from its bits at once, under
+    # the value each holds, so "b fails" has no answer set.
+    eng = Engine(ground("b. {a}. :- a, not b."))
+    [part] = eng.parts
+    a, b = (1 << eng.index[Atom(n)] for n in "ab")
+    start = part.start(0)
+    assert part._answer_set(start, (0, b)) is None
+    assert part._answer_set(start, (0, a | b)) == b
+    assert part._answer_set(start, (a, 0)) == a | b
+    assert part.consequences(0) == (b, a | b)
+
+
 def test_an_atom_free_clause_is_a_conflict_at_the_root():
     # `:- .` is filed under no bit, so only the root's full scan sees it.
-    assert _watch([(0, 0)], {}, X) == {X: ([], [])}
+    assert _watch([(0, 0)], {}, X) == {X: (([], []), ([], []))}
     assert _propagate([(0, 0)], {}, X, 0, 0) is None
     part = stable._Part([(0, 0, 0, 0), (X | Y, 0, 0, 0)], [], True)
     assert part.root is None and part.models(0) == [] and list(part.guesses()) == []
@@ -481,6 +521,36 @@ def test_watched_search_matches_full_scans_at_every_node(monkeypatch):
         assert list(_models(clauses, supports, scope, start, watch, keep, project)) == \
             list(_full_scan_models(clauses, supports, scope, start, counts, keep, project))
     assert counts[0] > 3000 and 0 < counts[1] < counts[0]
+
+
+def test_one_bit_set_either_way_closes_as_a_full_scan_does():
+    # From each part's root closure, every open bit set to each of its
+    # values is propagated from the lists of that value alone and must
+    # close the state as a scan of every clause and atom does.
+    rng = random.Random(2001)
+    engines = [Engine(GroundProgram(tuple(random_ground_rules(
+        rng, max_atoms=rng.choice((3, 5, 6)), max_rules=rng.choice((4, 8, 12))))))
+        for _ in range(2000)]
+    engines += [Engine(ground_program(random_epistemic_program(rng, max_atoms=5)))
+                for _ in range(200)]
+    assert 200 < sum(not eng.tight for eng in engines) < 1800
+    events = conflicts = 0
+    for eng in engines:
+        for part in eng.parts:
+            if part.root is None:
+                continue
+            true_m, false_m = part.root
+            rest = part.scope & ~(true_m | false_m)
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                for state in ((true_m | b, false_m), (true_m, false_m | b)):
+                    full = _propagate(part.clauses, part.supports, part.scope, *state)
+                    assert _propagate(part.clauses, part.supports, part.scope,
+                                      *state, part.watch, b) == full
+                    events += 1
+                    conflicts += full is None
+    assert events > 5000 and 100 < conflicts < events // 2
 
 
 def test_a_projected_search_yields_the_first_model_of_each_projection():
