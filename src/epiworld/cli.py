@@ -5,7 +5,7 @@ Output mimics the classic ASP solver convention: a version banner,
 subjective atoms that hold in it, then a SATISFIABLE or UNSATISFIABLE
 verdict.  Exit status is 10 when at least one world view exists, 20
 when none does, and 65 on bad input.  With `--stats`, the solve's
-counts follow on stderr.
+counts and times follow on stderr.
 
 The `bench` subcommand times the solver on two generated families, the
 scholarship-eligibility programs and the ground Yale-shooting planning
@@ -83,7 +83,8 @@ def run(config: RunConfig, out=None) -> int:
     """Print the world views of `config.files` to `out`.  With
     `config.stats`, the solve's counts follow the verdict on stderr, one
     `name: count` line each, the rejections by reason in the order the
-    check meets them."""
+    check meets them, then the ground program's size and the times of
+    grounding and of the engine build, in seconds."""
     out = sys.stdout if out is None else out
     if config.stats and config.mode == "oracle":
         print("error: --stats needs --mode solve: the oracle keeps no counts", file=sys.stderr)
@@ -116,6 +117,9 @@ def run(config: RunConfig, out=None) -> int:
               f"Accepted: {stats.accepted}", file=sys.stderr)
         for reason in REJECTIONS:
             print(f"Rejected, {reason}: {stats.rejections[reason]}", file=sys.stderr)
+        print(f"Ground rules: {stats.ground_rules}\nAtoms: {stats.atoms}\n"
+              f"Grounding: {stats.ground_s:.4f} s\nEngine build: {stats.engine_s:.4f} s",
+              file=sys.stderr)
     return SATISFIABLE if count else UNSATISFIABLE
 
 
@@ -254,7 +258,7 @@ def _solve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", choices=("solve", "oracle"), default="solve",
                         help="oracle checks all valuations by definition (slow)")
     parser.add_argument("--stats", action="store_true",
-                        help="print the solve's counts to stderr after the verdict")
+                        help="print the solve's counts and times to stderr after the verdict")
     parser.add_argument("files", nargs="+", metavar="FILE")
     return parser
 

@@ -25,6 +25,7 @@ the weakened complement (not known, or not derivable).
 from __future__ import annotations
 
 import itertools
+import time
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -80,11 +81,19 @@ class SolveStats:
     guessed valuations of single parts, checked and confirmed.
     `rejections` counts the others by the first reason the check of
     their part meets (`_Part.verdict`): "no answer set", "known atom
-    not cautious", "unknown atom cautious" or "~-form brave failure"."""
+    not cautious", "unknown atom cautious" or "~-form brave failure".
+    `ground_rules` and `atoms` are the sizes of the ground program, and
+    `ground_s` and `engine_s` the wall times, in seconds, of grounding
+    (the semantics' source transform included) and of building the
+    `Engine`.  The times vary from run to run, so equality ignores them."""
     parts: int = 0
     candidates: int = 0
     accepted: int = 0
     rejections: Counter[str] = field(default_factory=Counter)
+    ground_rules: int = 0
+    atoms: int = 0
+    ground_s: float = field(default=0.0, compare=False)
+    engine_s: float = field(default=0.0, compare=False)
 
     @property
     def rejected(self) -> int:
@@ -324,8 +333,16 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     splitting too much would give wrong views.
     """
     stats = SolveStats() if stats is None else stats
-    tester = Engine(_ground(program, semantics))
+    start = time.perf_counter()
+    ground = _ground(program, semantics)
+    built = time.perf_counter()
+    tester = Engine(ground)
+    stats.ground_s = built - start
+    stats.engine_s = time.perf_counter() - built
+    stats.ground_rules = len(ground.numbered.rules)
+    stats.atoms = tester.width
     stats.parts = len(tester.parts)
+    del ground  # not kept alive while the views are searched: the engine holds all they need
     # Without a guess in every part there is no view: find them first.
     guesses = [part.guesses() for part in tester.parts]
     firsts = [next(g, None) for g in guesses]

@@ -9,7 +9,18 @@ Programming", TPLP 2023).  Terms that rule heads build, such as f(a)
 from p(f(X)), are followed.  Rules that are already ground pass
 through unchanged.  `MAX_INSTANCES` and `syntax.MAX_TERM_DEPTH` bound
 the work, so a program whose instances grow without end is refused
-with `GroundingError`.  `simplify` closes a ground program under the usual
+with `GroundingError`.
+
+The ground program goes to the engine as numbers, as gringo hands a
+ground program to clasp (clingo 5's aspif format: Gebser et al.,
+"Theory solving made easy with clingo 5", ICLP TC 2016).  Each ground
+atom is numbered once, when it first appears, and each instance is
+recorded as tuples of numbers beside the atom table (`Numbered`); the
+join hands over the numbers of the body atoms it matched, so no
+positive body atom is built again.  A `GroundProgram` builds its
+`Rule`s from the numbers only when asked, for listings and tests, and a
+program built from `Rule`s numbers them in one pass when the engine
+asks.  `simplify` closes a ground program under the usual
 fact/head rewrites until nothing changes; the result bounds the
 well-founded consequences from both sides (its facts are cautious
 consequences of the input, its heads cover the brave ones).
@@ -18,12 +29,11 @@ consequences of the input, its heads cover the brave ones).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 
-from .syntax import (MAX_TERM_DEPTH, Atom, Compound, ObjLiteral, Program, Rule,
+from .syntax import (MAX_TERM_DEPTH, Atom, Compound, KAtom, ObjLiteral, Program, Rule,
                      SubjLiteral, Term, Var, print_rule, rule_atoms, substitute_atom,
-                     substitute_rule, substitute_term, term_vars)
+                     substitute_term, term_vars)
 
 
 class SafetyError(Exception):
@@ -80,17 +90,99 @@ def program_safety_check(program: Program) -> list[set[str]]:
 # ---------------------------------------------------------------------------
 # Instantiation
 
+# The kinds of a numbered body entry past the objective ones (0, 1 and
+# 2, an atom under that many `not`s): `not &k{l}` and `&k{l}`.
+NOT_K, K = 3, 4
 
-@dataclass(frozen=True)
+
+class Numbered:
+    """The numbered form of a ground program, the form `Engine` reads.
+
+    Each atom of the rules has a number, its index in `atoms` (`number`
+    maps it back), and each subjective atom one, its index in `katoms`;
+    `inner[k]` is the number of the inner atom of subjective atom k.  A
+    rule is (head, body, choice): the numbers of its head atoms, then
+    one (kind, number) entry per body literal in order, an atom's number
+    for kinds 0, 1 and 2 (that many `not`s), a subjective atom's for
+    `NOT_K` and `K`.  No other atom has a number.
+    """
+
+    def __init__(self) -> None:
+        self.atoms: list[Atom] = []
+        self.number: dict[Atom, int] = {}
+        self.katoms: list[KAtom] = []
+        self.inner: list[int] = []
+        self.knumber: dict[tuple[int, int], int] = {}  # (inner number, negs) -> number
+        self.rules: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...], bool]] = []
+
+    def atom(self, a: Atom) -> int:
+        """The number of `a`, which it is given at its first call."""
+        n = self.number.get(a)
+        if n is None:
+            n = self.number[a] = len(self.atoms)
+            self.atoms.append(a)
+        return n
+
+    def katom(self, k: KAtom) -> int:
+        """The number of the subjective atom `k`, as `atom` gives it."""
+        key = (self.atom(k.inner.atom), k.inner.negs)
+        n = self.knumber.get(key)
+        if n is None:
+            n = self.knumber[key] = len(self.katoms)
+            self.katoms.append(k)
+            self.inner.append(key[0])
+        return n
+
+    def rule(self, r: Rule) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], bool]:
+        """The numbered form of `r`."""
+        head = tuple([self.atom(a) for a in r.head])
+        return head, tuple([(lit.negs, self.atom(lit.atom)) if isinstance(lit, ObjLiteral)
+                            else (NOT_K if lit.negated else K, self.katom(lit.katom))
+                            for lit in r.body]), r.is_choice
+
+
 class GroundProgram:
     """A program without variables.
 
-    The atom universe includes atoms that occur only inside subjective
-    literals; heads count choice-rule heads; facts are single-atom
-    heads with an empty body.
+    It has two forms, each built from the other once, when it is first
+    asked for: `rules`, a tuple of `Rule`s, and `numbered`, the
+    `Numbered` form that `Engine` reads.  `ground_program` hands over the
+    numbered form of a program with variables, so a solve builds no
+    `Rule`; every other builder passes the rules.  The atom universe
+    includes atoms that occur only inside subjective literals; heads
+    count choice-rule heads; facts are single-atom heads with an empty
+    body.  Two ground programs are equal when their rules are.
     """
 
-    rules: tuple[Rule, ...]
+    def __init__(self, rules: tuple[Rule, ...] = (), numbered: Numbered | None = None):
+        if numbered is None:
+            self.rules = tuple(rules)
+        else:
+            self.numbered = numbered
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        atoms, katoms = self.numbered.atoms, self.numbered.katoms
+        return tuple(Rule(tuple([atoms[n] for n in head]),
+                          tuple([ObjLiteral(atoms[n], kind) if kind < NOT_K
+                                 else SubjLiteral(katoms[n], kind == NOT_K) for kind, n in body]),
+                          choice)
+                     for head, body, choice in self.numbered.rules)
+
+    @cached_property
+    def numbered(self) -> Numbered:
+        out = Numbered()
+        out.rules = [out.rule(r) for r in self.rules]
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, GroundProgram) and self.rules == other.rules
+
+    def __hash__(self) -> int:
+        return hash(self.rules)
+
+    def __repr__(self) -> str:
+        return f"GroundProgram({self.rules!r})"
 
     @cached_property
     def atoms(self) -> frozenset[Atom]:
@@ -143,10 +235,11 @@ def _key(a: Atom) -> tuple:
 
 
 class _Derivable:
-    """The atoms derived so far, by key and in derivation order.
+    """The atoms derived so far, as their numbers in `table`, by key and
+    in derivation order.
 
-    `position` gives each atom's index in the list of its key, so a
-    round of the semi-naive fixpoint can tell the atoms of earlier
+    `position` gives each derived atom's index in the list of its key,
+    so a round of the semi-naive fixpoint can tell the atoms of earlier
     rounds, [0, lo), from those of the last round, [lo, hi), where lo
     and hi are the list lengths at the start of the last round and of
     this one.  A body atom with some arguments bound is looked up
@@ -154,49 +247,51 @@ class _Derivable:
     and brought up to date at each lookup.
     """
 
-    def __init__(self) -> None:
-        self.atoms: dict[tuple, list[Atom]] = {}
-        self.position: dict[Atom, int] = {}
+    def __init__(self, table: Numbered) -> None:
+        self.table = table
+        self.atoms: dict[tuple, list[int]] = {}
+        self.position: dict[int, int] = {}
         # (key, argument positions) -> [the indices of the atoms of key
         # by their arguments at those positions, ascending; how many
         # atoms of key the index holds]
         self.indexes: dict[tuple, list] = {}
 
-    def add(self, a: Atom) -> bool:
-        if a in self.position:
+    def add(self, n: int) -> bool:
+        """Derive atom number n; whether it was not derived before."""
+        if n in self.position:
             return False
-        found = self.atoms.setdefault(_key(a), [])
-        self.position[a] = len(found)
-        found.append(a)
+        found = self.atoms.setdefault(_key(self.table.atoms[n]), [])
+        self.position[n] = len(found)
+        found.append(n)
         return True
 
     def sizes(self) -> dict[tuple, int]:
         return {k: len(v) for k, v in self.atoms.items()}
 
     def lookup(self, key: tuple, at: tuple[int, ...], values: tuple,
-               start: int, stop: int) -> list[Atom]:
+               start: int, stop: int) -> list[int]:
         """The atoms of `key` with index in [start, stop) whose
         arguments at positions `at` equal `values`, in derivation
         order."""
-        atoms = self.atoms[key]
+        atoms, table = self.atoms[key], self.table.atoms
         entry = self.indexes.setdefault((key, at), [{}, 0])
-        table, held = entry
-        for n in range(held, len(atoms)):
-            args = atoms[n].args
-            table.setdefault(tuple([args[p] for p in at]), []).append(n)
+        index, held = entry
+        for i in range(held, len(atoms)):
+            args = table[atoms[i]].args
+            index.setdefault(tuple([args[p] for p in at]), []).append(i)
         entry[1] = len(atoms)
-        found = table.get(values, ())
+        found = index.get(values, ())
         first = bisect_left(found, start)
-        return [atoms[n] for n in found[first:bisect_left(found, stop, first)]]
+        return [atoms[i] for i in found[first:bisect_left(found, stop, first)]]
 
     def join(self, body: list[Atom], lo: dict, hi: dict):
         """Substitutions that match every atom of `body` against a
         derived atom of a round before this one, at least one of them
-        against an atom of the last round.  The first such body atom is
-        atom i: atoms before it match older atoms, atoms after it any
-        atom up to hi, so each substitution comes once.  A body atom
-        whose key has no derived atom yet matches nothing, so then no
-        atom is scanned."""
+        against an atom of the last round, each with the numbers of the
+        atoms it matched.  The first such body atom is atom i: atoms
+        before it match older atoms, atoms after it any atom up to hi,
+        so each substitution comes once.  A body atom whose key has no
+        derived atom yet matches nothing, so then no atom is scanned."""
         if any(_key(a) not in hi for a in body):
             return
         # Per body atom: the argument positions that the atoms before it
@@ -211,11 +306,11 @@ class _Derivable:
         for i in range(len(body)):
             key = _key(body[i])
             if lo.get(key, 0) < hi.get(key, 0):
-                yield from self._extend(body, steps, 0, i, {}, lo, hi)
+                yield from self._extend(body, steps, 0, i, {}, (), lo, hi)
 
-    def _extend(self, body, steps, j, i, sub, lo, hi):
+    def _extend(self, body, steps, j, i, sub, matched, lo, hi):
         if j == len(body):
-            yield sub
+            yield sub, matched
             return
         pattern = body[j]
         at, free, ground = steps[j]
@@ -223,19 +318,21 @@ class _Derivable:
         start = lo.get(key, 0) if j == i else 0
         stop = lo.get(key, 0) if j < i else hi.get(key, 0)
         if ground:
-            n = self.position.get(substitute_atom(pattern, sub, Var), -1)
-            if start <= n < stop:
-                yield from self._extend(body, steps, j + 1, i, sub, lo, hi)
+            n = self.table.number.get(substitute_atom(pattern, sub, Var), -1)
+            if start <= self.position.get(n, -1) < stop:
+                yield from self._extend(body, steps, j + 1, i, sub, matched + (n,), lo, hi)
             return
         if at:
             values = tuple([substitute_term(pattern.args[p], sub, Var) for p in at])
             candidates = self.lookup(key, at, values, start, stop)
         else:
             candidates = self.atoms[key][start:stop]
-        for a in candidates:
+        table = self.table.atoms
+        for n in candidates:
+            args = table[n].args
             s = dict(sub)
-            if all(_match(pattern.args[p], a.args[p], s) for p in free):
-                yield from self._extend(body, steps, j + 1, i, s, lo, hi)
+            if all(_match(pattern.args[p], args[p], s) for p in free):
+                yield from self._extend(body, steps, j + 1, i, s, matched + (n,), lo, hi)
 
 
 def ground_program(program: Program) -> GroundProgram:
@@ -246,13 +343,20 @@ def ground_program(program: Program) -> GroundProgram:
     whose positive objective body atoms are all derivable; `not`,
     `not not` and subjective literals are ignored, so the derivable
     atoms cover every answer set of every reduct.  They are found by a
-    semi-naive fixpoint that instantiates the rules as it goes.  Rules
-    without variables are kept verbatim, so grounding is the identity
-    on ground programs, and a ground program skips the fixpoint.
+    semi-naive fixpoint that instantiates the rules as it goes.
     Instances come in program rule order, then in order of derivation.
     Unsafe rules raise `SafetyError`; more than `MAX_INSTANCES`
     instances, or a derived term nested deeper than `MAX_TERM_DEPTH`,
     raise `GroundingError`.
+
+    The result is handed over in numbered form (`Numbered`): each atom
+    is numbered once, when it first appears, and each instance is
+    recorded as numbers, so no `Rule` is built.  A positive body atom
+    is numbered by the join that matched it, so only heads, `not` and
+    `not not` atoms and subjective atoms with variables are
+    substituted.  Rules without variables are kept verbatim, so
+    grounding is the identity on ground programs, and a ground program
+    skips the fixpoint and is handed over as its rules.
     """
     variables = program_safety_check(program)
     rules = program.rules
@@ -260,11 +364,28 @@ def ground_program(program: Program) -> GroundProgram:
         return GroundProgram(rules)
     bodies = [[lit.atom for lit in r.body if isinstance(lit, ObjLiteral) and lit.negs == 0]
               for r in rules]
-    found: list[list[dict[str, Term]]] = [[] for _ in rules]
-    derived = _Derivable()
+    # How an instance numbers each body literal of a rule with variables:
+    # (0, the position of the atom in the rule's body above), or (kind,
+    # the literal's atom or subjective atom, whether it has variables).
+    plans: list[list[tuple]] = []
+    for r in rules:
+        plan, k = [], 0
+        for lit in r.body:
+            if isinstance(lit, SubjLiteral):
+                plan.append((NOT_K if lit.negated else K, lit.katom,
+                             bool(atom_vars(lit.katom.inner.atom))))
+            elif lit.negs:
+                plan.append((lit.negs, lit.atom, bool(atom_vars(lit.atom))))
+            else:
+                plan.append((0, k, False))
+                k += 1
+        plans.append(plan)
+    found: list[list[tuple]] = [[] for _ in rules]
+    table = Numbered()
+    derived = _Derivable(table)
     count = 0
 
-    def fire(j: int, sub: dict[str, Term]) -> None:
+    def fire(j: int, sub: dict[str, Term], matched: tuple[int, ...]) -> None:
         nonlocal count
         rule = rules[j]
         if variables[j]:
@@ -272,30 +393,44 @@ def ground_program(program: Program) -> GroundProgram:
             if count > MAX_INSTANCES:
                 raise GroundingError(f"grounding creates more than {MAX_INSTANCES} rule "
                                      f"instances, at rule: {print_rule(rule)}")
-            found[j].append(sub)
+        head = []
         for a in rule.head:
             if sub:
                 a = substitute_atom(a, sub, Var)
-            if derived.add(a) and any(_depth(t) > MAX_TERM_DEPTH for t in a.args):
+            n = table.atom(a)
+            head.append(n)
+            if derived.add(n) and any(_depth(t) > MAX_TERM_DEPTH for t in a.args):
                 raise GroundingError(f"a derived term nests deeper than {MAX_TERM_DEPTH}, "
                                      f"at rule: {print_rule(rule)}")
+        if not variables[j]:
+            return
+        body = []
+        for kind, ref, free in plans[j]:
+            if kind == 0:
+                n = matched[ref]
+            elif kind < NOT_K:
+                n = table.atom(substitute_atom(ref, sub, Var) if free else ref)
+            else:
+                n = table.katom(KAtom(ObjLiteral(substitute_atom(ref.inner.atom, sub, Var),
+                                                 ref.inner.negs)) if free else ref)
+            body.append((kind, n))
+        found[j].append((tuple(head), tuple(body), rule.is_choice))
 
     for j, body in enumerate(bodies):
         if not body:
-            fire(j, {})
+            fire(j, {}, ())
     lo, hi = {}, derived.sizes()
     while lo != hi:
         for j, body in enumerate(bodies):
-            for sub in derived.join(body, lo, hi):
-                fire(j, sub)
+            for sub, matched in derived.join(body, lo, hi):
+                fire(j, sub, matched)
         lo, hi = hi, derived.sizes()
-    out: list[Rule] = []
     for j, rule in enumerate(rules):
         if variables[j]:
-            out.extend(substitute_rule(rule, sub, Var) for sub in found[j])
+            table.rules += found[j]
         else:
-            out.append(rule)
-    return GroundProgram(tuple(out))
+            table.rules.append(table.rule(rule))
+    return GroundProgram(numbered=table)
 
 
 # ---------------------------------------------------------------------------

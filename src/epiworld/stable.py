@@ -63,9 +63,10 @@ becomes the constraint `:- a, -a.`
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import cached_property
 
-from .grounder import GroundProgram
-from .syntax import Atom, AuxAtom, KAtom, SubjLiteral, print_atom, print_subjective
+from .grounder import NOT_K, GroundProgram
+from .syntax import Atom, AuxAtom, KAtom, print_atom, print_subjective
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +515,8 @@ class _Part:
         search after the first adds the clause "some atom still in
         `cautious` fails or some atom still in `absent` holds", so it
         finds an answer set that no earlier search found.  It stops once
-        both are empty or a search fails."""
+        both are empty or a search fails.  An answer set that breaks the
+        clause would be found again forever, so it raises RuntimeError."""
         if m is None and start is not None:
             m = next(self._search(start), None)
         while m is not None:
@@ -524,6 +526,9 @@ class _Part:
             if not (cautious or absent):
                 return
             m = self._answer_set(start, (absent, cautious))
+            if m is not None and not (cautious & ~m or absent & m):
+                raise RuntimeError("internal error: a refinement search found an answer "
+                                   "set that breaks its clause")
 
     def _answer_set(self, start: tuple[int, int, int], extra: tuple[int, int]) -> int | None:
         """The first answer set, with the assumption bits, reached from
@@ -561,14 +566,18 @@ class _Part:
 class Engine:
     """Bit index of a ground program, subjective literals included.
 
-    Atom i has bit `1 << i`, for i below `width`, and each subjective
-    atom k the bit `kbit[k]` above them, in the order of their printed
-    forms.  A rule is stored as masks (head, pos, neg, negneg), with
-    `&k{l}` as a `not not` literal over its bit and `not &k{l}` as a
-    `not` literal.  A valuation is the mask of its known bits, and it
-    keeps the rules whose subjective literals it satisfies, which are
-    the rules `apply_valuation` keeps, so one index serves every
-    candidate.  The inner atom of every subjective atom has a bit, even
+    The index is built from the program's numbered form alone
+    (`GroundProgram.numbered`): the atom table is sorted once by printed
+    form, and each atom number maps to its bit through a list, so no
+    atom is hashed per occurrence.  Atom i has bit `1 << i`, for i below
+    `width`, and each subjective atom k the bit `kbit[k]` above them, in
+    the order of their printed forms, so the bits do not depend on how
+    the atoms were numbered.  A rule is stored as masks (head, pos, neg,
+    negneg), with `&k{l}` as a `not not` literal over its bit and
+    `not &k{l}` as a `not` literal.  A valuation is the mask of its
+    known bits, and it keeps the rules whose subjective literals it
+    satisfies, which are the rules `apply_valuation` keeps, so one index
+    serves every candidate.  The inner atom of every subjective atom has a bit, even
     if no rule mentions it outside `&k{}`.
 
     The index splits the program once into independent parts, groups
@@ -586,66 +595,52 @@ class Engine:
     """
 
     def __init__(self, program: GroundProgram):
-        base: set[Atom] = set()
-        katoms: set[KAtom] = set()
-        for r in program.rules:
-            base.update(r.head)
-            for lit in r.body:
-                if isinstance(lit, SubjLiteral):
-                    katoms.add(lit.katom)
-                    base.add(lit.katom.inner.atom)
-                else:
-                    base.add(lit.atom)
-
+        table = program.numbered
+        atoms, katoms, inner = table.atoms, table.katoms, table.inner
         # Per-part results, and so the order world views are emitted
         # in, follow the bit order.  An AuxAtom sorts right after a
-        # program atom printed the same way, so set iteration order
-        # never decides between them.
-        self.atom_of = sorted(base, key=lambda a: (print_atom(a), isinstance(a, AuxAtom)))
-        self.index = index = {a: i for i, a in enumerate(self.atom_of)}
-        self.width = width = len(index)
-        self.kbit = kbit = {k: 1 << (width + i)
-                            for i, k in enumerate(sorted(katoms, key=print_subjective))}
+        # program atom printed the same way, so the numbering never
+        # decides between them.
+        order = sorted(range(len(atoms)),
+                       key=lambda n: (print_atom(atoms[n]), isinstance(atoms[n], AuxAtom)))
+        self.atom_of = [atoms[n] for n in order]
+        self.width = width = len(order)
+        bit = [0] * width  # the bit index of each atom number
+        for i, n in enumerate(order):
+            bit[n] = i
+        korder = sorted(range(len(katoms)), key=lambda n: print_subjective(katoms[n]))
+        kmask = [0] * len(korder)  # the bit of each subjective atom number
+        for i, n in enumerate(korder):
+            kmask[n] = 1 << (width + i)
+        self.kbit = {katoms[n]: kmask[n] for n in korder}
 
         rules: list[tuple[int, int, int, int]] = []
         # The nodes that tie each rule into its part: its atoms and the
         # inner atom of each of its subjective atoms.
         ties: list[list[int]] = []
-        for r in program.rules:
-            head = pos = neg = negneg = 0
-            nodes: list[int] = []
-            for a in r.head:
-                i = index[a]
+        for head, body, choice in table.rules:
+            nodes = [bit[n] for n in head]
+            h = 0
+            for i in nodes:
+                h |= 1 << i
+            masks = [0, 0, h if choice else 0]  # pos, neg, negneg; {a}. is a :- not not a.
+            for kind, n in body:
+                if kind < NOT_K:
+                    i = bit[n]
+                    masks[kind] |= 1 << i
+                else:  # `not &k{l}` is a `not` literal over its bit, `&k{l}` a `not not` one
+                    i = bit[inner[n]]
+                    masks[1 if kind == NOT_K else 2] |= kmask[n]
                 nodes.append(i)
-                head |= 1 << i
-            if r.is_choice:  # {a}. is a :- not not a.
-                negneg = head
-            for lit in r.body:
-                if isinstance(lit, SubjLiteral):
-                    nodes.append(index[lit.katom.inner.atom])
-                    if lit.negated:
-                        neg |= kbit[lit.katom]
-                    else:
-                        negneg |= kbit[lit.katom]
-                    continue
-                i = index[lit.atom]
-                nodes.append(i)
-                b = 1 << i
-                if lit.negs == 0:
-                    pos |= b
-                elif lit.negs == 1:
-                    neg |= b
-                else:
-                    negneg |= b
-            rules.append((head, pos, neg, negneg))
+            rules.append((h, *masks))
             ties.append(nodes)
         # a and -a never hold together: `:- a, -a.`
-        for a, i in index.items():
+        for i, a in enumerate(self.atom_of):
             if a.strong_neg:
-                twin = index.get(Atom(a.name, a.args, False))
+                twin = table.number.get(Atom(a.name, a.args, False))
                 if twin is not None:
-                    rules.append((0, (1 << i) | (1 << twin), 0, 0))
-                    ties.append([i, twin])
+                    rules.append((0, (1 << i) | (1 << bit[twin]), 0, 0))
+                    ties.append([i, bit[twin]])
 
         # Every subset of a tight program's rules is tight, so one flag
         # serves every part and valuation.
@@ -653,10 +648,15 @@ class Engine:
 
         groups, part_of = _group(rules, ties, width)
         part_katoms: list[list[tuple[int, int, bool]]] = [[] for _ in groups]
-        for k, bit in kbit.items():
-            i = index[k.inner.atom]
-            part_katoms[part_of(i)].append((bit, 1 << i, k.inner.negs == 1))
+        for n in korder:
+            i = bit[inner[n]]
+            part_katoms[part_of(i)].append((kmask[n], 1 << i, katoms[n].inner.negs == 1))
         self.parts = [_Part(group, ks, self.tight) for group, ks in zip(groups, part_katoms)]
+
+    @cached_property
+    def index(self) -> dict[Atom, int]:
+        """The bit index of each atom."""
+        return {a: i for i, a in enumerate(self.atom_of)}
 
     def known_mask(self, valuation: dict[KAtom, bool]) -> int:
         """The `kbit` mask of the subjective atoms `valuation` makes

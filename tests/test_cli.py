@@ -285,11 +285,15 @@ def test_stats_go_to_stderr_after_the_verdict_and_leave_stdout_alone(tmp_path, c
     counted = capsys.readouterr()
     assert counted.out == plain.out and plain.err == ""
     assert counted.out.count("Answer:") == 131
-    assert counted.err.splitlines() == [
+    lines = counted.err.splitlines()
+    assert lines[:9] == [
         "Parts: 1", "Candidates: 211", "Accepted: 131",
         "Rejected, no answer set: 0", "Rejected, known atom not cautious: 80",
         "Rejected, unknown atom cautious: 0", "Rejected, ~-form brave failure: 0",
+        "Ground rules: 73", "Atoms: 39",
     ]
+    assert [line.split(": ")[0] for line in lines[9:]] == ["Grounding", "Engine build"]
+    assert all(re.fullmatch(r"\d+\.\d{4} s", line.split(": ")[1]) for line in lines[9:])
 
 
 def test_stats_with_the_oracle_are_refused(tmp_path, capsys):

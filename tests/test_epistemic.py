@@ -526,6 +526,16 @@ def test_k15_keeps_a_program_atom_printed_like_its_aux_atom():
 # Solver end to end
 
 
+def test_solve_stats_give_the_sizes_and_times_and_compare_without_the_times():
+    stats, again = SolveStats(), SolveStats()
+    for counted in (stats, again):
+        list(solve(parse_text("q(a). q(b). p(X) :- q(X), not &k{ r(X) }."), stats=counted))
+    assert (stats.ground_rules, stats.atoms, stats.parts) == (4, 6, 2)
+    assert stats.ground_s > 0 and stats.engine_s > 0
+    again.ground_s, again.engine_s = 2 * stats.ground_s, 2 * stats.engine_s
+    assert again == stats
+
+
 def test_solve_two_cycle_order_and_stats():
     stats = SolveStats()
     views = list(solve(parse_text(TWO_CYCLE), stats=stats))

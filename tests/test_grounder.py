@@ -7,8 +7,8 @@ import pytest
 
 from brute import brute_answer_sets, cross_product_ground, ground_terms
 from corpus import random_ground_rules, random_safe_program
-from epiworld import grounder
-from epiworld.cli import YALE_INSTANCES, yale_source
+from epiworld import grounder, syntax
+from epiworld.cli import YALE_INSTANCES, gen_eligibility, yale_source
 from epiworld.epistemic import (expand_world_view, k15_transform, oracle_world_views,
                                 solve, subjective_atoms)
 from epiworld.grounder import (
@@ -22,8 +22,8 @@ from epiworld.grounder import (
     simplify,
 )
 from epiworld.stable import Engine
-from epiworld.syntax import (Atom, Compound, Const, Num, ObjLiteral, Program, parse_text,
-                             print_atom, print_subjective)
+from epiworld.syntax import (Atom, Compound, Const, Num, ObjLiteral, Program, Rule,
+                             parse_text, print_atom, print_subjective)
 
 
 def rules_of(source):
@@ -205,8 +205,8 @@ def test_grounding_looks_up_body_atoms_by_their_bound_arguments(monkeypatch):
 
 def _scan(derived, key, at, values, start, stop):
     """`_Derivable.lookup` without the index."""
-    return [a for a in derived.atoms[key][start:stop]
-            if tuple(a.args[p] for p in at) == values]
+    return [n for n in derived.atoms[key][start:stop]
+            if tuple(derived.table.atoms[n].args[p] for p in at) == values]
 
 
 def _random_join_program(rng):
@@ -230,6 +230,59 @@ def test_indexed_joins_ground_what_scans_ground_in_the_same_order(monkeypatch):
     monkeypatch.setattr(grounder._Derivable, "lookup", _scan)
     assert got == [ground_program(p).text() for p in programs]
     assert sum(text.count(":-") for text in got) > 1000
+
+
+# The rules of the benchmark's grounding workload: a three-variable join
+# over a graph, here a ring of n nodes with a chord from each node i to
+# node i + 3.
+GRAPH_RULES = ("p(X,Y,Z) :- e(X,Y), e(Y,Z). c(X,Z) :- p(X,Y,Z), not e(X,Z). "
+               "reach(X) :- c(X,Z). a :- reach(X), not b. b :- not a. done :- reach(X). "
+               "ok :- &k{ done }. pa :- not &k{ pb }, reach(X). pb :- not &k{ pa }. ")
+
+
+def graph_program(n):
+    return parse_text(GRAPH_RULES + "".join(f"e(v{i},v{(i + d) % n}). "
+                                            for i in range(n) for d in (1, 3)))
+
+
+def test_the_numbered_hand_off_indexes_as_the_rules_do():
+    # The grounder numbers atoms as it derives them, a program built
+    # from rules as they occur in the rules; the engine's index must not
+    # depend on which.
+    rng = random.Random(905)
+    programs = [graph_program(n) for n in (4, 9, 16)] + [gen_eligibility(12, 1)]
+    programs += [_random_join_program(rng) for _ in range(100)]
+    programs += [random_safe_program(rng, max_rules=6) for _ in range(200)]
+    renumbered = 0
+    for program in programs:
+        for source in (program, k15_transform(program)):
+            numbered = ground_program(source)
+            built = GroundProgram(numbered.rules)
+            one, other = Engine(numbered), Engine(built)
+            assert one.atom_of == other.atom_of
+            assert list(one.kbit.items()) == list(other.kbit.items())
+            assert [(p.rules, p.katoms) for p in one.parts] == \
+                [(p.rules, p.katoms) for p in other.parts]
+            renumbered += numbered.numbered.atoms != built.numbered.atoms
+    assert renumbered > 100
+
+
+def test_solving_a_program_with_variables_builds_no_rule(monkeypatch):
+    program = graph_program(16)
+    init, built = Rule.__init__, []
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def refused(*args):
+        raise AssertionError("substitute_rule called")
+
+    monkeypatch.setattr(Rule, "__init__", counted)
+    for module in (syntax, grounder):
+        monkeypatch.setattr(module, "substitute_rule", refused, raising=False)
+    assert len(list(solve(program))) == 2
+    assert built == []
 
 
 def test_grounding_checks_safety():

@@ -306,6 +306,18 @@ def test_a_search_clause_is_seen_whatever_its_bits_hold_at_the_start():
     assert part.consequences(0) == (b, a | b)
 
 
+def test_a_refinement_search_that_ignores_its_clause_is_an_internal_error(monkeypatch):
+    # `{a}. {b}. c :- a, b.` has four answer sets, so its consequences
+    # need further searches.  A search that returns the first answer set
+    # again, whose clause it breaks, changes neither the cautious nor the
+    # absent atoms, and would be made again forever.
+    [part] = Engine(ground("{a}. {b}. c :- a, b.")).parts
+    first = next(part._search(part.start(0)))
+    monkeypatch.setattr(stable._Part, "_answer_set", lambda self, start, extra: first)
+    with pytest.raises(RuntimeError, match="internal error"):
+        part.consequences(0)
+
+
 def test_an_atom_free_clause_is_a_conflict_at_the_root():
     # `:- .` is filed under no bit, so only the root's full scan sees it.
     assert _watch([(0, 0)], {}, X) == {X: (([], []), ([], []))}
@@ -453,15 +465,14 @@ def test_tight_and_non_tight_programs_match_brute_force():
 # Differential checks
 
 
-def _full_scan_models(clauses, supports, scope, start, counts, keep=None, project=None):
+def _full_scan_models(clauses, supports, scope, start, watch, counts, keep=None, project=None):
     """The search of `_models` from `start` with a full scan at every
     node.  Each node with bits to propagate from, a child or a start
-    closed but for those bits, is also propagated from its watch lists
-    and must close the same way; counts[0] counts such nodes and
+    closed but for those bits, is also propagated from the watch lists
+    `watch` and must close the same way; counts[0] counts such nodes and
     counts[1] their conflicts.  Under `project`, each model `keep`
     accepts pops the stack entries whose projected bits are all set and
     agree with it: the branches left above the last projected branch."""
-    watch = _watch(clauses, supports, scope)
     stack = [start]
     while stack:
         true_m, false_m, b = stack.pop()
@@ -489,37 +500,54 @@ def _full_scan_models(clauses, supports, scope, start, counts, keep=None, projec
 
 
 def test_watched_search_matches_full_scans_at_every_node(monkeypatch):
-    # Every search the engine makes, part searches, minimality tests and
-    # the guesses' projected searches alike, is recorded and then
-    # replayed both ways.  The parts of the epistemic programs start
-    # from their root closure with a valuation's assumption bits to
-    # propagate from.
+    # Every search the engine makes, part searches, minimality tests,
+    # the guesses' projected searches and the check's refinement
+    # searches alike, is recorded with a copy of the watch lists it
+    # reads and then replayed both ways.  A refinement search is
+    # recorded with its clause, which lives only in those watch lists,
+    # and its full scans see the clause among the part's.  The parts of
+    # the epistemic programs start from their root closure with a
+    # valuation's assumption bits to propagate from.
     searches = []
+    pending = [None]  # the clause of the refinement search about to start
 
     def recorded(clauses, supports, scope, start, watch, keep=None, project=None):
-        searches.append((clauses, supports, scope, start, keep, project))
+        extra, pending[0] = pending[0], None
+        copy = {b: tuple((list(c), list(s)) for c, s in sides) for b, sides in watch.items()}
+        searches.append((clauses, supports, scope, start, keep, project, extra, copy))
         return _models(clauses, supports, scope, start, watch, keep, project)
 
+    answer_set = stable._Part._answer_set
+
+    def with_clause(part, start, extra):
+        pending[0] = extra
+        return answer_set(part, start, extra)
+
     monkeypatch.setattr(stable, "_models", recorded)
+    monkeypatch.setattr(stable._Part, "_answer_set", with_clause)
     rng = random.Random(4242)
     for _ in range(2500):
         rules = random_ground_rules(rng, max_atoms=6, max_rules=12)
         Engine(GroundProgram(tuple(rules))).answer_sets()
     for _ in range(300):
         tester = Engine(ground_program(random_epistemic_program(rng, max_atoms=5)))
-        tester.answer_sets(sum(bit for bit in tester.kbit.values() if rng.random() < 0.5))
+        known = sum(bit for bit in tester.kbit.values() if rng.random() < 0.5)
+        tester.answer_sets(known)
+        tester.consequences(known)
         for part in tester.parts:
-            list(part.guesses())
+            for guess, witness in part.guesses():
+                part.verdict(guess, witness)
     # The minimality tests of the replayed searches are not recorded.
     monkeypatch.undo()
-    assert sum(start[2] != 0 for _, _, _, start, _, _ in searches) > 100
-    assert sum(project is not None for *_, project in searches) > 200
-    assert any(keep is not None and project for *_, keep, project in searches)
+    assert sum(start[2] != 0 for _, _, _, start, *_ in searches) > 100
+    assert sum(project is not None for *_, project, _, _ in searches) > 200
+    assert any(keep is not None and project for *_, keep, project, _, _ in searches)
+    assert sum(extra is not None for *_, extra, _ in searches) > 500
     counts = [0, 0]
-    for clauses, supports, scope, start, keep, project in searches:
-        watch = _watch(clauses, supports, scope)
+    for clauses, supports, scope, start, keep, project, extra, watch in searches:
+        full = clauses if extra is None else clauses + [extra]
         assert list(_models(clauses, supports, scope, start, watch, keep, project)) == \
-            list(_full_scan_models(clauses, supports, scope, start, counts, keep, project))
+            list(_full_scan_models(full, supports, scope, start, watch, counts, keep, project))
     assert counts[0] > 3000 and 0 < counts[1] < counts[0]
 
 
