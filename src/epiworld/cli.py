@@ -84,7 +84,8 @@ def run(config: RunConfig, out=None) -> int:
     `config.stats`, the solve's counts follow the verdict on stderr, one
     `name: count` line each, the rejections by reason in the order the
     check meets them, then the ground program's size and the times of
-    grounding and of the engine build, in seconds."""
+    grounding, of the engine build, of the guesses and of the checks,
+    in seconds."""
     out = sys.stdout if out is None else out
     if config.stats and config.mode == "oracle":
         print("error: --stats needs --mode solve: the oracle keeps no counts", file=sys.stderr)
@@ -118,8 +119,8 @@ def run(config: RunConfig, out=None) -> int:
         for reason in REJECTIONS:
             print(f"Rejected, {reason}: {stats.rejections[reason]}", file=sys.stderr)
         print(f"Ground rules: {stats.ground_rules}\nAtoms: {stats.atoms}\n"
-              f"Grounding: {stats.ground_s:.4f} s\nEngine build: {stats.engine_s:.4f} s",
-              file=sys.stderr)
+              f"Grounding: {stats.ground_s:.4f} s\nEngine build: {stats.engine_s:.4f} s\n"
+              f"Guess: {stats.guess_s:.4f} s\nCheck: {stats.check_s:.4f} s", file=sys.stderr)
     return SATISFIABLE if count else UNSATISFIABLE
 
 

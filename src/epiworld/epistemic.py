@@ -24,7 +24,6 @@ the weakened complement (not known, or not derivable).
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import Counter
 from collections.abc import Iterator
@@ -85,7 +84,10 @@ class SolveStats:
     `ground_rules` and `atoms` are the sizes of the ground program, and
     `ground_s` and `engine_s` the wall times, in seconds, of grounding
     (the semantics' source transform included) and of building the
-    `Engine`.  The times vary from run to run, so equality ignores them."""
+    `Engine`.  `guess_s` and `check_s` add up the wall times of the
+    steps of the parts' guesses (`_Part.guesses`) and of their checks
+    (`_Part.verdict`).  The times vary from run to run, so equality
+    ignores them."""
     parts: int = 0
     candidates: int = 0
     accepted: int = 0
@@ -94,6 +96,8 @@ class SolveStats:
     atoms: int = 0
     ground_s: float = field(default=0.0, compare=False)
     engine_s: float = field(default=0.0, compare=False)
+    guess_s: float = field(default=0.0, compare=False)
+    check_s: float = field(default=0.0, compare=False)
 
     @property
     def rejected(self) -> int:
@@ -316,11 +320,11 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     in ascending order of the known mask, each with one of its answer
     sets.  The consequence check (`_Part.verdict`) confirms each against
     the part's own rules only, taking that answer set as its first.
-    Both count into `stats`.  No candidate is checked unless every part
-    has one.  The world views are the lazy product of the parts' confirmed
-    masks, parts in `Engine` part order and the last part varying
-    fastest, so a program of one part lists its views in the oracle's
-    order.  Each view is built from the sum of its masks when it is
+    Both count, and are timed, into `stats`.  No candidate is checked
+    unless every part has one.  The world views are the lazy product of
+    the parts' confirmed masks, parts in `Engine` part order and the
+    last part varying fastest, so a program of one part lists its views
+    in the oracle's order.  Each view is built from the sum of its masks when it is
     yielded, and computes its answer sets only when asked.
     Stop the generator early (say with `itertools.islice`) to skip the
     remaining candidates.
@@ -343,22 +347,34 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     stats.atoms = tester.width
     stats.parts = len(tester.parts)
     del ground  # not kept alive while the views are searched: the engine holds all they need
+
+    def guess(j: int) -> tuple[int, int] | None:
+        began = time.perf_counter()
+        found = next(guesses[j], None)
+        stats.guess_s += time.perf_counter() - began
+        return found
+
     # Without a guess in every part there is no view: find them first.
     guesses = [part.guesses() for part in tester.parts]
-    firsts = [next(g, None) for g in guesses]
+    firsts = [guess(j) for j in range(len(guesses))]
     if None in firsts:
         return
 
     def part_views(j: int):
         part = tester.parts[j]
-        for known, witness in itertools.chain((firsts[j],), guesses[j]):
+        found = firsts[j]
+        while found is not None:
+            known, witness = found
             stats.candidates += 1
+            began = time.perf_counter()
             reason = part.verdict(known, witness)
+            stats.check_s += time.perf_counter() - began
             if reason is None:
                 stats.accepted += 1
                 yield known
             else:
                 stats.rejections[reason] += 1
+            found = guess(j)
 
     # Parts share no subjective atom, so their known masks add up.
     for masks in _product([part_views(j) for j in range(stats.parts)]):

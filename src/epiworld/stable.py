@@ -41,17 +41,21 @@ minimality test, the same loop on the reduct's clauses stopped at the
 first model, finds no smaller model.
 Propagation scans every clause and atom only at the two roots that
 start empty, a part's root closure and a minimality test's root.  Below
-them it reads watch lists, two for each bit, one for each value it can
-take (`_watch`).  A clause is filed under the value of each of its bits
-that makes its literal fail, since only that can make it unit or
-conflicting; an atom's supports under the values that make the atom
-true or a supporting rule stop supporting it.  Each node starts from
-its parent's closed state and looks only at the lists of the bits set
-since, under the values they took.  clasp watches two literals per
-clause; these lists file a clause under every literal, which costs more
-visits but nothing to keep up on a backtrack.  A `_Part` builds its
-lists once, with the part, and a minimality test only if its root
-closure neither conflicts nor is total.
+them it reads a layout with an entry for each value of each bit
+(`_watch`), which leaves out what the root closure decides.  A clause
+of two literals, and an atom with one supporting rule, are implications,
+masks of the bits each value sets true and false, as clasp keeps short
+nogoods in an implication graph.  A longer clause is filed under the
+value of each of its bits that makes its literal fail, since only that
+can make it unit or conflicting; an atom with more supports under the
+values that make it true or a supporting rule stop supporting it.  Each
+node starts from its parent's closed state, sets what the bits set since
+imply, and looks only at the lists of those bits, under the values they
+took.  clasp watches two literals per clause; these lists file a clause
+under every literal, which costs more visits but nothing to keep up on a
+backtrack.  A `_Part` builds its layout once, with the part, and a
+minimality test only if its root closure neither conflicts nor is total.
+A refinement search hands its clause to every propagation (`_answer_set`).
 
 A choice rule `{a}` becomes `a :- not not a.` (Lifschitz, Tang, Turner
 1999), so every bit is an atom.  Its clause `a or not a` never
@@ -72,14 +76,14 @@ from .syntax import Atom, AuxAtom, KAtom, print_atom, print_subjective
 # ---------------------------------------------------------------------------
 # Search core
 
-_Watch = dict[int, tuple[tuple[list, list], tuple[list, list]]]
+_Watch = dict[int, list | tuple]  # see `_watch`
 
 
 def _propagate(clauses: list[tuple[int, int]],
                supports: dict[int, list[tuple[int, int]]],
                scope: int, true_m: int, false_m: int,
-               watch: _Watch | None = None,
-               todo: int = 0) -> tuple[int, int] | None:
+               watch: _Watch | None = None, todo: int = 0,
+               extra: tuple[int, int] | None = None) -> tuple[int, int] | None:
     """Close a partial assignment over `scope`; None on a conflict.
 
     A clause (p, n) holds once an atom of p is true or an atom of n is
@@ -100,31 +104,41 @@ def _propagate(clauses: list[tuple[int, int]],
     supporter, so it is not looked at again.
 
     Propagation goes in rounds until a round sets no bit.  Without
-    `watch`, each round looks at every clause and atom.  With the watch
-    lists of `_watch`, the assignment must be a closed one plus the bits
-    of `todo`, and each round looks, for each bit set since the round
-    before (the first round: each bit of `todo`), only at the lists
-    filed under the value that bit now has.  Those are the clauses and
-    atom supports that this value can make unit, conflicting or
-    unsupported (see `_watch`); the value can only satisfy the others,
-    or leave them as they were.
-    Every rule is monotone, so both ways reach the same closed state, or
-    both a conflict.
+    `watch`, each round looks at every clause and atom.  With the layout
+    of `_watch`, the assignment must be a closed one plus the bits of
+    `todo`.  Each round takes the bits set since the round before (the
+    first: those of `todo`), sets what their values imply, a bit set
+    both ways being a conflict, and looks only at the clause `extra`, if
+    given, and at the lists filed under those values: the clauses and
+    supports that a value can make unit, conflicting or unsupported.  An
+    open bit of `todo` implies nothing, and its lists are read as if it
+    were false.  The bits implied are read in the next round.  Every
+    rule is monotone, so both ways reach the same closed state, or both
+    a conflict.
     """
     done = 0  # true atoms whose last supporter has been forced
     while True:
+        before = true_m | false_m
         if watch is None:
             visit, atoms = clauses, supports.items()
         else:
-            visit, atoms = [], []
+            visit = [] if extra is None else [extra]
+            atoms = []
+            implied_t = implied_f = 0
             while todo:
                 b = todo & -todo
                 todo ^= b
-                on = watch[b][1 if b & true_m else 0]
-                visit += on[0]
-                atoms += on[1]
-        before = true_m | false_m
-        und = scope & ~before
+                to_t, to_f, long, entries = watch[b if b & true_m else -b]
+                if b & before:
+                    implied_t |= to_t
+                    implied_f |= to_f
+                visit += long
+                atoms += entries
+            true_m |= implied_t
+            false_m |= implied_f
+            if true_m & false_m:
+                return None
+        und = scope & ~(true_m | false_m)
         for p_mask, n_mask in visit:
             if p_mask & true_m or n_mask & false_m:
                 continue
@@ -175,63 +189,120 @@ def _propagate(clauses: list[tuple[int, int]],
 
 def _watch(clauses: list[tuple[int, int]],
            supports: dict[int, list[tuple[int, int]]],
-           scope: int) -> _Watch:
-    """Watch lists for `_propagate`: each bit of `scope` maps to two
-    pairs (clauses, (atom, supporting clauses) entries of `supports`),
-    the first read when the bit is false, the second when it is true.
-    A clause (p, n) can become unit or conflicting only when one of its
-    literals fails, so it is filed under false for each bit of p and
-    under true for each bit of n (Moskewicz et al., "Chaff", DAC 2001,
-    watch literals for the same reason).  A rule stops supporting an
-    atom only when an atom of its p other than the atom holds or an
-    atom of its n fails, and only a true atom needs a supporter, so an
-    atom's entry is filed under true for the atom and every bit of its
-    supporters' p, and under false for every bit of their n.  Every bit
-    that the clauses and `supports` mention must lie in `scope`."""
+           scope: int, root: tuple[int, int] = (0, 0)) -> _Watch:
+    """The layout `_propagate` reads in states that extend the closed
+    state `root` (true, false).  Bit b has an entry under `b`, read when
+    it is true, and under `-b`, read when it is false: (bits it implies
+    true, bits it implies false, long clauses, `supports` entries).  A
+    clause (p, n) can become unit or conflicting only when a literal
+    fails: a bit of p false or of n true (Moskewicz et al., "Chaff", DAC
+    2001).  Leaving out the bits `root` fixes, a clause of three or more
+    literals is filed under each failing value, and one of two is two
+    implications, each failing literal implying the other (Gebser,
+    Kaufmann, Schaub, AIJ 2012; Eén, Sörensson, SAT 2003).  A clause
+    that `root` satisfies, or with a bit in both p and n (`a or not a`
+    of a choice rule), always holds, one of one literal holds in every
+    closed state, and one without literals fails at `root`: none is
+    filed.  A rule stops supporting an atom b once an atom of its p
+    other than b holds or one of its n fails.  An open b with one
+    supporter (p, n) is implications: b true implies n true and p false,
+    less b, and each bit of n false or of p, less b, true implies b
+    false.  The entry of an atom with more supporters is filed under
+    true for it and the bits of their p, and under false for the bits of
+    their n.  An atom that `root` fixes or that no rule supports is
+    filed nowhere (one with one supporter that `root` makes true has it
+    forced there)."""
+    true_m, false_m = root
+    nothing = (0, 0, (), ())  # the entry of a bit that `root` fixes
+    free = scope & ~(true_m | false_m)
     watch: _Watch = {}
     rest = scope
     while rest:
         b = rest & -rest
-        watch[b] = (([], []), ([], []))
         rest ^= b
+        if b & free:
+            watch[b] = [0, 0, [], []]
+            watch[-b] = [0, 0, [], []]
+        else:
+            watch[b] = watch[-b] = nothing
     for clause in clauses:
-        rest = clause[0]
-        while rest:
-            b = rest & -rest
-            watch[b][0][0].append(clause)
-            rest ^= b
-        rest = clause[1]
-        while rest:
-            b = rest & -rest
-            watch[b][1][0].append(clause)
-            rest ^= b
-    for entry in supports.items():
-        on_false, on_true = 0, entry[0]
-        for p_mask, n_mask in entry[1]:
-            on_false |= n_mask
-            on_true |= p_mask
-        while on_false:
-            b = on_false & -on_false
-            watch[b][0][1].append(entry)
-            on_false ^= b
-        while on_true:
-            b = on_true & -on_true
-            watch[b][1][1].append(entry)
-            on_true ^= b
+        p_mask, n_mask = clause
+        if p_mask & n_mask or p_mask & true_m or n_mask & false_m:
+            continue
+        p_mask &= free
+        n_mask &= free
+        lits = p_mask | n_mask
+        other = lits & (lits - 1)
+        if not other:
+            continue
+        if other & (other - 1):
+            while lits:
+                b = lits & -lits
+                lits ^= b
+                watch[-b if b & p_mask else b][2].append(clause)
+            continue
+        one = lits ^ other
+        # A literal of p fails when its bit is false (-bit), one of n when
+        # it is true (bit); each failing literal implies the other holds.
+        if one & p_mask:
+            watch[-other if other & p_mask else other][0] |= one
+            on = watch[-one]
+        else:
+            watch[-other if other & p_mask else other][1] |= one
+            on = watch[one]
+        on[0 if other & p_mask else 1] |= other
+    for atom in supports.items():
+        b, rules = atom
+        if b & false_m or not rules:
+            continue
+        if len(rules) == 1:
+            if b & true_m:
+                continue
+            p_mask, n_mask = rules[0]
+            p_mask &= free & ~b
+            n_mask &= free & ~b
+            on = watch[b]
+            on[0] |= n_mask
+            on[1] |= p_mask
+            rest = p_mask | n_mask
+            while rest:
+                x = rest & -rest
+                rest ^= x
+                if x & p_mask:
+                    watch[x][1] |= b
+                if x & n_mask:
+                    watch[-x][1] |= b
+        else:
+            on_true, on_false = b, 0
+            for p_mask, n_mask in rules:
+                on_true |= p_mask
+                on_false |= n_mask
+            rest = (on_true | on_false) & free
+            while rest:
+                x = rest & -rest
+                rest ^= x
+                if x & on_true:
+                    watch[x][3].append(atom)
+                if x & on_false:
+                    watch[-x][3].append(atom)
     return watch
 
 
 def _models(clauses: list[tuple[int, int]],
             supports: dict[int, list[tuple[int, int]]], scope: int,
             start: tuple[int, int, int], watch: _Watch,
-            keep: Callable[[int], bool] | None = None, project: int | None = None):
+            keep: Callable[[int], bool] | None = None, project: int | None = None,
+            extra: tuple[int, int] | None = None):
     """Yield, as true-masks, every total assignment over `scope` that
     `_propagate` leaves without conflict and the test `keep`, if given,
     accepts.  `start` is a closed partial assignment (true, false) plus
-    the bits to propagate from, and `watch` holds the lists of `_watch`;
-    each child propagates from its parent's closed state and its branch
-    bit, false first.  A node with no bits to propagate from is closed
-    as it is.
+    the bits to propagate from, and `watch` holds the layout `_watch`
+    built for a closed state that `start` extends; each child
+    propagates from its parent's closed state and its branch bit, false
+    first.  A node with no bits to propagate from is closed as it is.
+    The clause `extra`, if given, holds in every model too: each
+    propagation looks at it first, so `start` must propagate from its
+    bits if it is not closed under it.
 
     The search branches on the highest open bit of the mask `project`
     while there is one, else on the lowest open bit.  With `project`, it
@@ -244,7 +315,7 @@ def _models(clauses: list[tuple[int, int]],
     while stack:
         true_m, false_m, b = stack.pop()
         if b:
-            state = _propagate(clauses, supports, scope, true_m, false_m, watch, b)
+            state = _propagate(clauses, supports, scope, true_m, false_m, watch, b, extra)
             if state is None:
                 continue
             true_m, false_m = state
@@ -279,7 +350,7 @@ def _minimal(m: int, rules: list[tuple[int, int, int, int]], assumed: int = 0) -
     state = _propagate(clauses, {}, m, 0, 0)
     if state is None or not m & ~(state[0] | state[1]):  # no smaller model, or one
         return state is None
-    return next(_models(clauses, {}, m, (*state, 0), _watch(clauses, {}, m)), None) is None
+    return next(_models(clauses, {}, m, (*state, 0), _watch(clauses, {}, m, state)), None) is None
 
 
 def _group(items, nodes: list[tuple[int, ...]], width: int):
@@ -401,7 +472,7 @@ class _Part:
     false) are clauses guarded by `guess`, an activation bit above the
     part's bits (Eén, Sörensson, "Temporal induction by incremental SAT
     solving", 2003), which `guesses` sets true and every other query
-    false.  The clauses, supports, watch lists and root closure, with
+    false.  The clauses, supports, `_watch` layout and root closure, with
     the assumption bits and the guess bit open, are built with the part.
     With `tight`, the rules must be tight, and every model a search
     finds is an answer set.
@@ -424,8 +495,9 @@ class _Part:
         self.scope = used | assume | guess
         self.clauses, self.supports = _clauses(rules, self.atoms)
         self.clauses += [(0, g | b | guess) if tilde else (b, g | guess) for g, b, tilde in katoms]
-        self.watch = _watch(self.clauses, self.supports, self.scope)
         self.root = _propagate(self.clauses, self.supports, self.scope, 0, 0)
+        self.watch = {} if self.root is None else _watch(self.clauses, self.supports, self.scope,
+                                                         self.root)
 
     def start(self, known: int) -> tuple[int, int, int] | None:
         """The root closure with the assumption bits of `known` true, the
@@ -532,35 +604,22 @@ class _Part:
 
     def _answer_set(self, start: tuple[int, int, int], extra: tuple[int, int]) -> int | None:
         """The first answer set, with the assumption bits, reached from
-        `start` that also satisfies the clause `extra`, or None.  The
-        clause is filed in the watch lists for this search only, and
-        its bits are propagated from at once.  `_propagate` reads an
-        open bit's lists for false, and some of them may be open, so the
-        clause is filed under both values of each."""
-        bits = rest = extra[0] | extra[1]
-        while rest:
-            b = rest & -rest
-            for side in self.watch[b]:
-                side[0].append(extra)
-            rest ^= b
-        start = (start[0], start[1], start[2] | bits)
-        try:
-            return next(self._search(start), None)
-        finally:
-            rest = bits
-            while rest:
-                b = rest & -rest
-                for side in self.watch[b]:
-                    side[0].pop()
-                rest ^= b
+        `start` that also satisfies the clause `extra`, or None.  Every
+        propagation of the search looks at the clause, and the search
+        propagates from its bits at once, whatever they hold at `start`."""
+        start = (start[0], start[1], start[2] | extra[0] | extra[1])
+        return next(self._search(start, extra=extra), None)
 
-    def _search(self, start: tuple[int, int, int], project: int | None = None):
+    def _search(self, start: tuple[int, int, int], project: int | None = None,
+                extra: tuple[int, int] | None = None):
         """The answer sets, with the assumption bits, that `_models`
         reaches from `start`, lazily, the first of each projection onto
-        `project` if given.  The minimality test leaves the assumption
-        bits and the guess bit alone."""
+        `project` if given, each satisfying the clause `extra` if given.
+        The minimality test leaves the assumption bits and the guess bit
+        alone."""
         keep = None if self.tight else lambda m: _minimal(m, self.rules, self.assume | self.guess)
-        return _models(self.clauses, self.supports, self.scope, start, self.watch, keep, project)
+        return _models(self.clauses, self.supports, self.scope, start, self.watch, keep, project,
+                       extra)
 
 
 class Engine:

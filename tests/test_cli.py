@@ -292,7 +292,8 @@ def test_stats_go_to_stderr_after_the_verdict_and_leave_stdout_alone(tmp_path, c
         "Rejected, unknown atom cautious: 0", "Rejected, ~-form brave failure: 0",
         "Ground rules: 73", "Atoms: 39",
     ]
-    assert [line.split(": ")[0] for line in lines[9:]] == ["Grounding", "Engine build"]
+    assert [line.split(": ")[0] for line in lines[9:]] == \
+        ["Grounding", "Engine build", "Guess", "Check"]
     assert all(re.fullmatch(r"\d+\.\d{4} s", line.split(": ")[1]) for line in lines[9:])
 
 

@@ -532,7 +532,9 @@ def test_solve_stats_give_the_sizes_and_times_and_compare_without_the_times():
         list(solve(parse_text("q(a). q(b). p(X) :- q(X), not &k{ r(X) }."), stats=counted))
     assert (stats.ground_rules, stats.atoms, stats.parts) == (4, 6, 2)
     assert stats.ground_s > 0 and stats.engine_s > 0
+    assert stats.guess_s > 0 and stats.check_s > 0
     again.ground_s, again.engine_s = 2 * stats.ground_s, 2 * stats.engine_s
+    again.guess_s, again.check_s = 2 * stats.guess_s, 2 * stats.check_s
     assert again == stats
 
 

@@ -12,7 +12,7 @@ from corpus import random_epistemic_program, random_ground_rules
 from pruning import projected_answer_sets, projected_components, reference_guesses
 from epiworld import stable
 from epiworld.cli import YALE_INSTANCES, yale_source
-from epiworld.epistemic import _ground
+from epiworld.epistemic import _ground, solve
 from epiworld.grounder import GroundProgram, ground_program
 from epiworld.stable import (
     Engine,
@@ -238,21 +238,39 @@ def test_a_last_supporter_that_needs_an_atom_both_ways_is_a_conflict():
 
 
 def test_watch_files_clauses_and_atoms_under_every_bit_they_mention():
-    # Each bit maps to (clauses, entries) read when it is false, then
-    # when it is true.  A clause is filed under the value that makes
-    # its literal fail: false for b, w, y, true for x, z, v.  b's entry
-    # is filed under true for b and the other atoms of the rules' p
-    # (w, y), and under false for the atoms of their n (x, z, v).
+    # Each bit b has an entry under b, read when it is true, and under
+    # -b, read when it is false: (bits it implies true, bits it implies
+    # false, long clauses, atom entries).  The long clause FIRST is filed
+    # under the value that makes each literal fail: false for b, w, y,
+    # true for x, z.  The binary clause SECOND, `b or not v`, is two
+    # implications: b false implies v false, v true implies b true.  b
+    # has two supporters, so its entry is filed under true for b and the
+    # other atoms of the rules' p (w, y), and under false for the atoms
+    # of their n (x, z, v).
     supports = {B: [FIRST, SECOND]}
     entry = (B, [FIRST, SECOND])
     assert _watch([FIRST, SECOND], supports, ALL) == {
-        B: (([FIRST, SECOND], []), ([], [entry])),
-        X: (([], [entry]), ([FIRST], [])),
-        Y: (([FIRST], []), ([], [entry])),
-        Z: (([], [entry]), ([FIRST], [])),
-        W: (([FIRST], []), ([], [entry])),
-        V: (([], [entry]), ([SECOND], [])),
+        B: [0, 0, [], [entry]], -B: [0, V, [FIRST], []],
+        X: [0, 0, [FIRST], []], -X: [0, 0, [], [entry]],
+        Y: [0, 0, [], [entry]], -Y: [0, 0, [FIRST], []],
+        Z: [0, 0, [FIRST], []], -Z: [0, 0, [], [entry]],
+        W: [0, 0, [], [entry]], -W: [0, 0, [FIRST], []],
+        V: [B, 0, [], []], -V: [0, 0, [], [entry]],
     }
+
+
+def test_an_atom_with_one_supporter_is_implications_both_ways():
+    # b's one supporter, `b | w :- x, not y, not not z.`: b true sets x
+    # and z true and w and y false; x or z false, or w or y true, sets b
+    # false.  The rule's clause is long and filed as usual.
+    watch = _watch([FIRST], {B: [FIRST]}, ALL)
+    assert watch[B] == [X | Z, W | Y, [], []]
+    for key in (-X, -Z, W, Y):
+        assert watch[key][:2] == [0, B]
+    assert _propagate([FIRST], {B: [FIRST]}, ALL, B, 0, watch, B) == (B | X | Z, W | Y)
+    assert _propagate([FIRST], {B: [FIRST]}, ALL, W, 0, watch, W) == (W, B)
+    # An atom with no supporter is false in every closed state.
+    assert _watch([], {B: []}, B) == {B: [0, 0, [], []], -B: [0, 0, [], []]}
 
 
 def test_a_set_bit_reaches_the_atoms_its_rules_support():
@@ -267,7 +285,7 @@ def test_a_branch_bit_that_touches_nothing_leaves_the_state_as_it_is():
     U = 64  # in scope, but in no clause and no supporting rule
     supports = {B: [FIRST, SECOND]}
     watch = _watch([FIRST, SECOND], supports, ALL | U)
-    assert watch[U] == (([], []), ([], []))
+    assert watch[U] == watch[-U] == [0, 0, [], []]
     assert _propagate([FIRST, SECOND], supports, ALL | U, B, U, watch, U) == (B, U)
     # Only the new bit's lists are looked at: the state (b, v) is not
     # closed, and a full scan would force the first rule.
@@ -290,6 +308,87 @@ def test_a_bit_is_propagated_from_only_under_the_value_it_took():
     watch = _watch([FIRST, SECOND], supports, ALL)
     assert _propagate([FIRST, SECOND], supports, ALL, B | X, V, watch, X) == (B | X, V)
     assert _propagate([FIRST, SECOND], supports, ALL, B, V | X, watch, X) is None
+
+
+def test_an_open_bit_to_propagate_from_reads_its_lists_but_implies_nothing():
+    # `x or y or z` and `x or w`.  From (-, y z) with x open, x's lists for
+    # false are read, and the long clause sets x; x false would imply w,
+    # but x was never false.  A refinement search's start propagates
+    # from its clause's bits in this way, open or not.
+    clauses = [(X | Y | Z, 0), (X | W, 0)]
+    scope = X | Y | Z | W
+    watch = _watch(clauses, {}, scope)
+    assert watch[-X] == [W, 0, [clauses[0]], []]
+    assert _propagate(clauses, {}, scope, 0, Y | Z, watch, X) == (X, Y | Z)
+    assert _propagate(clauses, {}, scope, 0, Y | Z) == (X, Y | Z)
+
+
+def test_a_bit_implied_in_one_round_has_its_lists_read_in_the_next():
+    # `y or not x` makes x imply y, and `z or not y or not w` is unit
+    # once w and y hold, so closing from x true sets z.
+    clauses = [(Y, X), (Z, Y | W)]
+    scope = X | Y | Z | W
+    watch = _watch(clauses, {}, scope)
+    assert watch[X] == [Y, 0, [], []] and watch[Y][2] == [clauses[1]]
+    assert _propagate(clauses, {}, scope, X | W, 0, watch, X) == (X | Y | Z | W, 0)
+
+
+def test_the_clause_of_a_choice_rule_is_filed_under_no_bit():
+    [part] = Engine(ground("{a}.")).parts
+    assert part.clauses == [(1, 1)] and part.supports == {1: [(1, 1)]}
+    assert part.root == (0, 0)
+    assert all(entry == [0, 0, [], []] for entry in part.watch.values())
+    assert _watch([(X, X)], {}, X) == {X: [0, 0, [], []], -X: [0, 0, [], []]}
+    # `a :- not not a, b.`, a choice of a under the body b, has the
+    # clause `a or not a or not b`, which always holds: only a's one
+    # supporter is left, so a true implies b true, and b false a false.
+    eng = Engine(ground("{b}. a :- not not a, b."))
+    [part] = eng.parts
+    a, b = (1 << eng.index[Atom(n)] for n in "ab")
+    assert part.root == (0, 0)
+    assert {key: entry for key, entry in part.watch.items() if any(entry)} == \
+        {a: [b, 0, [], []], -b: [0, a, [], []]}
+
+
+def test_a_one_supporter_atom_whose_rule_needs_an_atom_both_ways_conflicts_when_true():
+    # `b | w :- w.` is b's one supporter: b true implies w true and false.
+    rule = (B | W, W)
+    watch = _watch([rule], {B: [rule]}, B | W)
+    assert watch[B] == [W, W, [], []]
+    assert _propagate([rule], {B: [rule]}, B | W, B, 0, watch, B) is None
+
+
+@pytest.mark.parametrize("semantics, calls", [("g91", 923), ("k15", 19510)])
+def test_yale05_makes_as_many_propagations_as_ever(monkeypatch, semantics, calls):
+    # The layout changes how a state is closed, not which states are
+    # reached: the search tree, and so the count, stay as they were.
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return _propagate(*args)
+
+    monkeypatch.setattr(stable, "_propagate", counted)
+    assert sum(1 for _ in solve(parse_text(yale_source("yale05")), semantics)) == \
+        {"g91": 131, "k15": 211}[semantics]
+    assert count[0] == calls
+
+
+def test_a_part_files_nothing_that_its_root_closure_decides():
+    # x holds at the root, so the fact `x.` is filed nowhere, and the
+    # constraint `:- x, p, q.` is left with two open literals: p true
+    # implies q false, and q true p false.  No bit x can take below the
+    # root reads anything.
+    eng = Engine(ground("x. {p}. {q}. :- x, p, q."))
+    [part] = eng.parts
+    x, p, q = (1 << eng.index[Atom(n)] for n in "xpq")
+    assert part.root == (x, 0)
+    assert part.watch[x] == part.watch[-x] == (0, 0, (), ())
+    assert part.watch[p] == [0, q, [], []] and part.watch[q] == [0, p, [], []]
+    assert part.watch[-p] == part.watch[-q] == [0, 0, [], []]
+    assert _propagate(part.clauses, part.supports, part.scope, x | p, 0, part.watch, p) == \
+        (x | p, q)
+    assert part.models(0) == [x, x | p, x | q]
 
 
 def test_a_search_clause_is_seen_whatever_its_bits_hold_at_the_start():
@@ -320,7 +419,7 @@ def test_a_refinement_search_that_ignores_its_clause_is_an_internal_error(monkey
 
 def test_an_atom_free_clause_is_a_conflict_at_the_root():
     # `:- .` is filed under no bit, so only the root's full scan sees it.
-    assert _watch([(0, 0)], {}, X) == {X: (([], []), ([], []))}
+    assert _watch([(0, 0)], {}, X) == {X: [0, 0, [], []], -X: [0, 0, [], []]}
     assert _propagate([(0, 0)], {}, X, 0, 0) is None
     part = stable._Part([(0, 0, 0, 0), (X | Y, 0, 0, 0)], [], True)
     assert part.root is None and part.models(0) == [] and list(part.guesses()) == []
@@ -465,20 +564,23 @@ def test_tight_and_non_tight_programs_match_brute_force():
 # Differential checks
 
 
-def _full_scan_models(clauses, supports, scope, start, watch, counts, keep=None, project=None):
+def _full_scan_models(clauses, supports, scope, start, watch, counts, keep=None, project=None,
+                      extra=None):
     """The search of `_models` from `start` with a full scan at every
-    node.  Each node with bits to propagate from, a child or a start
-    closed but for those bits, is also propagated from the watch lists
-    `watch` and must close the same way; counts[0] counts such nodes and
-    counts[1] their conflicts.  Under `project`, each model `keep`
-    accepts pops the stack entries whose projected bits are all set and
-    agree with it: the branches left above the last projected branch."""
+    node, the clause `extra` among the clauses if given.  Each node with
+    bits to propagate from, a child or a start closed but for those
+    bits, is also propagated from the layout `watch` with `extra` and
+    must close the same way; counts[0] counts such nodes and counts[1]
+    their conflicts.  Under `project`, each model `keep` accepts pops
+    the stack entries whose projected bits are all set and agree with
+    it: the branches left above the last projected branch."""
+    full = clauses if extra is None else clauses + [extra]
     stack = [start]
     while stack:
         true_m, false_m, b = stack.pop()
-        state = _propagate(clauses, supports, scope, true_m, false_m)
+        state = _propagate(full, supports, scope, true_m, false_m)
         if b:
-            assert _propagate(clauses, supports, scope, true_m, false_m, watch, b) == state
+            assert _propagate(clauses, supports, scope, true_m, false_m, watch, b, extra) == state
             counts[0] += 1
             counts[1] += state is None
         if state is None:
@@ -502,29 +604,18 @@ def _full_scan_models(clauses, supports, scope, start, watch, counts, keep=None,
 def test_watched_search_matches_full_scans_at_every_node(monkeypatch):
     # Every search the engine makes, part searches, minimality tests,
     # the guesses' projected searches and the check's refinement
-    # searches alike, is recorded with a copy of the watch lists it
-    # reads and then replayed both ways.  A refinement search is
-    # recorded with its clause, which lives only in those watch lists,
-    # and its full scans see the clause among the part's.  The parts of
-    # the epistemic programs start from their root closure with a
+    # searches alike, is recorded with its arguments and then replayed
+    # both ways.  A refinement search is recorded with its clause, and
+    # its full scans see the clause among the part's.  The parts of the
+    # epistemic programs start from their root closure with a
     # valuation's assumption bits to propagate from.
     searches = []
-    pending = [None]  # the clause of the refinement search about to start
 
-    def recorded(clauses, supports, scope, start, watch, keep=None, project=None):
-        extra, pending[0] = pending[0], None
-        copy = {b: tuple((list(c), list(s)) for c, s in sides) for b, sides in watch.items()}
-        searches.append((clauses, supports, scope, start, keep, project, extra, copy))
-        return _models(clauses, supports, scope, start, watch, keep, project)
-
-    answer_set = stable._Part._answer_set
-
-    def with_clause(part, start, extra):
-        pending[0] = extra
-        return answer_set(part, start, extra)
+    def recorded(*args):
+        searches.append(args)
+        return _models(*args)
 
     monkeypatch.setattr(stable, "_models", recorded)
-    monkeypatch.setattr(stable._Part, "_answer_set", with_clause)
     rng = random.Random(4242)
     for _ in range(2500):
         rules = random_ground_rules(rng, max_atoms=6, max_rules=12)
@@ -539,15 +630,16 @@ def test_watched_search_matches_full_scans_at_every_node(monkeypatch):
                 part.verdict(guess, witness)
     # The minimality tests of the replayed searches are not recorded.
     monkeypatch.undo()
+    searches = [args + (None,) * (8 - len(args)) for args in searches]
     assert sum(start[2] != 0 for _, _, _, start, *_ in searches) > 100
-    assert sum(project is not None for *_, project, _, _ in searches) > 200
-    assert any(keep is not None and project for *_, keep, project, _, _ in searches)
-    assert sum(extra is not None for *_, extra, _ in searches) > 500
+    assert sum(project is not None for *_, project, _ in searches) > 200
+    assert any(keep is not None and project for *_, keep, project, _ in searches)
+    assert sum(extra is not None for *_, extra in searches) > 500
     counts = [0, 0]
-    for clauses, supports, scope, start, keep, project, extra, watch in searches:
-        full = clauses if extra is None else clauses + [extra]
-        assert list(_models(clauses, supports, scope, start, watch, keep, project)) == \
-            list(_full_scan_models(full, supports, scope, start, watch, counts, keep, project))
+    for clauses, supports, scope, start, watch, keep, project, extra in searches:
+        assert list(_models(clauses, supports, scope, start, watch, keep, project, extra)) == \
+            list(_full_scan_models(clauses, supports, scope, start, watch, counts, keep, project,
+                                   extra))
     assert counts[0] > 3000 and 0 < counts[1] < counts[0]
 
 
