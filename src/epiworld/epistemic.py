@@ -343,7 +343,7 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     tester = Engine(ground)
     stats.ground_s = built - start
     stats.engine_s = time.perf_counter() - built
-    stats.ground_rules = len(ground.numbered.rules)
+    stats.ground_rules = len(ground.numbered)
     stats.atoms = tester.width
     stats.parts = len(tester.parts)
     del ground  # not kept alive while the views are searched: the engine holds all they need

@@ -11,29 +11,31 @@ through unchanged.  `MAX_INSTANCES` and `syntax.MAX_TERM_DEPTH` bound
 the work, so a program whose instances grow without end is refused
 with `GroundingError`.
 
-The ground program goes to the engine as numbers, as gringo hands a
-ground program to clasp (clingo 5's aspif format: Gebser et al.,
-"Theory solving made easy with clingo 5", ICLP TC 2016).  Each ground
-atom is numbered once, when it first appears, and each instance is
-recorded as tuples of numbers beside the atom table (`Numbered`); the
-join hands over the numbers of the body atoms it matched, so no
-positive body atom is built again.  A `GroundProgram` builds its
-`Rule`s from the numbers only when asked, for listings and tests, and a
-program built from `Rule`s numbers them in one pass when the engine
-asks.  `simplify` closes a ground program under the usual
-fact/head rewrites until nothing changes; the result bounds the
-well-founded consequences from both sides (its facts are cautious
-consequences of the input, its heads cover the brave ones).
+A ground program has one form, the one the engine reads: numbers, as
+gringo hands a ground program to clasp (clingo 5's aspif format:
+Gebser et al., "Theory solving made easy with clingo 5", ICLP TC 2016).
+A `GroundProgram` is an atom table, in which each ground atom is
+numbered once, when it first appears, and its rules as tuples of those
+numbers.  `ground_program` fills one as it instantiates, and the join
+hands over the numbers of the body atoms it matched, so no positive
+body atom is built again; its `Rule`s are built from the numbers only
+when asked, for listings and tests.  A program built from `Rule`s
+numbers them at once and keeps them.  `simplify` closes a list of
+ground rules under the usual fact/head rewrites until nothing changes;
+the result bounds the well-founded consequences from both sides (its
+facts are cautious consequences of the input, its heads cover the
+brave ones).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from functools import cached_property
 
 from .syntax import (MAX_TERM_DEPTH, Atom, Compound, KAtom, ObjLiteral, Program, Rule,
-                     SubjLiteral, Term, Var, print_rule, rule_atoms, substitute_atom,
-                     substitute_term, term_vars)
+                     SubjLiteral, Term, Var, print_rule, substitute_atom, substitute_term,
+                     term_vars)
 
 
 class SafetyError(Exception):
@@ -95,25 +97,38 @@ def program_safety_check(program: Program) -> list[set[str]]:
 NOT_K, K = 3, 4
 
 
-class Numbered:
-    """The numbered form of a ground program, the form `Engine` reads.
+class GroundProgram:
+    """A program without variables, as its atom table and its rules as
+    numbers, the form `Engine` reads.
 
     Each atom of the rules has a number, its index in `atoms` (`number`
     maps it back), and each subjective atom one, its index in `katoms`;
-    `inner[k]` is the number of the inner atom of subjective atom k.  A
-    rule is (head, body, choice): the numbers of its head atoms, then
-    one (kind, number) entry per body literal in order, an atom's number
-    for kinds 0, 1 and 2 (that many `not`s), a subjective atom's for
-    `NOT_K` and `K`.  No other atom has a number.
+    `inner[k]` is the number of the inner atom of subjective atom k.  No
+    other atom has a number.  A rule of `numbered` is (head, body,
+    choice): the numbers of its head atoms, then one (kind, number)
+    entry per body literal in order, an atom's number for kinds 0, 1
+    and 2 (that many `not`s), a subjective atom's for `NOT_K` and `K`.
+
+    Built from `Rule`s, a program numbers them in one pass, atoms in
+    order of first appearance, and keeps them as `rules`.
+    `ground_program` fills an empty one in place, so a solve builds no
+    `Rule`; then `rules` is built from the numbers when first asked for,
+    for listings and tests.  Heads count choice-rule heads; facts are
+    single-atom heads with an empty body.  Two ground programs are equal
+    when their rules are.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, rules: Iterable[Rule] = ()):
         self.atoms: list[Atom] = []
         self.number: dict[Atom, int] = {}
         self.katoms: list[KAtom] = []
         self.inner: list[int] = []
         self.knumber: dict[tuple[int, int], int] = {}  # (inner number, negs) -> number
-        self.rules: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...], bool]] = []
+        self.numbered: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...], bool]] = []
+        rules = tuple(rules)
+        if rules:  # else `rules` is built from the numbers, as `ground_program` fills them
+            self.rules = rules
+            self.numbered = [self.rule(r) for r in rules]
 
     def atom(self, a: Atom) -> int:
         """The number of `a`, which it is given at its first call."""
@@ -140,40 +155,14 @@ class Numbered:
                             else (NOT_K if lit.negated else K, self.katom(lit.katom))
                             for lit in r.body]), r.is_choice
 
-
-class GroundProgram:
-    """A program without variables.
-
-    It has two forms, each built from the other once, when it is first
-    asked for: `rules`, a tuple of `Rule`s, and `numbered`, the
-    `Numbered` form that `Engine` reads.  `ground_program` hands over the
-    numbered form of a program with variables, so a solve builds no
-    `Rule`; every other builder passes the rules.  The atom universe
-    includes atoms that occur only inside subjective literals; heads
-    count choice-rule heads; facts are single-atom heads with an empty
-    body.  Two ground programs are equal when their rules are.
-    """
-
-    def __init__(self, rules: tuple[Rule, ...] = (), numbered: Numbered | None = None):
-        if numbered is None:
-            self.rules = tuple(rules)
-        else:
-            self.numbered = numbered
-
     @cached_property
     def rules(self) -> tuple[Rule, ...]:
-        atoms, katoms = self.numbered.atoms, self.numbered.katoms
+        atoms, katoms = self.atoms, self.katoms
         return tuple(Rule(tuple([atoms[n] for n in head]),
                           tuple([ObjLiteral(atoms[n], kind) if kind < NOT_K
                                  else SubjLiteral(katoms[n], kind == NOT_K) for kind, n in body]),
                           choice)
-                     for head, body, choice in self.numbered.rules)
-
-    @cached_property
-    def numbered(self) -> Numbered:
-        out = Numbered()
-        out.rules = [out.rule(r) for r in self.rules]
-        return out
+                     for head, body, choice in self.numbered)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GroundProgram) and self.rules == other.rules
@@ -183,10 +172,6 @@ class GroundProgram:
 
     def __repr__(self) -> str:
         return f"GroundProgram({self.rules!r})"
-
-    @cached_property
-    def atoms(self) -> frozenset[Atom]:
-        return frozenset(a for r in self.rules for a in rule_atoms(r))
 
     @cached_property
     def heads(self) -> frozenset[Atom]:
@@ -247,7 +232,7 @@ class _Derivable:
     and brought up to date at each lookup.
     """
 
-    def __init__(self, table: Numbered) -> None:
+    def __init__(self, table: GroundProgram) -> None:
         self.table = table
         self.atoms: dict[tuple, list[int]] = {}
         self.position: dict[int, int] = {}
@@ -349,14 +334,14 @@ def ground_program(program: Program) -> GroundProgram:
     instances, or a derived term nested deeper than `MAX_TERM_DEPTH`,
     raise `GroundingError`.
 
-    The result is handed over in numbered form (`Numbered`): each atom
-    is numbered once, when it first appears, and each instance is
-    recorded as numbers, so no `Rule` is built.  A positive body atom
-    is numbered by the join that matched it, so only heads, `not` and
-    `not not` atoms and subjective atoms with variables are
-    substituted.  Rules without variables are kept verbatim, so
-    grounding is the identity on ground programs, and a ground program
-    skips the fixpoint and is handed over as its rules.
+    The result is filled in numbered form: each atom is numbered once,
+    when it first appears, and each instance is recorded as numbers, so
+    no `Rule` is built.  A positive body atom is numbered by the join
+    that matched it, so only heads, `not` and `not not` atoms and
+    subjective atoms with variables are substituted.  Rules without
+    variables are kept verbatim, so grounding is the identity on ground
+    programs, and a ground program skips the fixpoint and is handed over
+    as its rules.
     """
     variables = program_safety_check(program)
     rules = program.rules
@@ -381,7 +366,7 @@ def ground_program(program: Program) -> GroundProgram:
                 k += 1
         plans.append(plan)
     found: list[list[tuple]] = [[] for _ in rules]
-    table = Numbered()
+    table = GroundProgram()
     derived = _Derivable(table)
     count = 0
 
@@ -427,10 +412,10 @@ def ground_program(program: Program) -> GroundProgram:
         lo, hi = hi, derived.sizes()
     for j, rule in enumerate(rules):
         if variables[j]:
-            table.rules += found[j]
+            table.numbered += found[j]
         else:
-            table.rules.append(table.rule(rule))
-    return GroundProgram(numbered=table)
+            table.numbered.append(table.rule(rule))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -440,65 +425,38 @@ def ground_program(program: Program) -> GroundProgram:
 def simplify(program: GroundProgram) -> GroundProgram:
     """Close the program under fact/head rewrites.
 
-    Per pass, with F the current facts and H the current heads:
-    rules with a positive body atom outside H are dropped, as are rules
-    whose body contains `not a` with a in F or `not not a` with a
-    outside H; body literals that became true (`a` with a in F, `not a`
-    with a outside H, `not not a` with a in F) are removed; a choice
+    Per pass, with F the current facts and H the current heads: a body
+    literal over an atom in F, or over an atom outside H, holds or
+    fails (`a` and `not not a` hold for a in F and fail for a outside
+    H, `not a` the other way round).  Rules with a failing literal are
+    dropped, and holding literals are removed from the bodies; a choice
     rule whose atom is a fact is dropped.  Repeats until a fixpoint,
     so the result is idempotent and answer sets are preserved on the
     surviving atoms.
     """
     rules = list(program.rules)
     while True:
-        current = GroundProgram(tuple(rules))
-        facts, heads = current.facts, current.heads
+        facts = {r.head[0] for r in rules if not r.is_choice and len(r.head) == 1 and not r.body}
+        heads = {a for r in rules for a in r.head}
         out: list[Rule] = []
-        changed = False
         for r in rules:
             if r.is_choice:
-                if r.head[0] in facts:
-                    changed = True
-                else:
+                if r.head[0] not in facts:
                     out.append(r)
                 continue
             body: list[ObjLiteral] = []
-            dropped_literal = False
-            dead = False
             for lit in r.body:
                 if isinstance(lit, SubjLiteral):
                     raise ValueError("simplify expects a subjective-free program")
-                a = lit.atom
-                if lit.negs == 0:
-                    if a in facts:
-                        dropped_literal = True
-                        continue
-                    if a not in heads:
-                        dead = True
-                        break
-                elif lit.negs == 1:
-                    if a in facts:
-                        dead = True
-                        break
-                    if a not in heads:
-                        dropped_literal = True
-                        continue
-                else:
-                    if a in facts:
-                        dropped_literal = True
-                        continue
-                    if a not in heads:
-                        dead = True
-                        break
-                body.append(lit)
-            if dead:
-                changed = True
-                continue
-            if dropped_literal:
-                changed = True
-                out.append(Rule(r.head, tuple(body)))
+                holds, fails = lit.atom in facts, lit.atom not in heads
+                if lit.negs == 1:
+                    holds, fails = fails, holds
+                if fails:
+                    break
+                if not holds:
+                    body.append(lit)
             else:
-                out.append(r)
+                out.append(r if len(body) == len(r.body) else Rule(r.head, tuple(body)))
+        if out == rules:
+            return GroundProgram(out)
         rules = out
-        if not changed:
-            return GroundProgram(tuple(rules))

@@ -36,16 +36,13 @@ def add_consistency_constraints(guess: GroundProgram,
     return GroundProgram(guess.rules + tuple(constraints))
 
 
-def wfm_propagate(guess: GroundProgram, ground: GroundProgram,
-                  mapping: dict[KAtom, Atom]) -> GroundProgram:
+def wfm_propagate(guess: GroundProgram, mapping: dict[KAtom, Atom]) -> GroundProgram:
     """Fix auxiliary atoms decided by the simplification fixpoint.
 
     Runs simplify, then repeatedly: every new fact p with `&k{p}` among
     the keys of `mapping` yields the fact `aux_p.`, every atom p of some
     `&k{~p}` that heads no rule yields `aux_not_p.`, and the program is
-    simplified again.  Stops when a round fixes nothing.  `ground`, the
-    program `guess` was translated from, is not read: it keeps `mapping`
-    the third argument, where `perfbench/spans.py` reads it.
+    simplified again.  Stops when a round fixes nothing.
     """
     # (atom p of l, 1 if l is `~p` else 0) to the auxiliary atom of &k{l}
     pending = {(k.inner.atom, k.inner.negs): aux for k, aux in mapping.items()}

@@ -625,8 +625,8 @@ class _Part:
 class Engine:
     """Bit index of a ground program, subjective literals included.
 
-    The index is built from the program's numbered form alone
-    (`GroundProgram.numbered`): the atom table is sorted once by printed
+    The index is built from the program's atom table and numbered rules
+    alone, never from its `Rule`s: the atom table is sorted once by printed
     form, and each atom number maps to its bit through a list, so no
     atom is hashed per occurrence.  Atom i has bit `1 << i`, for i below
     `width`, and each subjective atom k the bit `kbit[k]` above them, in
@@ -654,8 +654,7 @@ class Engine:
     """
 
     def __init__(self, program: GroundProgram):
-        table = program.numbered
-        atoms, katoms, inner = table.atoms, table.katoms, table.inner
+        atoms, katoms, inner = program.atoms, program.katoms, program.inner
         # Per-part results, and so the order world views are emitted
         # in, follow the bit order.  An AuxAtom sorts right after a
         # program atom printed the same way, so the numbering never
@@ -677,7 +676,7 @@ class Engine:
         # The nodes that tie each rule into its part: its atoms and the
         # inner atom of each of its subjective atoms.
         ties: list[list[int]] = []
-        for head, body, choice in table.rules:
+        for head, body, choice in program.numbered:
             nodes = [bit[n] for n in head]
             h = 0
             for i in nodes:
@@ -696,7 +695,7 @@ class Engine:
         # a and -a never hold together: `:- a, -a.`
         for i, a in enumerate(self.atom_of):
             if a.strong_neg:
-                twin = table.number.get(Atom(a.name, a.args, False))
+                twin = program.number.get(Atom(a.name, a.args, False))
                 if twin is not None:
                     rules.append((0, (1 << i) | (1 << bit[twin]), 0, 0))
                     ties.append([i, bit[twin]])

@@ -68,8 +68,8 @@ def pruning_outcomes(program) -> dict[str, tuple[set, set]]:
     variants = {
         "plain": guess,
         "constraints": constrained,
-        "wfm": wfm_propagate(guess, ground, mapping),
-        "both": wfm_propagate(constrained, ground, mapping),
+        "wfm": wfm_propagate(guess, mapping),
+        "both": wfm_propagate(constrained, mapping),
     }
     onto = frozenset(mapping.values())
     tester = Engine(ground)
@@ -88,7 +88,7 @@ def unsplit_views(program) -> list:
     ground = ground_program(program)
     guess, mapping = translate_guess(ground)
     guess = add_consistency_constraints(guess, mapping)
-    guess = wfm_propagate(guess, ground, mapping)
+    guess = wfm_propagate(guess, mapping)
     tester = Engine(ground)
     return [WorldView({k: mapping[k] in candidate for k in tester.kbit}, tester)
             for candidate in projected_answer_sets(guess, frozenset(mapping.values()))

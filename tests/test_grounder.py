@@ -263,7 +263,7 @@ def test_the_numbered_hand_off_indexes_as_the_rules_do():
             assert list(one.kbit.items()) == list(other.kbit.items())
             assert [(p.rules, p.katoms) for p in one.parts] == \
                 [(p.rules, p.katoms) for p in other.parts]
-            renumbered += numbered.numbered.atoms != built.numbered.atoms
+            renumbered += numbered.atoms != built.atoms
     assert renumbered > 100
 
 
@@ -349,8 +349,35 @@ def test_ground_program_views():
     g = ground_program(parse_text("p. {c}. q :- p. r, s. :- q."))
     assert g.facts == {Atom("p")}
     assert g.heads == {Atom("p"), Atom("c"), Atom("q"), Atom("r"), Atom("s")}
-    assert g.atoms == g.heads
+    assert set(g.atoms) == g.heads
     assert g.text() == "p.\n{c}.\nq :- p.\nr, s.\n:- q.\n"
+
+
+def test_a_ground_program_has_one_form(monkeypatch):
+    rules = rules_of("p :- &k{q}, not r. {r}. s :- p.")
+    g = GroundProgram(rules)
+    assert g.rules is rules
+    # Atoms are numbered by first appearance, q inside `&k{}` included.
+    assert g.atoms == [Atom("p"), Atom("q"), Atom("r"), Atom("s")]
+    assert (g.inner, g.knumber) == ([1], {(1, 0): 0})
+    assert g.numbered == [((0,), ((grounder.K, 0), (1, 2)), False),
+                          ((2,), (), True), ((3,), ((0, 0),), False)]
+    fed = GroundProgram(r for r in rules)
+    assert (fed.rules, fed.atoms, fed.numbered) == (rules, g.atoms, g.numbered)
+    grounded = ground_program(graph_program(9))
+    assert GroundProgram(grounded.rules) == grounded
+    # simplify reads the rule list and builds one program, however many
+    # passes its cascade takes.
+    cascade = GroundProgram(rules_of("a :- not b. c :- not not a. d :- e. f :- c."))
+    init, built = GroundProgram.__init__, []
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(GroundProgram, "__init__", counted)
+    assert simplify(cascade).text() == "a.\nc.\nf.\n"
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def test_constraints_prune_self_defeating_guesses():
 def test_wfm_interplay_reaches_the_golden_fixpoint():
     ground = ground_program(parse_text(INTERPLAY))
     guess, mapping = translate_guess(ground)
-    final = wfm_propagate(guess, ground, mapping)
+    final = wfm_propagate(guess, mapping)
     assert final.text() == (GOLDEN / "interplay_wfm.lp").read_text()
     assert not any(r.is_choice for r in final.rules)
 
@@ -74,14 +74,14 @@ def test_wfm_interplay_reaches_the_golden_fixpoint():
 def test_wfm_fixes_known_positive_atoms_in_cascade():
     ground = ground_program(parse_text("a :- not b. c :- &k{a}. d :- &k{c}."))
     guess, mapping = translate_guess(ground)
-    final = wfm_propagate(guess, ground, mapping)
+    final = wfm_propagate(guess, mapping)
     assert final.text() == "a.\nc.\nd.\naux_a.\naux_c.\n"
 
 
 def test_wfm_fixes_atoms_that_can_never_become_heads():
     ground = ground_program(parse_text("d :- not &k{~e}."))
     guess, mapping = translate_guess(ground)
-    final = wfm_propagate(guess, ground, mapping)
+    final = wfm_propagate(guess, mapping)
     assert final.text() == "aux_not_e.\n"
 
 
@@ -89,19 +89,19 @@ def test_wfm_keeps_explicit_negation_on_the_inner_atom():
     # -b is a fact, so &k{-b} is fixed; nothing heads -c, so &k{~-c} is.
     ground = ground_program(parse_text("-b. x :- &k{-b}, not &k{~-c}."))
     guess, mapping = translate_guess(ground)
-    final = wfm_propagate(guess, ground, mapping)
+    final = wfm_propagate(guess, mapping)
     assert final.text() == "-b.\naux_sn_b.\naux_not_sn_c.\n"
 
 
 def test_wfm_leaves_undetermined_guesses_alone():
     ground = ground_program(parse_text(TWO_CYCLE))
     guess, mapping = translate_guess(ground)
-    assert wfm_propagate(guess, ground, mapping).rules == guess.rules
+    assert wfm_propagate(guess, mapping).rules == guess.rules
 
 
 def test_wfm_without_subjective_atoms_is_plain_simplification():
     g = ground_program(parse_text("a :- not b. c :- a."))
-    out = wfm_propagate(g, g, {})
+    out = wfm_propagate(g, {})
     assert out == simplify(g)
 
 

@@ -374,6 +374,24 @@ def test_yale05_makes_as_many_propagations_as_ever(monkeypatch, semantics, calls
     assert count[0] == calls
 
 
+def test_the_8_node_ring_makes_as_many_minimality_tests_as_ever(monkeypatch):
+    # Both directions of each ring edge are a choice, so the program is
+    # not tight and every supported model the search reaches is tested
+    # by `_minimal`.  The count drops only when the search is pruned
+    # better, say by unfounded-set propagation.
+    ring = " ".join(f"{{e({i},{(i + 1) % 8})}}. {{e({(i + 1) % 8},{i})}}." for i in range(8))
+    program = parse_text(ring + " r(0). r(Y) :- r(X), e(X,Y). q :- &k{r(4)}. s :- not &k{r(4)}.")
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return _minimal(*args)
+
+    monkeypatch.setattr(stable, "_minimal", counted)
+    assert sum(1 for _ in solve(program)) == 1
+    assert count[0] == 12975
+
+
 def test_a_part_files_nothing_that_its_root_closure_decides():
     # x holds at the root, so the fact `x.` is filed nowhere, and the
     # constraint `:- x, p, q.` is left with two open literals: p true
