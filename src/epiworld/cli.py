@@ -9,7 +9,8 @@ counts and times follow on stderr.
 
 The `bench` subcommand times the solver on two generated families, the
 scholarship-eligibility programs and the ground Yale-shooting planning
-instances shipped with the package, writing one CSV row per instance.
+instances (those shipped with the package and, past yale05, those
+`gen_yale` writes), writing one CSV row per instance.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .epistemic import SolveStats, WorldView, oracle_world_views, solve
 from .grounder import GroundingError, SafetyError
 from .stable import REJECTIONS
 from .syntax import (KAtom, ObjLiteral, Program, SourceError, parse_text,
-                     print_atom, print_subjective)
+                     print_atom, print_program, print_subjective)
 
 VERSION = "0.1.0"
 BANNER = f"epiworld version {VERSION}"
@@ -83,9 +84,9 @@ def run(config: RunConfig, out=None) -> int:
     """Print the world views of `config.files` to `out`.  With
     `config.stats`, the solve's counts follow the verdict on stderr, one
     `name: count` line each, the rejections by reason in the order the
-    check meets them, then the ground program's size and the times of
-    grounding, of the engine build, of the guesses and of the checks,
-    in seconds."""
+    check meets them, then the ground program's size, the number of
+    failed literals the parts' roots fix, and the times of grounding,
+    of the engine build, of the guesses and of the checks, in seconds."""
     out = sys.stdout if out is None else out
     if config.stats and config.mode == "oracle":
         print("error: --stats needs --mode solve: the oracle keeps no counts", file=sys.stderr)
@@ -119,6 +120,7 @@ def run(config: RunConfig, out=None) -> int:
         for reason in REJECTIONS:
             print(f"Rejected, {reason}: {stats.rejections[reason]}", file=sys.stderr)
         print(f"Ground rules: {stats.ground_rules}\nAtoms: {stats.atoms}\n"
+              f"Failed literals: {stats.failed_literals}\n"
               f"Grounding: {stats.ground_s:.4f} s\nEngine build: {stats.engine_s:.4f} s\n"
               f"Guess: {stats.guess_s:.4f} s\nCheck: {stats.check_s:.4f} s", file=sys.stderr)
     return SATISFIABLE if count else UNSATISFIABLE
@@ -174,6 +176,37 @@ def yale_source(name: str) -> str:
     return resources.files("epiworld").joinpath(f"data/yale/{name}.lp").read_text("utf-8")
 
 
+YALE_STEP = """\
+occ(load,{s}),occ(shoot,{s}),occ(wait,{s}).
+:- occ(load,{s}), occ(shoot,{s}).
+:- occ(load,{s}), occ(wait,{s}).
+:- occ(shoot,{s}), occ(wait,{s}).
+loaded({u}) :- occ(load,{s}).
+-loaded({u}) :- occ(shoot,{s}).
+-alive({u}) :- occ(shoot,{s}), loaded({s}).
+alive({u}) :- alive({s}), not -alive({u}).
+-alive({u}) :- -alive({s}), not alive({u}).
+loaded({u}) :- loaded({s}), not -loaded({u}).
+-loaded({u}) :- -loaded({s}), not loaded({u}).
+:- occ(load,{s}), not &k{{ occ(load,{s}) }}.
+:- occ(shoot,{s}), not &k{{ occ(shoot,{s}) }}.
+:- occ(wait,{s}), not &k{{ occ(wait,{s}) }}.
+"""
+
+
+def gen_yale(horizon: int) -> Program:
+    """Yale-shooting planning instance over the time points t0 to
+    t<horizon>, in the pattern of the shipped yale02 to yale05: the
+    gun's initial state is unknown, each step does one known action, and
+    the turkey must be dead at the end.  Horizon 5 is yale05."""
+    if horizon < 1:
+        raise ValueError("need at least one step")
+    lines = ["alive(t0).", "loaded(t0),-loaded(t0)."]
+    lines += [YALE_STEP.format(s=f"t{t}", u=f"t{t + 1}") for t in range(horizon)]
+    lines.append(f":- not &k{{ -alive(t{horizon}) }}.")
+    return parse_text("\n".join(lines))
+
+
 # ---------------------------------------------------------------------------
 # Benchmark harness
 
@@ -218,11 +251,11 @@ def _time_instance(text: str, semantics: str, timeout: float, reps: int):
 
 def bench_instances(domain: str, max_n: int, seed: int):
     if domain == "eligibility":
-        from .syntax import print_program
         return [(f"eligible{n:02d}", print_program(gen_eligibility(n, seed)))
                 for n in range(1, max_n + 1)]
-    names = [f"yale{n:02d}" for n in range(1, min(max_n, 5) + 1)] + ["yale_unsat"]
-    return [(name, yale_source(name)) for name in names]
+    shipped = [(f"yale{n:02d}", yale_source(f"yale{n:02d}")) for n in range(1, min(max_n, 5) + 1)]
+    generated = [(f"yale{n:02d}", print_program(gen_yale(n))) for n in range(6, max_n + 1)]
+    return shipped + generated + [("yale_unsat", yale_source("yale_unsat"))]
 
 
 def bench(domain: str, max_n: int, seed: int, timeout: float, reps: int,

@@ -81,19 +81,21 @@ class SolveStats:
     `rejections` counts the others by the first reason the check of
     their part meets (`_Part.verdict`): "no answer set", "known atom
     not cautious", "unknown atom cautious" or "~-form brave failure".
-    `ground_rules` and `atoms` are the sizes of the ground program, and
-    `ground_s` and `engine_s` the wall times, in seconds, of grounding
-    (the semantics' source transform included) and of building the
-    `Engine`.  `guess_s` and `check_s` add up the wall times of the
-    steps of the parts' guesses (`_Part.guesses`) and of their checks
-    (`_Part.verdict`).  The times vary from run to run, so equality
-    ignores them."""
+    `ground_rules` and `atoms` are the sizes of the ground program,
+    `failed_literals` the number of bits the parts' roots fix as failed
+    literals (`_Part`), and `ground_s` and `engine_s` the wall times, in
+    seconds, of grounding (the semantics' source transform included)
+    and of building the `Engine`.  `guess_s` and `check_s` add up the
+    wall times of the steps of the parts' guesses (`_Part.guesses`) and
+    of their checks (`_Part.verdict`).  The times vary from run to run,
+    so equality ignores them."""
     parts: int = 0
     candidates: int = 0
     accepted: int = 0
     rejections: Counter[str] = field(default_factory=Counter)
     ground_rules: int = 0
     atoms: int = 0
+    failed_literals: int = 0
     ground_s: float = field(default=0.0, compare=False)
     engine_s: float = field(default=0.0, compare=False)
     guess_s: float = field(default=0.0, compare=False)
@@ -346,6 +348,7 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     stats.ground_rules = len(ground.numbered)
     stats.atoms = tester.width
     stats.parts = len(tester.parts)
+    stats.failed_literals = sum(part.failed for part in tester.parts)
     del ground  # not kept alive while the views are searched: the engine holds all they need
 
     def guess(j: int) -> tuple[int, int] | None:

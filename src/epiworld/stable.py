@@ -27,14 +27,16 @@ CDNL (Gebser, Kaufmann, Schaub, "Conflict-driven answer set solving:
 From theory to practice", AIJ 2012): an atom that no rule can still
 support is false, and a true atom with one rule left that can support it
 makes that rule's body true and its other head atoms false.  A rule with
-`not b` in its body never supports its head atom b, so it is not filed
-as one of b's supporters.  Each total assignment the loop reaches is
-then a supported model, a model of the completion.  If the program is
-tight, with no cycle through positive bodies, its supported models are
-its answer sets (Fages, "Consistency of Clark's completion and existence
-of stable models", 1994; Lee, Lifschitz, "Loop formulas for disjunctive
-logic programs", ICLP 2003), and every one is kept, as clasp runs no
-unfounded-set check on a tight program.  `Engine` decides tightness
+`not b` in its body never supports its head atom b, and one whose body
+never holds, with an atom both with and without `not` or under both
+`not` and `not not`, supports nothing: neither is filed as a supporter.
+Each total assignment the loop reaches is then a supported model, a
+model of the completion.  If the program is tight, with no cycle through
+positive bodies, its supported models are its answer sets (Fages,
+"Consistency of Clark's completion and existence of stable models",
+1994; Lee, Lifschitz, "Loop formulas for disjunctive logic programs",
+ICLP 2003), and every one is kept, as clasp runs no unfounded-set check
+on a tight program.  `Engine` decides tightness
 once, and any subset of a tight program's rules is tight, so the one
 flag serves every part and valuation.  Otherwise a model is kept if the
 minimality test, the same loop on the reduct's clauses stopped at the
@@ -56,6 +58,13 @@ under every literal, which costs more visits but nothing to keep up on a
 backtrack.  A `_Part` builds its layout once, with the part, and a
 minimality test only if its root closure neither conflicts nor is total.
 A refinement search hands its clause to every propagation (`_answer_set`).
+A value whose implications set some bit both ways is a failed literal
+(Lynce, Marques-Silva, "Probing-based preprocessing techniques for
+propositional satisfiability", ICTAI 2003): a part's root takes the
+bit's other value and closes once more through the same layout, which
+serves every state that extends the root it was built for.  The search
+branches in a fixed order, so this cuts only subtrees without a model:
+the models and their order stay the same.
 
 A choice rule `{a}` becomes `a :- not not a.` (Lifschitz, Tang, Turner
 1999), so every bit is an atom.  Its clause `a or not a` never
@@ -211,7 +220,8 @@ def _watch(clauses: list[tuple[int, int]],
     true for it and the bits of their p, and under false for the bits of
     their n.  An atom that `root` fixes or that no rule supports is
     filed nowhere (one with one supporter that `root` makes true has it
-    forced there)."""
+    forced there).  No value implies its own bit: a clause's
+    implications join two bits, and a supporter's leave out its atom."""
     true_m, false_m = root
     nothing = (0, 0, (), ())  # the entry of a bit that `root` fixes
     free = scope & ~(true_m | false_m)
@@ -390,7 +400,9 @@ def _clauses(rules: list[tuple[int, int, int, int]], atoms: int):
     """The clauses of `rules` and the `supports` of `_propagate` that
     map each bit of `atoms` to the clauses of the rules that can support
     it: the rules it heads, less those with `not` of it in their body,
-    whose body fails wherever the atom holds."""
+    whose body fails wherever the atom holds, and less those whose body
+    never holds, with an atom in both `neg` and `pos` or `negneg`, whose
+    clause always holds."""
     clauses = [(head | neg, pos | negneg) for head, pos, neg, negneg in rules]
     supports: dict[int, list[tuple[int, int]]] = {}
     rest = atoms
@@ -398,8 +410,8 @@ def _clauses(rules: list[tuple[int, int, int, int]], atoms: int):
         b = rest & -rest
         supports[b] = []
         rest &= rest - 1
-    for clause, rule in zip(clauses, rules):
-        rest = rule[0] & ~rule[2]
+    for clause, (head, pos, neg, negneg) in zip(clauses, rules):
+        rest = 0 if neg & (pos | negneg) else head & ~neg
         while rest:
             b = rest & -rest
             supports[b].append(clause)
@@ -474,6 +486,9 @@ class _Part:
     solving", 2003), which `guesses` sets true and every other query
     false.  The clauses, supports, `_watch` layout and root closure, with
     the assumption bits and the guess bit open, are built with the part.
+    A value whose implications in the layout set some bit both ways is a
+    failed literal: the root then takes the other value of each such bit
+    (`failed` counts them) and is closed once more through the layout.
     With `tight`, the rules must be tight, and every model a search
     finds is an answer set.
     """
@@ -495,9 +510,18 @@ class _Part:
         self.scope = used | assume | guess
         self.clauses, self.supports = _clauses(rules, self.atoms)
         self.clauses += [(0, g | b | guess) if tilde else (b, g | guess) for g, b, tilde in katoms]
-        self.root = _propagate(self.clauses, self.supports, self.scope, 0, 0)
-        self.watch = {} if self.root is None else _watch(self.clauses, self.supports, self.scope,
-                                                         self.root)
+        root = _propagate(self.clauses, self.supports, self.scope, 0, 0)
+        self.watch = {} if root is None else _watch(self.clauses, self.supports, self.scope, root)
+        fixed = [0, 0]  # the bits whose false value fails, whose true value fails
+        for v, entry in self.watch.items():
+            if entry[0] & entry[1]:
+                fixed[v > 0] |= abs(v)
+        true_m, false_m = fixed
+        self.failed = (true_m | false_m).bit_count()
+        if self.failed:
+            root = _propagate(self.clauses, self.supports, self.scope, root[0] | true_m,
+                              root[1] | false_m, self.watch, true_m | false_m)
+        self.root = root
 
     def start(self, known: int) -> tuple[int, int, int] | None:
         """The root closure with the assumption bits of `known` true, the

@@ -9,6 +9,7 @@ guess over the whole program give `unsplit_views`, the reference for
 part as a depth-first loop of its own over the assumption bits, on the
 part's rules and its consistency constraints as unguarded clauses, with
 an ordinary search at each leaf, the reference for `_Part.guesses`.
+It starts from the part's root closure, failed literals included.
 """
 
 from __future__ import annotations
@@ -106,7 +107,10 @@ def reference_guesses(part):
     clauses += [(0, g | b) if tilde else (b, g) for g, b, tilde in part.katoms]
     scope = part.atoms | part.assume
     watch = _watch(clauses, supports, scope)
-    state = _propagate(clauses, supports, scope, 0, 0)
+    # The part's root holds its failed literals, which this loop's own
+    # closure would miss; the guess bit is not in `scope`.
+    state = None if part.root is None else _propagate(
+        clauses, supports, scope, part.root[0] & scope, part.root[1] & scope)
     while state is not None:
         # state[tilde] is the true mask for `&k{a}`, the false one for `&k{~a}`.
         fix = sum(g for g, b, tilde in part.katoms if b & state[tilde]) & ~state[0]

@@ -26,6 +26,7 @@ from epiworld.cli import (
     bench,
     bench_instances,
     gen_eligibility,
+    gen_yale,
     load_program,
     main,
     run,
@@ -286,15 +287,21 @@ def test_stats_go_to_stderr_after_the_verdict_and_leave_stdout_alone(tmp_path, c
     assert counted.out == plain.out and plain.err == ""
     assert counted.out.count("Answer:") == 131
     lines = counted.err.splitlines()
-    assert lines[:9] == [
+    assert lines[:10] == [
         "Parts: 1", "Candidates: 211", "Accepted: 131",
         "Rejected, no answer set: 0", "Rejected, known atom not cautious: 80",
         "Rejected, unknown atom cautious: 0", "Rejected, ~-form brave failure: 0",
-        "Ground rules: 73", "Atoms: 39",
+        "Ground rules: 73", "Atoms: 39", "Failed literals: 0",
     ]
-    assert [line.split(": ")[0] for line in lines[9:]] == \
+    assert [line.split(": ")[0] for line in lines[10:]] == \
         ["Grounding", "Engine build", "Guess", "Check"]
-    assert all(re.fullmatch(r"\d+\.\d{4} s", line.split(": ")[1]) for line in lines[9:])
+    assert all(re.fullmatch(r"\d+\.\d{4} s", line.split(": ")[1]) for line in lines[10:])
+    # Under k15, the `k15aux` atom of each of the 5 steps' 3 action
+    # constraints is a failed literal.
+    assert main(["--stats", "--semantics", "k15", str(path)]) == SATISFIABLE
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[1:3] == ["Candidates: 211", "Accepted: 211"]
+    assert lines[7:10] == ["Ground rules: 105", "Atoms: 55", "Failed literals: 15"]
 
 
 def test_stats_with_the_oracle_are_refused(tmp_path, capsys):
@@ -446,6 +453,20 @@ def test_bench_instances_lists_both_domains():
     assert names == ["eligible01", "eligible02", "eligible03"]
     names = [name for name, _ in bench_instances("yale", 2, seed=1)]
     assert names == ["yale01", "yale02", "yale_unsat"]
+    # Past yale05, the instances are generated.
+    instances = bench_instances("yale", 6, seed=1)
+    assert [name for name, _ in instances] == [f"yale0{n}" for n in range(1, 7)] + ["yale_unsat"]
+    assert instances[5][1] == print_program(gen_yale(6))
+
+
+def test_gen_yale_extends_the_shipped_planning_instances():
+    # Horizons 2 to 5 have the statements of yale02.lp to yale05.lp.
+    for n in range(2, 6):
+        assert print_program(gen_yale(n)) == print_program(parse_text(yale_source(f"yale0{n}")))
+    assert sum(1 for _ in solve(gen_yale(5))) == 131
+    assert sum(1 for _ in solve(gen_yale(5), "k15")) == 211
+    with pytest.raises(ValueError, match="at least one step"):
+        gen_yale(0)
 
 
 def test_bench_writes_csv_rows(tmp_path):

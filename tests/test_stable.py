@@ -1,6 +1,7 @@
 """Answer-set engine: enumeration, consequences, projections."""
 
 import inspect
+import itertools
 import random
 import sys
 from collections import Counter
@@ -12,7 +13,7 @@ from corpus import random_epistemic_program, random_ground_rules
 from pruning import projected_answer_sets, projected_components, reference_guesses
 from epiworld import stable
 from epiworld.cli import YALE_INSTANCES, yale_source
-from epiworld.epistemic import _ground, solve
+from epiworld.epistemic import _ground, apply_valuation, solve
 from epiworld.grounder import GroundProgram, ground_program
 from epiworld.stable import (
     Engine,
@@ -23,7 +24,7 @@ from epiworld.stable import (
     _tight,
     _watch,
 )
-from epiworld.syntax import Atom, AuxAtom, Rule, parse_text, print_atom
+from epiworld.syntax import Atom, AuxAtom, Rule, SubjLiteral, parse_text, print_atom
 
 
 def ground(source):
@@ -356,12 +357,48 @@ def test_a_one_supporter_atom_whose_rule_needs_an_atom_both_ways_conflicts_when_
     watch = _watch([rule], {B: [rule]}, B | W)
     assert watch[B] == [W, W, [], []]
     assert _propagate([rule], {B: [rule]}, B | W, B, 0, watch, B) is None
+    # So b true is a failed literal, and a part's root sets b false.
+    part = stable._Part([(B | W, W, 0, 0)], [], False)
+    assert part.failed == 1 and part.root == (0, B)
 
 
-@pytest.mark.parametrize("semantics, calls", [("g91", 923), ("k15", 19510)])
+def test_a_body_that_can_never_hold_supports_nothing():
+    # `b :- x, not x.` and `b :- not x, not not x.` fail under every
+    # assignment, so neither is filed as a supporter of b, and their
+    # clauses always hold.  `b :- x, not not x.` can hold and supports b.
+    for rule in ((B, X, X, 0), (B, 0, X, X)):
+        [(p_mask, n_mask)], supports = _clauses([rule], B | X)
+        assert p_mask & n_mask and supports == {B: [], X: []}
+    assert _clauses([(B, X, 0, X)], B | X)[1] == {B: [(B, X)], X: []}
+    # So b and c have no supporter, and the root sets them false.
+    eng = Engine(ground("{a}. b :- a, not a. c :- not a, not not a."))
+    [part] = eng.parts
+    b, c = (1 << eng.index[Atom(n)] for n in "bc")
+    assert part.root == (0, b | c) and part.failed == 0
+
+
+def test_the_k15aux_atom_of_a_planning_step_is_a_failed_literal():
+    # Under k15, `:- occ, not &k{occ}.` becomes `:- occ, k15aux.` with
+    # `k15aux :- not &k{occ}, occ.` and the dead `k15aux :- not occ, occ.`.
+    # k15aux's one live rule makes it imply occ, and the constraint makes
+    # it imply not occ, so it is false at the root, though unit
+    # propagation alone leaves it open.
+    eng = Engine(_ground(parse_text("{occ}. :- occ, not &k{occ}."), "k15"))
+    [part] = eng.parts
+    [aux] = [1 << i for i, atom in enumerate(eng.atom_of) if isinstance(atom, AuxAtom)]
+    assert _propagate(part.clauses, part.supports, part.scope, 0, 0) == (0, 0)
+    assert part.root == (0, aux) and part.failed == 1
+    assert [known for known, _ in part.guesses()] == [0, sum(eng.kbit.values())]
+
+
+@pytest.mark.parametrize("semantics, calls", [("g91", 923), ("k15", 781)])
 def test_yale05_makes_as_many_propagations_as_ever(monkeypatch, semantics, calls):
     # The layout changes how a state is closed, not which states are
     # reached: the search tree, and so the count, stay as they were.
+    # Under k15, each part's root fixes its failed literals, the `k15aux`
+    # atom of every step's constraint, so no check search rediscovers
+    # that conflict below each fluent it branches on (19,510 calls
+    # before).
     count = [0]
 
     def counted(*args):
@@ -491,7 +528,8 @@ def test_parts_ascend_by_their_lowest_atom_with_the_atom_free_part_first():
 
 def root_models(clauses, supports, scope, keep=None, project=None) -> list[int]:
     """The masks `_models` yields from the root closure of `clauses`,
-    with their watch lists, as a part starts its searches."""
+    with their watch lists, as a part starts its searches before it
+    fixes its failed literals."""
     root = _propagate(clauses, supports, scope, 0, 0)
     if root is None:
         return []
@@ -662,9 +700,10 @@ def test_watched_search_matches_full_scans_at_every_node(monkeypatch):
 
 
 def test_one_bit_set_either_way_closes_as_a_full_scan_does():
-    # From each part's root closure, every open bit set to each of its
-    # values is propagated from the lists of that value alone and must
-    # close the state as a scan of every clause and atom does.
+    # From each part's root closure, the state its layout was built for,
+    # before the failed literals are fixed, every open bit set to each
+    # of its values is propagated from the lists of that value alone and
+    # must close the state as a scan of every clause and atom does.
     rng = random.Random(2001)
     engines = [Engine(GroundProgram(tuple(random_ground_rules(
         rng, max_atoms=rng.choice((3, 5, 6)), max_rules=rng.choice((4, 8, 12))))))
@@ -675,9 +714,10 @@ def test_one_bit_set_either_way_closes_as_a_full_scan_does():
     events = conflicts = 0
     for eng in engines:
         for part in eng.parts:
-            if part.root is None:
+            root = _propagate(part.clauses, part.supports, part.scope, 0, 0)
+            if root is None:
                 continue
-            true_m, false_m = part.root
+            true_m, false_m = root
             rest = part.scope & ~(true_m | false_m)
             while rest:
                 b = rest & -rest
@@ -736,6 +776,57 @@ def test_the_projected_guess_matches_the_reference_loop():
             assert list(part.guesses()) == list(reference_guesses(part))
     # Parts with assumption bits, tight and not.
     assert tight[True, True] > 100 and tight[False, True] > 100
+
+
+def _rule_bits(eng, rule) -> int:
+    """The bits of the atoms that tie a `Rule` into its part: its head
+    and body atoms and the inner atom of each subjective literal."""
+    atoms = [*rule.head]
+    for lit in rule.body:
+        atoms.append(lit.katom.inner.atom if isinstance(lit, SubjLiteral) else lit.atom)
+    return sum({1 << eng.index[atom] for atom in atoms})
+
+
+def test_a_root_with_failed_literals_holds_in_every_answer_set():
+    # A part's root fixes the failed literals of its layout, the values
+    # that imply some bit both ways, and closes once more.  Every bit of
+    # that root has its value in every answer set of the part's rules,
+    # by the subset walk of tests/brute.py, under every valuation: tight
+    # or not, under g91 and k15.  Its guess bit false means no answer set
+    # meets the valuation's consistency constraints, and a conflict that
+    # there is no answer set.  No value is filed as implying its own bit.
+    rng = random.Random(2503)
+    programs = [(GroundProgram(tuple(random_ground_rules(rng, max_atoms=4, max_rules=8))),
+                 "plain") for _ in range(500)]
+    for _ in range(1000):
+        program = random_epistemic_program(rng, max_atoms=5, max_rules=8)
+        programs += [(_ground(program, "g91"), "g91"), (_ground(program, "k15"), "k15")]
+    seen = Counter()
+    for ground_, semantics in programs:
+        eng = Engine(ground_)
+        for part in eng.parts:
+            assert not any(entry[v > 0] & abs(v) for v, entry in part.watch.items())
+            assert part.failed == len({abs(v) for v, entry in part.watch.items()
+                                       if entry[0] & entry[1]})
+            if not part.failed:
+                continue
+            seen[semantics, part.tight] += 1
+            true_m, false_m = part.root or (0, 0)
+            seen["conflict"] += part.root is None
+            seen["guess"] += bool(false_m & part.guess)
+            rules = GroundProgram(tuple(r for r in ground_.rules if _rule_bits(eng, r) & part.atoms))
+            for values in itertools.product((False, True), repeat=len(eng.kbit)):
+                valuation = dict(zip(eng.kbit, values))
+                known = eng.known_mask(valuation) & part.assume
+                for m in brute_answer_sets(apply_valuation(rules, valuation).rules):
+                    bits = known | sum(1 << eng.index[atom] for atom in m)
+                    assert part.root is not None
+                    assert not (true_m & ~bits or false_m & ~part.guess & bits)
+                    assert not false_m & part.guess or not all(
+                        bool(b & bits) != tilde for g, b, tilde in part.katoms if g & known)
+    assert all(seen[semantics, tight] > 10 for semantics in ("plain", "g91", "k15")
+               for tight in (False, True))
+    assert seen["conflict"] and seen["guess"], seen
 
 
 def test_both_paths_agree_on_a_large_random_corpus():
