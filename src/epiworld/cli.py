@@ -83,23 +83,26 @@ def apply_show(wv: WorldView, shows) -> list[str]:
 def run(config: RunConfig, out=None) -> int:
     """Print the world views of `config.files` to `out`.  With
     `config.stats`, the solve's counts follow the verdict on stderr, one
-    `name: count` line each, the rejections by reason in the order the
-    check meets them, then the ground program's size, the number of
-    failed literals the parts' roots fix, and the times of grounding,
-    of the engine build, of the guesses and of the checks, in seconds."""
+    `name: count` line each: the parts, their distinct shapes and the
+    non-tight ones, the candidates, the accepted ones and the rejections
+    by reason in the order the check meets them, then the ground
+    program's size, the number of failed literals the parts' roots fix,
+    and the times of parsing, of grounding, of the engine build, of the
+    guesses and of the checks, in seconds."""
     out = sys.stdout if out is None else out
     if config.stats and config.mode == "oracle":
         print("error: --stats needs --mode solve: the oracle keeps no counts", file=sys.stderr)
         return INPUT_ERROR
     out.write(BANNER + "\n")
+    began = time.perf_counter()
     try:
         program = load_program(config.files)
     except (OSError, UnicodeDecodeError, SourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    stats = SolveStats(parse_s=time.perf_counter() - began)
     out.write("Solving...\n")
     count = 0
-    stats = SolveStats()
     try:
         if config.mode == "oracle":
             views = oracle_world_views(program, config.semantics)
@@ -115,12 +118,13 @@ def run(config: RunConfig, out=None) -> int:
     out.write("SATISFIABLE\n" if count else "UNSATISFIABLE\n")
     if config.stats:
         out.flush()  # so the counts follow the verdict when both streams share a file
-        print(f"Parts: {stats.parts}\nCandidates: {stats.candidates}\n"
+        print(f"Parts: {stats.parts}\nPart shapes: {stats.shapes}\n"
+              f"Non-tight parts: {stats.nontight_parts}\nCandidates: {stats.candidates}\n"
               f"Accepted: {stats.accepted}", file=sys.stderr)
         for reason in REJECTIONS:
             print(f"Rejected, {reason}: {stats.rejections[reason]}", file=sys.stderr)
         print(f"Ground rules: {stats.ground_rules}\nAtoms: {stats.atoms}\n"
-              f"Failed literals: {stats.failed_literals}\n"
+              f"Failed literals: {stats.failed_literals}\nParse: {stats.parse_s:.4f} s\n"
               f"Grounding: {stats.ground_s:.4f} s\nEngine build: {stats.engine_s:.4f} s\n"
               f"Guess: {stats.guess_s:.4f} s\nCheck: {stats.check_s:.4f} s", file=sys.stderr)
     return SATISFIABLE if count else UNSATISFIABLE

@@ -24,6 +24,7 @@ the weakened complement (not known, or not derivable).
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import Counter
 from collections.abc import Iterator
@@ -76,8 +77,12 @@ class WorldView:
 @dataclass
 class SolveStats:
     """Counts of one `solve` call.  `parts` is the number of independent
-    parts of the ground program; `candidates` and `accepted` count the
-    guessed valuations of single parts, checked and confirmed.
+    parts of the ground program, `shapes` the number of distinct
+    `_Part`s they share (parts equal over their own bits share one), and
+    `nontight_parts` the number of parts that are not tight, whose
+    searches run the minimality test.  `candidates` and `accepted` count
+    the guessed valuations of single parts, checked and confirmed, for
+    every part, though the parts of one shape guess and check once.
     `rejections` counts the others by the first reason the check of
     their part meets (`_Part.verdict`): "no answer set", "known atom
     not cautious", "unknown atom cautious" or "~-form brave failure".
@@ -87,15 +92,19 @@ class SolveStats:
     seconds, of grounding (the semantics' source transform included)
     and of building the `Engine`.  `guess_s` and `check_s` add up the
     wall times of the steps of the parts' guesses (`_Part.guesses`) and
-    of their checks (`_Part.verdict`).  The times vary from run to run,
-    so equality ignores them."""
+    of their checks (`_Part.verdict`).  `parse_s` is left to the caller,
+    which parses the program before `solve` sees it.  The times vary
+    from run to run, so equality ignores them."""
     parts: int = 0
+    shapes: int = 0
+    nontight_parts: int = 0
     candidates: int = 0
     accepted: int = 0
     rejections: Counter[str] = field(default_factory=Counter)
     ground_rules: int = 0
     atoms: int = 0
     failed_literals: int = 0
+    parse_s: float = field(default=0.0, compare=False)
     ground_s: float = field(default=0.0, compare=False)
     engine_s: float = field(default=0.0, compare=False)
     guess_s: float = field(default=0.0, compare=False)
@@ -322,12 +331,16 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     in ascending order of the known mask, each with one of its answer
     sets.  The consequence check (`_Part.verdict`) confirms each against
     the part's own rules only, taking that answer set as its first.
-    Both count, and are timed, into `stats`.  No candidate is checked
-    unless every part has one.  The world views are the lazy product of
-    the parts' confirmed masks, parts in `Engine` part order and the
-    last part varying fastest, so a program of one part lists its views
-    in the oracle's order.  Each view is built from the sum of its masks when it is
-    yielded, and computes its answer sets only when asked.
+    Both are timed into `stats`.  Parts that share one `_Part` (equal
+    over their own bits) share one stream of candidates and verdicts,
+    each guessed and checked once, and every part counts the candidates
+    it reads into `stats`.  No candidate is checked unless every part
+    has one.  The world views are the lazy product of the parts'
+    confirmed masks, each mapped once to the engine's `kbit`s, parts in
+    `Engine` part order and the last part varying fastest, so a program
+    of one part lists its views in the oracle's order.  Each view is
+    built from the sum of its masks when it is yielded, and computes
+    its answer sets only when asked.
     Stop the generator early (say with `itertools.islice`) to skip the
     remaining candidates.
 
@@ -347,37 +360,50 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     stats.engine_s = time.perf_counter() - built
     stats.ground_rules = len(ground.numbered)
     stats.atoms = tester.width
+    shapes = Counter(tester.parts)  # each `_Part` and the number of parts it serves
     stats.parts = len(tester.parts)
+    stats.shapes = len(shapes)
+    stats.nontight_parts = sum(not part.tight for part in tester.parts)
     stats.failed_literals = sum(part.failed for part in tester.parts)
     del ground  # not kept alive while the views are searched: the engine holds all they need
 
-    def guess(j: int) -> tuple[int, int] | None:
+    def guess(guesses) -> tuple[int, int] | None:
         began = time.perf_counter()
-        found = next(guesses[j], None)
+        found = next(guesses, None)
         stats.guess_s += time.perf_counter() - began
         return found
 
-    # Without a guess in every part there is no view: find them first.
-    guesses = [part.guesses() for part in tester.parts]
-    firsts = [guess(j) for j in range(len(guesses))]
-    if None in firsts:
+    # Without a guess in every part there is no view: find them first,
+    # once for each shape.
+    firsts = {}
+    for part in shapes:
+        guesses = part.guesses()
+        firsts[part] = guesses, guess(guesses)
+    if any(found is None for _, found in firsts.values()):
         return
 
-    def part_views(j: int):
-        part = tester.parts[j]
-        found = firsts[j]
+    def verdicts(part, guesses, found):
         while found is not None:
             known, witness = found
-            stats.candidates += 1
             began = time.perf_counter()
             reason = part.verdict(known, witness)
             stats.check_s += time.perf_counter() - began
+            yield known, reason
+            found = guess(guesses)
+
+    # The parts of one shape read copies of one stream of its candidates
+    # and their verdicts, each found once.
+    streams = {part: iter(itertools.tee(verdicts(part, *first), shapes[part]))
+               for part, first in firsts.items()}
+
+    def part_views(j: int):
+        for known, reason in next(streams[tester.parts[j]]):
+            stats.candidates += 1
             if reason is None:
                 stats.accepted += 1
-                yield known
+                yield tester.to_global(j, known)
             else:
                 stats.rejections[reason] += 1
-            found = guess(j)
 
     # Parts share no subjective atom, so their known masks add up.
     for masks in _product([part_views(j) for j in range(stats.parts)]):

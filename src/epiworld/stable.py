@@ -3,15 +3,18 @@
 `Engine` indexes a ground program once.  Interpretations are bitmasks
 over its atom universe sorted by printed form, and results come back in
 ascending bitmask order.  Each subjective atom has one more bit, above
-the atoms, and a rule's subjective literals are literals over these
-bits, so one index serves every valuation, the mask of its known bits.
-One union-find over atom bits (`_group`) splits the program into
+the atoms, so a valuation is the mask of its known bits.  One
+union-find over atom numbers (`_group`) splits the program into
 independent parts, which share no atom under any valuation; in a
 program without subjective literals they are its connected components.
-Each part has one index, a `_Part`, which answers every query on it:
-`models` lists its answer sets, `guesses` its candidate valuations,
-`consequences` its cautious and brave consequences, and `verdict`
-decides whether a valuation is reproduced by its answer sets.  Only
+Each part has bits of its own, its atoms and then its subjective atoms,
+each in the engine's order, and one index over them, a `_Part`; parts
+equal over their own bits share one.  A rule's subjective literals are
+literals over the part's bits, so the index serves every valuation and
+answers every query on the part: `models` lists its answer sets,
+`guesses` its candidate valuations, `consequences` its cautious and
+brave consequences, and `verdict` decides whether a valuation is
+reproduced by its answer sets.  Only
 `models` lists them, as eclingo guesses by projection and checks with
 assumptions on a tester grounded once (arXiv 2008.02018).  The last two
 refine one answer set at a time, as clasp's cautious and brave modes do
@@ -36,11 +39,12 @@ positive bodies, its supported models are its answer sets (Fages,
 "Consistency of Clark's completion and existence of stable models",
 1994; Lee, Lifschitz, "Loop formulas for disjunctive logic programs",
 ICLP 2003), and every one is kept, as clasp runs no unfounded-set check
-on a tight program.  `Engine` decides tightness
-once, and any subset of a tight program's rules is tight, so the one
-flag serves every part and valuation.  Otherwise a model is kept if the
-minimality test, the same loop on the reduct's clauses stopped at the
-first model, finds no smaller model.
+on a tight program.  Each `_Part` decides its own tightness once, and
+any subset of a tight part's rules is tight, so its flag serves every
+valuation, and a tight part runs no minimality test even next to a part
+that is not tight.  Otherwise a model is kept if the minimality test,
+the same loop on the reduct's clauses stopped at the first model, finds
+no smaller model.
 Propagation scans every clause and atom only at the two roots that
 start empty, a part's root closure and a minimality test's root.  Below
 them it reads a layout with an entry for each value of each bit
@@ -75,6 +79,7 @@ becomes the constraint `:- a, -a.`
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from functools import cached_property
 
@@ -363,15 +368,16 @@ def _minimal(m: int, rules: list[tuple[int, int, int, int]], assumed: int = 0) -
     return next(_models(clauses, {}, m, (*state, 0), _watch(clauses, {}, m, state)), None) is None
 
 
-def _group(items, nodes: list[tuple[int, ...]], width: int):
-    """Group `items` whose nodes meet, transitively, by union-find.
+def _group(nodes: list[list[int]], order: list[int]):
+    """Group the items whose nodes meet, transitively, by union-find.
 
-    The i-th item has the nodes nodes[i], ints below `width`.  Returns
-    the groups in ascending order of their lowest node, the items
-    without nodes first as a group of their own, and the function that
-    maps a node of an item to the index of its group.
+    The i-th item has the nodes nodes[i], ints below len(order), and
+    node `order[r]` has the rank r.  Returns the groups of item indices
+    in ascending order of their lowest rank, the items without nodes
+    first as a group of their own, and the ranks of the nodes of each
+    group in ascending order.
     """
-    parent = list(range(width))
+    parent = list(range(len(order)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -386,14 +392,15 @@ def _group(items, nodes: list[tuple[int, ...]], width: int):
                 other = find(i)
                 if other != root:
                     parent[other] = root
-    groups: dict[int, list] = {}
-    for item, ns in zip(items, nodes):
+    groups: dict[int, list[int]] = {}
+    for item, ns in enumerate(nodes):
         groups.setdefault(find(ns[0]) if ns else -1, []).append(item)
-    number: dict[int, int] = {}
-    for root in (-1, *map(find, range(width))):
-        if root in groups and root not in number:
-            number[root] = len(number)
-    return [groups[root] for root in number], lambda i: number[find(i)]
+    members: dict[int, list[int]] = {-1: []} if -1 in groups else {}
+    for r, n in enumerate(order):
+        root = find(n)
+        if root in groups:
+            members.setdefault(root, []).append(r)
+    return [groups[root] for root in members], list(members.values())
 
 
 def _clauses(rules: list[tuple[int, int, int, int]], atoms: int):
@@ -471,11 +478,14 @@ REJECTIONS = (NO_ANSWER_SET, KNOWN_NOT_CAUTIOUS, UNKNOWN_CAUTIOUS, BRAVE_FAILURE
 class _Part:
     """The index of one independent part, prepared for every valuation.
 
-    The rules are masks (head, pos, neg, negneg) as `Engine` builds
-    them, in which a subjective atom's bit, its assumption bit, is a
-    `not not` literal for `&k{l}` and a `not` literal for `not &k{l}`.
-    `katoms` holds (assumption bit, bit of the inner atom, whether the
-    inner literal is `~a`) for each subjective atom of the part.  A
+    The rules are masks (head, pos, neg, negneg) over the part's own
+    bits, as `Engine` builds them, in which a subjective atom's bit, its
+    assumption bit, is a `not not` literal for `&k{l}` and a `not`
+    literal for `not &k{l}`.  `katoms` holds (assumption bit, bit of the
+    inner atom, whether the inner literal is `~a`) for each subjective
+    atom of the part.  Every query takes and returns masks over these
+    bits; parts whose rules and `katoms` are equal over their own bits
+    share one `_Part`.  A
     valuation, a mask of known assumption bits, fixes every assumption
     bit, which keeps exactly the rules whose guard it satisfies.
     Assumption bits need no support, so they are no keys of `supports`,
@@ -489,15 +499,15 @@ class _Part:
     A value whose implications in the layout set some bit both ways is a
     failed literal: the root then takes the other value of each such bit
     (`failed` counts them) and is closed once more through the layout.
-    With `tight`, the rules must be tight, and every model a search
-    finds is an answer set.
+    `tight` tells whether the rules are tight (`_tight`): then every
+    model a search finds is an answer set, and no search runs the
+    minimality test.
     """
 
     def __init__(self, rules: list[tuple[int, int, int, int]],
-                 katoms: list[tuple[int, int, bool]], tight: bool):
+                 katoms: list[tuple[int, int, bool]]):
         self.rules = rules
         self.katoms = katoms
-        self.tight = tight
         used = assume = 0
         for head, pos, neg, negneg in rules:
             used |= head | pos | neg | negneg
@@ -506,6 +516,7 @@ class _Part:
             used |= b  # the inner atom, which may occur only inside `&k{}`
         self.atoms = used & ~assume
         self.assume = assume
+        self.tight = _tight(rules, self.atoms.bit_length())
         self.guess = guess = 1 << (used | assume).bit_length()
         self.scope = used | assume | guess
         self.clauses, self.supports = _clauses(rules, self.atoms)
@@ -651,17 +662,16 @@ class Engine:
 
     The index is built from the program's atom table and numbered rules
     alone, never from its `Rule`s: the atom table is sorted once by printed
-    form, and each atom number maps to its bit through a list, so no
-    atom is hashed per occurrence.  Atom i has bit `1 << i`, for i below
-    `width`, and each subjective atom k the bit `kbit[k]` above them, in
-    the order of their printed forms, so the bits do not depend on how
-    the atoms were numbered.  A rule is stored as masks (head, pos, neg,
-    negneg), with `&k{l}` as a `not not` literal over its bit and
-    `not &k{l}` as a `not` literal.  A valuation is the mask of its
-    known bits, and it keeps the rules whose subjective literals it
-    satisfies, which are the rules `apply_valuation` keeps, so one index
-    serves every candidate.  The inner atom of every subjective atom has a bit, even
-    if no rule mentions it outside `&k{}`.
+    form, and each atom number maps to its bits through lists, so no
+    atom is hashed per occurrence.  Atom i has the bit `1 << i` of the
+    engine, for i below `width`, and each subjective atom k the bit
+    `kbit[k]` above them, in the order of their printed forms, so the
+    bits do not depend on how the atoms were numbered.  A valuation is
+    the mask of its known `kbit`s, and it keeps the rules whose
+    subjective literals it satisfies, which are the rules
+    `apply_valuation` keeps, so one index serves every candidate.  The
+    inner atom of every subjective atom has a bit, even if no rule
+    mentions it outside `&k{}`.
 
     The index splits the program once into independent parts, groups
     of rules that share no atom and no subjective atom whatever the
@@ -670,11 +680,18 @@ class Engine:
     lies in the part of the atom of l.  `parts` holds one `_Part` per
     part, in ascending order of its lowest atom bit; rules without atoms
     or subjective literals (`:- .`) form one part of their own, which
-    comes first.  Every query goes to the parts: `answer_sets` lists the
-    answer sets and `consequences` gives the cautious and brave
-    consequences, and `solve` guesses and checks each part on its own.
-    `tight` tells whether the program is tight (`_tight`): then no
-    search of the engine runs the minimality test.
+    comes first.  Each part has its own bits: its atoms, then its
+    subjective atoms, in the engine's order, so its searches branch and
+    its models come in the order they would over the engine's bits.
+    Each rule is built once, straight over them, as masks (head, pos,
+    neg, negneg), with `&k{l}` as a `not not` literal over its bit and
+    `not &k{l}` as a `not` literal.  Parts whose rules, in any order,
+    and subjective atoms are equal over their own bits share one
+    `_Part`, as model counters cache equal components (Sang, Bacchus,
+    Beame, Kautz, Pitassi, SAT 2004); `to_global` and `to_local` map
+    masks between a part's bits and the engine's.  `answer_sets` and
+    `consequences` ask every part, and `solve` guesses and checks each
+    part on its own.  `tight` tells whether every part is tight.
     """
 
     def __init__(self, program: GroundProgram):
@@ -687,53 +704,96 @@ class Engine:
                        key=lambda n: (print_atom(atoms[n]), isinstance(atoms[n], AuxAtom)))
         self.atom_of = [atoms[n] for n in order]
         self.width = width = len(order)
-        bit = [0] * width  # the bit index of each atom number
-        for i, n in enumerate(order):
-            bit[n] = i
         korder = sorted(range(len(katoms)), key=lambda n: print_subjective(katoms[n]))
-        kmask = [0] * len(korder)  # the bit of each subjective atom number
-        for i, n in enumerate(korder):
-            kmask[n] = 1 << (width + i)
-        self.kbit = {katoms[n]: kmask[n] for n in korder}
+        self.kbit = {katoms[n]: 1 << (width + i) for i, n in enumerate(korder)}
 
-        rules: list[tuple[int, int, int, int]] = []
-        # The nodes that tie each rule into its part: its atoms and the
-        # inner atom of each of its subjective atoms.
-        ties: list[list[int]] = []
-        for head, body, choice in program.numbered:
-            nodes = [bit[n] for n in head]
-            h = 0
-            for i in nodes:
-                h |= 1 << i
-            masks = [0, 0, h if choice else 0]  # pos, neg, negneg; {a}. is a :- not not a.
-            for kind, n in body:
-                if kind < NOT_K:
-                    i = bit[n]
-                    masks[kind] |= 1 << i
-                else:  # `not &k{l}` is a `not` literal over its bit, `&k{l}` a `not not` one
-                    i = bit[inner[n]]
-                    masks[1 if kind == NOT_K else 2] |= kmask[n]
-                nodes.append(i)
-            rules.append((h, *masks))
-            ties.append(nodes)
+        rules = list(program.numbered)
         # a and -a never hold together: `:- a, -a.`
-        for i, a in enumerate(self.atom_of):
+        for n in order:
+            a = atoms[n]
             if a.strong_neg:
                 twin = program.number.get(Atom(a.name, a.args, False))
                 if twin is not None:
-                    rules.append((0, (1 << i) | (1 << bit[twin]), 0, 0))
-                    ties.append([i, bit[twin]])
+                    rules.append(((), ((0, n), (0, twin)), False))
+        # The atom numbers that tie each rule into its part: its atoms
+        # and the inner atom of each of its subjective atoms.
+        groups, members = _group([[*head, *[n if kind < NOT_K else inner[n] for kind, n in body]]
+                                  for head, body, _ in rules], order)
+        # The bit index of each atom number and subjective atom number in
+        # its part.  Indices, not masks: a wide part would hold a big int
+        # per atom.
+        local = [0] * width
+        part_of = [0] * width
+        for j, ns in enumerate(members):
+            for i, r in enumerate(ns):
+                local[order[r]] = i
+                part_of[order[r]] = j
+        klocal = [0] * len(korder)
+        kplace = [0] * len(korder)  # the engine's bit index of each subjective atom number
+        part_katoms: list[list[int]] = [[] for _ in groups]
+        for i, n in enumerate(korder, width):
+            j = part_of[inner[n]]
+            klocal[n] = len(members[j]) + len(part_katoms[j])
+            kplace[n] = i
+            part_katoms[j].append(n)
 
-        # Every subset of a tight program's rules is tight, so one flag
-        # serves every part and valuation.
-        self.tight = _tight(rules, width)
+        # Only parts of equal sizes can be equal: the others skip the key.
+        sizes = Counter(zip(map(len, groups), map(len, members), map(len, part_katoms)))
+        shapes: dict[tuple, _Part] = {}
+        self.parts: list[_Part] = []
+        # The engine's bit of each bit of a part; None where they are equal.
+        self.places: list[list[int] | None] = []
+        for group, ns, ks in zip(groups, members, part_katoms):
+            masks_of = []
+            for r in group:
+                head, body, choice = rules[r]
+                h = 0
+                for n in head:
+                    h |= 1 << local[n]
+                masks = [0, 0, h if choice else 0]  # pos, neg, negneg; {a}. is a :- not not a.
+                for kind, n in body:
+                    if kind < NOT_K:
+                        masks[kind] |= 1 << local[n]
+                    else:  # `not &k{l}` is a `not` literal over its bit, `&k{l}` a `not not` one
+                        masks[1 if kind == NOT_K else 2] |= 1 << klocal[n]
+                masks_of.append((h, *masks))
+            ks_of = [(1 << klocal[n], 1 << local[inner[n]], katoms[n].inner.negs == 1) for n in ks]
+            if sizes[len(group), len(ns), len(ks)] > 1:
+                key = (tuple(sorted(masks_of)), tuple(ks_of))
+                part = shapes.get(key)
+                if part is None:
+                    part = shapes[key] = _Part(masks_of, ks_of)
+            else:
+                part = _Part(masks_of, ks_of)
+            self.parts.append(part)
+            places = ns + [kplace[n] for n in ks]
+            self.places.append(None if places[-1:] in ([], [len(places) - 1]) else places)
+        self.tight = all(part.tight for part in self.parts)
 
-        groups, part_of = _group(rules, ties, width)
-        part_katoms: list[list[tuple[int, int, bool]]] = [[] for _ in groups]
-        for n in korder:
-            i = bit[inner[n]]
-            part_katoms[part_of(i)].append((kmask[n], 1 << i, katoms[n].inner.negs == 1))
-        self.parts = [_Part(group, ks, self.tight) for group, ks in zip(groups, part_katoms)]
+    def to_global(self, j: int, m: int) -> int:
+        """The mask `m` over the bits of part j as a mask over the
+        engine's bits (the part's guess bit has none)."""
+        places = self.places[j]
+        if places is None:
+            return m
+        out = 0
+        while m:
+            b = m & -m
+            out |= 1 << places[b.bit_length() - 1]
+            m ^= b
+        return out
+
+    def to_local(self, j: int, m: int) -> int:
+        """The mask `m` over the engine's bits as a mask over the bits
+        of part j, less the bits of other parts."""
+        places = self.places[j]
+        if places is None:
+            return m & (self.parts[j].guess - 1)
+        out = 0
+        for i, g in enumerate(places):
+            if m >> g & 1:
+                out |= 1 << i
+        return out
 
     @cached_property
     def index(self) -> dict[Atom, int]:
@@ -765,8 +825,8 @@ class Engine:
         set of each part."""
         known = self._known(known)
         masks = [0]
-        for part in self.parts:
-            found = part.models(known)
+        for j, part in enumerate(self.parts):
+            found = [self.to_global(j, m) for m in part.models(self.to_local(j, known))]
             if not found:
                 return []
             masks = [m | c for m in masks for c in found]
@@ -780,12 +840,12 @@ class Engine:
         consequences add up."""
         known = self._known(known)
         cautious = brave = 0
-        for part in self.parts:
-            found = part.consequences(known)
+        for j, part in enumerate(self.parts):
+            found = part.consequences(self.to_local(j, known))
             if found is None:
                 return None
-            cautious |= found[0]
-            brave |= found[1]
+            cautious |= self.to_global(j, found[0])
+            brave |= self.to_global(j, found[1])
         return cautious, brave
 
     def to_interpretation(self, m: int) -> frozenset[Atom]:

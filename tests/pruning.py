@@ -28,7 +28,7 @@ def projected_components(program, onto) -> list[list[frozenset]] | None:
     subjective literals is a connected component, in the order of
     `Engine.parts`; None when there is no answer set."""
     eng = Engine(program)
-    parts = [part.models(0) for part in eng.parts]
+    parts = [[eng.to_global(j, m) for m in part.models(0)] for j, part in enumerate(eng.parts)]
     if [] in parts:
         return None
     onto_mask = 0
@@ -53,7 +53,8 @@ def _accepts(tester, mapping, candidate) -> bool:
     subjective atoms whose auxiliary atoms it holds are known, and
     every independent part accepts its share."""
     known = tester.known_mask({k: mapping[k] in candidate for k in mapping})
-    return all(part.verdict(known) is None for part in tester.parts)
+    return all(part.verdict(tester.to_local(j, known)) is None
+               for j, part in enumerate(tester.parts))
 
 
 def pruning_outcomes(program) -> dict[str, tuple[set, set]]:

@@ -287,21 +287,23 @@ def test_stats_go_to_stderr_after_the_verdict_and_leave_stdout_alone(tmp_path, c
     assert counted.out == plain.out and plain.err == ""
     assert counted.out.count("Answer:") == 131
     lines = counted.err.splitlines()
-    assert lines[:10] == [
-        "Parts: 1", "Candidates: 211", "Accepted: 131",
+    assert lines[:12] == [
+        "Parts: 1", "Part shapes: 1", "Non-tight parts: 0", "Candidates: 211", "Accepted: 131",
         "Rejected, no answer set: 0", "Rejected, known atom not cautious: 80",
         "Rejected, unknown atom cautious: 0", "Rejected, ~-form brave failure: 0",
         "Ground rules: 73", "Atoms: 39", "Failed literals: 0",
     ]
-    assert [line.split(": ")[0] for line in lines[10:]] == \
-        ["Grounding", "Engine build", "Guess", "Check"]
-    assert all(re.fullmatch(r"\d+\.\d{4} s", line.split(": ")[1]) for line in lines[10:])
+    assert [line.split(": ")[0] for line in lines[12:]] == \
+        ["Parse", "Grounding", "Engine build", "Guess", "Check"]
+    assert all(re.fullmatch(r"\d+\.\d{4} s", line.split(": ")[1]) for line in lines[12:])
     # Under k15, the `k15aux` atom of each of the 5 steps' 3 action
     # constraints is a failed literal.
     assert main(["--stats", "--semantics", "k15", str(path)]) == SATISFIABLE
     lines = capsys.readouterr().err.splitlines()
-    assert lines[1:3] == ["Candidates: 211", "Accepted: 211"]
-    assert lines[7:10] == ["Ground rules: 105", "Atoms: 55", "Failed literals: 15"]
+    assert lines[:5] == ["Parts: 1", "Part shapes: 1", "Non-tight parts: 0",
+                         "Candidates: 211", "Accepted: 211"]
+    assert lines[9:12] == ["Ground rules: 105", "Atoms: 55", "Failed literals: 15"]
+    assert re.fullmatch(r"Parse: \d+\.\d{4} s", lines[12])
 
 
 def test_stats_with_the_oracle_are_refused(tmp_path, capsys):

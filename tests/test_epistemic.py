@@ -210,7 +210,8 @@ def test_guess_candidates_cover_all_valuations():
 def check_candidate(tester, known):
     """The view of the valuation `known`, a mask over `tester.kbit`, if
     every independent part of the tester accepts it, else None."""
-    if any(part.verdict(known) is not None for part in tester.parts):
+    if any(part.verdict(tester.to_local(j, known)) is not None
+           for j, part in enumerate(tester.parts)):
         return None
     return WorldView({k: bool(known & bit) for k, bit in tester.kbit.items()}, tester)
 
@@ -220,10 +221,10 @@ def test_check_candidate_two_cycle_accepts_exactly_two():
     kq, kp = katom("q"), katom("p")
     q, p = g.kbit[kq], g.kbit[kp]
     [part] = g.parts
-    assert part.verdict(q | p) is not None
+    assert part.verdict(g.to_local(0, q | p)) is not None
     assert part.verdict(0) is not None
-    assert part.verdict(p) is None
-    assert part.verdict(q) is None
+    assert part.verdict(g.to_local(0, p)) is None
+    assert part.verdict(g.to_local(0, q)) is None
     wv = check_candidate(g, p)
     assert wv is not None and view_models([wv]) == [[["p"]]]
     assert wv.valuation == {kq: False, kp: True}
@@ -234,7 +235,7 @@ def test_check_candidate_two_cycle_accepts_exactly_two():
 def test_check_candidate_tilde_uses_brave_consequences():
     g = Engine(ground_program(parse_text("d :- not &k{~e}.")))
     [part] = g.parts
-    assert part.verdict(g.kbit[katom("e", negs=1)]) is None
+    assert part.verdict(g.to_local(0, g.kbit[katom("e", negs=1)])) is None
     assert part.verdict(0) == "~-form brave failure"
     wv = check_candidate(g, g.kbit[katom("e", negs=1)])
     assert wv is not None and view_models([wv]) == [[[]]]
@@ -244,7 +245,7 @@ def test_check_candidate_rejects_when_no_answer_sets_remain():
     # The constraint forces the assumption of &k{p} at the root.
     g = Engine(ground_program(parse_text(":- not &k{p}.")))
     [part] = g.parts
-    assert part.verdict(g.kbit[katom("p")]) == "known atom not cautious"
+    assert part.verdict(g.to_local(0, g.kbit[katom("p")])) == "known atom not cautious"
     assert part.verdict(0) == "no answer set"  # reduct is inconsistent
 
 
@@ -269,8 +270,8 @@ def fold(tester, known):
     none: an answer set is a union of one answer set per part, so the
     intersections and unions of the parts' lists add up."""
     cautious = brave = 0
-    for part in tester.parts:
-        masks = part.models(known)
+    for j, part in enumerate(tester.parts):
+        masks = [tester.to_global(j, m) for m in part.models(tester.to_local(j, known))]
         if not masks:
             return None
         meet = masks[0]
@@ -337,7 +338,8 @@ def test_prepared_check_matches_the_enumeration():
                 known = tester.known_mask(valuation)
                 want = _enumeration_accepts(tester, valuation)
                 # The first part that rejects decides, as in `solve`.
-                reason = next((r for part in tester.parts if (r := part.verdict(known))), None)
+                reason = next((r for j, part in enumerate(tester.parts)
+                               if (r := part.verdict(tester.to_local(j, known)))), None)
                 assert (reason is None) == want, (print_program(prog), valuation)
                 if reason is not None:
                     reasons[reason] += 1
@@ -701,7 +703,7 @@ def test_part_guesses_are_pruned_candidates_with_the_same_accepted_ones(semantic
             part = tester.parts[j]
             assert known == witness & ~part.atoms
             assert witness & part.atoms in part.models(known)
-            parts[j].append((known, part.verdict(known, witness) is None))
+            parts[j].append((tester.to_global(j, known), part.verdict(known, witness) is None))
         candidates, accepted = set(), set()
         for combo in itertools.product(*parts):
             known = sum(k for k, _ in combo)
@@ -730,6 +732,7 @@ def test_a_check_with_a_witness_decides_as_one_without():
             for j, part in enumerate(tester.parts):
                 draw = rng.getrandbits(len(tester.kbit))
                 known = sum(bit for i, bit in enumerate(tester.kbit.values()) if draw >> i & 1)
+                known = tester.to_local(j, known)
                 tests += [(j, known, m) for m in part.models(known)]
             for j, known, witness in tests:
                 want = tester.parts[j].verdict(known) is None
@@ -749,12 +752,12 @@ def test_the_check_never_sees_the_consistency_constraints(source, reason, kept):
     # the answer set with `kept`; the check must see both and reject.
     tester = Engine(ground_program(parse_text(source)))
     [part] = tester.parts
-    [known] = tester.kbit.values()
-    a, b, c = (1 << tester.index[Atom(name)] for name in "abc")
+    [known] = (tester.to_local(0, bit) for bit in tester.kbit.values())
+    a, b, c = (tester.to_local(0, 1 << tester.index[Atom(name)]) for name in "abc")
     assert part.models(known) == [a | c, b | c]
     assert part.consequences(known) == (c, a | b | c)
     assert part.verdict(known) == reason
-    kept = 1 << tester.index[Atom(kept)]
+    kept = tester.to_local(0, 1 << tester.index[Atom(kept)])
     assert list(part.guesses()) == [(0, b), (known, known | kept | c)]
 
 

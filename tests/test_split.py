@@ -12,8 +12,10 @@ and within a part in ascending order of the known mask.
 import itertools
 import random
 import weakref
+from collections import Counter
 
-from corpus import random_epistemic_program
+from brute import brute_answer_sets, brute_consequences
+from corpus import random_epistemic_program, random_ground_rules
 from epiworld.epistemic import SolveStats, _product, k15_transform, oracle_world_views, solve
 from epiworld.grounder import ground_program
 from epiworld.stable import Engine
@@ -65,9 +67,10 @@ def listing(views):
 
 
 def part_masks(tester, wv):
-    """The known mask of `wv` restricted to each part of `tester`."""
+    """The known mask of `wv` restricted to each part of `tester`, over
+    the part's own bits."""
     known = tester.known_mask(wv.valuation)
-    return [known & part.assume for part in tester.parts]
+    return [tester.to_local(j, known) for j in range(len(tester.parts))]
 
 
 def check(prog, semantics="g91"):
@@ -140,6 +143,61 @@ def test_the_empty_program_has_no_parts_and_one_view():
     assert stats.parts == 0
     assert wv.valuation == {} and wv.answer_sets == (frozenset(),)
     check(Program(()))
+
+
+def copies(prog, k):
+    """k copies of `prog`, renamed apart as in `disjoint_union`: each
+    part of a copy has the same rules over its own bits as the same part
+    of every other copy."""
+    return Program(tuple(r for t in range(k) for r in rename(prog, suffixed(t))))
+
+
+def test_renamed_copies_share_their_parts_and_count_each_copy():
+    # k copies of a program solve as k times one copy: one `_Part` per
+    # shape guesses and checks, and every part counts its candidates.
+    # Plain programs: the one view's answer sets are the product of
+    # one copy's by the subset walk of tests/brute.py, renamed, in the
+    # engine's bitmask order, and its cautious atoms the union of the
+    # copies'.  Epistemic programs: the views against the oracle and the
+    # unsplit guess (`check`).  With no view, the parts are read only up
+    # to the first that has none, so only programs with a view count.
+    rng = random.Random(67)
+    counted = Counter()
+    for n in range(400):
+        if n % 2:
+            prog = Program(tuple(random_ground_rules(rng, max_atoms=3, max_rules=5)))
+            k = rng.randint(2, 4)
+        else:  # the oracle tries the 2^(3k) valuations
+            prog = random_epistemic_program(rng, max_atoms=4, max_rules=6, max_subjective=3)
+            k = rng.randint(2, 3)
+        one, many = SolveStats(), SolveStats()
+        single = list(solve(copies(prog, 1), stats=one))
+        if n % 2:
+            views = list(solve(copies(prog, k), stats=many))
+            models = brute_answer_sets(prog.rules)
+            if models:
+                want = [frozenset().union(*combo) for combo in itertools.product(
+                    *([frozenset(map(suffixed(t), m)) for m in models] for t in range(k)))]
+                order = sorted(set().union(*want), key=print_atom)
+                rank = {a: i for i, a in enumerate(order)}
+                want.sort(key=lambda m: sum(1 << rank[a] for a in m))
+                cautious, _ = brute_consequences(prog.rules)
+                [view] = views
+                assert list(view.answer_sets) == want
+                assert view.cautious() == frozenset(
+                    suffixed(t)(a) for t in range(k) for a in cautious)
+            else:
+                assert views == []
+        else:
+            many = check(copies(prog, k))
+        assert (many.parts, many.shapes) == (k * one.parts, one.shapes)
+        assert many.nontight_parts == k * one.nontight_parts
+        if single:
+            assert (many.candidates, many.accepted) == (k * one.candidates, k * one.accepted)
+            assert many.rejections == Counter({r: k * c for r, c in one.rejections.items()})
+            counted[n % 2] += 1
+            counted["rejected"] += bool(one.rejections)
+    assert counted[0] > 80 and counted[1] > 80 and counted["rejected"] > 15, counted
 
 
 def test_product_matches_itertools_product():

@@ -13,7 +13,7 @@ from corpus import random_epistemic_program, random_ground_rules
 from pruning import projected_answer_sets, projected_components, reference_guesses
 from epiworld import stable
 from epiworld.cli import YALE_INSTANCES, yale_source
-from epiworld.epistemic import _ground, apply_valuation, solve
+from epiworld.epistemic import SolveStats, _ground, apply_valuation, oracle_world_views, solve
 from epiworld.grounder import GroundProgram, ground_program
 from epiworld.stable import (
     Engine,
@@ -44,8 +44,16 @@ def consequence_atoms(g):
 
 
 def all_rules(eng):
-    """The rule masks of every part of `eng`."""
-    return [rule for part in eng.parts for rule in part.rules]
+    """The rule masks of every part of `eng`, over the engine's bits."""
+    return [tuple(eng.to_global(j, mask) for mask in rule)
+            for j, part in enumerate(eng.parts) for rule in part.rules]
+
+
+def part_bits(eng, names):
+    """The bits of the atoms named in `names` in the one part of `eng`,
+    over the part's own bits."""
+    [_] = eng.parts
+    return [eng.to_local(0, 1 << eng.index[Atom(n)]) for n in names]
 
 
 def bitmask_order(models):
@@ -345,7 +353,7 @@ def test_the_clause_of_a_choice_rule_is_filed_under_no_bit():
     # supporter is left, so a true implies b true, and b false a false.
     eng = Engine(ground("{b}. a :- not not a, b."))
     [part] = eng.parts
-    a, b = (1 << eng.index[Atom(n)] for n in "ab")
+    a, b = part_bits(eng, "ab")
     assert part.root == (0, 0)
     assert {key: entry for key, entry in part.watch.items() if any(entry)} == \
         {a: [b, 0, [], []], -b: [0, a, [], []]}
@@ -358,7 +366,7 @@ def test_a_one_supporter_atom_whose_rule_needs_an_atom_both_ways_conflicts_when_
     assert watch[B] == [W, W, [], []]
     assert _propagate([rule], {B: [rule]}, B | W, B, 0, watch, B) is None
     # So b true is a failed literal, and a part's root sets b false.
-    part = stable._Part([(B | W, W, 0, 0)], [], False)
+    part = stable._Part([(B | W, W, 0, 0)], [])
     assert part.failed == 1 and part.root == (0, B)
 
 
@@ -373,7 +381,7 @@ def test_a_body_that_can_never_hold_supports_nothing():
     # So b and c have no supporter, and the root sets them false.
     eng = Engine(ground("{a}. b :- a, not a. c :- not a, not not a."))
     [part] = eng.parts
-    b, c = (1 << eng.index[Atom(n)] for n in "bc")
+    b, c = part_bits(eng, "bc")
     assert part.root == (0, b | c) and part.failed == 0
 
 
@@ -388,7 +396,7 @@ def test_the_k15aux_atom_of_a_planning_step_is_a_failed_literal():
     [aux] = [1 << i for i, atom in enumerate(eng.atom_of) if isinstance(atom, AuxAtom)]
     assert _propagate(part.clauses, part.supports, part.scope, 0, 0) == (0, 0)
     assert part.root == (0, aux) and part.failed == 1
-    assert [known for known, _ in part.guesses()] == [0, sum(eng.kbit.values())]
+    assert [known for known, _ in part.guesses()] == [0, eng.to_local(0, sum(eng.kbit.values()))]
 
 
 @pytest.mark.parametrize("semantics, calls", [("g91", 923), ("k15", 781)])
@@ -436,7 +444,7 @@ def test_a_part_files_nothing_that_its_root_closure_decides():
     # root reads anything.
     eng = Engine(ground("x. {p}. {q}. :- x, p, q."))
     [part] = eng.parts
-    x, p, q = (1 << eng.index[Atom(n)] for n in "xpq")
+    x, p, q = part_bits(eng, "xpq")
     assert part.root == (x, 0)
     assert part.watch[x] == part.watch[-x] == (0, 0, (), ())
     assert part.watch[p] == [0, q, [], []] and part.watch[q] == [0, p, [], []]
@@ -452,7 +460,7 @@ def test_a_search_clause_is_seen_whatever_its_bits_hold_at_the_start():
     # the value each holds, so "b fails" has no answer set.
     eng = Engine(ground("b. {a}. :- a, not b."))
     [part] = eng.parts
-    a, b = (1 << eng.index[Atom(n)] for n in "ab")
+    a, b = part_bits(eng, "ab")
     start = part.start(0)
     assert part._answer_set(start, (0, b)) is None
     assert part._answer_set(start, (0, a | b)) == b
@@ -476,7 +484,7 @@ def test_an_atom_free_clause_is_a_conflict_at_the_root():
     # `:- .` is filed under no bit, so only the root's full scan sees it.
     assert _watch([(0, 0)], {}, X) == {X: [0, 0, [], []], -X: [0, 0, [], []]}
     assert _propagate([(0, 0)], {}, X, 0, 0) is None
-    part = stable._Part([(0, 0, 0, 0), (X | Y, 0, 0, 0)], [], True)
+    part = stable._Part([(0, 0, 0, 0), (X | Y, 0, 0, 0)], [])
     assert part.root is None and part.models(0) == [] and list(part.guesses()) == []
 
 
@@ -490,7 +498,7 @@ def test_minimality_tests_of_a_normal_program_build_no_watch_lists(monkeypatch):
     monkeypatch.setattr(stable, "_watch", counted)
     eng = Engine(ground("p :- not q. q :- not p. r :- p. s :- r, not q. t :- &k{r}."))
     [part] = eng.parts
-    [known_r] = eng.kbit.values()
+    [known_r] = (eng.to_local(0, bit) for bit in eng.kbit.values())
     assert len(built) == 1  # the part's lists, built with it
     # No query builds more: every search reads the part's lists.
     models = part.models(0)
@@ -502,7 +510,7 @@ def test_minimality_tests_of_a_normal_program_build_no_watch_lists(monkeypatch):
     # A minimality test whose root closure conflicts (m is minimal) or
     # is total (a smaller model is found) builds none.
     assert all(_minimal(m, part.rules) for m in models)
-    t = 1 << eng.index[Atom("t")]
+    [t] = part_bits(eng, "t")
     assert not _minimal(max(models) | t, part.rules)
     assert len(built) == 1
     # One that has to branch builds its own.
@@ -515,11 +523,46 @@ def test_minimality_tests_of_a_normal_program_build_no_watch_lists(monkeypatch):
 def test_parts_ascend_by_their_lowest_atom_with_the_atom_free_part_first():
     eng = Engine(ground("d :- not c. c :- not d. b. a :- e. e :- not a. :- ."))
     assert eng.atom_of == [Atom(n) for n in "abcde"]
-    # (head, pos, neg, negneg) over the bits a=1, b=2, c=4, d=8, e=16
+    # (head, pos, neg, negneg) over each part's own bits: a=1 and e=2,
+    # b=1, then c=1 and d=2; the engine's bits are a=1, b=2, c=4, d=8, e=16
     assert [part.rules for part in eng.parts] == \
-        [[(0, 0, 0, 0)], [(1, 16, 0, 0), (16, 0, 1, 0)], [(2, 0, 0, 0)],
-         [(8, 0, 4, 0), (4, 0, 8, 0)]]
+        [[(0, 0, 0, 0)], [(1, 2, 0, 0), (2, 0, 1, 0)], [(1, 0, 0, 0)],
+         [(2, 0, 1, 0), (1, 0, 2, 0)]]
+    assert [eng.to_global(j, part.atoms) for j, part in enumerate(eng.parts)] == \
+        [0, 1 | 16, 2, 4 | 8]
     assert eng.answer_sets() == [] and eng.consequences() is None
+
+
+def test_parts_whose_rules_differ_only_in_order_share_one_index():
+    # Parts 1 and 2 have the same rules over their own bits (a=1, b=2),
+    # in the other order; part 3 has as many rules and atoms, but
+    # others.  The shared `_Part` keeps the rules of the first.
+    eng = Engine(ground("a1 :- not b1. b1 :- not a1. b2 :- not a2. a2 :- not b2. "
+                        "a3. b3 :- a3."))
+    first, second, third = eng.parts
+    assert first is second and third is not first
+    assert first.rules == [(1, 0, 2, 0), (2, 0, 1, 0)]
+    assert third.rules == [(1, 0, 0, 0), (2, 1, 0, 0)]
+    # The engine's bits interleave the parts: a1 a2 a3 b1 b2 b3.
+    assert [eng.to_global(j, 0b11) for j in range(3)] == [0b1001, 0b10010, 0b100100]
+    assert names(eng.answer_sets()) == [["a1", "a2", "a3", "b3"], ["a2", "a3", "b1", "b3"],
+                                        ["a1", "a3", "b2", "b3"], ["a3", "b1", "b2", "b3"]]
+    stats = SolveStats()
+    assert len(list(solve(parse_text("p1 :- not &k{q1}. q1 :- not &k{p1}. "
+                                     "q2 :- not &k{p2}. p2 :- not &k{q2}."), stats=stats))) == 4
+    assert (stats.parts, stats.shapes, stats.candidates, stats.accepted) == (2, 1, 6, 4)
+    # Equal rules under subjective atoms of another inner literal (parts
+    # 1 and 2) or another inner atom (parts 3 and 4) are other shapes.
+    program = parse_text("a1 :- &k{b1}. {b1}. a2 :- &k{~b2}. {b2}. "
+                         "a3 :- &k{a3}, b3. {b3}. a4 :- &k{b4}, b4. {b4}.")
+    eng = Engine(ground_program(program))
+    assert [part.rules for part in eng.parts] == \
+        [[(1, 0, 0, 4), (2, 0, 0, 2)]] * 2 + [[(1, 2, 0, 4), (2, 0, 0, 2)]] * 2
+    stats = SolveStats()
+    assert [wv.valuation for wv in solve(program, stats=stats)] == \
+        [wv.valuation for wv in oracle_world_views(program)]
+    assert (stats.shapes, stats.candidates, stats.accepted) == (4, 8, 4)
+    assert stats.rejections == {stable.KNOWN_NOT_CAUTIOUS: 3, stable.BRAVE_FAILURE: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +636,7 @@ def test_a_tight_program_never_runs_the_minimality_test(monkeypatch):
     # r is not cautious: {q} is an answer set.
     [part] = eng.parts
     assert part.verdict(0) is None
-    assert part.verdict(sum(eng.kbit.values())) == stable.KNOWN_NOT_CAUTIOUS
+    assert part.verdict(eng.to_local(0, sum(eng.kbit.values()))) == stable.KNOWN_NOT_CAUTIOUS
     cautious, brave = eng.consequences(0)
     assert cautious == 0 and brave
     assert eng.answer_sets(0) == Engine(ground(
@@ -602,6 +645,26 @@ def test_a_tight_program_never_runs_the_minimality_test(monkeypatch):
     g = ground("p :- q. q :- p. p :- not r. r :- not p.")
     assert names(Engine(g).answer_sets()) == [["p", "q"], ["r"]]
     assert calls
+
+
+def test_a_tight_part_next_to_a_non_tight_one_never_runs_the_minimality_test(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _minimal(*args)
+
+    monkeypatch.setattr(stable, "_minimal", counted)
+    eng = Engine(ground("{c}. p :- q. q :- p. p :- c. {x}. y :- x, not z. z :- not y."))
+    loop, tight = eng.parts
+    assert (loop.tight, tight.tight, eng.tight) == (False, True, False)
+    assert len(tight.models(0)) == 3 and tight.consequences(0) == (0, 0b111)
+    assert calls == []
+    assert len(loop.models(0)) == 2 and calls
+    stats = SolveStats()
+    list(solve(parse_text("{c}. p :- q. q :- p. p :- c. {x}. y :- x, not z. z :- not y."),
+                          stats=stats))
+    assert (stats.parts, stats.nontight_parts) == (2, 1)
 
 
 def test_tight_and_non_tight_programs_match_brute_force():
@@ -804,7 +867,7 @@ def test_a_root_with_failed_literals_holds_in_every_answer_set():
     seen = Counter()
     for ground_, semantics in programs:
         eng = Engine(ground_)
-        for part in eng.parts:
+        for j, part in enumerate(eng.parts):
             assert not any(entry[v > 0] & abs(v) for v, entry in part.watch.items())
             assert part.failed == len({abs(v) for v, entry in part.watch.items()
                                        if entry[0] & entry[1]})
@@ -814,12 +877,13 @@ def test_a_root_with_failed_literals_holds_in_every_answer_set():
             true_m, false_m = part.root or (0, 0)
             seen["conflict"] += part.root is None
             seen["guess"] += bool(false_m & part.guess)
-            rules = GroundProgram(tuple(r for r in ground_.rules if _rule_bits(eng, r) & part.atoms))
+            atoms = eng.to_global(j, part.atoms)
+            rules = GroundProgram(tuple(r for r in ground_.rules if _rule_bits(eng, r) & atoms))
             for values in itertools.product((False, True), repeat=len(eng.kbit)):
                 valuation = dict(zip(eng.kbit, values))
-                known = eng.known_mask(valuation) & part.assume
+                known = eng.to_local(j, eng.known_mask(valuation))
                 for m in brute_answer_sets(apply_valuation(rules, valuation).rules):
-                    bits = known | sum(1 << eng.index[atom] for atom in m)
+                    bits = known | eng.to_local(j, sum(1 << eng.index[atom] for atom in m))
                     assert part.root is not None
                     assert not (true_m & ~bits or false_m & ~part.guess & bits)
                     assert not false_m & part.guess or not all(
