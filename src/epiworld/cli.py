@@ -124,7 +124,8 @@ def run(config: RunConfig, out=None) -> int:
         for reason in REJECTIONS:
             print(f"Rejected, {reason}: {stats.rejections[reason]}", file=sys.stderr)
         print(f"Ground rules: {stats.ground_rules}\nAtoms: {stats.atoms}\n"
-              f"Failed literals: {stats.failed_literals}\nParse: {stats.parse_s:.4f} s\n"
+              f"Fixed atoms: {stats.fixed_atoms}\nFailed literals: {stats.failed_literals}\n"
+              f"Parse: {stats.parse_s:.4f} s\n"
               f"Grounding: {stats.ground_s:.4f} s\nEngine build: {stats.engine_s:.4f} s\n"
               f"Guess: {stats.guess_s:.4f} s\nCheck: {stats.check_s:.4f} s", file=sys.stderr)
     return SATISFIABLE if count else UNSATISFIABLE

@@ -87,10 +87,11 @@ class SolveStats:
     their part meets (`_Part.verdict`): "no answer set", "known atom
     not cautious", "unknown atom cautious" or "~-form brave failure".
     `ground_rules` and `atoms` are the sizes of the ground program,
-    `failed_literals` the number of bits the parts' roots fix as failed
-    literals (`_Part`), and `ground_s` and `engine_s` the wall times, in
-    seconds, of grounding (the semantics' source transform included)
-    and of building the `Engine`.  `guess_s` and `check_s` add up the
+    `fixed_atoms` the atoms that forward chaining decides (`Engine`),
+    `failed_literals` the bits the parts' roots fix as failed literals
+    (`_Part`), and `ground_s` and `engine_s` the wall times, in seconds,
+    of grounding (the semantics' source transform included) and of
+    building the `Engine`.  `guess_s` and `check_s` add up the
     wall times of the steps of the parts' guesses (`_Part.guesses`) and
     of their checks (`_Part.verdict`).  `parse_s` is left to the caller,
     which parses the program before `solve` sees it.  The times vary
@@ -103,6 +104,7 @@ class SolveStats:
     rejections: Counter[str] = field(default_factory=Counter)
     ground_rules: int = 0
     atoms: int = 0
+    fixed_atoms: int = 0
     failed_literals: int = 0
     parse_s: float = field(default=0.0, compare=False)
     ground_s: float = field(default=0.0, compare=False)
@@ -360,6 +362,7 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     stats.engine_s = time.perf_counter() - built
     stats.ground_rules = len(ground.numbered)
     stats.atoms = tester.width
+    stats.fixed_atoms = tester.fixed_atoms
     shapes = Counter(tester.parts)  # each `_Part` and the number of parts it serves
     stats.parts = len(tester.parts)
     stats.shapes = len(shapes)

@@ -3,18 +3,20 @@
 `Engine` indexes a ground program once.  Interpretations are bitmasks
 over its atom universe sorted by printed form, and results come back in
 ascending bitmask order.  Each subjective atom has one more bit, above
-the atoms, so a valuation is the mask of its known bits.  One
-union-find over atom numbers (`_group`) splits the program into
-independent parts, which share no atom under any valuation; in a
-program without subjective literals they are its connected components.
-Each part has bits of its own, its atoms and then its subjective atoms,
-each in the engine's order, and one index over them, a `_Part`; parts
-equal over their own bits share one.  A rule's subjective literals are
-literals over the part's bits, so the index serves every valuation and
-answers every query on the part: `models` lists its answer sets,
-`guesses` its candidate valuations, `consequences` its cautious and
-brave consequences, and `verdict` decides whether a valuation is
-reproduced by its answer sets.  Only
+the atoms, so a valuation is the mask of its known bits.  Forward
+chaining over the objective literals (`_forward`) first decides what
+the facts settle under every valuation, as gringo simplifies it away
+before clasp runs.  One union-find over atom numbers (`_group`) splits
+the program into independent parts, which share no atom under any
+valuation; in a program without subjective literals they are its
+connected components.  Each part keeps its residual: bits of its own
+for its open atoms and the inner atoms of its subjective atoms, then
+for its subjective atoms, each in the engine's order, and its rules
+less what forward chaining decided.  One index over them, a `_Part`,
+serves every valuation, and parts equal over their own bits share one:
+`models` lists its answer sets, `guesses` its candidate valuations,
+`consequences` its cautious and brave consequences, and `verdict`
+decides whether a valuation is reproduced by its answer sets.  Only
 `models` lists them, as eclingo guesses by projection and checks with
 assumptions on a tester grounded once (arXiv 2008.02018).  The last two
 refine one answer set at a time, as clasp's cautious and brave modes do
@@ -23,52 +25,39 @@ via minimal models and unsatisfiable cores", TPLP 2018): each further
 search adds a clause asking for an answer set that changes the result.
 
 Every search is one function, `_models`: a branch-and-propagate loop on
-an explicit stack that enumerates the assignments that survive unit
-propagation and support checks, or one per projection of them.  Support
-propagates both ways, as the support nogoods of Clark's completion do in
-CDNL (Gebser, Kaufmann, Schaub, "Conflict-driven answer set solving:
-From theory to practice", AIJ 2012): an atom that no rule can still
-support is false, and a true atom with one rule left that can support it
-makes that rule's body true and its other head atoms false.  A rule with
-`not b` in its body never supports its head atom b, and one whose body
-never holds, with an atom both with and without `not` or under both
-`not` and `not not`, supports nothing: neither is filed as a supporter.
-Each total assignment the loop reaches is then a supported model, a
-model of the completion.  If the program is tight, with no cycle through
-positive bodies, its supported models are its answer sets (Fages,
-"Consistency of Clark's completion and existence of stable models",
-1994; Lee, Lifschitz, "Loop formulas for disjunctive logic programs",
-ICLP 2003), and every one is kept, as clasp runs no unfounded-set check
-on a tight program.  Each `_Part` decides its own tightness once, and
-any subset of a tight part's rules is tight, so its flag serves every
-valuation, and a tight part runs no minimality test even next to a part
-that is not tight.  Otherwise a model is kept if the minimality test,
-the same loop on the reduct's clauses stopped at the first model, finds
-no smaller model.
+an explicit stack over unit propagation and the support nogoods of
+Clark's completion (`_propagate`; Gebser, Kaufmann, Schaub,
+"Conflict-driven answer set solving: From theory to practice", AIJ
+2012), so each total assignment it reaches is a supported model.  If
+the program is tight, with no cycle through positive bodies, its
+supported models are its answer sets (Fages, "Consistency of Clark's
+completion and existence of stable models", 1994; Lee, Lifschitz, "Loop
+formulas for disjunctive logic programs", ICLP 2003), and every one is
+kept, as clasp runs no unfounded-set check on a tight program.  Each
+`_Part` decides its own tightness once, on its residual rules, which
+serve every valuation: forward chaining takes no backward step, so each
+atom it makes true is derived from facts, and the answer sets of a part
+are those of its residual with those atoms added.  A root closure could
+not serve, as its backward steps fix a and b in `:- not a. a :- b.
+b :- a.` and hide the loop.  A part that is not tight keeps a model only
+if the minimality test, the same loop on the reduct's clauses stopped at
+the first model, finds no smaller one.
 Propagation scans every clause and atom only at the two roots that
 start empty, a part's root closure and a minimality test's root.  Below
-them it reads a layout with an entry for each value of each bit
-(`_watch`), which leaves out what the root closure decides.  A clause
-of two literals, and an atom with one supporting rule, are implications,
-masks of the bits each value sets true and false, as clasp keeps short
-nogoods in an implication graph.  A longer clause is filed under the
-value of each of its bits that makes its literal fail, since only that
-can make it unit or conflicting; an atom with more supports under the
-values that make it true or a supporting rule stop supporting it.  Each
-node starts from its parent's closed state, sets what the bits set since
-imply, and looks only at the lists of those bits, under the values they
-took.  clasp watches two literals per clause; these lists file a clause
-under every literal, which costs more visits but nothing to keep up on a
-backtrack.  A `_Part` builds its layout once, with the part, and a
-minimality test only if its root closure neither conflicts nor is total.
-A refinement search hands its clause to every propagation (`_answer_set`).
-A value whose implications set some bit both ways is a failed literal
-(Lynce, Marques-Silva, "Probing-based preprocessing techniques for
-propositional satisfiability", ICTAI 2003): a part's root takes the
-bit's other value and closes once more through the same layout, which
-serves every state that extends the root it was built for.  The search
-branches in a fixed order, so this cuts only subtrees without a model:
-the models and their order stay the same.
+them it reads the layout of `_watch`: for each value of each bit left
+open, the bits it implies through short clauses and one-supporter atoms
+(as clasp keeps an implication graph), and the longer clauses and atoms
+it can make unit, conflicting or unsupported.  Each node starts from its
+parent's closed state and reads only the entries of the bits set since.
+clasp watches two literals per clause; these lists file a clause under
+every literal, which costs more visits but nothing to keep up on a
+backtrack.  A refinement search hands its clause to every propagation
+(`_answer_set`).  A value whose implications set some bit both ways is
+a failed literal (Lynce, Marques-Silva, "Probing-based preprocessing
+techniques for propositional satisfiability", ICTAI 2003): a part's
+root takes the bit's other value.  The search branches in a fixed
+order, so this cuts only subtrees without a model: the models and their
+order stay the same.
 
 A choice rule `{a}` becomes `a :- not not a.` (Lifschitz, Tang, Turner
 1999), so every bit is an atom.  Its clause `a or not a` never
@@ -79,9 +68,7 @@ becomes the constraint `:- a, -a.`
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
-from functools import cached_property
 
 from .grounder import NOT_K, GroundProgram
 from .syntax import Atom, AuxAtom, KAtom, print_atom, print_subjective
@@ -368,6 +355,61 @@ def _minimal(m: int, rules: list[tuple[int, int, int, int]], assumed: int = 0) -
     return next(_models(clauses, {}, m, (*state, 0), _watch(clauses, {}, m, state)), None) is None
 
 
+def _forward(rules: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...], bool]],
+             count: int) -> tuple[bytearray, bytearray]:
+    """Forward chaining over numbered `rules` with atoms below `count`:
+    (each atom's value, 0 open, 1 true, 2 false; 1 for each dead rule).
+    A rule with a false objective literal is dead, an atom that heads no
+    live rule is false, and a live rule of one head atom, no choice and
+    no subjective literal makes its head true once its literals hold.
+    Subjective literals neither hold nor fail, so the values hold under
+    every valuation.  This is Fitting's operator (JLP 1985) with no
+    backward step, so each atom it makes true is founded.  Each literal
+    is counted down once (Dowling, Gallier, JLP 1984)."""
+    value = bytearray(count)
+    heads = [0] * count  # the live rules that head each atom
+    on_true: list[list[int]] = [[] for _ in range(count)]  # rules a true atom counts down
+    on_false: list[list[int]] = [[] for _ in range(count)]  # rules a false atom counts down
+    need = [0] * len(rules)  # literals yet to hold; one more if the rule cannot fire
+    stack = []
+    for j, (head, body, choice) in enumerate(rules):
+        for n in head:
+            heads[n] += 1
+        for kind, n in body:
+            if kind == 1:
+                on_false[n].append(j)
+            elif kind < NOT_K:
+                on_true[n].append(j)
+        need[j] = len(body) + (choice or len(head) != 1)
+        if not need[j] and not value[head[0]]:
+            value[head[0]] = 1
+            stack.append(head[0])
+    for n in range(count):
+        if not heads[n]:
+            value[n] = 2
+            stack.append(n)
+    dead = bytearray(len(rules))
+    while stack:
+        n = stack.pop()
+        holds, fails = (on_true[n], on_false[n]) if value[n] == 1 else (on_false[n], on_true[n])
+        for j in holds:
+            need[j] -= 1
+            if not need[j]:  # so no literal of rule j fails
+                h = rules[j][0][0]
+                if not value[h]:
+                    value[h] = 1
+                    stack.append(h)
+        for j in fails:
+            if not dead[j]:
+                dead[j] = 1
+                for h in rules[j][0]:
+                    heads[h] -= 1
+                    if not heads[h] and not value[h]:
+                        value[h] = 2
+                        stack.append(h)
+    return value, dead
+
+
 def _group(nodes: list[list[int]], order: list[int]):
     """Group the items whose nodes meet, transitively, by union-find.
 
@@ -479,29 +521,29 @@ class _Part:
     """The index of one independent part, prepared for every valuation.
 
     The rules are masks (head, pos, neg, negneg) over the part's own
-    bits, as `Engine` builds them, in which a subjective atom's bit, its
-    assumption bit, is a `not not` literal for `&k{l}` and a `not`
-    literal for `not &k{l}`.  `katoms` holds (assumption bit, bit of the
-    inner atom, whether the inner literal is `~a`) for each subjective
-    atom of the part.  Every query takes and returns masks over these
-    bits; parts whose rules and `katoms` are equal over their own bits
-    share one `_Part`.  A
-    valuation, a mask of known assumption bits, fixes every assumption
-    bit, which keeps exactly the rules whose guard it satisfies.
-    Assumption bits need no support, so they are no keys of `supports`,
-    and `_minimal` never minimises them.  The guess's consistency
-    constraints (a known `&k{a}` needs a, a known `&k{~a}` needs a
-    false) are clauses guarded by `guess`, an activation bit above the
-    part's bits (Eén, Sörensson, "Temporal induction by incremental SAT
-    solving", 2003), which `guesses` sets true and every other query
-    false.  The clauses, supports, `_watch` layout and root closure, with
-    the assumption bits and the guess bit open, are built with the part.
-    A value whose implications in the layout set some bit both ways is a
-    failed literal: the root then takes the other value of each such bit
-    (`failed` counts them) and is closed once more through the layout.
-    `tight` tells whether the rules are tight (`_tight`): then every
-    model a search finds is an answer set, and no search runs the
-    minimality test.
+    bits, the residual `Engine` builds, in which a subjective atom's
+    bit, its assumption bit, is a `not not` literal for `&k{l}` and a
+    `not` literal for `not &k{l}`.  `katoms` holds (assumption bit, bit
+    of the inner atom, whether the inner literal is `~a`) for each
+    subjective atom of the part.  Every query takes and returns masks
+    over these bits.  A valuation, a mask of known assumption bits,
+    fixes every assumption bit, which keeps exactly the rules whose
+    guard it satisfies.  Assumption bits need no support, so they are
+    no keys of `supports`, and `_minimal` never minimises them.  The
+    guess's consistency constraints (a known `&k{a}` needs a, a known
+    `&k{~a}` needs a false) are clauses guarded by `guess`, an
+    activation bit above the part's bits (Eén, Sörensson, "Temporal
+    induction by incremental SAT solving", 2003), which `guesses` sets
+    true and every other query false.  The clauses, supports, `_watch`
+    layout and root closure, with the assumption bits and the guess bit
+    open, are built with the part.  A value whose implications in the
+    layout set some bit both ways is a failed literal: the root then
+    takes the other value of each such bit (`failed` counts them) and is
+    closed once more through the layout.  `tight` tells whether the
+    rules are tight (`_tight`): then every model a search finds is an
+    answer set, and no search runs the minimality test.  The atoms that
+    forward chaining made true are in no rule, so this reads the
+    residual's own loops.
     """
 
     def __init__(self, rules: list[tuple[int, int, int, int]],
@@ -640,9 +682,10 @@ class _Part:
     def _answer_set(self, start: tuple[int, int, int], extra: tuple[int, int]) -> int | None:
         """The first answer set, with the assumption bits, reached from
         `start` that also satisfies the clause `extra`, or None.  Every
-        propagation of the search looks at the clause, and the search
-        propagates from its bits at once, whatever they hold at `start`."""
-        start = (start[0], start[1], start[2] | extra[0] | extra[1])
+        propagation of the search looks at the clause, so the search
+        propagates from its bits only when `start` has no bits of its
+        own to propagate from."""
+        start = (start[0], start[1], start[2] or extra[0] | extra[1])
         return next(self._search(start, extra=extra), None)
 
     def _search(self, start: tuple[int, int, int], project: int | None = None,
@@ -661,37 +704,40 @@ class Engine:
     """Bit index of a ground program, subjective literals included.
 
     The index is built from the program's atom table and numbered rules
-    alone, never from its `Rule`s: the atom table is sorted once by printed
-    form, and each atom number maps to its bits through lists, so no
-    atom is hashed per occurrence.  Atom i has the bit `1 << i` of the
-    engine, for i below `width`, and each subjective atom k the bit
-    `kbit[k]` above them, in the order of their printed forms, so the
-    bits do not depend on how the atoms were numbered.  A valuation is
-    the mask of its known `kbit`s, and it keeps the rules whose
-    subjective literals it satisfies, which are the rules
-    `apply_valuation` keeps, so one index serves every candidate.  The
-    inner atom of every subjective atom has a bit, even if no rule
-    mentions it outside `&k{}`.
+    alone, never from its `Rule`s, and each atom number maps to its bits
+    through lists, so no atom is hashed per occurrence.  Atom i has the
+    bit `1 << i` of the engine, for i below `width`, and each subjective
+    atom k the bit `kbit[k]` above them, both in the order of printed
+    forms, so the bits do not depend on how the atoms were numbered.  A
+    valuation is the mask of its known `kbit`s, and it keeps the rules
+    whose subjective literals it satisfies, which are the rules
+    `apply_valuation` keeps, so one index serves every candidate.
 
-    The index splits the program once into independent parts, groups
-    of rules that share no atom and no subjective atom whatever the
-    valuation: a rule ties together every atom it uses and the inner
-    atom of each of its subjective atoms, so a subjective atom `&k{l}`
-    lies in the part of the atom of l.  `parts` holds one `_Part` per
-    part, in ascending order of its lowest atom bit; rules without atoms
-    or subjective literals (`:- .`) form one part of their own, which
-    comes first.  Each part has its own bits: its atoms, then its
-    subjective atoms, in the engine's order, so its searches branch and
-    its models come in the order they would over the engine's bits.
-    Each rule is built once, straight over them, as masks (head, pos,
-    neg, negneg), with `&k{l}` as a `not not` literal over its bit and
-    `not &k{l}` as a `not` literal.  Parts whose rules, in any order,
-    and subjective atoms are equal over their own bits share one
+    Before any mask is built, `_forward` runs over the numbered rules
+    and the `:- a, -a.` twins; `fixed_atoms` counts the atoms it
+    decides, and `facts` is the mask of those it makes true.  The index
+    then splits the full rules into independent parts, groups of rules
+    that share no atom and no subjective atom whatever the valuation: a
+    rule ties together every atom it uses and the inner atom of each of
+    its subjective atoms.  `parts` holds one `_Part` per part, in
+    ascending order of its lowest atom bit; rules without atoms or
+    subjective literals (`:- .`) form one part of their own, which comes
+    first.  A part's bits are its open atoms and the inner atoms of its
+    subjective atoms, then its subjective atoms, in the engine's order,
+    so its searches branch and its models come in the order they would
+    over the engine's bits.  Its residual rules are built once, straight
+    over them, as masks (head, pos, neg, negneg), with `&k{l}` a `not
+    not` literal over its bit and `not &k{l}` a `not` literal: dead
+    rules, rules with a true head atom, false head atoms and true body
+    literals are left out, each distinct rule is kept once, and a true
+    inner atom is kept as a fact.  Parts whose residual rules, in any
+    order, and subjective atoms are equal over their own bits share one
     `_Part`, as model counters cache equal components (Sang, Bacchus,
     Beame, Kautz, Pitassi, SAT 2004); `to_global` and `to_local` map
     masks between a part's bits and the engine's.  `answer_sets` and
-    `consequences` ask every part, and `solve` guesses and checks each
-    part on its own.  `tight` tells whether every part is tight.
+    `consequences` ask every part and add `facts`, and `solve` guesses
+    and checks each part on its own.  `tight` tells whether every part
+    is tight.
     """
 
     def __init__(self, program: GroundProgram):
@@ -715,13 +761,21 @@ class Engine:
                 twin = program.number.get(Atom(a.name, a.args, False))
                 if twin is not None:
                     rules.append(((), ((0, n), (0, twin)), False))
+        value, dead = _forward(rules, width)
+        self.fixed_atoms = width - value.count(0)
+        # The atoms forward chaining makes true, which no part holds.
+        self.facts = int(bytes(48 + (value[n] == 1) for n in reversed(order)) or b"0", 2)
         # The atom numbers that tie each rule into its part: its atoms
         # and the inner atom of each of its subjective atoms.
         groups, members = _group([[*head, *[n if kind < NOT_K else inner[n] for kind, n in body]]
                                   for head, body, _ in rules], order)
-        # The bit index of each atom number and subjective atom number in
-        # its part.  Indices, not masks: a wide part would hold a big int
-        # per atom.
+        # A part's atoms are those left open and the inner atoms of its
+        # subjective atoms.  The bit index of each in its part: indices,
+        # not masks, as a wide part would hold a big int per atom.
+        kept = bytearray(not v for v in value)
+        for n in inner:
+            kept[n] = 1
+        members = [[r for r in ns if kept[order[r]]] for ns in members]
         local = [0] * width
         part_of = [0] * width
         for j, ns in enumerate(members):
@@ -737,34 +791,41 @@ class Engine:
             kplace[n] = i
             part_katoms[j].append(n)
 
-        # Only parts of equal sizes can be equal: the others skip the key.
-        sizes = Counter(zip(map(len, groups), map(len, members), map(len, part_katoms)))
         shapes: dict[tuple, _Part] = {}
         self.parts: list[_Part] = []
         # The engine's bit of each bit of a part; None where they are equal.
         self.places: list[list[int] | None] = []
         for group, ns, ks in zip(groups, members, part_katoms):
-            masks_of = []
+            # The residual rules, each distinct one once: the live rules
+            # without a true head atom, less their false head atoms and
+            # true body literals, and a fact for each true inner atom.
+            found: dict[tuple[int, int, int, int], None] = {}
             for r in group:
+                if dead[r]:
+                    continue
                 head, body, choice = rules[r]
                 h = 0
                 for n in head:
-                    h |= 1 << local[n]
-                masks = [0, 0, h if choice else 0]  # pos, neg, negneg; {a}. is a :- not not a.
-                for kind, n in body:
-                    if kind < NOT_K:
-                        masks[kind] |= 1 << local[n]
-                    else:  # `not &k{l}` is a `not` literal over its bit, `&k{l}` a `not not` one
-                        masks[1 if kind == NOT_K else 2] |= 1 << klocal[n]
-                masks_of.append((h, *masks))
+                    if value[n] == 1:
+                        break
+                    if not value[n]:
+                        h |= 1 << local[n]
+                else:
+                    masks = [0, 0, h if choice else 0]  # pos, neg, negneg; {a}. is a :- not not a.
+                    for kind, n in body:
+                        if kind >= NOT_K:  # `not &k{l}` is `not` of its bit, `&k{l}` `not not`
+                            masks[1 if kind == NOT_K else 2] |= 1 << klocal[n]
+                        elif not value[n]:
+                            masks[kind] |= 1 << local[n]
+                    found[(h, *masks)] = None
+            for n in ks:
+                if value[inner[n]] == 1:
+                    found[1 << local[inner[n]], 0, 0, 0] = None
             ks_of = [(1 << klocal[n], 1 << local[inner[n]], katoms[n].inner.negs == 1) for n in ks]
-            if sizes[len(group), len(ns), len(ks)] > 1:
-                key = (tuple(sorted(masks_of)), tuple(ks_of))
-                part = shapes.get(key)
-                if part is None:
-                    part = shapes[key] = _Part(masks_of, ks_of)
-            else:
-                part = _Part(masks_of, ks_of)
+            key = (tuple(sorted(found)), tuple(ks_of))
+            part = shapes.get(key)
+            if part is None:
+                part = shapes[key] = _Part(list(found), ks_of)
             self.parts.append(part)
             places = ns + [kplace[n] for n in ks]
             self.places.append(None if places[-1:] in ([], [len(places) - 1]) else places)
@@ -795,11 +856,6 @@ class Engine:
                 out |= 1 << i
         return out
 
-    @cached_property
-    def index(self) -> dict[Atom, int]:
-        """The bit index of each atom."""
-        return {a: i for i, a in enumerate(self.atom_of)}
-
     def known_mask(self, valuation: dict[KAtom, bool]) -> int:
         """The `kbit` mask of the subjective atoms `valuation` makes
         true; atoms the program lacks are left out."""
@@ -824,7 +880,7 @@ class Engine:
         in ascending order of the bitmask: one per choice of an answer
         set of each part."""
         known = self._known(known)
-        masks = [0]
+        masks = [self.facts]
         for j, part in enumerate(self.parts):
             found = [self.to_global(j, m) for m in part.models(self.to_local(j, known))]
             if not found:
@@ -839,7 +895,7 @@ class Engine:
         answer set is a union of one answer set per part, so the parts'
         consequences add up."""
         known = self._known(known)
-        cautious = brave = 0
+        cautious = brave = self.facts
         for j, part in enumerate(self.parts):
             found = part.consequences(self.to_local(j, known))
             if found is None:

@@ -26,15 +26,17 @@ def projected_components(program, onto) -> list[list[frozenset]] | None:
     """Distinct projections onto the given atoms of the answer sets of
     each part of a ground `program`, which for a program without
     subjective literals is a connected component, in the order of
-    `Engine.parts`; None when there is no answer set."""
+    `Engine.parts`, each with the atoms forward chaining makes true;
+    None when there is no answer set."""
     eng = Engine(program)
-    parts = [[eng.to_global(j, m) for m in part.models(0)] for j, part in enumerate(eng.parts)]
+    parts = [[eng.facts | eng.to_global(j, m) for m in part.models(0)]
+             for j, part in enumerate(eng.parts)]
     if [] in parts:
         return None
     onto_mask = 0
     for a in onto:
-        if a in eng.index:
-            onto_mask |= 1 << eng.index[a]
+        if a in eng.atom_of:
+            onto_mask |= 1 << eng.atom_of.index(a)
     return [[eng.to_interpretation(p) for p in dict.fromkeys(m & onto_mask for m in comp)]
             for comp in parts]
 

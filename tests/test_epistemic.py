@@ -268,8 +268,9 @@ def fold(tester, known):
     """Cautious and brave masks of the answer sets that the parts of
     `tester` list under the valuation `known`, or None when one lists
     none: an answer set is a union of one answer set per part, so the
-    intersections and unions of the parts' lists add up."""
-    cautious = brave = 0
+    intersections and unions of the parts' lists add up, with the atoms
+    forward chaining makes true."""
+    cautious = brave = tester.facts
     for j, part in enumerate(tester.parts):
         masks = [tester.to_global(j, m) for m in part.models(tester.to_local(j, known))]
         if not masks:
@@ -290,7 +291,7 @@ def _enumeration_accepts(tester, valuation) -> bool:
         return False
     cautious, brave = folded
     for k, value in valuation.items():
-        b = 1 << tester.index[k.inner.atom]
+        b = 1 << tester.atom_of.index(k.inner.atom)
         if k.inner.negs == 0:
             if bool(cautious & b) != value:
                 return False
@@ -753,11 +754,11 @@ def test_the_check_never_sees_the_consistency_constraints(source, reason, kept):
     tester = Engine(ground_program(parse_text(source)))
     [part] = tester.parts
     [known] = (tester.to_local(0, bit) for bit in tester.kbit.values())
-    a, b, c = (tester.to_local(0, 1 << tester.index[Atom(name)]) for name in "abc")
+    a, b, c = (tester.to_local(0, 1 << tester.atom_of.index(Atom(name))) for name in "abc")
     assert part.models(known) == [a | c, b | c]
     assert part.consequences(known) == (c, a | b | c)
     assert part.verdict(known) == reason
-    kept = tester.to_local(0, 1 << tester.index[Atom(kept)])
+    kept = tester.to_local(0, 1 << tester.atom_of.index(Atom(kept)))
     assert list(part.guesses()) == [(0, b), (known, known | kept | c)]
 
 

@@ -13,7 +13,8 @@ from corpus import random_epistemic_program, random_ground_rules
 from pruning import projected_answer_sets, projected_components, reference_guesses
 from epiworld import stable
 from epiworld.cli import YALE_INSTANCES, yale_source
-from epiworld.epistemic import SolveStats, _ground, apply_valuation, oracle_world_views, solve
+from epiworld.epistemic import (SolveStats, _ground, apply_valuation, expand_world_view,
+                                oracle_world_views, satisfies, solve)
 from epiworld.grounder import GroundProgram, ground_program
 from epiworld.stable import (
     Engine,
@@ -24,7 +25,8 @@ from epiworld.stable import (
     _tight,
     _watch,
 )
-from epiworld.syntax import Atom, AuxAtom, Rule, SubjLiteral, parse_text, print_atom
+from epiworld.syntax import (Atom, AuxAtom, Program, Rule, SubjLiteral, parse_text, print_atom,
+                            print_program, print_subjective)
 
 
 def ground(source):
@@ -51,9 +53,11 @@ def all_rules(eng):
 
 def part_bits(eng, names):
     """The bits of the atoms named in `names` in the one part of `eng`,
-    over the part's own bits."""
+    over the part's own bits; each must have one."""
     [_] = eng.parts
-    return [eng.to_local(0, 1 << eng.index[Atom(n)]) for n in names]
+    bits = [eng.to_local(0, 1 << eng.atom_of.index(Atom(n))) for n in names]
+    assert all(bits), "an atom that forward chaining decides has no bit in its part"
+    return bits
 
 
 def bitmask_order(models):
@@ -79,7 +83,7 @@ def test_two_choices_give_four_answers():
 def test_choice_rules_take_no_bit_beyond_their_atom():
     g = ground("{a}. {c}. b :- a.")
     eng = Engine(g)
-    assert eng.width == len(eng.index) == len(g.atoms) == 3
+    assert eng.width == len(eng.atom_of) == len(g.atoms) == 3
     assert eng.atom_of == sorted(g.atoms, key=print_atom)
 
 
@@ -438,15 +442,16 @@ def test_the_8_node_ring_makes_as_many_minimality_tests_as_ever(monkeypatch):
 
 
 def test_a_part_files_nothing_that_its_root_closure_decides():
-    # x holds at the root, so the fact `x.` is filed nowhere, and the
-    # constraint `:- x, p, q.` is left with two open literals: p true
-    # implies q false, and q true p false.  No bit x can take below the
-    # root reads anything.
-    eng = Engine(ground("x. {p}. {q}. :- x, p, q."))
+    # Forward chaining decides nothing, but at the root y fails and so x
+    # holds: its rule is filed nowhere, and the constraint `:- x, p, q.`
+    # is left with two open literals: p true implies q false, and q true
+    # p false.  No bit x or y can take below the root reads anything.
+    eng = Engine(ground("{y}. :- y. x :- not y. {p}. {q}. :- x, p, q."))
     [part] = eng.parts
-    x, p, q = part_bits(eng, "xpq")
-    assert part.root == (x, 0)
-    assert part.watch[x] == part.watch[-x] == (0, 0, (), ())
+    x, y, p, q = part_bits(eng, "xypq")
+    assert eng.fixed_atoms == 0
+    assert part.root == (x, y)
+    assert part.watch[x] == part.watch[-x] == part.watch[y] == part.watch[-y] == (0, 0, (), ())
     assert part.watch[p] == [0, q, [], []] and part.watch[q] == [0, p, [], []]
     assert part.watch[-p] == part.watch[-q] == [0, 0, [], []]
     assert _propagate(part.clauses, part.supports, part.scope, x | p, 0, part.watch, p) == \
@@ -455,10 +460,11 @@ def test_a_part_files_nothing_that_its_root_closure_decides():
 
 
 def test_a_search_clause_is_seen_whatever_its_bits_hold_at_the_start():
-    # In `b. {a}. :- a, not b.`, b holds at the part's start and a is open.  The
-    # clause a search adds is propagated from its bits at once, under
-    # the value each holds, so "b fails" has no answer set.
-    eng = Engine(ground("b. {a}. :- a, not b."))
+    # In `{b}. :- not b. {a}. :- a, not b.`, b holds at the part's start
+    # and a is open.  The start has no bits to propagate from, so the
+    # search propagates from the clause's bits at once, under the value
+    # each holds, and "b fails" has no answer set.
+    eng = Engine(ground("{b}. :- not b. {a}. :- a, not b."))
     [part] = eng.parts
     a, b = part_bits(eng, "ab")
     start = part.start(0)
@@ -521,12 +527,12 @@ def test_minimality_tests_of_a_normal_program_build_no_watch_lists(monkeypatch):
 
 
 def test_parts_ascend_by_their_lowest_atom_with_the_atom_free_part_first():
-    eng = Engine(ground("d :- not c. c :- not d. b. a :- e. e :- not a. :- ."))
+    eng = Engine(ground("d :- not c. c :- not d. {b}. a :- e. e :- not a. :- ."))
     assert eng.atom_of == [Atom(n) for n in "abcde"]
     # (head, pos, neg, negneg) over each part's own bits: a=1 and e=2,
     # b=1, then c=1 and d=2; the engine's bits are a=1, b=2, c=4, d=8, e=16
     assert [part.rules for part in eng.parts] == \
-        [[(0, 0, 0, 0)], [(1, 2, 0, 0), (2, 0, 1, 0)], [(1, 0, 0, 0)],
+        [[(0, 0, 0, 0)], [(1, 2, 0, 0), (2, 0, 1, 0)], [(1, 0, 0, 1)],
          [(2, 0, 1, 0), (1, 0, 2, 0)]]
     assert [eng.to_global(j, part.atoms) for j, part in enumerate(eng.parts)] == \
         [0, 1 | 16, 2, 4 | 8]
@@ -538,15 +544,15 @@ def test_parts_whose_rules_differ_only_in_order_share_one_index():
     # in the other order; part 3 has as many rules and atoms, but
     # others.  The shared `_Part` keeps the rules of the first.
     eng = Engine(ground("a1 :- not b1. b1 :- not a1. b2 :- not a2. a2 :- not b2. "
-                        "a3. b3 :- a3."))
+                        "a3 ; b3. b3 :- a3."))
     first, second, third = eng.parts
     assert first is second and third is not first
     assert first.rules == [(1, 0, 2, 0), (2, 0, 1, 0)]
-    assert third.rules == [(1, 0, 0, 0), (2, 1, 0, 0)]
+    assert third.rules == [(3, 0, 0, 0), (2, 1, 0, 0)]
     # The engine's bits interleave the parts: a1 a2 a3 b1 b2 b3.
     assert [eng.to_global(j, 0b11) for j in range(3)] == [0b1001, 0b10010, 0b100100]
-    assert names(eng.answer_sets()) == [["a1", "a2", "a3", "b3"], ["a2", "a3", "b1", "b3"],
-                                        ["a1", "a3", "b2", "b3"], ["a3", "b1", "b2", "b3"]]
+    assert names(eng.answer_sets()) == [["a1", "a2", "b3"], ["a2", "b1", "b3"],
+                                        ["a1", "b2", "b3"], ["b1", "b2", "b3"]]
     stats = SolveStats()
     assert len(list(solve(parse_text("p1 :- not &k{q1}. q1 :- not &k{p1}. "
                                      "q2 :- not &k{p2}. p2 :- not &k{q2}."), stats=stats))) == 4
@@ -593,7 +599,7 @@ def test_a_rule_with_not_of_its_head_atom_supports_nothing():
     assert search("b :- not b.")[0] == []
     # The rule cannot support a, so a is false and b must hold.
     models, eng = search("a ; b :- not a.")
-    assert models == [1 << eng.index[Atom("b")]]
+    assert models == [1 << eng.atom_of.index(Atom("b"))]
 
 
 def test_a_positive_loop_is_not_tight_and_keeps_the_minimality_test():
@@ -603,7 +609,7 @@ def test_a_positive_loop_is_not_tight_and_keeps_the_minimality_test():
     # {p, q} is a model whose atoms support each other: only the
     # minimality test rules it out.
     models, eng = search("{c}. p :- q. q :- p. p :- c.")
-    p_q = (1 << eng.index[Atom("p")]) | (1 << eng.index[Atom("q")])
+    p_q = (1 << eng.atom_of.index(Atom("p"))) | (1 << eng.atom_of.index(Atom("q")))
     assert p_q in models
 
 
@@ -739,7 +745,7 @@ def test_watched_search_matches_full_scans_at_every_node(monkeypatch):
     for _ in range(2500):
         rules = random_ground_rules(rng, max_atoms=6, max_rules=12)
         Engine(GroundProgram(tuple(rules))).answer_sets()
-    for _ in range(300):
+    for _ in range(350):
         tester = Engine(ground_program(random_epistemic_program(rng, max_atoms=5)))
         known = sum(bit for bit in tester.kbit.values() if rng.random() < 0.5)
         tester.answer_sets(known)
@@ -847,7 +853,12 @@ def _rule_bits(eng, rule) -> int:
     atoms = [*rule.head]
     for lit in rule.body:
         atoms.append(lit.katom.inner.atom if isinstance(lit, SubjLiteral) else lit.atom)
-    return sum({1 << eng.index[atom] for atom in atoms})
+    return _bits(eng, atoms)
+
+
+def _bits(eng, atoms) -> int:
+    """The engine's mask of `atoms`."""
+    return sum({1 << eng.atom_of.index(atom) for atom in atoms})
 
 
 def test_a_root_with_failed_literals_holds_in_every_answer_set():
@@ -877,13 +888,17 @@ def test_a_root_with_failed_literals_holds_in_every_answer_set():
             true_m, false_m = part.root or (0, 0)
             seen["conflict"] += part.root is None
             seen["guess"] += bool(false_m & part.guess)
+            # The part's rules, and those over the atoms that forward
+            # chaining decides, which no part holds.
             atoms = eng.to_global(j, part.atoms)
-            rules = GroundProgram(tuple(r for r in ground_.rules if _rule_bits(eng, r) & atoms))
+            held = sum(eng.to_global(i, other.atoms) for i, other in enumerate(eng.parts))
+            rules = GroundProgram(tuple(r for r in ground_.rules if _rule_bits(eng, r) & atoms
+                                        or not _rule_bits(eng, r) & held))
             for values in itertools.product((False, True), repeat=len(eng.kbit)):
                 valuation = dict(zip(eng.kbit, values))
                 known = eng.to_local(j, eng.known_mask(valuation))
                 for m in brute_answer_sets(apply_valuation(rules, valuation).rules):
-                    bits = known | eng.to_local(j, sum(1 << eng.index[atom] for atom in m))
+                    bits = known | eng.to_local(j, _bits(eng, m))
                     assert part.root is not None
                     assert not (true_m & ~bits or false_m & ~part.guess & bits)
                     assert not false_m & part.guess or not all(
@@ -937,3 +952,93 @@ def test_engine_matches_brute_force_and_definitional_properties():
                 assert want[0] <= m <= want[1]
         for m in got:
             assert not any(a.strong_neg and Atom(a.name, a.args, False) in m for a in m)
+
+
+def _with_facts(rng, rules):
+    """`rules` and facts for up to three of their atoms."""
+    atoms = sorted({a for r in rules for a in (*r.head, *(lit.atom for lit in r.body
+                                                         if not isinstance(lit, SubjLiteral)))},
+                   key=print_atom)
+    facts = rng.sample(atoms, min(len(atoms), rng.randint(1, 3)))
+    return (*rules, *(Rule((a,), ()) for a in facts))
+
+
+def test_the_residual_parts_match_brute_force_on_programs_with_facts():
+    # Facts let forward chaining decide atoms before the parts are
+    # built, in programs with choice rules, disjunctions, constraints
+    # and loops through positive bodies.  The answer sets and cautious
+    # and brave consequences of the residual parts, the decided atoms
+    # added back, are those of the subset walk in tests/brute.py.
+    rng = random.Random(2701)
+    fixed = looped = 0
+    for _ in range(1500):
+        rules = list(_with_facts(rng, random_ground_rules(rng, max_atoms=5, max_rules=8)))
+        program = GroundProgram(tuple(rules))
+        eng = Engine(program)
+        fixed += eng.fixed_atoms > 0
+        looped += not eng.tight
+        want = brute_answer_sets(rules)
+        assert sorted(names(eng.answer_sets())) == sorted(names(want)), program.text()
+        assert consequence_atoms(program) == brute_consequences(rules), program.text()
+    assert fixed == 1500 and looped > 50
+
+
+def _brute_world_views(ground_):
+    """The world views of a ground program by the definition, each
+    valuation's answer sets from the subset walk, in the oracle's
+    order: (known subjective atoms, answer sets without `AuxAtom`s,
+    cautious atoms), all printed and sorted."""
+    katoms = sorted({lit.katom for r in ground_.rules for lit in r.body
+                     if isinstance(lit, SubjLiteral)}, key=print_subjective)
+    views = []
+    for mask in range(1 << len(katoms)):
+        valuation = {k: bool(mask >> i & 1) for i, k in enumerate(katoms)}
+        models = brute_answer_sets(apply_valuation(ground_, valuation).rules)
+        if models and all(satisfies(models, k) == v for k, v in valuation.items()):
+            models = [frozenset(a for a in m if not isinstance(a, AuxAtom)) for m in models]
+            views.append((sorted(print_subjective(k) for k in katoms if valuation[k]),
+                          sorted(names(set(models))), names([frozenset.intersection(*models)])))
+    return views
+
+
+@pytest.mark.parametrize("semantics", ["g91", "k15"])
+def test_world_views_of_programs_with_facts_match_the_definition(semantics):
+    # Epistemic programs with facts added, so forward chaining decides
+    # atoms: the world views `solve` finds, in order, their answer sets
+    # and their cautious atoms are those of the definition.
+    rng = random.Random(2702)
+    seen = 0
+    for _ in range(300):
+        prog = random_epistemic_program(rng, max_atoms=5, max_rules=8, max_subjective=3)
+        prog = Program(_with_facts(rng, prog.rules))
+        stats = SolveStats()
+        got = [(sorted(map(print_subjective, view.known())),
+                sorted(names(expand_world_view(view))), names([view.cautious()]))
+               for view in solve(prog, semantics, stats)]
+        assert stats.fixed_atoms > 0
+        assert got == _brute_world_views(_ground(prog, semantics)), print_program(prog)
+        seen += len(got)
+    assert seen > 150
+
+
+@pytest.mark.parametrize("source", [":- not a. a :- b. b :- a.", "{c}. a :- b. b :- a. :- not a."])
+def test_an_unfounded_loop_stays_in_the_residual(source):
+    # Forward chaining fixes neither a nor b, so the loop is left to the
+    # part, which is not tight and has no answer set.  A root closure
+    # would fix both true and leave a residual without the loop.
+    eng = Engine(ground(source))
+    assert eng.fixed_atoms == 0 and not eng.tight
+    assert eng.answer_sets() == [] and eng.consequences() is None
+
+
+def test_a_part_that_facts_decide_still_yields_its_atoms():
+    # {a, b} is decided by forward chaining, so its part has no bits and
+    # no rules; its atoms come back in every answer set and in cautious.
+    eng = Engine(ground("a. b :- a. d :- not a. {c}."))
+    assert eng.fixed_atoms == 3 and len(eng.parts) == 2
+    assert eng.parts[0].rules == [] and eng.parts[0].atoms == 0
+    assert names(eng.answer_sets()) == [["a", "b"], ["a", "b", "c"]]
+    assert names(map(eng.to_interpretation, eng.consequences())) == [["a", "b"], ["a", "b", "c"]]
+    [view] = solve(parse_text("a. b :- a. q :- &k{b}."))
+    assert names([view.cautious()]) == [["a", "b", "q"]]
+    assert names(view.answer_sets) == [["a", "b", "q"]]
