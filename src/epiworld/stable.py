@@ -6,8 +6,9 @@ ascending bitmask order.  Each subjective atom has one more bit, above
 the atoms, so a valuation is the mask of its known bits.  Forward
 chaining over the objective literals (`_forward`) first decides what
 the facts settle under every valuation, as gringo simplifies it away
-before clasp runs.  One union-find over atom numbers (`_group`) splits
-the program into independent parts, which share no atom under any
+before clasp runs.  One union-find over atom numbers, built in the same
+walk over the rules and read by `_group`, splits the program into
+independent parts, which share no atom under any
 valuation; in a program without subjective literals they are its
 connected components.  Each part keeps its residual: bits of its own
 for its open atoms and the inner atoms of its subjective atoms, then
@@ -356,9 +357,14 @@ def _minimal(m: int, rules: list[tuple[int, int, int, int]], assumed: int = 0) -
 
 
 def _forward(rules: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...], bool]],
-             count: int) -> tuple[bytearray, bytearray]:
-    """Forward chaining over numbered `rules` with atoms below `count`:
-    (each atom's value, 0 open, 1 true, 2 false; 1 for each dead rule).
+             count: int, inner: list[int]) -> tuple[bytearray, bytearray, list[int], list[int]]:
+    """Forward chaining over numbered `rules` with atoms below `count`,
+    and the ties of `_group`, from one walk over the rules: (each atom's
+    value, 0 open, 1 true, 2 false; 1 for each dead rule; the
+    union-find parent of each atom; an atom of each rule, -1 for none).
+    A rule ties together its atoms and the inner atom `inner[k]` of
+    each of its subjective atoms k.
+
     A rule with a false objective literal is dead, an atom that heads no
     live rule is false, and a live rule of one head atom, no choice and
     no subjective literal makes its head true once its literals hold.
@@ -371,8 +377,11 @@ def _forward(rules: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...], boo
     on_true: list[list[int]] = [[] for _ in range(count)]  # rules a true atom counts down
     on_false: list[list[int]] = [[] for _ in range(count)]  # rules a false atom counts down
     need = [0] * len(rules)  # literals yet to hold; one more if the rule cannot fire
+    parent = list(range(count))
+    tie = [-1] * len(rules)
     stack = []
     for j, (head, body, choice) in enumerate(rules):
+        nodes = list(head)
         for n in head:
             heads[n] += 1
         for kind, n in body:
@@ -380,10 +389,22 @@ def _forward(rules: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...], boo
                 on_false[n].append(j)
             elif kind < NOT_K:
                 on_true[n].append(j)
+            else:
+                n = inner[n]
+            nodes.append(n)
         need[j] = len(body) + (choice or len(head) != 1)
         if not need[j] and not value[head[0]]:
             value[head[0]] = 1
             stack.append(head[0])
+        root = -1
+        for n in nodes:
+            while parent[n] != n:
+                parent[n] = parent[parent[n]]
+                n = parent[n]
+            if root < 0:
+                root = tie[j] = n
+            elif n != root:
+                parent[n] = root
     for n in range(count):
         if not heads[n]:
             value[n] = 2
@@ -407,36 +428,27 @@ def _forward(rules: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...], boo
                     if not heads[h] and not value[h]:
                         value[h] = 2
                         stack.append(h)
-    return value, dead
+    return value, dead, parent, tie
 
 
-def _group(nodes: list[list[int]], order: list[int]):
-    """Group the items whose nodes meet, transitively, by union-find.
-
-    The i-th item has the nodes nodes[i], ints below len(order), and
-    node `order[r]` has the rank r.  Returns the groups of item indices
-    in ascending order of their lowest rank, the items without nodes
-    first as a group of their own, and the ranks of the nodes of each
-    group in ascending order.
+def _group(parent: list[int], tie: list[int], order: list[int]):
+    """Group the items whose nodes meet, transitively, from the
+    union-find forest `parent` over the nodes, ints below len(order),
+    and `tie[i]`, a node of the i-th item or -1 for none.  Node
+    `order[r]` has the rank r.  Returns the groups of item indices in
+    ascending order of their lowest rank, the items without nodes first
+    as a group of their own, and the ranks of the nodes of each group
+    in ascending order.
     """
-    parent = list(range(len(order)))
-
     def find(i: int) -> int:
         while parent[i] != i:
             parent[i] = parent[parent[i]]
             i = parent[i]
         return i
 
-    for ns in nodes:
-        if ns:
-            root = find(ns[0])
-            for i in ns:
-                other = find(i)
-                if other != root:
-                    parent[other] = root
     groups: dict[int, list[int]] = {}
-    for item, ns in enumerate(nodes):
-        groups.setdefault(find(ns[0]) if ns else -1, []).append(item)
+    for item, n in enumerate(tie):
+        groups.setdefault(find(n) if n >= 0 else -1, []).append(item)
     members: dict[int, list[int]] = {-1: []} if -1 in groups else {}
     for r, n in enumerate(order):
         root = find(n)
@@ -705,27 +717,30 @@ class Engine:
 
     The index is built from the program's atom table and numbered rules
     alone, never from its `Rule`s, and each atom number maps to its bits
-    through lists, so no atom is hashed per occurrence.  Atom i has the
-    bit `1 << i` of the engine, for i below `width`, and each subjective
-    atom k the bit `kbit[k]` above them, both in the order of printed
-    forms, so the bits do not depend on how the atoms were numbered.  A
-    valuation is the mask of its known `kbit`s, and it keeps the rules
-    whose subjective literals it satisfies, which are the rules
-    `apply_valuation` keeps, so one index serves every candidate.
+    through lists, so no atom is hashed while the rules are read: only
+    the lookup of the `:- a, -a.` twins hashes one, once per `-` atom.
+    Atom i has the bit `1 << i` of the engine, for i below `width`, and
+    each subjective atom k the bit `kbit[k]` above them, both in the
+    order of printed forms, so the bits do not depend on how the atoms
+    were numbered.  A valuation is the mask of its known `kbit`s, and it
+    keeps the rules whose subjective literals it satisfies, which are
+    the rules `apply_valuation` keeps, so one index serves every
+    candidate.
 
     Before any mask is built, `_forward` runs over the numbered rules
     and the `:- a, -a.` twins; `fixed_atoms` counts the atoms it
-    decides, and `facts` is the mask of those it makes true.  The index
-    then splits the full rules into independent parts, groups of rules
-    that share no atom and no subjective atom whatever the valuation: a
-    rule ties together every atom it uses and the inner atom of each of
-    its subjective atoms.  `parts` holds one `_Part` per part, in
-    ascending order of its lowest atom bit; rules without atoms or
-    subjective literals (`:- .`) form one part of their own, which comes
-    first.  A part's bits are its open atoms and the inner atoms of its
-    subjective atoms, then its subjective atoms, in the engine's order,
-    so its searches branch and its models come in the order they would
-    over the engine's bits.  Its residual rules are built once, straight
+    decides, and `facts` is the mask of those it makes true.  The same
+    walk over the rules ties their atoms together, and `_group` reads
+    the ties to split the full rules into independent parts, groups of
+    rules that share no atom and no subjective atom whatever the
+    valuation: a rule ties together every atom it uses and the inner
+    atom of each of its subjective atoms.  `parts` holds one `_Part` per
+    part, in ascending order of its lowest atom bit; rules without atoms
+    or subjective literals (`:- .`) form one part of their own, which
+    comes first.  A part's bits are its open atoms and the inner atoms
+    of its subjective atoms, then its subjective atoms, in the engine's
+    order, so its searches branch and its models come in the order they
+    would over the engine's bits.  Its residual rules are built once, straight
     over them, as masks (head, pos, neg, negneg), with `&k{l}` a `not
     not` literal over its bit and `not &k{l}` a `not` literal: dead
     rules, rules with a true head atom, false head atoms and true body
@@ -761,14 +776,11 @@ class Engine:
                 twin = program.number.get(Atom(a.name, a.args, False))
                 if twin is not None:
                     rules.append(((), ((0, n), (0, twin)), False))
-        value, dead = _forward(rules, width)
+        value, dead, parent, tie = _forward(rules, width, inner)
         self.fixed_atoms = width - value.count(0)
         # The atoms forward chaining makes true, which no part holds.
         self.facts = int(bytes(48 + (value[n] == 1) for n in reversed(order)) or b"0", 2)
-        # The atom numbers that tie each rule into its part: its atoms
-        # and the inner atom of each of its subjective atoms.
-        groups, members = _group([[*head, *[n if kind < NOT_K else inner[n] for kind, n in body]]
-                                  for head, body, _ in rules], order)
+        groups, members = _group(parent, tie, order)
         # A part's atoms are those left open and the inner atoms of its
         # subjective atoms.  The bit index of each in its part: indices,
         # not masks, as a wide part would hold a big int per atom.

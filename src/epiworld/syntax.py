@@ -63,8 +63,11 @@ def _hash_once(cls):
     """Class decorator: keep the dataclass hash of each node after its
     first use.  Atoms and subjective atoms are dict and set keys
     throughout the solver, and each hash would otherwise walk their
-    terms again.  The kept hash is not pickled, since str hashes are
-    salted per process."""
+    terms again.  The parser builds each distinct atom of a program
+    once (`_Parser`), so its hash is taken once, and a lookup of the
+    same object succeeds by identity without comparing fields.  The
+    kept hash is not pickled, since str hashes are salted per
+    process."""
     field_hash = cls.__hash__
 
     def __hash__(self) -> int:
@@ -187,14 +190,6 @@ class Program:
 # Lexer
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
 # One match per token: the blanks and comments in front of it, then the
 # token as group 1.  `\w` is `isalnum()` or "_" and `\d` is
 # `isdecimal()`, the classes the lexer is defined by; `\d+` comes before
@@ -215,6 +210,8 @@ _KIND = {t: t for t in (",", ".", "(", ")", "{", "}", "~", ";", "/", "=", "-", "
 _FIRST = ({c: "ident" for c in "abcdefghijklmnopqrstuvwxyz"}
           | {c: "var" for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ"}
           | {c: "num" for c in "0123456789"})
+# The kinds of the tokens that are terms on their own.
+_LEAF = frozenset(("ident", "var", "num"))
 
 
 def _lex(source: str) -> tuple[list[str], list[str]]:
@@ -262,34 +259,28 @@ def _position(source: str, token: int) -> tuple[int, int]:
     return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
-def tokenize(source: str) -> list[Token]:
-    """The tokens of `source` with their positions, the end token last."""
-    kinds, texts = _lex(source)
-    tokens: list[Token] = []
-    line, line_start, last = 1, 0, 0
-    for kind, text, start in zip(kinds, texts, _starts(source)):
-        newlines = source.count("\n", last, start)
-        if newlines:
-            line += newlines
-            line_start = source.rfind("\n", last, start) + 1
-        tokens.append(Token(kind, text, line, start - line_start + 1))
-        last = start
-    return tokens
-
-
 # ---------------------------------------------------------------------------
 # Parser
 
 
 class _Parser:
-    """Recursive descent over the token kinds of one source, read by
-    index: `pos` is the next token.  The rule grammar compares kinds
-    inline; positions are worked out only for an error."""
+    """Recursive descent over the token kinds of the sources of one
+    `parse_text` call, each read by index: `pos` is the next token.  The
+    rule grammar compares kinds inline; positions are worked out only
+    for an error.
 
-    def __init__(self, source: str):
-        self.source = source
-        self.kinds, self.texts = _lex(source)
-        self.pos = 0
+    Each atom is built once: `atoms` holds, per sign, every atom read
+    so far by its token texts, and `atom` looks the texts up before it
+    parses the arguments, so a repeated atom is the object built at its
+    first occurrence (hash-consing: Filliâtre, Conchon, "Type-safe
+    modular hash-consing", ML 2006).  `terms` holds each constant and
+    variable by its text in the same way.  Every later layer then meets
+    one object per atom, whose hash `_hash_once` keeps, and its dict
+    lookups succeed by identity."""
+
+    def __init__(self):
+        self.atoms: tuple[dict[str, Atom], dict[str, Atom]] = ({}, {})
+        self.terms: dict[str, Term] = {}
 
     # -- errors, and the token helper of the directives
 
@@ -309,10 +300,13 @@ class _Parser:
 
     # -- grammar
 
-    def statements(self, rules: list[Rule], shows: list[ShowDirective],
+    def statements(self, source: str, rules: list[Rule], shows: list[ShowDirective],
                    consts: list[tuple[ConstDirective, int]]) -> None:
-        """Parse every statement.  Each `#const` comes with the number
-        of its token."""
+        """Parse every statement of `source`.  Each `#const` comes with
+        the number of its token."""
+        self.source = source
+        self.kinds, self.texts = _lex(source)
+        self.pos = 0
         kinds = self.kinds
         while (kind := kinds[self.pos]) != "eof":
             if kind == "#show":
@@ -349,7 +343,7 @@ class _Parser:
         i = self.pos
         if kinds[i] == "{":
             self.pos = i + 1
-            atom = self.head_atom()
+            atom = self.atom()
             i = self.pos
             if kinds[i] != "}":
                 raise self.expected("}", i)
@@ -375,16 +369,11 @@ class _Parser:
 
     def head(self) -> tuple[Atom, ...]:
         kinds = self.kinds
-        atoms = [self.head_atom()]
+        atoms = [self.atom()]
         while kinds[self.pos] in (",", ";"):
             self.pos += 1
-            atoms.append(self.head_atom())
+            atoms.append(self.atom())
         return tuple(atoms)
-
-    def head_atom(self) -> Atom:
-        strong = self.kinds[self.pos] == "-"
-        self.pos += strong
-        return self.atom(strong)
 
     def body(self) -> tuple[BodyLiteral, ...]:
         kinds = self.kinds
@@ -415,9 +404,8 @@ class _Parser:
                 inner = ObjLiteral(inner.atom, 1 - inner.negs)
                 negated = not negated
             return SubjLiteral(KAtom(inner), negated)
-        strong = kind == "-"
-        self.pos = i + strong
-        return ObjLiteral(self.atom(strong), negs)
+        self.pos = i
+        return ObjLiteral(self.atom(), negs)
 
     def subjective_inner(self) -> ObjLiteral:
         kinds = self.kinds
@@ -436,25 +424,76 @@ class _Parser:
         kind = kinds[i]
         if kind == "&k" or kind == "&m":
             raise self.error("subjective atoms cannot be nested", i)
-        strong = kind == "-"
-        self.pos = i + strong
-        atom = self.atom(strong)
+        self.pos = i
+        atom = self.atom()
         i = self.pos
         if kinds[i] != "}":
             raise self.expected("}", i)
         self.pos = i + 1
         return ObjLiteral(atom, negs)
 
-    def atom(self, strong: bool) -> Atom:
-        kinds = self.kinds
+    def atom(self) -> Atom:
+        """The atom at `pos`, its `-` included, through its closing
+        parenthesis.  Equal token texts parse to equal atoms, so the
+        texts are looked up in `atoms` before the arguments are parsed.
+        The key of the flat shapes `name`, `name(t)` and `name(t,t)` is
+        told by their token kinds; any other atom is scanned to its
+        closing parenthesis.  Only an atom that parses is stored, so a
+        malformed one is refused by the parse, as it would be without
+        the lookup."""
+        kinds, texts = self.kinds, self.texts
         i = self.pos
+        strong = kinds[i] == "-"
+        i += strong
         if kinds[i] != "ident":
             raise self.expected("ident", i)
+        flat = True
         if kinds[i + 1] != "(":
-            self.pos = i + 1
-            return Atom(self.texts[i], (), strong)
-        self.pos = i + 2
-        return Atom(self.texts[i], self.arguments(0), strong)
+            end = i + 1
+            key = texts[i]
+        elif kinds[i + 2] in _LEAF and kinds[i + 3] == ")":
+            end = i + 4
+            key = f"{texts[i]}({texts[i + 2]}"
+        elif (kinds[i + 2] in _LEAF and kinds[i + 3] == "," and kinds[i + 4] in _LEAF
+              and kinds[i + 5] == ")"):
+            end = i + 6
+            key = f"{texts[i]}({texts[i + 2]},{texts[i + 4]}"
+        else:
+            flat = False
+            end = self.closing(i + 1)
+            key = " ".join(texts[i:end])
+        table = self.atoms[strong]
+        atom = table.get(key)
+        if atom is None:
+            if not flat:
+                self.pos = i + 2
+                args = self.arguments(0)
+            elif end == i + 1:
+                args = ()
+            elif end == i + 4:
+                args = (self.leaf(i + 2),)
+            else:
+                args = (self.leaf(i + 2), self.leaf(i + 4))
+            atom = table[key] = Atom(texts[i], args, strong)
+        self.pos = end
+        return atom
+
+    def closing(self, i: int) -> int:
+        """The number of the token after the ")" that closes the "(" at
+        token i, or of the end token if there is none."""
+        kinds = self.kinds
+        depth = 0
+        while True:
+            kind = kinds[i]
+            if kind == "(":
+                depth += 1
+            elif kind == ")":
+                depth -= 1
+                if not depth:
+                    return i + 1
+            elif kind == "eof":
+                return i
+            i += 1
 
     def arguments(self, depth: int) -> tuple[Term, ...]:
         """The terms after a "(", through the closing ")"."""
@@ -469,31 +508,37 @@ class _Parser:
         self.pos = i + 1
         return tuple(parts)
 
+    def leaf(self, i: int) -> Term:
+        """The term of token i, a constant, variable or number; each
+        constant and variable is built once per text."""
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == "num":
+            try:
+                return Num(int(text))
+            except ValueError:  # past Python's limit on digits of an int
+                raise self.error("number too long", i) from None
+        term = self.terms.get(text)
+        if term is None:
+            term = self.terms[text] = Const(text) if kind == "ident" else Var(text)
+        return term
+
     def term(self, depth: int = 0) -> Term:
         i = self.pos
         if depth > MAX_TERM_DEPTH:
             raise self.error(f"terms may nest at most {MAX_TERM_DEPTH} deep", i)
         kind = self.kinds[i]
-        if kind == "ident":
-            if self.kinds[i + 1] == "(":
-                self.pos = i + 2
-                return Compound(self.texts[i], self.arguments(depth + 1))
+        if kind == "ident" and self.kinds[i + 1] == "(":
+            self.pos = i + 2
+            return Compound(self.texts[i], self.arguments(depth + 1))
+        if kind in _LEAF:
             self.pos = i + 1
-            return Const(self.texts[i])
-        if kind == "var":
-            self.pos = i + 1
-            return Var(self.texts[i])
-        if kind == "num":
-            return Num(self.number())
+            return self.leaf(i)
         raise self.error(f"expected a term, found {self.texts[i]!r}", i)
 
     def number(self) -> int:
         i = self.pos
-        text = self.expect("num")
-        try:
-            return int(text)
-        except ValueError:  # past Python's limit on digits of an int
-            raise self.error("number too long", i) from None
+        self.expect("num")
+        return self.leaf(i).value
 
 
 def term_vars(t: Term, leaf: type[Var] | type[Const] = Var) -> set[str]:
@@ -555,11 +600,15 @@ def parse_text(*sources: str, names: Sequence[str] | None = None) -> Program:
     only once across all of them, and a value that the substitution
     would change (one naming a defined constant) is refused.  `names`,
     one per text (say file names), prefix the position of an error in
-    that text."""
+    that text.  Equal atoms of the texts are one object (`_Parser`),
+    unless a `#const` is substituted, which builds each atom with
+    arguments anew."""
     rules: list[Rule] = []
     shows: list[ShowDirective] = []
     consts: list[tuple[ConstDirective, int]] = []  # with the number of its token
     origin: list[int] = []  # the number of the text of each entry of consts
+
+    parser = _Parser()
 
     def name(k: int) -> str | None:
         return None if names is None else names[k]
@@ -570,7 +619,7 @@ def parse_text(*sources: str, names: Sequence[str] | None = None) -> Program:
 
     for k, source in enumerate(sources):
         try:
-            _Parser(source).statements(rules, shows, consts)
+            parser.statements(source, rules, shows, consts)
         except SourceError as exc:
             raise type(exc)(exc.message, exc.line, exc.col, name(k)) from None
         origin += [k] * (len(consts) - len(origin))

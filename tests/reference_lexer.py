@@ -9,7 +9,18 @@ without a newline is reported at the comment's first column.
 
 from __future__ import annotations
 
-from epiworld.syntax import LexError, Token
+from dataclasses import dataclass
+
+from epiworld.syntax import LexError
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str
+    text: str
+    line: int
+    col: int
+
 
 _PUNCT = {",": ",", ".": ".", "(": "(", ")": ")", "{": "{", "}": "}",
           "~": "~", ";": ";", "/": "/", "=": "=", "-": "-"}

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 import pytest
 import reference_lexer
 from hypothesis import given, settings
+from reference_lexer import Token
 
 from epiworld import syntax
 from epiworld.syntax import (
@@ -26,14 +27,12 @@ from epiworld.syntax import (
     ShowDirective,
     SourceError,
     SubjLiteral,
-    Token,
     Var,
     parse_text,
     print_atom,
     print_program,
     print_rule,
     print_subjective,
-    tokenize,
 )
 
 
@@ -43,6 +42,14 @@ def katom(name, negs=0, strong=False, args=()):
 
 # ---------------------------------------------------------------------------
 # Lexer
+
+
+def tokenize(source):
+    """The tokens of `source` as the parser reads them: kinds and texts
+    from `_lex`, lines and columns from `_position`."""
+    kinds, texts = syntax._lex(source)
+    return [Token(kind, text, *syntax._position(source, i))
+            for i, (kind, text) in enumerate(zip(kinds, texts))]
 
 
 def test_tokenize_kinds_and_positions():
@@ -67,17 +74,17 @@ def test_tokenize_special_words():
 
 
 def test_tokenize_rejects_stray_colon():
-    with pytest.raises(LexError, match="expected ':-'"):
+    with pytest.raises(LexError, match="^1:3: expected ':-'$"):
         tokenize("p : q.")
 
 
 def test_tokenize_rejects_unknown_ampersand_word():
-    with pytest.raises(LexError, match="unknown token '&know'"):
+    with pytest.raises(LexError, match="^1:6: unknown token '&know'$"):
         tokenize("p :- &know{q}.")
 
 
 def test_tokenize_rejects_unknown_character():
-    with pytest.raises(LexError, match=r"unrecognized character '\$'"):
+    with pytest.raises(LexError, match=r"^1:6: unrecognized character '\$'$"):
         tokenize("p :- $q.")
 
 
@@ -405,6 +412,88 @@ def test_tokens_and_parses_agree_with_the_reference_lexer(monkeypatch):
     assert parses == [_outcome(parse_text, t) for t in texts]
     # Both outcomes occur often enough to compare.
     assert sum(isinstance(p, Program) for p in parses) > 100
+    assert len({p[1].split(": ", 1)[1] for p in parses if isinstance(p, tuple)}) > 10
+
+
+# ---------------------------------------------------------------------------
+# Each atom built once per parse
+
+
+def _occurrences(program):
+    return [a for r in program.rules for a in syntax.rule_atoms(r)]
+
+
+def test_equal_atoms_of_one_parse_are_one_object():
+    first = ("p(a, f(g(b), 1)) :- q(X), -r(c), not p(a, f(g(b), 1)), -r(c).\n"
+             "q(X) ; -r(c) :- &k{ p(a, f(g(b), 1)) }, not &m{ ~-r(c) }, q(X).\n"
+             "{ -r(c) }. s :- &k{ ~s }, s, t(X, 1), q(X), not not t(X, 1).\n"
+             "t(X, 1) :- q(X), &m{ s }, &k{ -r(c) }, &m{ -r(c) }.\n")
+    second = "s :- q(X), p(a, f(g(b), 1)), t(X, 1), -r(c).\n"
+    program = parse_text(first, second)
+    atoms = _occurrences(program)
+    by_value = {}
+    for a in atoms:
+        by_value.setdefault(a, set()).add(id(a))
+    assert len(atoms) == 27 and len(by_value) == 5
+    assert all(len(ids) == 1 for ids in by_value.values())
+    r = program.rules
+    # nested terms, in a head, under `not`, inside `&k{}` and in the second text
+    assert r[0].head[0] is r[0].body[2].atom is r[1].body[0].katom.inner.atom is r[5].body[1].atom
+    # `-` atoms, in a disjunctive head, inside `&m{}` and `&k{}` and in a choice
+    assert (r[0].body[1].atom is r[1].head[1] is r[1].body[1].katom.inner.atom is r[2].head[0]
+            is r[4].body[2].katom.inner.atom is r[4].body[3].katom.inner.atom)
+    assert r[3].body[2].atom is r[3].body[4].atom is r[4].head[0]
+
+
+def test_unequal_atoms_of_one_parse_are_other_objects():
+    program = parse_text("p(a). -p(a). p(b). p(a, b). p(b, a). p. -p. p(f(a)). p(A). "
+                         ":- &k{ p(a) }, &k{ -p(a) }, not &m{ ~p(f(a)) }.")
+    atoms = _occurrences(program)
+    heads = [r.head[0] for r in program.rules[:-1]]
+    assert len(set(heads)) == len(heads) == len({id(a) for a in heads})
+    assert heads[0] != heads[1] and heads[0] is not heads[1]
+    inner = [lit.katom.inner.atom for lit in program.rules[-1].body]
+    assert [inner[0] is heads[0], inner[1] is heads[1], inner[2] is heads[7]] == [True] * 3
+    assert len({id(a) for a in atoms}) == len(set(atoms))
+
+
+def test_numbers_that_differ_in_their_digits_still_give_equal_atoms():
+    program = parse_text("p(1). p(01). q(f(1), 2). q(f(001), 02). r :- p(1), q(f(01), 2).")
+    p1, p01, q1, q01, r = program.rules
+    assert p1.head[0] == p01.head[0] == r.body[0].atom
+    assert q1.head[0] == q01.head[0] == r.body[1].atom
+    assert hash(p1.head[0]) == hash(p01.head[0]) and hash(q1.head[0]) == hash(q01.head[0])
+    assert p1.head[0] is r.body[0].atom
+
+
+def _atom_built_each_time(self):
+    """`_Parser.atom` without the lookup: every occurrence built anew."""
+    kinds, texts = self.kinds, self.texts
+    i = self.pos
+    strong = kinds[i] == "-"
+    i += strong
+    if kinds[i] != "ident":
+        raise self.expected("ident", i)
+    if kinds[i + 1] != "(":
+        self.pos = i + 1
+        return Atom(texts[i], (), strong)
+    self.pos = i + 2
+    return Atom(texts[i], self.arguments(0), strong)
+
+
+def test_parses_agree_with_a_parser_that_builds_every_atom(monkeypatch):
+    # Malformed atoms whose first tokens look like a flat shape must be
+    # refused as the parser without the lookup refuses them.
+    pieces = _PIECES + ["f(", "1", "01", "a", "p(a)", "p(a", "p(a,", "p(a,1)", "-p(a,X)",
+                        "q(f(a),1)", "p(a)).", "9" * 5000]
+    rng = random.Random(2028)
+    texts = ["".join(rng.choice(pieces) for _ in range(rng.randint(0, 16))) for _ in range(4000)]
+    texts += ["p(/not ", "f( 1,", "f( 1, 2", "p(a,b,", "p(a) :- p(a,", "p(-a).", "p(a,f(b)).",
+              "p(a(b)). p(a(b)).", "p(" + "9" * 5000 + ")."]
+    parses = [_outcome(parse_text, t) for t in texts]
+    monkeypatch.setattr(syntax._Parser, "atom", _atom_built_each_time)
+    assert parses == [_outcome(parse_text, t) for t in texts]
+    assert sum(isinstance(p, Program) for p in parses) > 200
     assert len({p[1].split(": ", 1)[1] for p in parses if isinstance(p, tuple)}) > 10
 
 
