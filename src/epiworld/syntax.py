@@ -580,17 +580,33 @@ def substitute_atom(a: Atom, sub: dict[str, Term], leaf: type[Var] | type[Const]
     return type(a)(a.name, tuple(substitute_term(t, sub, leaf) for t in a.args), a.strong_neg)
 
 
-def substitute_rule(r: Rule, sub: dict[str, Term], leaf: type[Var] | type[Const]) -> Rule:
-    head = tuple(substitute_atom(a, sub, leaf) for a in r.head)
+def substitute_rule(r: Rule, sub: dict[str, Term], leaf: type[Var] | type[Const],
+                    atoms: dict[Atom, Atom] | None = None) -> Rule:
+    """`r` with `substitute_atom` applied to each of its atoms.  `atoms`
+    maps each atom substituted so far to its result, and each result to
+    itself, which is its own substitution: a `#const` value names no
+    defined constant, and grounding substitutes ground terms.  Passing
+    one dict to every call of one substitution so gives one object per
+    distinct atom."""
+    if atoms is None:
+        atoms = {}
+
+    def atom(a: Atom) -> Atom:
+        out = atoms.get(a)
+        if out is None:
+            out = substitute_atom(a, sub, leaf)
+            out = atoms[a] = atoms.setdefault(out, out)
+        return out
+
+    head = tuple(atom(a) for a in r.head)
     body: list[BodyLiteral] = []
     for lit in r.body:
         if isinstance(lit, ObjLiteral):
-            body.append(ObjLiteral(substitute_atom(lit.atom, sub, leaf), lit.negs))
+            body.append(ObjLiteral(atom(lit.atom), lit.negs))
         else:
             inner = lit.katom.inner
-            body.append(SubjLiteral(
-                KAtom(ObjLiteral(substitute_atom(inner.atom, sub, leaf), inner.negs)),
-                lit.negated))
+            body.append(SubjLiteral(KAtom(ObjLiteral(atom(inner.atom), inner.negs)),
+                                    lit.negated))
     return Rule(head, tuple(body), r.is_choice)
 
 
@@ -601,8 +617,7 @@ def parse_text(*sources: str, names: Sequence[str] | None = None) -> Program:
     would change (one naming a defined constant) is refused.  `names`,
     one per text (say file names), prefix the position of an error in
     that text.  Equal atoms of the texts are one object (`_Parser`),
-    unless a `#const` is substituted, which builds each atom with
-    arguments anew."""
+    and stay one when a `#const` is substituted (`substitute_rule`)."""
     rules: list[Rule] = []
     shows: list[ShowDirective] = []
     consts: list[tuple[ConstDirective, int]] = []  # with the number of its token
@@ -638,7 +653,8 @@ def parse_text(*sources: str, names: Sequence[str] | None = None) -> Program:
                               f"{chained[0]!r}; chained #const definitions are refused",
                               entry)
     if mapping:
-        rules = [substitute_rule(r, mapping, Const) for r in rules]
+        atoms: dict[Atom, Atom] = {}
+        rules = [substitute_rule(r, mapping, Const, atoms) for r in rules]
     return Program(tuple(rules), tuple(shows), tuple(d for d, _ in consts))
 
 

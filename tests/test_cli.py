@@ -235,7 +235,11 @@ def test_unsafe_program_exits_65(tmp_path, capsys):
     ("".join(f"q({i}). " for i in range(50)) + "p(X,Y,Z) :- q(X), q(Y), q(Z).\n",
      "error: grounding creates more than 100000 rule instances, "
      "at rule: p(X,Y,Z) :- q(X), q(Y), q(Z)."),
-], ids=["divergent", "wide-join"])
+    ("".join(f"e(l{i},r{j}). e(r{j},l{i}). " for i in range(80) for j in range(80))
+     + "t(X,Y,Z) :- e(X,Y), e(Y,Z), e(Z,X).\n",
+     "error: grounding makes more than 1000000 join match attempts, "
+     "at rule: t(X,Y,Z) :- e(X,Y), e(Y,Z), e(Z,X)."),
+], ids=["divergent", "wide-join", "wide-every-order"])
 def test_grounding_past_its_limits_exits_65(tmp_path, source, message):
     # In a child process, so that a missing limit fails after 30 s
     # instead of stalling the suite; ru_maxrss is in KiB on Linux.
@@ -244,7 +248,7 @@ def test_grounding_past_its_limits_exits_65(tmp_path, source, message):
     proc = subprocess.run([sys.executable, "-m", "epiworld", str(path)],
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == INPUT_ERROR
-    assert message in proc.stderr
+    assert proc.stderr == message + "\n"
     assert "Answer" not in proc.stdout
     assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 512 * 1024
 

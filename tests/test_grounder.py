@@ -1,12 +1,15 @@
 """Safety checking, instantiation, and ground-program simplification."""
 
+import gc
 import random
+import re
 from collections import Counter
 
 import pytest
 
 from brute import brute_answer_sets, cross_product_ground, ground_terms
 from corpus import random_ground_rules, random_safe_program
+from reference_ground import ground_program as reference_ground_program
 from epiworld import grounder, syntax
 from epiworld.cli import YALE_INSTANCES, gen_eligibility, yale_source
 from epiworld.epistemic import (expand_world_view, k15_transform, oracle_world_views,
@@ -23,7 +26,7 @@ from epiworld.grounder import (
 )
 from epiworld.stable import Engine
 from epiworld.syntax import (Atom, Compound, Const, Num, ObjLiteral, Program, Rule,
-                             parse_text, print_atom, print_subjective)
+                             parse_text, print_atom, print_program, print_subjective)
 
 
 def rules_of(source):
@@ -184,29 +187,66 @@ def test_grounding_without_derivable_bodies_gives_no_rules():
 
 def test_grounding_scans_nothing_for_a_body_atom_that_cannot_be_derived(monkeypatch):
     facts = "".join(f"a({i}). b({i}). " for i in range(1000))
-    match, calls = grounder._match, []
-    monkeypatch.setattr(grounder, "_match", lambda *args: calls.append(None) or match(*args))
+    monkeypatch.setattr(grounder, "MAX_ATTEMPTS", 0)
     ground = ground_program(parse_text(facts + "s(X,Y) :- a(X), b(Y), c(X,Y)."))
     assert len(ground.rules) == 2000 and not any(r.body for r in ground.rules)
-    assert calls == []
 
 
 def test_grounding_looks_up_body_atoms_by_their_bound_arguments(monkeypatch):
     n = 300
     facts = "".join(f"e(c{i},c{i + 1}). " for i in range(n))
-    match, calls = grounder._match, []
-    monkeypatch.setattr(grounder, "_match", lambda *args: calls.append(None) or match(*args))
-    ground = ground_program(parse_text(facts + "p(X,Y,Z) :- e(X,Y), e(Y,Z)."))
-    assert len(ground.rules) == 2 * n - 1
     # Each edge is matched once as e(X,Y) and at most once as e(Y,Z),
     # never against every edge.
-    assert len(calls) <= 3 * n
+    monkeypatch.setattr(grounder, "MAX_ATTEMPTS", 3 * n)
+    ground = ground_program(parse_text(facts + "p(X,Y,Z) :- e(X,Y), e(Y,Z)."))
+    assert len(ground.rules) == 2 * n - 1
 
 
-def _scan(derived, key, at, values, start, stop):
-    """`_Derivable.lookup` without the index."""
-    return [n for n in derived.atoms[key][start:stop]
-            if tuple(derived.table.atoms[n].args[p] for p in at) == values]
+CROSS_JOIN = "s(X,Y) :- a(X), b(Y), c(X,Y). q :- &k{s(0,0)}."
+
+
+def cross_join(n):
+    return parse_text("".join(f"a({i}). b({i}). " for i in range(n)) + "c(0,0). " + CROSS_JOIN)
+
+
+def test_a_join_starts_from_its_body_atom_with_fewest_derived_atoms(monkeypatch):
+    # c(X,Y) is matched first and binds both variables, so a(X) and
+    # b(Y) are each one lookup: three attempts, not a million.
+    monkeypatch.setattr(grounder, "MAX_ATTEMPTS", 3)
+    ground = ground_program(cross_join(1000))
+    assert ground.text().endswith("c(0,0).\ns(0,0) :- a(0), b(0), c(0,0).\nq :- &k{ s(0,0) }.\n")
+    assert len(ground.rules) == 2003
+
+
+def test_a_join_whose_every_order_is_wide_is_refused():
+    # The triangles of a complete bipartite graph: whichever edge comes
+    # first, the second is looked up by the shared node, so every order
+    # tries each of the 2 * 80^3 paths of two edges, and none closes.
+    edges = "".join(f"e(l{i},r{j}). e(r{j},l{i}). " for i in range(80) for j in range(80))
+    with pytest.raises(GroundingError, match=re.escape(
+            f"more than {grounder.MAX_ATTEMPTS} join match attempts, "
+            "at rule: t(X,Y,Z) :- e(X,Y), e(Y,Z), e(Z,X).")):
+        ground_program(parse_text(edges + "t(X,Y,Z) :- e(X,Y), e(Y,Z), e(Z,X)."))
+
+
+def test_grounding_leaves_no_cyclic_garbage():
+    # Garbage in a reference cycle would keep the grounding's tables
+    # alive until the cyclic collector runs, in the middle of the solve.
+    program = graph_program(16)
+    gc.collect()
+    gc.disable()
+    try:
+        ground_program(program)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _scan(g, pred, at, key, start, stop):
+    """`_Grounder.lookup` without the index."""
+    args = g.args[pred]
+    return [i for i in range(start, stop)
+            if (args[i][at[0]] if len(at) == 1 else tuple(args[i][p] for p in at)) == key]
 
 
 def _random_join_program(rng):
@@ -227,9 +267,58 @@ def test_indexed_joins_ground_what_scans_ground_in_the_same_order(monkeypatch):
     programs = [_random_join_program(rng) for _ in range(150)]
     programs += [random_safe_program(rng, max_rules=6) for _ in range(150)]
     got = [ground_program(p).text() for p in programs]
-    monkeypatch.setattr(grounder._Derivable, "lookup", _scan)
+    monkeypatch.setattr(grounder._Grounder, "lookup", _scan)
     assert got == [ground_program(p).text() for p in programs]
     assert sum(text.count(":-") for text in got) > 1000
+
+
+def _random_ordered_program(rng):
+    """Random facts over predicates of very different sizes, so that the
+    greedy join order often differs from the source order, with
+    repeated variables, function terms, recursion, `not` and `&k{}`
+    literals, and a `#const` named in facts and rules."""
+    nodes = [f"c{i}" for i in range(5)] + ["n"]
+    pick = rng.choice
+    facts = [f"big({pick(nodes)},{pick(nodes)})." for _ in range(rng.randint(0, 30))]
+    facts += [f"mid({pick(nodes)})." for _ in range(rng.randint(0, 6))]
+    facts += [f"one({pick(nodes)})." for _ in range(rng.randint(0, 2))]
+    facts += [f"w(g({pick(nodes)}),{pick(nodes)})." for _ in range(rng.randint(0, 6))]
+    rules = ["h(X,Y) :- big(X,Y), one(Y).", "h2(X) :- big(X,X), mid(X), one(X).",
+             "k(X,Z) :- big(X,Y), big(Y,Z), one(Z).", "m(g(X),Y) :- big(X,Y), mid(Y).",
+             "u(X) :- m(g(X),Y), one(Y), not h(X,Y).", "v(Y) :- w(g(X),Y), one(X), &k{ h(X,Y) }.",
+             "t(X,Y) :- big(X,Y), one(X).", "t(X,Z) :- t(X,Y), big(Y,Z), mid(Z).",
+             "z :- one(n), big(X,n), not &k{ k(X,X) }.", "p(X,Y,Z) :- mid(X), one(Y), big(Z,Z).",
+             "r(f(X,Y)) :- mid(X), w(g(Y),X), one(Y).", "s(X) :- r(f(X,X)), big(X,X), one(X)."]
+    statements = facts + rng.sample(rules, rng.randint(1, len(rules)))
+    if rng.random() < 0.7:
+        statements.append(f"#const n = {pick(nodes[:5])}.")
+    rng.shuffle(statements)
+    return parse_text(" ".join(statements))
+
+
+def test_grounding_matches_the_source_order_join_of_the_reference(monkeypatch):
+    # The reference joins each body in source order, so any order the
+    # greedy choice takes must be sorted back to give its rules, and its
+    # atom numbering, unchanged.
+    rng = random.Random(911)
+    programs = [_random_ordered_program(rng) for _ in range(300)]
+    programs += [_random_join_program(rng) for _ in range(100)]
+    programs += [random_safe_program(rng, max_rules=6) for _ in range(100)]
+    order, reordered = grounder._Grounder.order, []
+
+    def counted(plan, sizes):
+        chosen = order(plan, sizes)
+        reordered.append(chosen != plan.source)
+        return chosen
+
+    monkeypatch.setattr(grounder._Grounder, "order", staticmethod(counted))
+    for program in programs:
+        for source in (program, k15_transform(program)):
+            got, want = ground_program(source), reference_ground_program(source)
+            assert got.text() == want.text(), print_program(source)
+            assert got.atoms == want.atoms
+    assert sum(reordered) > 1000
+    assert sum(p.consts != () for p in programs) > 150
 
 
 # The rules of the benchmark's grounding workload: a three-variable join

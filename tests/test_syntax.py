@@ -429,20 +429,28 @@ def test_equal_atoms_of_one_parse_are_one_object():
              "{ -r(c) }. s :- &k{ ~s }, s, t(X, 1), q(X), not not t(X, 1).\n"
              "t(X, 1) :- q(X), &m{ s }, &k{ -r(c) }, &m{ -r(c) }.\n")
     second = "s :- q(X), p(a, f(g(b), 1)), t(X, 1), -r(c).\n"
-    program = parse_text(first, second)
-    atoms = _occurrences(program)
-    by_value = {}
-    for a in atoms:
-        by_value.setdefault(a, set()).add(id(a))
-    assert len(atoms) == 27 and len(by_value) == 5
-    assert all(len(ids) == 1 for ids in by_value.values())
-    r = program.rules
-    # nested terms, in a head, under `not`, inside `&k{}` and in the second text
-    assert r[0].head[0] is r[0].body[2].atom is r[1].body[0].katom.inner.atom is r[5].body[1].atom
-    # `-` atoms, in a disjunctive head, inside `&m{}` and `&k{}` and in a choice
-    assert (r[0].body[1].atom is r[1].head[1] is r[1].body[1].katom.inner.atom is r[2].head[0]
-            is r[4].body[2].katom.inner.atom is r[4].body[3].katom.inner.atom)
-    assert r[3].body[2].atom is r[3].body[4].atom is r[4].head[0]
+    # A `#const` substitutes into every atom with arguments.
+    for program in (parse_text(first, second), parse_text(first, second + "#const c = d.\n")):
+        atoms = _occurrences(program)
+        by_value = {}
+        for a in atoms:
+            by_value.setdefault(a, set()).add(id(a))
+        assert len(atoms) == 27 and len(by_value) == 5
+        assert all(len(ids) == 1 for ids in by_value.values())
+        r = program.rules
+        # nested terms, in a head, under `not`, inside `&k{}` and in the second text
+        assert (r[0].head[0] is r[0].body[2].atom is r[1].body[0].katom.inner.atom
+                is r[5].body[1].atom)
+        # `-` atoms, in a disjunctive head, inside `&m{}` and `&k{}` and in a choice
+        assert (r[0].body[1].atom is r[1].head[1] is r[1].body[1].katom.inner.atom
+                is r[2].head[0] is r[4].body[2].katom.inner.atom
+                is r[4].body[3].katom.inner.atom)
+        assert r[3].body[2].atom is r[3].body[4].atom is r[4].head[0]
+    assert r[0].body[1].atom == Atom("r", (Const("d"),), True)
+    # Atoms that only the substitution makes equal are one object too.
+    r = parse_text("#const n = a. p(a). q :- p(n), not p(f(n)), &k{ p(f(a)) }, p(a).").rules
+    assert r[0].head[0] is r[1].body[0].atom is r[1].body[3].atom
+    assert r[1].body[1].atom is r[1].body[2].katom.inner.atom
 
 
 def test_unequal_atoms_of_one_parse_are_other_objects():
