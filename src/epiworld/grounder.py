@@ -33,11 +33,11 @@ numbers.  `ground_program` fills one as it instantiates: the join
 hands over the numbers of the body atoms it matched, and an `Atom` is
 built only for an atom key not seen before; its `Rule`s are built from
 the numbers only when asked, for listings and tests.  A program built
-from `Rule`s numbers them at once and keeps them.  `simplify` closes a
-list of ground rules under the usual fact/head rewrites until nothing
-changes; the result bounds the well-founded consequences from both
-sides (its facts are cautious consequences of the input, its heads
-cover the brave ones).
+from `Rule`s numbers them at once and keeps them.  `simplify` drops
+what forward chaining (`_forward`, which the engine runs before it
+builds any mask) decides from a program without subjective atoms; the
+result bounds the well-founded consequences from both sides (its facts
+are cautious consequences of the input, its heads cover the brave ones).
 """
 
 from __future__ import annotations
@@ -681,44 +681,99 @@ def ground_program(program: Program) -> GroundProgram:
 
 
 # ---------------------------------------------------------------------------
-# Simplification
+# Forward chaining and simplification
+
+
+def _forward(rules: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...], bool]],
+             count: int, inner: list[int]) -> tuple[bytearray, bytearray, list[int], list[int]]:
+    """Forward chaining over numbered `rules` with atoms below `count`, for
+    `Engine` and `simplify`, and the ties of `stable._group`, from one
+    walk over the rules: (each atom's value, 0 open, 1 true, 2 false; 1
+    for each dead rule; the union-find parent of each atom; an atom of
+    each rule, -1 for none).  A rule ties together its atoms and the
+    inner atom `inner[k]` of each of its subjective atoms k.
+
+    A rule with a false objective literal is dead, an atom that heads no
+    live rule is false, and a live rule of one head atom, no choice and
+    no subjective literal makes its head true once its literals hold.
+    Subjective literals neither hold nor fail, so the values hold under
+    every valuation.  This is Fitting's operator (JLP 1985) with no
+    backward step, so each atom it makes true is founded.  Each literal
+    is counted down once (Dowling, Gallier, JLP 1984)."""
+    value = bytearray(count)
+    heads = [0] * count  # the live rules that head each atom
+    on_true: list[list[int]] = [[] for _ in range(count)]  # rules a true atom counts down
+    on_false: list[list[int]] = [[] for _ in range(count)]  # rules a false atom counts down
+    need = [0] * len(rules)  # literals yet to hold; one more if the rule cannot fire
+    parent = list(range(count))
+    tie = [-1] * len(rules)
+    stack = []
+    for j, (head, body, choice) in enumerate(rules):
+        nodes = list(head)
+        for n in head:
+            heads[n] += 1
+        for kind, n in body:
+            if kind == 1:
+                on_false[n].append(j)
+            elif kind < NOT_K:
+                on_true[n].append(j)
+            else:
+                n = inner[n]
+            nodes.append(n)
+        need[j] = len(body) + (choice or len(head) != 1)
+        if not need[j] and not value[head[0]]:
+            value[head[0]] = 1
+            stack.append(head[0])
+        root = -1
+        for n in nodes:
+            while parent[n] != n:
+                parent[n] = parent[parent[n]]
+                n = parent[n]
+            if root < 0:
+                root = tie[j] = n
+            elif n != root:
+                parent[n] = root
+    for n in range(count):
+        if not heads[n]:
+            value[n] = 2
+            stack.append(n)
+    dead = bytearray(len(rules))
+    while stack:
+        n = stack.pop()
+        holds, fails = (on_true[n], on_false[n]) if value[n] == 1 else (on_false[n], on_true[n])
+        for j in holds:
+            need[j] -= 1
+            if not need[j]:  # so no literal of rule j fails
+                h = rules[j][0][0]
+                if not value[h]:
+                    value[h] = 1
+                    stack.append(h)
+        for j in fails:
+            if not dead[j]:
+                dead[j] = 1
+                for h in rules[j][0]:
+                    heads[h] -= 1
+                    if not heads[h] and not value[h]:
+                        value[h] = 2
+                        stack.append(h)
+    return value, dead, parent, tie
 
 
 def simplify(program: GroundProgram) -> GroundProgram:
-    """Close the program under fact/head rewrites.
-
-    Per pass, with F the current facts and H the current heads: a body
-    literal over an atom in F, or over an atom outside H, holds or
-    fails (`a` and `not not a` hold for a in F and fail for a outside
-    H, `not a` the other way round).  Rules with a failing literal are
-    dropped, and holding literals are removed from the bodies; a choice
-    rule whose atom is a fact is dropped.  Repeats until a fixpoint,
-    so the result is idempotent and answer sets are preserved on the
-    surviving atoms.
+    """`program` less what one `_forward` run decides: dead rules and
+    choice rules whose atom is true are dropped, and so is each body
+    literal of the other rules over a decided atom, which then holds.
+    The result is idempotent and keeps the answer sets on the surviving
+    atoms.  A program with subjective atoms raises `ValueError`, as
+    their literals neither hold nor fail.
     """
-    rules = list(program.rules)
-    while True:
-        facts = {r.head[0] for r in rules if not r.is_choice and len(r.head) == 1 and not r.body}
-        heads = {a for r in rules for a in r.head}
-        out: list[Rule] = []
-        for r in rules:
-            if r.is_choice:
-                if r.head[0] not in facts:
-                    out.append(r)
-                continue
-            body: list[ObjLiteral] = []
-            for lit in r.body:
-                if isinstance(lit, SubjLiteral):
-                    raise ValueError("simplify expects a subjective-free program")
-                holds, fails = lit.atom in facts, lit.atom not in heads
-                if lit.negs == 1:
-                    holds, fails = fails, holds
-                if fails:
-                    break
-                if not holds:
-                    body.append(lit)
-            else:
-                out.append(r if len(body) == len(r.body) else Rule(r.head, tuple(body)))
-        if out == rules:
-            return GroundProgram(out)
-        rules = out
+    if program.katoms:
+        raise ValueError("simplify expects a subjective-free program")
+    value, dead, _, _ = _forward(program.numbered, len(program.atoms), [])
+    out: list[Rule] = []
+    for r, (head, body, choice), d in zip(program.rules, program.numbered, dead):
+        if d or choice and value[head[0]] == 1:
+            continue
+        kept = tuple([lit for lit, (_, n) in zip(r.body, body) if not value[n]])
+        out.append(r if len(kept) == len(r.body) else Rule(r.head, kept))
+    return GroundProgram(out)

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .grounder import NOT_K, GroundProgram
+from .grounder import NOT_K, GroundProgram, _forward
 from .syntax import Atom, AuxAtom, KAtom, print_atom, print_subjective
 
 
@@ -354,81 +354,6 @@ def _minimal(m: int, rules: list[tuple[int, int, int, int]], assumed: int = 0) -
     if state is None or not m & ~(state[0] | state[1]):  # no smaller model, or one
         return state is None
     return next(_models(clauses, {}, m, (*state, 0), _watch(clauses, {}, m, state)), None) is None
-
-
-def _forward(rules: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...], bool]],
-             count: int, inner: list[int]) -> tuple[bytearray, bytearray, list[int], list[int]]:
-    """Forward chaining over numbered `rules` with atoms below `count`,
-    and the ties of `_group`, from one walk over the rules: (each atom's
-    value, 0 open, 1 true, 2 false; 1 for each dead rule; the
-    union-find parent of each atom; an atom of each rule, -1 for none).
-    A rule ties together its atoms and the inner atom `inner[k]` of
-    each of its subjective atoms k.
-
-    A rule with a false objective literal is dead, an atom that heads no
-    live rule is false, and a live rule of one head atom, no choice and
-    no subjective literal makes its head true once its literals hold.
-    Subjective literals neither hold nor fail, so the values hold under
-    every valuation.  This is Fitting's operator (JLP 1985) with no
-    backward step, so each atom it makes true is founded.  Each literal
-    is counted down once (Dowling, Gallier, JLP 1984)."""
-    value = bytearray(count)
-    heads = [0] * count  # the live rules that head each atom
-    on_true: list[list[int]] = [[] for _ in range(count)]  # rules a true atom counts down
-    on_false: list[list[int]] = [[] for _ in range(count)]  # rules a false atom counts down
-    need = [0] * len(rules)  # literals yet to hold; one more if the rule cannot fire
-    parent = list(range(count))
-    tie = [-1] * len(rules)
-    stack = []
-    for j, (head, body, choice) in enumerate(rules):
-        nodes = list(head)
-        for n in head:
-            heads[n] += 1
-        for kind, n in body:
-            if kind == 1:
-                on_false[n].append(j)
-            elif kind < NOT_K:
-                on_true[n].append(j)
-            else:
-                n = inner[n]
-            nodes.append(n)
-        need[j] = len(body) + (choice or len(head) != 1)
-        if not need[j] and not value[head[0]]:
-            value[head[0]] = 1
-            stack.append(head[0])
-        root = -1
-        for n in nodes:
-            while parent[n] != n:
-                parent[n] = parent[parent[n]]
-                n = parent[n]
-            if root < 0:
-                root = tie[j] = n
-            elif n != root:
-                parent[n] = root
-    for n in range(count):
-        if not heads[n]:
-            value[n] = 2
-            stack.append(n)
-    dead = bytearray(len(rules))
-    while stack:
-        n = stack.pop()
-        holds, fails = (on_true[n], on_false[n]) if value[n] == 1 else (on_false[n], on_true[n])
-        for j in holds:
-            need[j] -= 1
-            if not need[j]:  # so no literal of rule j fails
-                h = rules[j][0][0]
-                if not value[h]:
-                    value[h] = 1
-                    stack.append(h)
-        for j in fails:
-            if not dead[j]:
-                dead[j] = 1
-                for h in rules[j][0]:
-                    heads[h] -= 1
-                    if not heads[h] and not value[h]:
-                        value[h] = 2
-                        stack.append(h)
-    return value, dead, parent, tie
 
 
 def _group(parent: list[int], tie: list[int], order: list[int]):
@@ -805,8 +730,8 @@ class Engine:
 
         shapes: dict[tuple, _Part] = {}
         self.parts: list[_Part] = []
-        # The engine's bit of each bit of a part; None where they are equal.
-        self.places: list[list[int] | None] = []
+        # The engine's bit of each bit of a part.
+        self.places: list[list[int]] = []
         for group, ns, ks in zip(groups, members, part_katoms):
             # The residual rules, each distinct one once: the live rules
             # without a true head atom, less their false head atoms and
@@ -839,16 +764,13 @@ class Engine:
             if part is None:
                 part = shapes[key] = _Part(list(found), ks_of)
             self.parts.append(part)
-            places = ns + [kplace[n] for n in ks]
-            self.places.append(None if places[-1:] in ([], [len(places) - 1]) else places)
+            self.places.append(ns + [kplace[n] for n in ks])
         self.tight = all(part.tight for part in self.parts)
 
     def to_global(self, j: int, m: int) -> int:
         """The mask `m` over the bits of part j as a mask over the
         engine's bits (the part's guess bit has none)."""
         places = self.places[j]
-        if places is None:
-            return m
         out = 0
         while m:
             b = m & -m
@@ -859,11 +781,8 @@ class Engine:
     def to_local(self, j: int, m: int) -> int:
         """The mask `m` over the engine's bits as a mask over the bits
         of part j, less the bits of other parts."""
-        places = self.places[j]
-        if places is None:
-            return m & (self.parts[j].guess - 1)
         out = 0
-        for i, g in enumerate(places):
+        for i, g in enumerate(self.places[j]):
             if m >> g & 1:
                 out |= 1 << i
         return out

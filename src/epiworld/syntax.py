@@ -562,8 +562,8 @@ def rule_atoms(r: Rule):
 
 
 def substitute_term(t: Term, sub: dict[str, Term], leaf: type[Var] | type[Const]) -> Term:
-    """`t` with each term of class `leaf` named in `sub` replaced: `Var`
-    when grounding, `Const` for `#const`."""
+    """`t` with each term of class `leaf` named in `sub` replaced:
+    `Const` for `#const`, `Var` in the tests' reference grounders."""
     if isinstance(t, leaf):
         try:
             return sub[t.name]
@@ -585,7 +585,7 @@ def substitute_rule(r: Rule, sub: dict[str, Term], leaf: type[Var] | type[Const]
     """`r` with `substitute_atom` applied to each of its atoms.  `atoms`
     maps each atom substituted so far to its result, and each result to
     itself, which is its own substitution: a `#const` value names no
-    defined constant, and grounding substitutes ground terms.  Passing
+    defined constant, and a value for a variable is a ground term.  Passing
     one dict to every call of one substitution so gives one object per
     distinct atom."""
     if atoms is None:

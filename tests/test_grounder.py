@@ -8,12 +8,13 @@ from collections import Counter
 import pytest
 
 from brute import brute_answer_sets, cross_product_ground, ground_terms
-from corpus import random_ground_rules, random_safe_program
+from corpus import random_epistemic_program, random_ground_rules, random_safe_program
 from reference_ground import ground_program as reference_ground_program
+from reference_simplify import simplify as reference_simplify
 from epiworld import grounder, syntax
 from epiworld.cli import YALE_INSTANCES, gen_eligibility, yale_source
 from epiworld.epistemic import (expand_world_view, k15_transform, oracle_world_views,
-                                solve, subjective_atoms)
+                                solve, subjective_atoms, translate_guess)
 from epiworld.grounder import (
     MAX_INSTANCES,
     GroundProgram,
@@ -24,6 +25,7 @@ from epiworld.grounder import (
     safety_check,
     simplify,
 )
+from epiworld.optimize import add_consistency_constraints
 from epiworld.stable import Engine
 from epiworld.syntax import (Atom, Compound, Const, Num, ObjLiteral, Program, Rule,
                              parse_text, print_atom, print_program, print_subjective)
@@ -455,8 +457,8 @@ def test_a_ground_program_has_one_form(monkeypatch):
     assert (fed.rules, fed.atoms, fed.numbered) == (rules, g.atoms, g.numbered)
     grounded = ground_program(graph_program(9))
     assert GroundProgram(grounded.rules) == grounded
-    # simplify reads the rule list and builds one program, however many
-    # passes its cascade takes.
+    # simplify reads the rule list and builds one program, however long
+    # its cascade.
     cascade = GroundProgram(rules_of("a :- not b. c :- not not a. d :- e. f :- c."))
     init, built = GroundProgram.__init__, []
 
@@ -520,3 +522,37 @@ def test_simplify_agrees_with_brute_force_after_rewriting():
         got = sorted(sorted(map(print_atom, m)) for m in Engine(s).answer_sets())
         want = sorted(sorted(map(print_atom, m)) for m in brute_answer_sets(rules))
         assert got == want
+
+
+def test_simplify_refuses_every_program_with_subjective_atoms():
+    # The second body fails at b before it reaches &k{c}.
+    for source in ("a :- &k{c}.", "a :- b, &k{c}."):
+        with pytest.raises(ValueError, match="subjective-free"):
+            simp(source)
+
+
+def _simplify_corpus(rng):
+    for _ in range(6000):
+        yield GroundProgram(random_ground_rules(rng))
+    for _ in range(2000):
+        yield GroundProgram(random_ground_rules(rng, max_atoms=10, max_rules=24))
+    for _ in range(5000):
+        yield ground_program(random_safe_program(rng, max_subjective=0))
+    for _ in range(2000):
+        program = random_epistemic_program(rng)
+        for source in (program, k15_transform(program)):
+            guess, mapping = translate_guess(ground_program(source))
+            yield guess
+            yield add_consistency_constraints(guess, mapping)
+
+
+def test_simplify_lists_what_the_pass_loop_of_the_reference_lists():
+    # One forward-chaining run must keep, drop and shorten the rules the
+    # reference's passes do, in the same order.
+    shortened = 0
+    for n, g in enumerate(_simplify_corpus(random.Random(406)), 1):
+        got = simplify(g).text()
+        assert got == reference_simplify(g).text(), g.text()
+        shortened += got != g.text()
+    assert n == 21000
+    assert shortened > 10000
