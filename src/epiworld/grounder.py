@@ -37,7 +37,7 @@ from `Rule`s numbers them at once and keeps them.  `simplify` drops
 what forward chaining (`_forward`, which the engine runs before it
 builds any mask) decides from a program without subjective atoms; the
 result bounds the well-founded consequences from both sides (its facts
-are cautious consequences of the input, its heads cover the brave ones).
+are cautious consequences of the input, each brave one heads a rule).
 """
 
 from __future__ import annotations
@@ -125,9 +125,8 @@ class GroundProgram:
     order of first appearance, and keeps them as `rules`.
     `ground_program` fills an empty one in place, so a solve builds no
     `Rule`; then `rules` is built from the numbers when first asked for,
-    for listings and tests.  Heads count choice-rule heads; facts are
-    single-atom heads with an empty body.  Two ground programs are equal
-    when their rules are.
+    for listings and tests.  `facts` holds the heads of its facts, and
+    two ground programs are equal when their rules are.
     """
 
     def __init__(self, rules: Iterable[Rule] = ()):
@@ -184,13 +183,6 @@ class GroundProgram:
 
     def __repr__(self) -> str:
         return f"GroundProgram({self.rules!r})"
-
-    @cached_property
-    def heads(self) -> frozenset[Atom]:
-        out: set[Atom] = set()
-        for r in self.rules:
-            out.update(r.head)
-        return frozenset(out)
 
     @cached_property
     def facts(self) -> frozenset[Atom]:
@@ -685,13 +677,14 @@ def ground_program(program: Program) -> GroundProgram:
 
 
 def _forward(rules: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...], bool]],
-             count: int, inner: list[int]) -> tuple[bytearray, bytearray, list[int], list[int]]:
+             count: int, inner: list[int], later: list | tuple = ()
+             ) -> tuple[bytearray, bytearray, list[int], list[int], list[list[int]]]:
     """Forward chaining over numbered `rules` with atoms below `count`, for
     `Engine` and `simplify`, and the ties of `stable._group`, from one
     walk over the rules: (each atom's value, 0 open, 1 true, 2 false; 1
     for each dead rule; the union-find parent of each atom; an atom of
-    each rule, -1 for none).  A rule ties together its atoms and the
-    inner atom `inner[k]` of each of its subjective atoms k.
+    each rule, -1 for none; the rounds of `later`).  A rule ties together
+    its atoms and the inner atom `inner[k]` of each of its subjective atoms k.
 
     A rule with a false objective literal is dead, an atom that heads no
     live rule is false, and a live rule of one head atom, no choice and
@@ -699,7 +692,12 @@ def _forward(rules: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...], boo
     Subjective literals neither hold nor fail, so the values hold under
     every valuation.  This is Fitting's operator (JLP 1985) with no
     backward step, so each atom it makes true is founded.  Each literal
-    is counted down once (Dowling, Gallier, JLP 1984)."""
+    is counted down once (Dowling, Gallier, JLP 1984).  The rules of
+    `later`, each with a body, follow `rules`, but their heads wait for
+    an empty worklist: a round lists, by index in `later`, those that
+    fired, then releases their heads."""
+    split = len(rules)
+    rules = [*rules, *later] if later else rules
     value = bytearray(count)
     heads = [0] * count  # the live rules that head each atom
     on_true: list[list[int]] = [[] for _ in range(count)]  # rules a true atom counts down
@@ -707,7 +705,7 @@ def _forward(rules: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...], boo
     need = [0] * len(rules)  # literals yet to hold; one more if the rule cannot fire
     parent = list(range(count))
     tie = [-1] * len(rules)
-    stack = []
+    stack, fired, rounds = [], [], []  # fired: the rules of `later` whose heads wait
     for j, (head, body, choice) in enumerate(rules):
         nodes = list(head)
         for n in head:
@@ -738,25 +736,36 @@ def _forward(rules: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...], boo
             value[n] = 2
             stack.append(n)
     dead = bytearray(len(rules))
-    while stack:
-        n = stack.pop()
-        holds, fails = (on_true[n], on_false[n]) if value[n] == 1 else (on_false[n], on_true[n])
-        for j in holds:
-            need[j] -= 1
-            if not need[j]:  # so no literal of rule j fails
-                h = rules[j][0][0]
-                if not value[h]:
-                    value[h] = 1
-                    stack.append(h)
-        for j in fails:
-            if not dead[j]:
-                dead[j] = 1
-                for h in rules[j][0]:
-                    heads[h] -= 1
-                    if not heads[h] and not value[h]:
-                        value[h] = 2
+    while True:
+        while stack:
+            n = stack.pop()
+            holds, fails = (on_true[n], on_false[n]) if value[n] == 1 else (on_false[n], on_true[n])
+            for j in holds:
+                need[j] -= 1
+                if not need[j]:  # so no literal of rule j fails
+                    h = rules[j][0][0]
+                    if j >= split:
+                        fired.append(j - split)
+                    elif not value[h]:
+                        value[h] = 1
                         stack.append(h)
-    return value, dead, parent, tie
+            for j in fails:
+                if not dead[j]:
+                    dead[j] = 1
+                    for h in rules[j][0]:
+                        heads[h] -= 1
+                        if not heads[h] and not value[h]:
+                            value[h] = 2
+                            stack.append(h)
+        if not fired:
+            return value, dead, parent, tie, rounds
+        rounds.append(fired)
+        for j in fired:
+            h = later[j][0][0]
+            if not value[h]:
+                value[h] = 1
+                stack.append(h)
+        fired = []
 
 
 def simplify(program: GroundProgram) -> GroundProgram:
@@ -769,7 +778,7 @@ def simplify(program: GroundProgram) -> GroundProgram:
     """
     if program.katoms:
         raise ValueError("simplify expects a subjective-free program")
-    value, dead, _, _ = _forward(program.numbered, len(program.atoms), [])
+    value, dead, _, _, _ = _forward(program.numbered, len(program.atoms), [])
     out: list[Rule] = []
     for r, (head, body, choice), d in zip(program.rules, program.numbered, dead):
         if d or choice and value[head[0]] == 1:

@@ -1,21 +1,15 @@
 """Optimisation passes over the guess program of `translate_guess`.
 
 Both passes tighten the guess program without changing the world views
-that come out of the check phase.  `solve` runs them on the engine's
-own index instead (`stable._Part.guesses`).
-
-Consistency constraints rule out guesses that contradict the candidate
-answer set they appear in, such as believing `~p` in a world where p
-holds.  The propagation pass closes the guess program under the
-simplification fixpoint: whenever simplification proves an atom of some
-`&k{p}` to be a fact (so p is a cautious consequence) or drops an atom
-of some `&k{~p}` from the heads (so p is false everywhere), the matching
-auxiliary atom is fixed true and simplification runs again.
+that come out of the check phase: consistency constraints rule out
+guesses that contradict their own answer set, and propagation fixes,
+round by round, the auxiliary atoms one forward-chaining run decides.
+`solve` runs both on the engine's own index (`stable._Part.guesses`).
 """
 
 from __future__ import annotations
 
-from .grounder import GroundProgram, simplify
+from .grounder import GroundProgram, _forward, simplify
 from .syntax import Atom, KAtom, ObjLiteral, Rule, print_atom
 
 
@@ -37,22 +31,17 @@ def add_consistency_constraints(guess: GroundProgram,
 
 
 def wfm_propagate(guess: GroundProgram, mapping: dict[KAtom, Atom]) -> GroundProgram:
-    """Fix auxiliary atoms decided by the simplification fixpoint.
-
-    Runs simplify, then repeatedly: every new fact p with `&k{p}` among
-    the keys of `mapping` yields the fact `aux_p.`, every atom p of some
-    `&k{~p}` that heads no rule yields `aux_not_p.`, and the program is
-    simplified again.  Stops when a round fixes nothing.
-    """
-    # (atom p of l, 1 if l is `~p` else 0) to the auxiliary atom of &k{l}
-    pending = {(k.inner.atom, k.inner.negs): aux for k, aux in mapping.items()}
-    program = simplify(guess)
-    while True:
-        facts, heads = program.facts, program.heads
-        fixed = [(p, negs) for p, negs in pending
-                 if (p not in heads if negs else p in facts)]
-        if not fixed:
-            return program
-        fixed.sort(key=lambda key: (key[1], print_atom(key[0])))
-        additions = tuple(Rule((pending.pop(key),), ()) for key in fixed)
-        program = simplify(GroundProgram(program.rules + additions))
+    """`guess` with the fact `aux.` of each auxiliary atom of `mapping`
+    that one `_forward` run fixes, simplified.  The run adds `aux :- p.`
+    for `&k{p}` and `aux :- not p.` for `&k{~p}` (p heads no live rule)
+    and releases their heads in rounds; the facts come round by round,
+    each round in order of (negation, printed inner atom)."""
+    if guess.katoms:
+        raise ValueError("simplify expects a subjective-free program")
+    keys = sorted(mapping, key=lambda k: (k.inner.negs, print_atom(k.inner.atom)))
+    number = dict(guess.number)  # an atom absent from `guess` gets a fresh number
+    later = [((number.setdefault(mapping[k], len(number)),),
+              ((k.inner.negs, number.setdefault(k.inner.atom, len(number))),), False) for k in keys]
+    rounds = _forward(guess.numbered, len(number), [], later)[4]
+    fixed = tuple(Rule((mapping[keys[j]],), ()) for batch in rounds for j in sorted(batch))
+    return simplify(GroundProgram(guess.rules + fixed))

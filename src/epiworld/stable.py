@@ -701,7 +701,7 @@ class Engine:
                 twin = program.number.get(Atom(a.name, a.args, False))
                 if twin is not None:
                     rules.append(((), ((0, n), (0, twin)), False))
-        value, dead, parent, tie = _forward(rules, width, inner)
+        value, dead, parent, tie, _ = _forward(rules, width, inner)
         self.fixed_atoms = width - value.count(0)
         # The atoms forward chaining makes true, which no part holds.
         self.facts = int(bytes(48 + (value[n] == 1) for n in reversed(order)) or b"0", 2)

@@ -439,8 +439,6 @@ def test_join_grounding_agrees_with_the_cross_product(semantics):
 def test_ground_program_views():
     g = ground_program(parse_text("p. {c}. q :- p. r, s. :- q."))
     assert g.facts == {Atom("p")}
-    assert g.heads == {Atom("p"), Atom("c"), Atom("q"), Atom("r"), Atom("s")}
-    assert set(g.atoms) == g.heads
     assert g.text() == "p.\n{c}.\nq :- p.\nr, s.\n:- q.\n"
 
 

@@ -3,12 +3,15 @@
 import pathlib
 import random
 
+import pytest
 from corpus import random_epistemic_program
-from epiworld.epistemic import translate_guess
+from epiworld import optimize
+from epiworld.epistemic import aux_atom, k15_transform, subjective_atoms, translate_guess
 from epiworld.grounder import ground_program, simplify
 from epiworld.optimize import add_consistency_constraints, wfm_propagate
 from epiworld.syntax import parse_text, print_rule
 from pruning import pruning_outcomes
+from reference_wfm import wfm_propagate as reference_wfm
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -103,6 +106,51 @@ def test_wfm_without_subjective_atoms_is_plain_simplification():
     g = ground_program(parse_text("a :- not b. c :- a."))
     out = wfm_propagate(g, {})
     assert out == simplify(g)
+
+
+def test_wfm_refuses_a_program_with_subjective_atoms_before_propagating(monkeypatch):
+    def forward(*args):
+        raise AssertionError("forward chaining ran")
+
+    monkeypatch.setattr(optimize, "_forward", forward)
+    for source in ("a :- &k{c}.", "a :- b, not &k{~c}."):
+        ground = ground_program(parse_text(source))
+        mapping = {k: aux_atom(k) for k in subjective_atoms(ground)}
+        with pytest.raises(ValueError, match="simplify expects a subjective-free program"):
+            wfm_propagate(ground, mapping)
+
+
+def test_wfm_lists_a_knowledge_chain_in_derivation_order():
+    # Each step fixes one auxiliary atom in a round of its own; one
+    # sorted block would list aux_p(10) before aux_p(2).
+    source = "p(0). " + "".join(f"p({i + 1}) :- &k{{p({i})}}. " for i in range(12))
+    guess, mapping = translated(source)
+    facts = [line for line in wfm_propagate(guess, mapping).text().splitlines()
+             if line.startswith("aux_")]
+    assert facts == [f"aux_p({i})." for i in range(12)]
+
+
+def _wfm_corpus(rng):
+    for n in range(2500):
+        program = (random_epistemic_program(rng) if n < 2000
+                   else random_epistemic_program(rng, max_atoms=7, max_rules=10))
+        for source in (program, k15_transform(program)):
+            guess, mapping = translate_guess(ground_program(source))
+            yield guess, mapping
+            yield add_consistency_constraints(guess, mapping), mapping
+
+
+def test_wfm_lists_what_the_pass_loop_of_the_reference_lists():
+    # One forward-chaining run with rounds must fix the auxiliary atoms
+    # the reference's rounds fix, in the same order.
+    layered = 0
+    for n, (guess, mapping) in enumerate(_wfm_corpus(random.Random(3131)), 1):
+        rounds: list = []
+        want = reference_wfm(guess, mapping, rounds).text()
+        assert wfm_propagate(guess, mapping).text() == want, guess.text()
+        layered += len(rounds) >= 2
+    assert n == 10000
+    assert layered >= 60
 
 
 def test_wfm_shrinks_the_candidate_space():
