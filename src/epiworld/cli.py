@@ -10,7 +10,9 @@ counts and times follow on stderr.
 The `bench` subcommand times the solver on two generated families, the
 scholarship-eligibility programs and the ground Yale-shooting planning
 instances (those shipped with the package and, past yale05, those
-`gen_yale` writes), writing one CSV row per instance.
+`gen_yale` writes), writing one CSV row per instance with the average
+solving time and the averages of the solve's parse, grounding, engine
+build, guess and check times.
 """
 
 from __future__ import annotations
@@ -216,25 +218,32 @@ def gen_yale(horizon: int) -> Program:
 # Benchmark harness
 
 
+# The per-layer times of `SolveStats` that `bench` averages per instance.
+BENCH_LAYERS = ("parse_s", "ground_s", "engine_s", "guess_s", "check_s")
+
+
 def _bench_worker(text: str, semantics: str, conn) -> None:
     started = time.perf_counter()
     program = parse_text(text)
-    count = sum(1 for _ in solve(program, semantics=semantics))
-    conn.send((count, time.perf_counter() - started))
+    stats = SolveStats(parse_s=time.perf_counter() - started)
+    count = sum(1 for _ in solve(program, semantics=semantics, stats=stats))
+    conn.send((count, time.perf_counter() - started,
+               [getattr(stats, name) for name in BENCH_LAYERS]))
     conn.close()
 
 
 def _time_instance(text: str, semantics: str, timeout: float, reps: int):
     """Average solving time over `reps` fresh processes.
 
-    Returns (world_views, avg_seconds, timed_out); counts are None when
-    any repetition hit the timeout or died.  A repetition whose reported
-    solving time exceeds `timeout` counts as timed out even if it ended
-    before the parent stopped waiting, so the verdict does not depend on
-    how the parent was scheduled.
+    Returns (world_views, avg_seconds, timed_out, layers), where layers
+    holds the average of each time of `BENCH_LAYERS`; counts and times
+    are None when any repetition hit the timeout or died.  A repetition
+    whose reported solving time exceeds `timeout` counts as timed out
+    even if it ended before the parent stopped waiting, so the verdict
+    does not depend on how the parent was scheduled.
     """
     count = None
-    seconds = []
+    seconds, layers = [], []
     for _ in range(reps):
         parent, child = Pipe(duplex=False)
         proc = Process(target=_bench_worker, args=(text, semantics, child))
@@ -244,14 +253,16 @@ def _time_instance(text: str, semantics: str, timeout: float, reps: int):
         if proc.is_alive():
             proc.terminate()
             proc.join()
-            return None, None, True
+            return None, None, True, None
         if not parent.poll():
-            return None, None, True
-        count, elapsed = parent.recv()
+            return None, None, True, None
+        count, elapsed, times = parent.recv()
         if elapsed > timeout:
-            return None, None, True
+            return None, None, True, None
         seconds.append(elapsed)
-    return count, sum(seconds) / len(seconds), False
+        layers.append(times)
+    return (count, sum(seconds) / len(seconds), False,
+            [sum(column) / len(column) for column in zip(*layers)])
 
 
 def bench_instances(domain: str, max_n: int, seed: int):
@@ -266,13 +277,14 @@ def bench_instances(domain: str, max_n: int, seed: int):
 def bench(domain: str, max_n: int, seed: int, timeout: float, reps: int,
           semantics: str, out: TextIO) -> list[dict]:
     """Time each instance and write its CSV row to the text stream
-    `out` as soon as it is timed."""
+    `out` as soon as it is timed: its average solving time, then the
+    average of each `SolveStats` time of `BENCH_LAYERS`."""
     writer = csv.DictWriter(out, fieldnames=["instance", "semantics", "world_views",
-                                             "avg_seconds", "timed_out"])
+                                             "avg_seconds", "timed_out", *BENCH_LAYERS])
     writer.writeheader()
     rows = []
     for name, text in bench_instances(domain, max_n, seed):
-        count, avg, timed_out = _time_instance(text, semantics, timeout, reps)
+        count, avg, timed_out, layers = _time_instance(text, semantics, timeout, reps)
         rows.append({
             "instance": name,
             "semantics": semantics,
@@ -280,6 +292,8 @@ def bench(domain: str, max_n: int, seed: int, timeout: float, reps: int,
             "avg_seconds": "" if timed_out else f"{avg:.6f}",
             "timed_out": "true" if timed_out else "false",
         })
+        rows[-1].update(zip(BENCH_LAYERS, [""] * len(BENCH_LAYERS) if timed_out
+                            else [f"{value:.6f}" for value in layers]))
         writer.writerow(rows[-1])
     return rows
 

@@ -368,7 +368,9 @@ def solve(program: Program, semantics: str = "g91", stats: SolveStats | None = N
     stats.shapes = len(shapes)
     stats.nontight_parts = sum(not part.tight for part in tester.parts)
     stats.failed_literals = sum(part.failed for part in tester.parts)
-    del ground  # not kept alive while the views are searched: the engine holds all they need
+    # The views need only the engine, which keeps `ground` to build the
+    # `Atom`s of an answer set when one is read: a solve that prints no
+    # answer set builds none for a derived atom.
 
     def guess(guesses) -> tuple[int, int] | None:
         began = time.perf_counter()

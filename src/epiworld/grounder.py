@@ -13,26 +13,31 @@ grow without end, or whose joins are wide whichever way they run, is
 refused with `GroundingError`.
 
 Instantiation runs over numbers, as gringo's does: each distinct
-ground term is interned once, a compound with its functor, argument
-numbers and depth, and a derived atom is (predicate number, argument
-numbers).  Each rule with variables is compiled once per grounding
-into a plan over variable slots, whose join step per body atom looks
-up the derived atoms by the arguments earlier steps bound and then
-binds or compares the others.  Each round orders each join greedily,
-the body atom with the most bound arguments first, then the one with
-the fewest derived atoms in range, and sorts what a reordered join
-finds back into source order, so the output does not depend on the
-order chosen.
+ground term is interned once, with its printed form, a compound with
+its functor, argument numbers and depth, and every atom is keyed by
+(predicate number, argument numbers).  Each round visits only the
+rules with a positive body predicate that got atoms in the round
+before (semi-naive evaluation at the level of predicates: Balbin,
+Ramamohanarao, JLP 1987).  Each rule with variables is compiled, on
+the first round that visits it with an atom of each of its positive
+body predicates, into a plan over variable slots, whose join step per
+body atom looks up the derived atoms by the arguments earlier steps
+bound and then binds or compares the others.
+Each round orders each join greedily, the body atom with the most
+bound arguments first, then the one with the fewest derived atoms in
+range, and sorts what a reordered join finds back into source order,
+so the output does not depend on the order chosen.
 
 A ground program has one form, the one the engine reads: numbers, as
 gringo hands a ground program to clasp (clingo 5's aspif format:
 Gebser et al., "Theory solving made easy with clingo 5", ICLP TC 2016).
 A `GroundProgram` is an atom table, in which each ground atom is
-numbered once, when it first appears, and its rules as tuples of those
-numbers.  `ground_program` fills one as it instantiates: the join
-hands over the numbers of the body atoms it matched, and an `Atom` is
-built only for an atom key not seen before; its `Rule`s are built from
-the numbers only when asked, for listings and tests.  A program built
+numbered once, when it first appears, with its printed form, and its
+rules as tuples of those numbers.  `ground_program` fills one as it
+instantiates, by atom keys: the join hands over the numbers of the
+body atoms it matched, and no `Atom` is built for an atom it derives;
+those `Atom`s and the `Rule`s are built from the numbers only when
+asked, for listings, tests, `optimize` and the oracle.  A program built
 from `Rule`s numbers them at once and keeps them.  `simplify` drops
 what forward chaining (`_forward`, which the engine runs before it
 builds any mask) decides from a program without subjective atoms; the
@@ -46,8 +51,8 @@ from bisect import bisect_left
 from collections.abc import Iterable
 from functools import cached_property
 
-from .syntax import (MAX_TERM_DEPTH, Atom, Compound, KAtom, ObjLiteral, Program, Rule,
-                     SubjLiteral, Term, Var, print_rule, term_vars)
+from .syntax import (MAX_TERM_DEPTH, Atom, AuxAtom, Compound, KAtom, ObjLiteral, Program, Rule,
+                     SubjLiteral, Term, Var, print_atom, print_rule, print_term, term_vars)
 
 
 class SafetyError(Exception):
@@ -113,25 +118,33 @@ class GroundProgram:
     """A program without variables, as its atom table and its rules as
     numbers, the form `Engine` reads.
 
-    Each atom of the rules has a number, its index in `atoms` (`number`
-    maps it back), and each subjective atom one, its index in `katoms`;
-    `inner[k]` is the number of the inner atom of subjective atom k.  No
-    other atom has a number.  A rule of `numbered` is (head, body,
-    choice): the numbers of its head atoms, then one (kind, number)
-    entry per body literal in order, an atom's number for kinds 0, 1
-    and 2 (that many `not`s), a subjective atom's for `NOT_K` and `K`.
+    Each atom of the rules has a number, its index in `texts`, which
+    holds its printed form (`print_atom`), and in `aux`, which holds 1
+    for an `AuxAtom`; each subjective atom has one, its index in
+    `katoms`, and `inner[k]` is the number of the inner atom of
+    subjective atom k.  No other atom has a number.  A rule of
+    `numbered` is (head, body, choice): the numbers of its head atoms,
+    then one (kind, number) entry per body literal in order, an atom's
+    number for kinds 0, 1 and 2 (that many `not`s), a subjective atom's
+    for `NOT_K` and `K`.  `atoms` holds the atoms by number and `number`
+    maps them back.
 
     Built from `Rule`s, a program numbers them in one pass, atoms in
     order of first appearance, and keeps them as `rules`.
-    `ground_program` fills an empty one in place, so a solve builds no
-    `Rule`; then `rules` is built from the numbers when first asked for,
-    for listings and tests.  `facts` holds the heads of its facts, and
-    two ground programs are equal when their rules are.
+    `ground_program` fills an empty one in place from atom keys, so a
+    solve builds no `Rule` and no `Atom` for an atom it derives: `atoms`
+    builds those on first access, and `number` and `rules` are built
+    from them when first asked for, for listings, tests, `optimize` and
+    the oracle.  `facts` holds the heads of its facts, and two ground
+    programs are equal when their rules are.
     """
 
     def __init__(self, rules: Iterable[Rule] = ()):
-        self.atoms: list[Atom] = []
-        self.number: dict[Atom, int] = {}
+        self.texts: list[str] = []
+        self.aux = bytearray()
+        self._atoms: list[Atom | None] = []  # None: a derived atom not built yet
+        self._number: dict[Atom, int] | None = {}
+        self._build: _KeyedAtoms | None = None
         self.katoms: list[KAtom] = []
         self.inner: list[int] = []
         self.knumber: dict[tuple[int, int], int] = {}  # (inner number, negs) -> number
@@ -141,12 +154,30 @@ class GroundProgram:
             self.rules = rules
             self.numbered = [self.rule(r) for r in rules]
 
+    @property
+    def atoms(self) -> list[Atom]:
+        """The atom of each number; those a grounding derived are built
+        from their keys on the first access."""
+        if self._build is not None:
+            self._build.fill(self._atoms)
+            self._build = None
+        return self._atoms
+
+    @property
+    def number(self) -> dict[Atom, int]:
+        if self._number is None:
+            self._number = {a: n for n, a in enumerate(self.atoms)}
+        return self._number
+
     def atom(self, a: Atom) -> int:
         """The number of `a`, which it is given at its first call."""
-        n = self.number.get(a)
+        number = self.number
+        n = number.get(a)
         if n is None:
-            n = self.number[a] = len(self.atoms)
-            self.atoms.append(a)
+            n = number[a] = len(self._atoms)
+            self._atoms.append(a)
+            self.texts.append(print_atom(a))
+            self.aux.append(isinstance(a, AuxAtom))
         return n
 
     def katom(self, k: KAtom) -> int:
@@ -235,7 +266,8 @@ def _match(ops: tuple, args: tuple[int, ...], slots: list, shapes: list) -> bool
 
 class _Plan:
     """A rule with variables compiled over variable slots, once per
-    grounding.
+    grounding, on the first round that visits the rule with an atom of
+    each of its positive body predicates.
 
     `body` holds the rule's positive objective body atoms in source
     order, with their predicate numbers (`preds`) and the variables of
@@ -244,10 +276,14 @@ class _Plan:
     (`_Grounder.steps`).  `slot` numbers the variables.  `head` reads
     each head atom as (predicate number, the readings of its arguments,
     whether one builds a compound), and `literals` tells how an
-    instance numbers each body literal: (0, the atom's position in
-    `body`, None), or (kind, the literal's atom or subjective atom, the
-    reading of that atom if it has variables, else None).  The instances
-    are collected in `found`.
+    instance numbers each body literal, as (kind, ref, template, k): a
+    positive atom is (0, its position in `body`, None, None).  Else ref
+    is (key, `Atom`) of a ground literal's atom, keyed once, when the
+    plan is built (`_Grounder.literal`), or None, and then template is
+    the reading of the atom, which has variables; k is None for an
+    objective literal and (the inner `negs`, the `KAtom` if it is
+    ground) for a subjective one.  The instances are collected in
+    `found`.
     """
 
     def __init__(self, g: _Grounder, rule: Rule) -> None:
@@ -264,16 +300,17 @@ class _Plan:
         self.literals: list[tuple] = []
         k = 0
         for lit in rule.body:
-            if isinstance(lit, SubjLiteral):
-                inner = lit.katom.inner.atom
-                self.literals.append((NOT_K if lit.negated else K, lit.katom,
-                                      g.template(inner, slot) if atom_vars(inner) else None))
-            elif lit.negs:
-                self.literals.append((lit.negs, lit.atom,
-                                      g.template(lit.atom, slot) if atom_vars(lit.atom) else None))
-            else:
-                self.literals.append((0, k, None))
+            if isinstance(lit, ObjLiteral) and not lit.negs:
+                self.literals.append((0, k, None, None))
                 k += 1
+            elif isinstance(lit, ObjLiteral):
+                self.literals.append((lit.negs, None, g.template(lit.atom, slot), None)
+                                     if atom_vars(lit.atom) else g.literal(lit))
+            else:
+                inner = lit.katom.inner
+                self.literals.append((NOT_K if lit.negated else K, None,
+                                      g.template(inner.atom, slot), (inner.negs, None))
+                                     if atom_vars(inner.atom) else g.literal(lit))
         self.source = tuple(range(len(self.body)))
         self.steps: dict[tuple[int, ...], list[tuple]] = {}
         self.found: list[tuple] = []
@@ -284,32 +321,43 @@ class _Grounder:
     atoms and their indexes, filling the atom table of `table`.
 
     Each distinct ground term has a number: `terms[t]` is the term,
-    `shapes[t]` is None for a constant or a number and (functor,
-    argument numbers) for a compound, and `depths[t]` is its nesting, so
-    a compound's depth is known when it is interned.  Each predicate has
-    a number (`preds`, by class, name, arity and sign, so an `AuxAtom`
-    is kept apart from the program atom it prints as), and an atom is
-    keyed by (predicate number, argument numbers); `atom_of` maps keys
-    to numbers in `table`, so an `Atom` is built only for a key not seen
-    before.  The derived atoms of predicate p are `nums[p]`, with their
-    argument numbers in `args[p]`, in derivation order, and `position`
-    gives each derived atom's index there, so a round of the semi-naive
-    fixpoint can tell the atoms of earlier rounds, [0, lo), from those
-    of the last round, [lo, hi).
+    `spelling[t]` its printed form, `shapes[t]` is None for a constant
+    or a number and (functor, argument numbers) for a compound, and
+    `depths[t]` is its nesting, so a compound's depth is known when it
+    is interned.  Each predicate has a number (`preds`, by class, name,
+    arity and sign, so an `AuxAtom` is kept apart from the program atom
+    it prints as), and every atom, the parser's included, is keyed by
+    (predicate number, argument numbers).  `atom` numbers the keys in
+    `table` and records each one's printed form, built from `prefix`
+    and the spellings of its arguments, so no `Atom` is built for an
+    atom the grounding derives: `build` builds it from `keys` when it is
+    asked for.  The derived atoms of predicate p are `nums[p]`, with
+    their argument numbers in `args[p]`, in derivation order, and
+    `position` gives each derived atom's index there, so a round of the
+    semi-naive fixpoint can tell the atoms of earlier rounds, [0, lo),
+    from those of the last round, [lo, hi).  `grown` collects the
+    predicates that got atoms since the round began.
     """
 
     def __init__(self, table: GroundProgram) -> None:
         self.table = table
         self.term_of: dict = {}  # a constant or number, or (functor, argument numbers)
         self.terms: list[Term] = []
+        self.spelling: list[str] = []
         self.shapes: list[tuple | None] = []
         self.depths: list[int] = []
         self.pred_of: dict[tuple, int] = {}
         self.preds: list[tuple] = []
+        self.prefix: list[str] = []  # the printed form of an atom of the predicate, up to "("
         self.atom_of: dict[tuple, int] = {}
+        self.keys: list[tuple] = []
+        self.atoms, self.texts, self.aux = table._atoms, table.texts, table.aux
+        table._number = None
+        table._build = self.build = _KeyedAtoms(self.terms, self.preds, self.keys)
         self.nums: list[list[int]] = []
         self.args: list[list[tuple[int, ...]]] = []
         self.position: dict[int, int] = {}
+        self.grown: set[int] = set()
         # (predicate, argument positions) -> [the derivation positions
         # of the atoms of the predicate by their arguments at those
         # positions, ascending; how many atoms the index holds]
@@ -325,6 +373,7 @@ class _Grounder:
         if p is None:
             p = self.pred_of[key] = len(self.preds)
             self.preds.append(key)
+            self.prefix.append(f"{'-' if a.strong_neg else ''}{a.name}{'(' if a.args else ''}")
             self.nums.append([])
             self.args.append([])
         return p
@@ -337,6 +386,7 @@ class _Grounder:
         if n is None:
             n = self.term_of[t] = len(self.terms)
             self.terms.append(t)
+            self.spelling.append(print_term(t))
             self.shapes.append(None)
             self.depths.append(0)
         return n
@@ -346,11 +396,24 @@ class _Grounder:
         n = self.term_of.get(key)
         if n is None:
             n = self.term_of[key] = len(self.terms)
-            terms, depths = self.terms, self.depths
+            terms, depths, spelling = self.terms, self.depths, self.spelling
             terms.append(Compound(functor, tuple([terms[a] for a in args])))
+            spelling.append(f"{functor}({','.join([spelling[a] for a in args])})")
             self.shapes.append(key)
             depths.append(1 + max([depths[a] for a in args]))
         return n
+
+    def key(self, a: Atom) -> tuple[int, tuple[int, ...]]:
+        """The key of the ground atom `a`."""
+        return self.pred(a), tuple([self.intern(t) for t in a.args])
+
+    def literal(self, lit: ObjLiteral | SubjLiteral) -> tuple:
+        """A ground body literal as a plan holds it (`_Plan.literals`)."""
+        if isinstance(lit, ObjLiteral):
+            return lit.negs, (self.key(lit.atom), lit.atom), None, None
+        inner = lit.katom.inner
+        return (NOT_K if lit.negated else K, (self.key(inner.atom), inner.atom), None,
+                (inner.negs, lit.katom))
 
     def reading(self, t: Term, slot: dict[str, int]) -> tuple:
         if isinstance(t, Var):
@@ -373,16 +436,41 @@ class _Grounder:
         functor, args = v
         return self.compound(functor, tuple([self.term(r, slots) for r in args]))
 
-    def atom(self, pred: int, args: tuple[int, ...]) -> int:
-        """The number in `table` of the atom keyed (pred, args)."""
-        key = (pred, args)
+    def atom(self, key: tuple[int, tuple[int, ...]], a: Atom | None = None) -> int:
+        """The number in `table` of the atom keyed `key`, which it is
+        given, with its printed form, at its first call; `a` is its
+        `Atom` if the caller has one."""
         n = self.atom_of.get(key)
         if n is None:
-            cls, name, _, strong = self.preds[pred]
-            terms = self.terms
-            n = self.atom_of[key] = self.table.atom(
-                cls(name, tuple([terms[t] for t in args]), strong))
+            n = self.atom_of[key] = len(self.keys)
+            self.keys.append(key)
+            self.atoms.append(a)
+            pred, args = key
+            if args:
+                spelling = self.spelling
+                self.texts.append(f"{self.prefix[pred]}{','.join([spelling[t] for t in args])})")
+            else:
+                self.texts.append(self.prefix[pred])
+            self.aux.append(self.preds[pred][0] is AuxAtom)
         return n
+
+    def katom(self, n: int, negs: int, k: KAtom | None) -> int:
+        """The number in `table` of the subjective atom over atom n and
+        `negs`, which it is given at its first call; `k` is its `KAtom`
+        if the caller has one, else one is built, with atom n."""
+        table = self.table
+        key = (n, negs)
+        m = table.knumber.get(key)
+        if m is None:
+            if k is None:
+                a = self.atoms[n]
+                if a is None:
+                    a = self.atoms[n] = self.build.atom(n)
+                k = KAtom(ObjLiteral(a, negs))
+            m = table.knumber[key] = len(table.katoms)
+            table.katoms.append(k)
+            table.inner.append(n)
+        return m
 
     def derive(self, n: int, pred: int, args: tuple[int, ...]) -> None:
         """Derive atom number n, keyed (pred, args), not derived before."""
@@ -390,32 +478,46 @@ class _Grounder:
         self.position[n] = len(nums)
         nums.append(n)
         self.args[pred].append(args)
+        self.grown.add(pred)
 
     # -- rules without variables
 
-    def fire_ground(self, rule: Rule, preds: list[int]) -> None:
-        """Derive the head atoms of a rule without variables."""
-        for a, p in zip(rule.head, preds):
-            n = self.table.atom(a)
-            if n not in self.position:
-                args = tuple([self.intern(t) for t in a.args])
-                self.atom_of[(p, args)] = n
-                self.derive(n, p, args)
-                if any(self.depths[t] > MAX_TERM_DEPTH for t in args):
+    def fire_ground(self, rule: Rule, heads: list[tuple]) -> tuple[int, ...]:
+        """Derive the head atoms, as (key, atom), of a rule without
+        variables; returns their numbers."""
+        atom_of, position = self.atom_of, self.position
+        numbers = []
+        for key, a in heads:
+            n = atom_of.get(key)
+            if n is None:
+                n = self.atom(key, a)
+            numbers.append(n)
+            if n not in position:
+                self.derive(n, *key)
+                if any(self.depths[t] > MAX_TERM_DEPTH for t in key[1]):
                     raise _too_deep(rule)
+        return tuple(numbers)
 
-    def holds(self, body: list[tuple[int, Atom]], lo: list[int], hi: list[int]) -> bool:
-        """Whether every atom of a ground positive body, as (predicate,
-        atom), was derived by the end of the last round, one of them in
-        it."""
-        position, number = self.position, self.table.number
+    def holds(self, body: list[tuple], lo: list[int], hi: list[int]) -> bool:
+        """Whether every atom of a ground positive body, by key, was
+        derived by the end of the last round, one of them in it."""
+        position, atom_of = self.position, self.atom_of
         new = False
-        for p, a in body:
-            at = position.get(number.get(a), -1)
+        for key in body:
+            p = key[0]
+            at = position.get(atom_of.get(key), -1)
             if not 0 <= at < hi[p]:
                 return False
             new = new or at >= lo[p]
         return new
+
+    def numbered(self, heads: list[tuple], body: list[tuple], choice: bool) -> tuple:
+        """The numbered form of a rule without variables, as its head
+        atoms, (key, atom), and its body literals (`literal`) hold it."""
+        atom, katom = self.atom, self.katom
+        return (tuple([atom(key, a) for key, a in heads]),
+                tuple([(kind, atom(*ref) if k is None else katom(atom(*ref), *k))
+                       for kind, ref, _, k in body]), choice)
 
     # -- rules with variables
 
@@ -572,38 +674,59 @@ class _Grounder:
         self.count += 1
         if self.count > MAX_INSTANCES:
             raise _too_many(plan.rule)
-        table, atom_of, position, term = self.table, self.atom_of, self.position, self.term
+        atom_of, position, term = self.atom_of, self.position, self.term
         head = []
         for pred, readings, built in plan.head:
             args = (tuple([term(r, slots) for r in readings]) if built
                     else tuple([slots[v] if k == _SLOT else v for k, v in readings]))
             n = atom_of.get((pred, args))
             if n is None:
-                n = self.atom(pred, args)
+                n = self.atom((pred, args))
             head.append(n)
             if n not in position:
                 self.derive(n, pred, args)
                 if built and any(self.depths[t] > MAX_TERM_DEPTH for t in args):
                     raise _too_deep(plan.rule)
         body = []
-        for kind, ref, template in plan.literals:
+        for kind, ref, template, k in plan.literals:
             if kind == 0:
-                n = matched[ref]
-            elif template is None:
-                n = table.atom(ref) if kind < NOT_K else table.katom(ref)
+                body.append((0, matched[ref]))
+                continue
+            if template is None:
+                key, a = ref
             else:
                 pred, readings, built = template
-                args = (tuple([term(r, slots) for r in readings]) if built
-                        else tuple([slots[v] if k == _SLOT else v for k, v in readings]))
-                n = atom_of.get((pred, args))
-                if n is None:
-                    n = self.atom(pred, args)
-                if kind >= NOT_K:
-                    key = (n, ref.inner.negs)
-                    k = table.knumber.get(key)
-                    n = table.katom(KAtom(ObjLiteral(table.atoms[n], key[1]))) if k is None else k
-            body.append((kind, n))
+                key = (pred, tuple([term(r, slots) for r in readings]) if built
+                       else tuple([slots[v] if c == _SLOT else v for c, v in readings]))
+                a = None
+            n = atom_of.get(key)
+            if n is None:
+                n = self.atom(key, a)
+            body.append((kind, n if k is None else self.katom(n, *k)))
         plan.found.append((tuple(head), tuple(body), plan.rule.is_choice))
+
+
+class _KeyedAtoms:
+    """Builds the `Atom` of an atom number of a grounding from its key,
+    (predicate number, argument numbers) in `keys`, reading the term
+    table `terms` and the predicate table `preds`.  It holds these
+    tables, never the `_Grounder`, so a `GroundProgram` keeps no
+    grounding state alive."""
+
+    def __init__(self, terms: list[Term], preds: list[tuple], keys: list[tuple]) -> None:
+        self.terms, self.preds, self.keys = terms, preds, keys
+
+    def atom(self, n: int) -> Atom:
+        pred, args = self.keys[n]
+        cls, name, _, strong = self.preds[pred]
+        terms = self.terms
+        return cls(name, tuple([terms[t] for t in args]), strong)
+
+    def fill(self, atoms: list[Atom | None]) -> None:
+        """Build each atom of `atoms` that is None."""
+        for n, a in enumerate(atoms):
+            if a is None:
+                atoms[n] = self.atom(n)
 
 
 def _too_many(rule: Rule) -> GroundingError:
@@ -630,15 +753,21 @@ def ground_program(program: Program) -> GroundProgram:
     instances or `MAX_ATTEMPTS` match attempts, or a derived term
     nested deeper than `MAX_TERM_DEPTH`, raise `GroundingError`.
 
-    Grounding runs over numbers (`_Grounder`): terms are interned, each
-    rule with variables is compiled once into a plan over variable
-    slots (`_Plan`), and each round joins a plan's body in a greedy
-    order of its own, then restores the order above.  An instance
-    builds an `Atom` only for an atom not seen before, and is recorded
-    as numbers, so no `Rule` is built.  Facts and other rules without
-    variables build no plan and are kept verbatim, so grounding is the
-    identity on ground programs, and a ground program skips the
-    fixpoint and is handed over as its rules.
+    Grounding runs over numbers (`_Grounder`): terms are interned, and
+    each round visits, in rule order, only the rules with a positive
+    body predicate that got atoms in the last round, since each new
+    instance matches one of those atoms; so the instances, their order
+    and the atom numbering are those of a visit to every rule.  A rule
+    with variables is skipped while one of its positive body predicates
+    has no atom, since its join would match nothing, and is compiled
+    into a plan over variable slots (`_Plan`) on its first visit with
+    an atom of each, and each round joins a plan's body in
+    a greedy order of its own, then restores the order above.  Atoms
+    are numbered by key, and an instance is recorded as numbers, so no
+    `Rule`, and no `Atom` for a derived atom, is built.  Facts and
+    other rules without variables build no plan and are kept verbatim,
+    so grounding is the identity on ground programs, and a ground
+    program skips the fixpoint and is handed over as its rules.
     """
     variables = program_safety_check(program)
     rules = program.rules
@@ -646,29 +775,66 @@ def ground_program(program: Program) -> GroundProgram:
         return GroundProgram(rules)
     table = GroundProgram()
     g = _Grounder(table)
-    plans = [_Plan(g, r) if v else None for r, v in zip(rules, variables)]
-    # Per rule without variables: the predicates of its head atoms, and
-    # (predicate, atom) per atom of its positive objective body.
-    ground = [None if v else ([g.pred(a) for a in r.head],
-                              [(g.pred(lit.atom), lit.atom) for lit in r.body
-                               if isinstance(lit, ObjLiteral) and lit.negs == 0])
-              for r, v in zip(rules, variables)]
-    for r, entry in zip(rules, ground):
-        if entry is not None and not entry[1]:
-            g.fire_ground(r, entry[0])
-    lo, hi = [0] * len(g.preds), [len(nums) for nums in g.nums]
-    while lo != hi:
-        for r, plan, entry in zip(rules, plans, ground):
-            if plan is not None:
-                g.instantiate(plan, lo, hi)
-            elif entry[1] and g.holds(entry[1], lo, hi):
-                g.fire_ground(r, entry[0])
-        lo, hi = hi, [len(nums) for nums in g.nums]
-    for r, plan in zip(rules, plans):
-        if plan is not None:
-            table.numbered += plan.found
+    # Per rule without variables: its head atoms, as (key, atom), its
+    # body literals (`_Grounder.literal`), its positive body keys, and
+    # its numbered form if it has no body, as it is numbered when it fires.
+    ground: list[tuple | None] = []
+    # The rules that read each predicate in their positive body, and the
+    # predicates of the positive body of each rule with variables.
+    readers: dict[int, list[int]] = {}
+    bodies: list[set[int]] = []
+    for i, (r, v) in enumerate(zip(rules, variables)):
+        if v:
+            ground.append(None)
+            preds = {g.pred(lit.atom) for lit in r.body if isinstance(lit, ObjLiteral) and not lit.negs}
+            bodies.append(preds)
         else:
-            table.numbered.append(table.rule(r))
+            bodies.append(set())
+            heads = [(g.key(a), a) for a in r.head]
+            if not r.body:
+                ground.append((heads, (), (), (g.fire_ground(r, heads), (), r.is_choice)))
+                continue
+            body = [g.literal(lit) for lit in r.body]
+            positive = [ref[0] for kind, ref, _, _ in body if kind == 0]
+            ground.append((heads, body, positive, None))
+            if not positive:
+                g.fire_ground(r, heads)
+                continue
+            preds = {key[0] for key in positive}
+        for p in preds:
+            readers.setdefault(p, []).append(i)
+    plans: list[_Plan | None] = [None] * len(rules)  # each built on the first join of its rule
+    lo: list[int] = []
+    hi: list[int] = []
+    last: set[int] = set()
+    while g.grown:
+        grown, g.grown = g.grown, set()
+        added = [0] * (len(g.nums) - len(lo))  # predicates new since the last round
+        lo += added
+        hi += added
+        for p in last:  # lo becomes the old hi: the last round began there
+            lo[p] = hi[p]
+        for p in grown:
+            hi[p] = len(g.nums[p])
+        last = grown
+        # A rule none of whose positive body predicates grew in the last
+        # round has no instance that matches an atom of it.
+        for i in sorted({i for p in grown for i in readers.get(p, ())}):
+            entry = ground[i]
+            if entry is None:
+                if not all(hi[p] for p in bodies[i]):  # a body atom matches nothing yet
+                    continue
+                plan = plans[i]
+                if plan is None:
+                    plan = plans[i] = _Plan(g, rules[i])
+                g.instantiate(plan, lo, hi)
+            elif g.holds(entry[2], lo, hi):
+                g.fire_ground(rules[i], entry[0])
+    for r, entry, plan in zip(rules, ground, plans):
+        if entry is not None:
+            table.numbered.append(entry[3] or g.numbered(entry[0], entry[1], r.is_choice))
+        elif plan is not None:
+            table.numbered += plan.found
     return table
 
 

@@ -69,10 +69,12 @@ becomes the constraint `:- a, -a.`
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable
+from functools import cached_property
 
 from .grounder import NOT_K, GroundProgram, _forward
-from .syntax import Atom, AuxAtom, KAtom, print_atom, print_subjective
+from .syntax import Atom, KAtom, print_subjective
 
 
 # ---------------------------------------------------------------------------
@@ -640,14 +642,19 @@ class _Part:
 class Engine:
     """Bit index of a ground program, subjective literals included.
 
-    The index is built from the program's atom table and numbered rules
-    alone, never from its `Rule`s, and each atom number maps to its bits
-    through lists, so no atom is hashed while the rules are read: only
-    the lookup of the `:- a, -a.` twins hashes one, once per `-` atom.
-    Atom i has the bit `1 << i` of the engine, for i below `width`, and
-    each subjective atom k the bit `kbit[k]` above them, both in the
-    order of printed forms, so the bits do not depend on how the atoms
-    were numbered.  A valuation is the mask of its known `kbit`s, and it
+    The index is built from the printed forms of the program's atoms
+    (`GroundProgram.texts`) and its numbered rules alone, never from its
+    `Atom`s or `Rule`s, and each atom number maps to its bits through
+    lists, so no atom is built or hashed.  Atom i has the bit `1 << i`
+    of the engine, for i below `width`, in the order of (printed form,
+    whether it is an `AuxAtom`), and each subjective atom k the bit
+    `kbit[k]` above them, in the order of printed forms, so the bits do
+    not depend on how the atoms were numbered; `order` holds the atom
+    number of each bit.  The twin of a `-a` is found by its printed
+    form, by bisection in that order.  The engine keeps `program`, and
+    `atom_of`, the atom of each bit, is built from its atom table only
+    when an interpretation is first named (`to_interpretation`).  A
+    valuation is the mask of its known `kbit`s, and it
     keeps the rules whose subjective literals it satisfies, which are
     the rules `apply_valuation` keeps, so one index serves every
     candidate.
@@ -681,26 +688,29 @@ class Engine:
     """
 
     def __init__(self, program: GroundProgram):
-        atoms, katoms, inner = program.atoms, program.katoms, program.inner
+        texts, aux, katoms, inner = program.texts, program.aux, program.katoms, program.inner
+        self.program = program
         # Per-part results, and so the order world views are emitted
         # in, follow the bit order.  An AuxAtom sorts right after a
         # program atom printed the same way, so the numbering never
         # decides between them.
-        order = sorted(range(len(atoms)),
-                       key=lambda n: (print_atom(atoms[n]), isinstance(atoms[n], AuxAtom)))
-        self.atom_of = [atoms[n] for n in order]
+        order = sorted(range(len(texts)), key=aux.__getitem__) if 1 in aux else range(len(texts))
+        self.order = order = sorted(order, key=texts.__getitem__)
         self.width = width = len(order)
         korder = sorted(range(len(katoms)), key=lambda n: print_subjective(katoms[n]))
         self.kbit = {katoms[n]: 1 << (width + i) for i, n in enumerate(korder)}
 
         rules = list(program.numbered)
-        # a and -a never hold together: `:- a, -a.`
-        for n in order:
-            a = atoms[n]
-            if a.strong_neg:
-                twin = program.number.get(Atom(a.name, a.args, False))
-                if twin is not None:
-                    rules.append(((), ((0, n), (0, twin)), False))
+        # a and -a never hold together: `:- a, -a.`  The texts of the
+        # `-` atoms are the ones in ["-", "."), and the twin, a program
+        # atom, comes first among the atoms printed like it.
+        text_of = texts.__getitem__
+        for r in range(bisect_left(order, "-", key=text_of), bisect_left(order, ".", key=text_of)):
+            n = order[r]
+            twin = texts[n][1:]
+            t = bisect_left(order, twin, key=text_of)
+            if t < width and texts[order[t]] == twin and not aux[order[t]]:
+                rules.append(((), ((0, n), (0, order[t])), False))
         value, dead, parent, tie, _ = _forward(rules, width, inner)
         self.fixed_atoms = width - value.count(0)
         # The atoms forward chaining makes true, which no part holds.
@@ -834,6 +844,12 @@ class Engine:
             cautious |= self.to_global(j, found[0])
             brave |= self.to_global(j, found[1])
         return cautious, brave
+
+    @cached_property
+    def atom_of(self) -> list[Atom]:
+        """The atom of each bit below `width`, built when first asked for."""
+        atoms = self.program.atoms
+        return [atoms[n] for n in self.order]
 
     def to_interpretation(self, m: int) -> frozenset[Atom]:
         atoms = []

@@ -13,6 +13,7 @@ import pytest
 from epiworld import cli
 from epiworld.cli import (
     BANNER,
+    BENCH_LAYERS,
     ELIGIBILITY_RULES,
     INPUT_ERROR,
     SATISFIABLE,
@@ -488,6 +489,9 @@ def test_bench_writes_csv_rows(tmp_path):
     assert [r["instance"] for r in parsed] == ["eligible01", "eligible02"]
     assert parsed[0]["world_views"] == "1"
     assert float(parsed[0]["avg_seconds"]) >= 0.0
+    # The layers are parts of the solve, each timed within it.
+    layers = [float(parsed[0][name]) for name in BENCH_LAYERS]
+    assert all(t >= 0.0 for t in layers) and sum(layers) <= float(parsed[0]["avg_seconds"])
 
 
 def test_bench_marks_timeouts(tmp_path):
@@ -496,17 +500,18 @@ def test_bench_marks_timeouts(tmp_path):
     assert rows[0]["world_views"] == ""
     assert rows[0]["avg_seconds"] == ""
     assert rows[0]["timed_out"] == "true"
+    assert all(rows[0][name] == "" for name in BENCH_LAYERS)
 
 
 def _report_elapsed(text, semantics, conn):
     """Stand-in bench worker: ends at once and reports `text` as its time."""
-    conn.send((1, float(text)))
+    conn.send((1, float(text), [0.0] * len(BENCH_LAYERS)))
     conn.close()
 
 
 @pytest.mark.parametrize("elapsed, timeout, want", [
-    ("5.0", 1.0, (None, None, True)),
-    ("0.5", 60.0, (1, 0.5, False)),
+    ("5.0", 1.0, (None, None, True, None)),
+    ("0.5", 60.0, (1, 0.5, False, [0.0] * len(BENCH_LAYERS))),
 ])
 def test_reported_time_decides_a_timeout(monkeypatch, elapsed, timeout, want):
     # The child ends before the parent stops waiting either way, so only
@@ -531,13 +536,14 @@ def test_bench_refuses_an_unwritable_output_before_timing(monkeypatch, tmp_path,
 
 
 def test_bench_writes_the_same_csv_to_stdout_and_to_a_file(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(cli, "_time_instance", lambda *args: (1, 0.5, False))
+    monkeypatch.setattr(cli, "_time_instance", lambda *args: (1, 0.5, False, [0.1, 0.2, 0.0, 0.0, 0.1]))
     out = tmp_path / "bench.csv"
     argv = ["bench", "--domain", "yale", "--max-n", "1", "--out"]
     assert main(argv + [str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert main(argv + ["-"]) == 0
     assert capsys.readouterr().out == out.read_bytes().decode("utf-8") == (
-        "instance,semantics,world_views,avg_seconds,timed_out\r\n"
-        "yale01,g91,1,0.500000,false\r\n"
-        "yale_unsat,g91,1,0.500000,false\r\n")
+        "instance,semantics,world_views,avg_seconds,timed_out,"
+        "parse_s,ground_s,engine_s,guess_s,check_s\r\n"
+        "yale01,g91,1,0.500000,false,0.100000,0.200000,0.000000,0.000000,0.100000\r\n"
+        "yale_unsat,g91,1,0.500000,false,0.100000,0.200000,0.000000,0.000000,0.100000\r\n")

@@ -11,7 +11,7 @@ from brute import brute_answer_sets, cross_product_ground, ground_terms
 from corpus import random_epistemic_program, random_ground_rules, random_safe_program
 from reference_ground import ground_program as reference_ground_program
 from reference_simplify import simplify as reference_simplify
-from epiworld import grounder, syntax
+from epiworld import grounder, stable, syntax
 from epiworld.cli import YALE_INSTANCES, gen_eligibility, yale_source
 from epiworld.epistemic import (expand_world_view, k15_transform, oracle_world_views,
                                 solve, subjective_atoms, translate_guess)
@@ -27,7 +27,7 @@ from epiworld.grounder import (
 )
 from epiworld.optimize import add_consistency_constraints
 from epiworld.stable import Engine
-from epiworld.syntax import (Atom, Compound, Const, Num, ObjLiteral, Program, Rule,
+from epiworld.syntax import (Atom, AuxAtom, Compound, Const, Num, ObjLiteral, Program, Rule,
                              parse_text, print_atom, print_program, print_subjective)
 
 
@@ -356,6 +356,101 @@ def test_the_numbered_hand_off_indexes_as_the_rules_do():
                 [(p.rules, p.katoms) for p in other.parts]
             renumbered += numbered.atoms != built.atoms
     assert renumbered > 100
+
+
+def test_each_atom_keeps_its_printed_form_and_the_engine_sorts_its_bits_by_it(monkeypatch):
+    # The grounder prints each atom from the printed forms of its terms,
+    # a program built from rules with `print_atom`, and the engine sorts
+    # its bits and finds the twin of each `-a` by these texts alone.
+    # Each must agree with the atoms built afterwards: the bits sorted
+    # by (`print_atom`, is an `AuxAtom`), and one `:- a, -a.` per `-a`
+    # whose `Atom` twin has a number, in bit order.
+    rng = random.Random(3201)
+    programs = [random_safe_program(rng, max_rules=6) for _ in range(300)]
+    programs += [_random_join_program(rng) for _ in range(100)]
+    programs += [_random_ordered_program(rng) for _ in range(100)]
+    programs += [Program(tuple(random_ground_rules(rng))) for _ in range(300)]
+    corpus = random.Random(5)  # the 400 programs of the solve corpus
+    programs += [random_epistemic_program(corpus, max_atoms=5, max_rules=8) for _ in range(400)]
+    programs += [parse_text(yale_source(name)) for name in YALE_INSTANCES]
+    programs += [graph_program(9), gen_eligibility(12, 1),
+                 parse_text("p(1). p(f(2,a)). -p(1) :- p(X). -q(X) :- p(X). "
+                            "r :- &k{ -p(1) }, &k{ p(f(2,a)) }, not &k{ ~p(1) }, p(X). "
+                            "k15aux_1(X) :- p(X). -k15aux_2(2) :- p(1). s :- not &k{ -q(2) }, p(X).")]
+    forward, handed = stable._forward, []
+
+    def recorded(rules, *rest):
+        handed.append(rules)
+        return forward(rules, *rest)
+
+    monkeypatch.setattr(stable, "_forward", recorded)
+    seen = Counter()
+    for program in programs:
+        for source in (program, k15_transform(program)):
+            ground = ground_program(source)
+            derived = None in ground._atoms
+            atoms = ground.atoms
+            assert ground.texts == [print_atom(a) for a in atoms]
+            assert list(ground.aux) == [isinstance(a, AuxAtom) for a in atoms]
+            want = sorted(atoms, key=lambda a: (print_atom(a), isinstance(a, AuxAtom)))
+            engine = Engine(ground)
+            assert engine.atom_of == want
+            twins = [((), ((0, ground.number[a]), (0, ground.number[twin])), False)
+                     for a in want if a.strong_neg
+                     for twin in [Atom(a.name, a.args, False)] if twin in ground.number]
+            assert handed[-1][len(ground.numbered):] == twins
+            seen["derived"] += derived
+            seen["twins"] += bool(twins)
+            seen["aux"] += 1 in ground.aux
+            seen["ties"] += len(set(ground.texts)) < len(atoms)
+    assert seen["derived"] > 700 and seen["twins"] > 200 and seen["aux"] > 400
+    assert seen["ties"] > 0
+
+
+def test_a_solve_builds_no_atom_for_a_derived_atom_until_an_answer_set_is_read(monkeypatch):
+    program = graph_program(16)
+    built = []
+    for cls in (Atom, AuxAtom):
+        def counted(self, *args, init=cls.__init__):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    views = list(solve(program))
+    assert len(views) == 2
+    assert built == []
+    assert views[0].answer_sets  # naming an answer set builds its atoms
+    assert built
+
+
+def test_a_round_visits_only_the_rules_whose_positive_body_predicates_grew(monkeypatch):
+    # The chain derives one r atom per round.  v and w get atoms only
+    # from facts, before the first round, so each rule over them is
+    # joined and compiled in the first round alone.  The rules over z,
+    # which never gets an atom, come due with r in every round, but are
+    # never joined or compiled.
+    source = parse_text("r(c0). v(c0). " + "".join(f"e(c{i},c{i + 1}). " for i in range(30))
+                        + "r(Y) :- r(X), e(X,Y). "
+                        + " ".join(f"w{k}(c{k}). u{k}(X) :- w{k}(X), v(X). t{k}(X) :- z(X), r(X)."
+                                   for k in range(20)))
+    visited, compiled = Counter(), Counter()
+    instantiate, plan_init = grounder._Grounder.instantiate, grounder._Plan.__init__
+
+    def visit(self, plan, lo, hi):
+        visited[plan.rule.head[0].name] += 1
+        instantiate(self, plan, lo, hi)
+
+    def compile_(self, g, rule):
+        compiled[rule.head[0].name] += 1
+        plan_init(self, g, rule)
+
+    monkeypatch.setattr(grounder._Grounder, "instantiate", visit)
+    monkeypatch.setattr(grounder._Plan, "__init__", compile_)
+    got = ground_program(source)
+    assert visited == Counter({"r": 31} | {f"u{k}": 1 for k in range(20)})
+    assert compiled == Counter({"r": 1} | {f"u{k}": 1 for k in range(20)})
+    want = reference_ground_program(source)
+    assert (got.text(), got.atoms) == (want.text(), want.atoms)
 
 
 def test_solving_a_program_with_variables_builds_no_rule(monkeypatch):
